@@ -17,7 +17,7 @@ import numpy as np
 from .embeddings import EncoderHandle, FrameWindow, encode_video_snippet
 from .errors import ValidationError
 from .mil import RiskTrace, pooling_attention, segment_clip
-from .model import ModelCheckpoint, adapt, detect_logit, forward_bag
+from .model import ModelCheckpoint, forward_bag, forward_rows
 from .numerics import sigmoid
 
 DEFAULT_BUFFER_FRAMES = 8
@@ -59,7 +59,10 @@ class CausalBuffer:
             / self.tick_rate_hz)
         emb = encode_video_snippet(window, self.encoder)
         self.encoder_calls += 1
-        logit = detect_logit(adapt(emb, ckpt.adapter), ckpt.detector)
+        # the offline forward of a one-row bag, so both paths agree exactly
+        logit = forward_rows(emb.values.astype(np.float64)[None, :], ckpt)[2][0]
+        if not np.isfinite(logit):
+            raise ValidationError("detector produced a non-finite logit")
         return float(sigmoid(logit))
 
 
@@ -74,9 +77,16 @@ def push_tick(buffer: CausalBuffer, frame, tick: int, ckpt: ModelCheckpoint,
     if buffer._last_tick is not None and tick <= buffer._last_tick:
         raise ValidationError(
             f"out-of-order tick {tick} after {buffer._last_tick}")
+    frame = np.asarray(frame, dtype=np.float64)
+    if frame.ndim != 1:
+        raise ValidationError(f"frame must be a feature vector, got shape {frame.shape}")
+    if buffer.frames and frame.shape != buffer.frames[0].shape:
+        raise ValidationError(
+            f"frame width {frame.shape[0]} differs from the buffer's first "
+            f"frame width {buffer.frames[0].shape[0]}")
     buffer._last_tick = tick
     if tick % buffer.subsample_period == 0:
-        buffer.frames.append(np.asarray(frame, dtype=np.float64))
+        buffer.frames.append(frame)
         buffer.frame_ticks.append(tick)
         if len(buffer.frames) > buffer.size:
             buffer.frames.pop(0)
@@ -177,6 +187,7 @@ def stream_tokens(lines: Iterable[str], ckpt: ModelCheckpoint,
             obj = json.loads(line)
             tick = int(obj["tick"])
             frame = np.asarray(obj["features"], dtype=np.float64)
+            token = push_tick(buffer, frame, tick, ckpt, caching=caching)
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             raise ValidationError(f"stream line {lineno}: {exc}") from exc
-        yield push_tick(buffer, frame, tick, ckpt, caching=caching)
+        yield token

@@ -7,7 +7,8 @@ that interpolates between the mean (small gamma) and the max (large gamma):
     pool(z) = max-shifted (1/gamma) * (log sum_t exp(gamma * z_t) - log T)
 
 The pooling-induced attention softmax(gamma * z) is exactly the gradient of
-the pooled value with respect to the snippet logits.
+the pooled value with respect to the snippet logits.  ``segment_lse_pool``
+computes both for many bags at once over their stacked snippet logits.
 """
 
 from __future__ import annotations
@@ -104,6 +105,28 @@ def pooling_attention(logits, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     z = _check_pool_args(logits, gamma)
     shifted = np.exp(gamma * (z - z.max()))
     return shifted / shifted.sum()
+
+
+def segment_lse_pool(logits, starts, gamma: float = DEFAULT_GAMMA):
+    """``lse_pool`` and ``pooling_attention`` of many bags stacked back to back.
+
+    ``logits`` holds the snippet logits of every bag in bag order and
+    ``starts`` the row at which each bag begins (0 first, strictly
+    increasing, so no bag is empty).  Returns the pooled logit per bag and
+    the attention per row; each bag's max shift is its own.
+    """
+    z = _check_pool_args(logits, gamma)
+    starts = np.asarray(starts, dtype=np.intp)
+    counts = np.diff(starts, append=z.size)
+    if starts.ndim != 1 or starts.size < 1 or starts[0] != 0 or np.any(counts < 1):
+        raise ValidationError("bag starts must be 0, then strictly increasing "
+                              "row offsets below the row count")
+    seg = np.repeat(np.arange(starts.size), counts)
+    m = np.maximum.reduceat(z, starts)
+    shifted = np.exp(gamma * (z - m[seg]))
+    sums = np.add.reduceat(shifted, starts)
+    pooled = m + (np.log(sums) - np.log(counts)) / gamma
+    return pooled, shifted / sums[seg]
 
 
 def segment_clip(clip: "ClipRecord", snippet_len: int = DEFAULT_SNIPPET_LEN,

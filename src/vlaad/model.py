@@ -170,14 +170,24 @@ def detect_logit(e_adapted, params: DetectorParams) -> float:
     return z
 
 
+def forward_rows(snips: np.ndarray, ckpt: ModelCheckpoint) -> Tuple[np.ndarray, ...]:
+    """Adapter then detector over a float64 (N, D) block of snippet rows.
+
+    The one snippet forward of the package: rows of one bag, of many bags
+    stacked back to back, or the single row of a streamed window all go
+    through it, so one window gives the same logit on every path.  Returns
+    (hidden, adapted, logits); the first two feed ``heads_backward``.
+    """
+    if snips.ndim != 2 or snips.shape[1] != ckpt.dim:
+        raise DimensionMismatchError(
+            f"snippet rows have shape {snips.shape}, checkpoint dim {ckpt.dim}")
+    _, h, adapted = adapter_forward(snips, ckpt.adapter)
+    return h, adapted, adapted @ ckpt.detector.w + ckpt.detector.b
+
+
 def bag_logits(bag: Bag, ckpt: ModelCheckpoint) -> np.ndarray:
     """Per-snippet logits with parameters shared across snippets."""
-    snips = np.asarray(bag.snippets, dtype=np.float64)
-    if snips.shape[1] != ckpt.dim:
-        raise DimensionMismatchError(
-            f"bag snippets have dim {snips.shape[1]}, checkpoint dim {ckpt.dim}")
-    _, _, adapted = adapter_forward(snips, ckpt.adapter)
-    return adapted @ ckpt.detector.w + ckpt.detector.b
+    return forward_rows(np.asarray(bag.snippets, dtype=np.float64), ckpt)[2]
 
 
 def forward_bag(bag: Bag, ckpt: ModelCheckpoint) -> RiskTrace:
@@ -213,8 +223,7 @@ def pooled_logit_with_grad(bag: Bag, ckpt: ModelCheckpoint):
     pooling-induced attention, so the chain is attention-weighted.
     """
     snips = np.asarray(bag.snippets, dtype=np.float64)
-    _, h, adapted = adapter_forward(snips, ckpt.adapter)
-    z = adapted @ ckpt.detector.w + ckpt.detector.b
+    h, adapted, z = forward_rows(snips, ckpt)
     attn = pooling_attention(z, ckpt.gamma)
     grads = heads_backward(snips, h, adapted, ckpt.adapter, ckpt.detector,
                            attn, 0.0)

@@ -19,11 +19,11 @@ import numpy as np
 from .datakit import ClipRecord
 from .embeddings import EncoderHandle, FrameWindow, encode_text, encode_video_snippet
 from .errors import NonFiniteLossError, ValidationError
-from .losses import LossBreakdown, binary_cross_entropy_from_logit
-from .mil import lse_pool, pooling_attention, segment_clip
-from .model import (ModelCheckpoint, adapter_forward, heads_backward,
+from .losses import LossBreakdown
+from .mil import segment_clip, segment_lse_pool
+from .model import (ModelCheckpoint, forward_rows, heads_backward,
                     init_checkpoint)
-from .numerics import sigmoid
+from .numerics import sigmoid, softplus
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -119,7 +119,7 @@ class TrainExample:
     """One clip prepared for the objective: snippet block plus caption."""
 
     clip_id: str
-    snippets: np.ndarray  # (T, D) float64; T == 1 in clip mode
+    snippets: np.ndarray  # (T, D) in the encoder's dtype; T == 1 in clip mode
     text: np.ndarray  # (D,) float64
     label: int
     event_window: Tuple[int, int] | None = None
@@ -145,18 +145,52 @@ def prepare_examples(records: Sequence[ClipRecord], encoder: EncoderHandle,
             bag = segment_clip(rec, config.snippet_len, config.snippet_stride,
                                encoder)
             snips = bag.snippets
-        out.append(TrainExample(rec.clip_id, np.asarray(snips, np.float64),
-                                text, rec.label, rec.event_window))
+        out.append(TrainExample(rec.clip_id, snips, text, rec.label,
+                                rec.event_window))
     return out
 
 
-def _cosines_with_grads(adapted: np.ndarray, text: np.ndarray):
-    """Row-wise cos(adapted_t, text) and its gradient in each row."""
-    nt = np.linalg.norm(text)
-    na = np.linalg.norm(adapted, axis=1)
-    cos = adapted @ text / (na * nt)
-    dcos = text[None, :] / (na * nt)[:, None] - (cos / (na * na))[:, None] * adapted
+def _cosines_with_grads(adapted: np.ndarray, texts: np.ndarray):
+    """Row-wise cos(adapted_t, text_t) and its gradient in each adapted row."""
+    nt = np.sqrt(np.einsum("ij,ij->i", texts, texts))
+    na = np.sqrt(np.einsum("ij,ij->i", adapted, adapted))
+    cos = np.einsum("ij,ij->i", adapted, texts) / (na * nt)
+    dcos = texts / (na * nt)[:, None] - (cos / (na * na))[:, None] * adapted
     return cos, dcos
+
+
+class _Stack(NamedTuple):
+    """Forward state of a batch of clips stacked into one block of rows."""
+
+    rows: np.ndarray  # (N, D) float64 snippet rows, clip by clip
+    starts: np.ndarray  # (B,) first row of each clip
+    seg: np.ndarray  # (N,) clip index of each row
+    hidden: np.ndarray  # (N, H)
+    adapted: np.ndarray  # (N, D)
+    pooled: np.ndarray  # (B,) pooled clip logits
+    attn: np.ndarray  # (N,) pooling attention within each clip
+
+
+def _forward_stack(ckpt: ModelCheckpoint, examples: Sequence[TrainExample],
+                   mode: str) -> _Stack:
+    """One forward over every snippet row of ``examples``, pooled per clip.
+
+    A clip-mode example has one row, which pools to its own logit with
+    attention 1, so both modes share this path.
+    """
+    counts = np.asarray([ex.snippets.shape[0] for ex in examples], dtype=np.intp)
+    if mode == "clip" and np.any(counts != 1):
+        raise ValidationError("clip mode needs exactly one snippet row per example")
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    seg = np.repeat(np.arange(counts.size), counts)
+    rows = np.concatenate([ex.snippets for ex in examples], dtype=np.float64)
+    hidden, adapted, z = forward_rows(rows, ckpt)
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise NonFiniteLossError(
+            f"non-finite snippet logits for clip {examples[seg[bad.argmax()]].clip_id}")
+    pooled, attn = segment_lse_pool(z, starts, ckpt.gamma)
+    return _Stack(rows, starts, seg, hidden, adapted, pooled, attn)
 
 
 def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
@@ -165,83 +199,63 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
                     ) -> Tuple[LossBreakdown, Dict[str, np.ndarray]]:
     """Uncertainty-weighted objective and its analytic gradients.
 
-    In MIL mode, positive bags weight per-snippet alignment by the
-    pooling-induced attention (gradients flow through the attention as well)
-    and negative bags average the clamped similarities.  In clip mode each
-    example contributes a matched pair with its own caption plus one
-    unmatched pair drawn from another sample (``unmatched`` holds those text
-    vectors).
+    The whole batch runs as one stacked, ragged kernel: every clip's snippet
+    rows are concatenated into one (sum T, D) block with per-clip offsets,
+    the adapter and detector run once over it, and LSE pooling, attention,
+    BCE and the alignment losses reduce per clip with ``np.*.reduceat``.
+    In MIL mode, positive bags weight per-snippet ``1 - cos`` by the
+    pooling-induced attention (gradients flow through the attention as
+    well) and negative bags average the clamped similarities.  In clip mode
+    each example is one row with a matched pair against its own caption plus
+    one unmatched pair against ``unmatched`` (one text vector per example).
 
     Returns the loss breakdown (batch means) and gradients for every
     parameter in ``PARAM_KEYS`` order.  Scalar loss sums use ``math.fsum``
-    (exactly order-independent); the linear-algebra reductions run as single
-    stacked matrix products over all snippets of the batch.
+    (exactly order-independent); the gradient reductions run as single
+    matrix products over the stacked rows in batch order.
     """
     if mode == "clip" and (unmatched is None or len(unmatched) != len(batch)):
         raise ValidationError("clip mode needs one unmatched caption per example")
     n = len(batch)
     if n == 0:
         raise ValidationError("empty batch")
+    for ex in batch:
+        if ex.label not in (0, 1):
+            raise ValidationError(f"label must be 0 or 1, got {ex.label}")
+    if not pos_weight > 0:
+        raise ValidationError("pos_weight must be positive")
+    fw = _forward_stack(ckpt, batch, mode)
+    seg, attn = fw.seg, fw.attn
+    y = np.asarray([ex.label for ex in batch], dtype=np.float64)
     ws = 0.5 * math.exp(-ckpt.s_sim)
     wc = 0.5 * math.exp(-ckpt.s_cls)
-    l_sims: List[float] = []
-    l_clses: List[float] = []
-    snips_blocks: List[np.ndarray] = []
-    hidden_blocks: List[np.ndarray] = []
-    adapted_blocks: List[np.ndarray] = []
-    dz_blocks: List[np.ndarray] = []
-    de_blocks: List[np.ndarray] = []
 
-    for i, ex in enumerate(batch):
-        snips = ex.snippets
-        _, h, adapted = adapter_forward(snips, ckpt.adapter)
-        z = adapted @ ckpt.detector.w + ckpt.detector.b
-        if not np.all(np.isfinite(z)):
-            raise NonFiniteLossError(
-                f"non-finite snippet logits for clip {ex.clip_id}")
-        t_count = z.shape[0]
-        cos, dcos = _cosines_with_grads(adapted, ex.text)
+    l_cls = pos_weight * y * softplus(-fw.pooled) + (1 - y) * softplus(fw.pooled)
+    d_pooled = -pos_weight * y * sigmoid(-fw.pooled) + (1 - y) * sigmoid(fw.pooled)
+    dz_cls = d_pooled[seg] * attn
+    texts = np.stack([ex.text for ex in batch])
+    cos, dcos = _cosines_with_grads(fw.adapted, texts[seg])
+    if mode == "mil":
+        counts = np.diff(fw.starts, append=seg.size)
+        positive = y == 1
+        l_sim = np.where(positive,
+                         np.add.reduceat(attn * (1.0 - cos), fw.starts),
+                         np.add.reduceat(np.maximum(0.0, cos), fw.starts) / counts)
+        row_pos = positive[seg]
+        dz_sim = np.where(row_pos,
+                          ckpt.gamma * attn * ((1.0 - cos) - l_sim[seg]), 0.0)
+        de_sim = np.where(row_pos, -attn, (cos > 0) / counts[seg])[:, None] * dcos
+    else:
+        c_un, dc_un = _cosines_with_grads(fw.adapted, np.stack(unmatched))
+        l_sim = (1.0 - cos) + np.maximum(0.0, c_un)
+        dz_sim = 0.0
+        de_sim = -dcos + (c_un > 0)[:, None] * dc_un
 
-        if mode == "mil":
-            attn = pooling_attention(z, ckpt.gamma)
-            pooled = lse_pool(z, ckpt.gamma)
-            l_cls = binary_cross_entropy_from_logit(pooled, ex.label, pos_weight)
-            d_pooled = (-pos_weight * ex.label * sigmoid(-pooled)
-                        + (1 - ex.label) * sigmoid(pooled))
-            dz_cls = d_pooled * attn
-            if ex.label == 1:
-                l_sim = float(attn @ (1.0 - cos))
-                dz_sim = ckpt.gamma * attn * ((1.0 - cos) - l_sim)
-                de_sim = attn[:, None] * (-dcos)
-            else:
-                l_sim = float(np.maximum(0.0, cos).mean())
-                dz_sim = np.zeros_like(z)
-                de_sim = (cos > 0)[:, None] * dcos / t_count
-        else:
-            l_cls = binary_cross_entropy_from_logit(float(z[0]), ex.label,
-                                                    pos_weight)
-            dz_cls = np.array([-pos_weight * ex.label * sigmoid(-float(z[0]))
-                               + (1 - ex.label) * sigmoid(float(z[0]))])
-            dz_sim = np.zeros_like(z)
-            cu, dcu = _cosines_with_grads(adapted[:1], unmatched[i])
-            c_un, dc_un = float(cu[0]), dcu[0]
-            l_sim = (1.0 - float(cos[0])) + max(0.0, c_un)
-            de_sim = (-dcos[0] + (c_un > 0) * dc_un)[None, :]
-
-        l_sims.append(l_sim)
-        l_clses.append(l_cls)
-        snips_blocks.append(snips)
-        hidden_blocks.append(h)
-        adapted_blocks.append(adapted)
-        dz_blocks.append((ws * dz_sim + wc * dz_cls) / n)
-        de_blocks.append(ws * de_sim / n)
-
-    grads = heads_backward(
-        np.concatenate(snips_blocks), np.concatenate(hidden_blocks),
-        np.concatenate(adapted_blocks), ckpt.adapter, ckpt.detector,
-        np.concatenate(dz_blocks), np.concatenate(de_blocks))
-    l_sim = math.fsum(l_sims) / n
-    l_cls = math.fsum(l_clses) / n
+    grads = heads_backward(fw.rows, fw.hidden, fw.adapted, ckpt.adapter,
+                           ckpt.detector, (ws * dz_sim + wc * dz_cls) / n,
+                           ws * de_sim / n)
+    l_sim = math.fsum(l_sim) / n
+    l_cls = math.fsum(l_cls) / n
     if not (np.isfinite(l_sim) and np.isfinite(l_cls)
             and all(np.all(np.isfinite(g)) for g in grads.values())):
         raise NonFiniteLossError("non-finite loss or gradient in batch objective")
@@ -378,14 +392,18 @@ def _resolve_pos_weight(config: TrainConfig, records: Sequence[ClipRecord]) -> f
 
 def scores_for(ckpt: ModelCheckpoint, examples: Sequence[TrainExample],
                mode: str, eval_batch: int = 64) -> np.ndarray:
-    """Bag probabilities (MIL pooled, or the single clip logit in clip mode)."""
+    """Bag probabilities (MIL pooled, or the single clip logit in clip mode).
+
+    Runs the stacked kernel of ``batch_objective`` once per chunk of
+    ``eval_batch`` clips.  ``eval_batch`` bounds the float64 snippet rows
+    and their activations held at once, so that working memory stays fixed
+    however many clips are scored; the probabilities do not depend on it.
+    """
     probs = np.empty(len(examples))
     for start in range(0, len(examples), eval_batch):
-        for i, ex in enumerate(examples[start:start + eval_batch], start=start):
-            _, _, adapted = adapter_forward(ex.snippets, ckpt.adapter)
-            z = adapted @ ckpt.detector.w + ckpt.detector.b
-            pooled = lse_pool(z, ckpt.gamma) if mode == "mil" else float(z[0])
-            probs[i] = sigmoid(pooled)
+        chunk = examples[start:start + eval_batch]
+        probs[start:start + len(chunk)] = sigmoid(
+            _forward_stack(ckpt, chunk, mode).pooled)
     return probs
 
 

@@ -11,6 +11,11 @@ import math
 
 import numpy as np
 
+from vlaad.losses import LossBreakdown, binary_cross_entropy_from_logit
+from vlaad.mil import lse_pool, pooling_attention
+from vlaad.model import adapter_forward, heads_backward
+from vlaad.numerics import sigmoid
+
 
 def stub_video_embedding(frames, seed, dim):
     """Standalone recomputation of the stub video encoding."""
@@ -122,3 +127,75 @@ def matched_cosine_loss_mean(snippets, text):
                   / (np.linalg.norm(row) * np.linalg.norm(text)))
         total += 1.0 - c
     return total / len(snippets)
+
+
+def _cosines_with_grads(adapted, text):
+    """Row-wise cos(adapted_t, text) and its gradient in each row."""
+    nt = np.linalg.norm(text)
+    na = np.linalg.norm(adapted, axis=1)
+    cos = adapted @ text / (na * nt)
+    dcos = text[None, :] / (na * nt)[:, None] - (cos / (na * na))[:, None] * adapted
+    return cos, dcos
+
+
+def per_clip_objective(ckpt, batch, mode="mil", pos_weight=1.0, unmatched=None):
+    """The training objective computed one clip at a time.
+
+    Each clip runs its own adapter forward, ``lse_pool``,
+    ``pooling_attention`` and scalar BCE; only the final gradient products
+    run over the concatenated rows.  Returns (LossBreakdown, gradients by
+    parameter name), as ``trainer.batch_objective`` does.
+    """
+    n = len(batch)
+    ws = 0.5 * math.exp(-ckpt.s_sim)
+    wc = 0.5 * math.exp(-ckpt.s_cls)
+    l_sims, l_clses = [], []
+    snips_blocks, hidden_blocks, adapted_blocks = [], [], []
+    dz_blocks, de_blocks = [], []
+    for i, ex in enumerate(batch):
+        snips = np.asarray(ex.snippets, dtype=np.float64)
+        _, h, adapted = adapter_forward(snips, ckpt.adapter)
+        z = adapted @ ckpt.detector.w + ckpt.detector.b
+        t_count = z.shape[0]
+        cos, dcos = _cosines_with_grads(adapted, ex.text)
+        if mode == "mil":
+            attn = pooling_attention(z, ckpt.gamma)
+            pooled = lse_pool(z, ckpt.gamma)
+            l_cls = binary_cross_entropy_from_logit(pooled, ex.label, pos_weight)
+            d_pooled = (-pos_weight * ex.label * sigmoid(-pooled)
+                        + (1 - ex.label) * sigmoid(pooled))
+            dz_cls = d_pooled * attn
+            if ex.label == 1:
+                l_sim = float(attn @ (1.0 - cos))
+                dz_sim = ckpt.gamma * attn * ((1.0 - cos) - l_sim)
+                de_sim = attn[:, None] * (-dcos)
+            else:
+                l_sim = float(np.maximum(0.0, cos).mean())
+                dz_sim = np.zeros_like(z)
+                de_sim = (cos > 0)[:, None] * dcos / t_count
+        else:
+            z0 = float(z[0])
+            l_cls = binary_cross_entropy_from_logit(z0, ex.label, pos_weight)
+            dz_cls = np.array([-pos_weight * ex.label * sigmoid(-z0)
+                               + (1 - ex.label) * sigmoid(z0)])
+            dz_sim = np.zeros_like(z)
+            cu, dcu = _cosines_with_grads(adapted[:1], unmatched[i])
+            c_un, dc_un = float(cu[0]), dcu[0]
+            l_sim = (1.0 - float(cos[0])) + max(0.0, c_un)
+            de_sim = (-dcos[0] + (c_un > 0) * dc_un)[None, :]
+        l_sims.append(l_sim)
+        l_clses.append(l_cls)
+        snips_blocks.append(snips)
+        hidden_blocks.append(h)
+        adapted_blocks.append(adapted)
+        dz_blocks.append((ws * dz_sim + wc * dz_cls) / n)
+        de_blocks.append(ws * de_sim / n)
+    grads = heads_backward(
+        np.concatenate(snips_blocks), np.concatenate(hidden_blocks),
+        np.concatenate(adapted_blocks), ckpt.adapter, ckpt.detector,
+        np.concatenate(dz_blocks), np.concatenate(de_blocks))
+    l_sim = math.fsum(l_sims) / n
+    l_cls = math.fsum(l_clses) / n
+    grads["s_sim"] = np.asarray([-ws * l_sim + 1.0])
+    grads["s_cls"] = np.asarray([-wc * l_cls + 1.0])
+    return LossBreakdown.compute(l_sim, l_cls, ckpt.s_sim, ckpt.s_cls), grads

@@ -307,3 +307,18 @@ class TestInfer:
         assert all(0.0 <= t <= 1.0 for t in tokens)
         # non-update ticks repeat the cached token
         assert tokens[1] == tokens[0]
+
+    def test_frame_width_change_exit_2(self, tmp_path, capsys, monkeypatch):
+        from vlaad.model import init_checkpoint, save_checkpoint
+
+        ckpt = tmp_path / "w.bin"
+        save_checkpoint(ckpt, init_checkpoint(dim=16, hidden=4, seed=0))
+        lines = "".join(json.dumps({"tick": t, "features": [0.5] * width}) + "\n"
+                        for t, width in enumerate((8, 8, 8, 9, 8)))
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, err = run_cli(capsys, "infer", "--checkpoint", str(ckpt))
+        assert code == 2
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "line 4" in errors[0]
+        assert "Traceback" not in err
+        assert len(out.splitlines()) == 3

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import make_clip
-from vlaad.embeddings import StubEncoder
+from vlaad.embeddings import FrameWindow, StubEncoder, encode_video_snippet
 from vlaad.errors import ValidationError
 from vlaad.inference import (CausalBuffer, make_global_state,
                              parse_global_state, push_tick, score_clip_trace,
                              serialize_global_state, stream_tokens,
                              toy_policy_step)
-from vlaad.mil import segment_clip
-from vlaad.model import forward_bag, init_checkpoint
+from vlaad.mil import Bag, segment_clip
+from vlaad.model import bag_logits, forward_bag, init_checkpoint
+from vlaad.numerics import sigmoid
 
 
 @pytest.fixture
@@ -80,6 +81,28 @@ class TestPushTick:
         perturbed[cut + 1:] += rng.standard_normal(perturbed[cut + 1:].shape)
         _, modified = run_stream(perturbed, ckpt, small_encoder)
         assert base[:cut + 1] == modified[:cut + 1]
+
+    def test_update_token_equals_offline_bag_logit(self, rng):
+        """Streamed and offline scoring of one window agree exactly."""
+        ckpt = init_checkpoint(dim=768, hidden=16, gamma=10.0, seed=3,
+                               zero_first_layer=False)
+        enc = StubEncoder(dim=768, seed=7)
+        frames = rng.standard_normal((60, 4))
+        buffer, tokens = run_stream(frames, ckpt, enc)
+        for tick in (0, 20, 55):
+            ticks = np.arange(0, tick + 1, buffer.subsample_period)[-buffer.size:]
+            window = FrameWindow(frames=frames[ticks], timestamps=ticks / 20.0)
+            emb = encode_video_snippet(window, enc)
+            bag = Bag(f"tick{tick}", emb.values[None, :], [0.0], 0)
+            assert tokens[tick] == sigmoid(bag_logits(bag, ckpt)[0])
+
+    def test_frame_width_change_rejected(self, ckpt, small_encoder, rng):
+        buffer = CausalBuffer(small_encoder)
+        push_tick(buffer, rng.standard_normal(4), 0, ckpt)
+        with pytest.raises(ValidationError, match="width 5 differs"):
+            push_tick(buffer, rng.standard_normal(5), 1, ckpt)
+        with pytest.raises(ValidationError, match="feature vector"):
+            push_tick(buffer, rng.standard_normal((2, 4)), 2, ckpt)
 
     def test_tokens_bounded(self, ckpt, small_encoder, rng):
         frames = 100.0 * rng.standard_normal((50, 4))
@@ -174,6 +197,12 @@ class TestStreamTokens:
         tokens = list(stream_tokens(lines, ckpt, small_encoder))
         _, expected = run_stream(frames, ckpt, small_encoder)
         assert tokens == expected
+
+    def test_width_change_names_lineno(self, ckpt, small_encoder):
+        lines = [json.dumps({"tick": t, "features": [0.5] * width})
+                 for t, width in enumerate((3, 3, 4))]
+        with pytest.raises(ValidationError, match="stream line 3: frame width"):
+            list(stream_tokens(lines, ckpt, small_encoder))
 
     def test_malformed_line_names_lineno(self, ckpt, small_encoder):
         lines = [json.dumps({"tick": 0, "features": [1, 2, 3]}), "{oops"]

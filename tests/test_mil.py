@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_clip
 from vlaad.errors import EmptyInputError, ValidationError
 from vlaad.mil import (Bag, RiskTrace, lse_pool, pooling_attention,
-                       segment_clip)
+                       segment_clip, segment_lse_pool)
 
 finite_logits = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False),
@@ -110,6 +110,34 @@ class TestPoolingAttention:
             down[t] -= step
             fd = (lse_pool(up, gamma) - lse_pool(down, gamma)) / (2 * step)
             assert abs(fd - a[t]) <= 1e-6 * max(1.0, abs(a[t]))
+
+
+class TestSegmentLsePool:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(finite_logits, st.floats(-1e3, 1e3)),
+                    min_size=1, max_size=6), gammas)
+    def test_matches_per_bag_pooling(self, shifted_bags, gamma):
+        """Ragged stacked pooling equals lse_pool / pooling_attention per bag.
+
+        Bags sit up to 2e3 apart, so one shared max shift would underflow.
+        """
+        bags = [[v + shift for v in bag] for bag, shift in shifted_bags]
+        starts = np.cumsum([0] + [len(b) for b in bags[:-1]])
+        pooled, attn = segment_lse_pool(np.concatenate(bags), starts, gamma)
+        assert pooled.shape == (len(bags),)
+        for k, bag in enumerate(bags):
+            assert abs(pooled[k] - lse_pool(bag, gamma)) <= 1e-12
+            rows = attn[starts[k]:starts[k] + len(bag)]
+            np.testing.assert_allclose(rows, pooling_attention(bag, gamma),
+                                       rtol=0, atol=1e-12)
+
+    def test_rejects_bad_offsets(self):
+        z = np.arange(4.0)
+        for starts in ([], [1, 2], [0, 2, 2], [0, 4], [0, 3, 1]):
+            with pytest.raises(ValidationError):
+                segment_lse_pool(z, starts, 10.0)
+        with pytest.raises(ValidationError):
+            segment_lse_pool(z, [0], 0.0)
 
 
 class TestSegmentClip:

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import per_clip_objective
 from vlaad.datakit import SynthConfig, generate_synthetic_dataset
 from vlaad.embeddings import StubEncoder
 from vlaad.errors import NonFiniteLossError, ValidationError
 from vlaad.losses import binary_cross_entropy_from_logit
-from vlaad.mil import lse_pool, pooling_attention
+from vlaad.mil import Bag, lse_pool, pooling_attention
 from vlaad.model import (adapter_forward, bag_logits, heads_backward,
                          init_checkpoint, save_checkpoint)
 from vlaad.numerics import sigmoid
 from vlaad.trainer import (PARAM_KEYS, AdamState, TrainConfig, TrainExample,
                            batch_objective, flatten_params, gradient_check,
-                           prepare_examples, split_dataset, train,
+                           prepare_examples, scores_for, split_dataset, train,
                            unflatten_params, vector_objective,
                            _theta_from_ckpt)
 
@@ -109,16 +112,94 @@ class TestBatchObjective:
 
     def test_non_finite_raises(self, rng):
         ckpt = init_checkpoint(dim=6, hidden=4, seed=2, zero_first_layer=False)
-        huge = random_examples(rng, n=1)
+        huge = random_examples(rng, n=3)
         with np.errstate(over="ignore", invalid="ignore"):
-            huge[0].snippets = huge[0].snippets * 1e308
-            with pytest.raises(NonFiniteLossError):
+            for ex in huge[1:]:
+                ex.snippets = ex.snippets * 1e308
+            # the first offending clip of the stacked block is named
+            with pytest.raises(NonFiniteLossError, match="clip e1$"):
                 batch_objective(ckpt, huge, "mil")
 
     def test_clip_mode_needs_unmatched(self, rng):
         ckpt = init_checkpoint(dim=6, hidden=4, seed=2)
         with pytest.raises(ValidationError):
             batch_objective(ckpt, random_examples(rng, t=1), "clip")
+
+    def test_clip_mode_needs_one_row_per_example(self, rng):
+        ckpt = init_checkpoint(dim=6, hidden=4, seed=2)
+        batch = random_examples(rng, t=2)
+        with pytest.raises(ValidationError, match="one snippet row"):
+            batch_objective(ckpt, batch, "clip",
+                            unmatched=[ex.text for ex in batch])
+
+    def test_label_and_pos_weight_checked(self, rng):
+        ckpt = init_checkpoint(dim=6, hidden=4, seed=2)
+        batch = random_examples(rng)
+        with pytest.raises(ValidationError, match="pos_weight"):
+            batch_objective(ckpt, batch, "mil", pos_weight=0.0)
+        batch[2].label = 2
+        with pytest.raises(ValidationError, match="label"):
+            batch_objective(ckpt, batch, "mil")
+
+
+def ragged_batch(seed, lengths, labels, dim=6):
+    """Float32 snippet blocks of the given lengths, as the encoders emit."""
+    rng = np.random.default_rng(seed)
+    return [TrainExample(f"e{i}", rng.standard_normal((t, dim)).astype(np.float32),
+                         rng.standard_normal(dim), y)
+            for i, (t, y) in enumerate(zip(lengths, labels))]
+
+
+@st.composite
+def ragged_cases(draw):
+    mode = draw(st.sampled_from(["mil", "clip"]))
+    n = draw(st.integers(1, 6))
+    lengths = (draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+               if mode == "mil" else [1] * n)
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return (mode, lengths, labels, draw(st.integers(0, 2 ** 32 - 1)),
+            draw(st.floats(0.1, 5.0)), draw(st.floats(0.5, 20.0)))
+
+
+class TestStackedKernel:
+    """The stacked objective and scores against the per-clip loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_cases())
+    def test_matches_per_clip_oracle(self, case):
+        mode, lengths, labels, seed, pos_weight, gamma = case
+        ckpt = init_checkpoint(dim=6, hidden=4, gamma=gamma, seed=seed % 1000,
+                               zero_first_layer=False)
+        ckpt.s_sim, ckpt.s_cls = 0.3, -0.2
+        batch = ragged_batch(seed, lengths, labels)
+        unmatched = None
+        if mode == "clip":
+            unmatched = list(np.random.default_rng([seed, 1]).standard_normal(
+                (len(batch), 6)))
+        got, g_got = batch_objective(ckpt, batch, mode, pos_weight, unmatched)
+        want, g_want = per_clip_objective(ckpt, batch, mode, pos_weight,
+                                          unmatched)
+        for field in ("l_sim", "l_cls", "s_sim", "s_cls", "l_total"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-10
+        for key in PARAM_KEYS:
+            np.testing.assert_allclose(g_got[key], g_want[key], rtol=0,
+                                       atol=1e-10, err_msg=key)
+
+    @pytest.mark.parametrize("mode", ["mil", "clip"])
+    def test_scores_independent_of_eval_batch(self, mode):
+        lengths = [1] * 7 if mode == "clip" else [3, 1, 9, 5, 2, 5, 4]
+        examples = ragged_batch(5, lengths, [0, 1, 1, 0, 1, 0, 0])
+        ckpt = init_checkpoint(dim=6, hidden=4, gamma=10.0, seed=5,
+                               zero_first_layer=False)
+        # the per-clip reference: sigmoid of each bag's own pooled logit
+        expected = [sigmoid(lse_pool(bag_logits(
+            Bag(ex.clip_id, ex.snippets, np.arange(float(len(ex.snippets))),
+                ex.label), ckpt), ckpt.gamma)) for ex in examples]
+        for eval_batch in (1, 3, len(examples)):
+            probs = scores_for(ckpt, examples, mode, eval_batch)
+            np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
+        empty = scores_for(ckpt, [], mode, 3)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 class TestGradientCheck:
