@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,22 @@ class TestCheckpointIO:
             loaded.adapter.w2, ckpt.adapter.w2.astype(np.float32))
         np.testing.assert_array_equal(
             loaded.detector.w, ckpt.detector.w.astype(np.float32))
+
+    def test_golden_bytes(self, tmp_path):
+        """The VLAD v1 bytes of a fixed checkpoint, and load -> save keeps them."""
+        ckpt = init_checkpoint(dim=6, hidden=4, gamma=7.5, seed=42,
+                               zero_first_layer=False)
+        ckpt.epoch = 13
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        data = path.read_bytes()
+        # 36-byte header + (2*D*H + H + 2*D + 3) float32 values
+        assert len(data) == 36 + 4 * 67
+        assert hashlib.sha256(data).hexdigest() == (
+            "7b50a3959c2f69a35ce258eefdf3eab80bfb7851d048a699d1789cdb6866cc0f")
+        again = tmp_path / "again.bin"
+        save_checkpoint(again, load_checkpoint(path))
+        assert again.read_bytes() == data
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"
