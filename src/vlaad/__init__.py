@@ -12,12 +12,9 @@ from .evalkit import (DrivingRunRecord, ScoredSet, WilcoxonResult,
                       infraction_penalty, roc_auc, summarize_run,
                       threshold_metrics, wilcoxon_signed_rank,
                       youden_threshold)
-from .losses import (LossBreakdown, binary_cross_entropy_from_logit,
-                     cosine_alignment_loss, mil_alignment_loss,
-                     uncertainty_weighted_total)
+from .losses import LossBreakdown, uncertainty_weighted_total
 from .mil import Bag, RiskTrace, lse_pool, pooling_attention, segment_clip
-from .model import (AdapterParams, DetectorParams, ModelCheckpoint, adapt,
-                    detect_logit, forward_bag, init_checkpoint,
+from .model import (ModelCheckpoint, forward_bag, init_checkpoint,
                     load_checkpoint, save_checkpoint)
 from .datakit import (ClipRecord, InfractionLog, SynthConfig, assemble_clips,
                       augment_collision_position, caption_collision_clip,
@@ -25,6 +22,6 @@ from .datakit import (ClipRecord, InfractionLog, SynthConfig, assemble_clips,
                       read_manifest, write_manifest)
 from .inference import (CausalBuffer, make_global_state, push_tick,
                         score_clip_trace, toy_policy_step)
-from .trainer import (TrainConfig, gradient_check, split_dataset, train)
+from .trainer import TrainConfig, split_dataset, train
 
 __version__ = "0.1.0"

@@ -95,12 +95,6 @@ def roc_curve(scored: ScoredSet) -> Tuple[np.ndarray, np.ndarray]:
     return np.asarray(fpr), np.asarray(tpr)
 
 
-def roc_auc_trapezoid(scored: ScoredSet) -> float:
-    """Trapezoidal area under the ROC curve; equals ``roc_auc`` exactly."""
-    fpr, tpr = roc_curve(scored)
-    return float(np.trapezoid(tpr, fpr))
-
-
 class YoudenResult(NamedTuple):
     threshold: float
     j_statistic: float

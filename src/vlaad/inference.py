@@ -134,20 +134,6 @@ def make_global_state(risk: float, velocity: float, command_index: int,
     return state
 
 
-def serialize_global_state(state: np.ndarray) -> str:
-    return json.dumps([float(x) for x in state])
-
-
-def parse_global_state(text: str) -> np.ndarray:
-    values = np.asarray(json.loads(text), dtype=np.float64)
-    if values.ndim != 1 or values.size < 3:
-        raise ValidationError("global state must be [risk, velocity, onehot...]")
-    onehot = values[2:]
-    if abs(float(onehot.sum()) - 1.0) > 1e-9 or np.any(onehot < 0):
-        raise ValidationError("command one-hot must sum to 1")
-    return values
-
-
 def toy_policy_step(state: np.ndarray, weights: np.ndarray,
                     bias: np.ndarray | None = None) -> np.ndarray:
     """Affine map of the global state to 2 waypoints (4 reals).

@@ -1,5 +1,5 @@
-"""Training objectives: cosine alignment, pooled-logit BCE, and the
-homoscedastic uncertainty-weighted total."""
+"""Cosine similarity and the homoscedastic uncertainty-weighted total of
+the training objective's two losses."""
 
 from __future__ import annotations
 
@@ -9,9 +9,6 @@ import numpy as np
 
 from .embeddings import Embedding
 from .errors import DegenerateInputError, DimensionMismatchError, ValidationError
-from .numerics import softplus
-
-_ATTENTION_TOL = 1e-6
 
 
 def _vec(e) -> np.ndarray:
@@ -28,50 +25,6 @@ def cosine_similarity(a, b) -> float:
     if na < 1e-12 or nb < 1e-12:
         raise DegenerateInputError("cosine of a zero-norm vector is undefined")
     return float(va @ vb / (na * nb))
-
-
-def cosine_alignment_loss(e_video, e_text, matched: bool) -> float:
-    """1 - cos for matched pairs; max(0, cos) for unmatched pairs."""
-    c = cosine_similarity(e_video, e_text)
-    return 1.0 - c if matched else max(0.0, c)
-
-
-def binary_cross_entropy_from_logit(logit: float, y: int, pos_weight: float = 1.0) -> float:
-    """Stable BCE in logit space; pos_weight scales the y=1 term."""
-    if not np.isfinite(logit):
-        raise ValidationError("logit must be finite")
-    if y not in (0, 1):
-        raise ValidationError(f"label must be 0 or 1, got {y}")
-    if not pos_weight > 0:
-        raise ValidationError("pos_weight must be positive")
-    # -log sigmoid(z) = softplus(-z);  -log(1 - sigmoid(z)) = softplus(z)
-    return float(pos_weight * y * softplus(-logit) + (1 - y) * softplus(logit))
-
-
-def mil_alignment_loss(adapted_snippets, e_text, attention, y: int) -> float:
-    """Bag-level alignment loss.
-
-    Positive bags weight per-snippet matched losses by the pooling-induced
-    attention; negative bags uniformly average the clamped similarities to
-    discourage uniformly high activations.
-    """
-    snips = np.asarray(
-        [_vec(s) for s in adapted_snippets]
-        if not isinstance(adapted_snippets, np.ndarray) else adapted_snippets,
-        dtype=np.float64)
-    if snips.ndim != 2 or snips.shape[0] < 1:
-        raise ValidationError("at least one adapted snippet required")
-    if y not in (0, 1):
-        raise ValidationError(f"label must be 0 or 1, got {y}")
-    cosines = np.array([cosine_similarity(row, e_text) for row in snips])
-    if y == 1:
-        a = np.asarray(attention, dtype=np.float64)
-        if a.shape != (snips.shape[0],):
-            raise ValidationError("one attention weight per snippet required")
-        if abs(float(a.sum()) - 1.0) > _ATTENTION_TOL:
-            raise ValidationError(f"attention sums to {a.sum()}, expected 1")
-        return float(a @ (1.0 - cosines))
-    return float(np.maximum(0.0, cosines).mean())
 
 
 def uncertainty_weighted_total(l_sim: float, l_cls: float,

@@ -2,8 +2,9 @@
 
 The adapter is a residual two-layer bottleneck (D -> H -> D, tanh) that
 refines a frozen video embedding; the detector is a single linear map
-D -> 1 producing a pre-sigmoid collision logit.  All math runs in float64;
-checkpoints store parameter tensors as float32.
+D -> 1 producing a pre-sigmoid collision logit.  All math runs in float64
+over one flat parameter vector θ laid out by ``param_layout``; gradients,
+the optimiser and the float32 checkpoint file all share that layout.
 
 Logits are the internal currency (pooling and cross-entropy are stable in
 logit space); probabilities appear only at API boundaries via sigmoid.
@@ -11,107 +12,105 @@ logit space); probabilities appear only at API boundaries via sigmoid.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
-from .embeddings import Embedding
 from .errors import DimensionMismatchError, ValidationError
-from .mil import Bag, RiskTrace, lse_pool, make_trace, pooling_attention
+from .mil import Bag, RiskTrace, make_trace
 
 CKPT_MAGIC = b"VLAD"
 CKPT_VERSION = 1
 DEFAULT_HIDDEN = 256
 
-_HEADER = "<4sIIIdQI"  # magic, version, D, H, gamma, seed, epoch
+_HEADER = struct.Struct("<4sIIIdQI")  # magic, version, D, H, gamma, seed, epoch
 
 
-def _finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return arr
+class Slot(NamedTuple):
+    """Where one trainable tensor lives in θ."""
+
+    name: str
+    shape: Tuple[int, ...]
+    start: int
+    stop: int
+    decayed: bool  # weight decay applies: weight tensors, never biases or s
 
 
-@dataclass
-class AdapterParams:
-    """Weights of the residual bottleneck map."""
+def param_layout(dim: int, hidden: int) -> Tuple[Slot, ...]:
+    """Every trainable tensor's place in θ, in checkpoint file order.
 
-    w1: np.ndarray  # (D, H)
-    b1: np.ndarray  # (H,)
-    w2: np.ndarray  # (H, D)
-    b2: np.ndarray  # (D,)
-
-    def __post_init__(self):
-        self.w1 = _finite("w1", np.asarray(self.w1, dtype=np.float64))
-        self.b1 = _finite("b1", np.asarray(self.b1, dtype=np.float64))
-        self.w2 = _finite("w2", np.asarray(self.w2, dtype=np.float64))
-        self.b2 = _finite("b2", np.asarray(self.b2, dtype=np.float64))
-        d, h = self.w1.shape
-        if self.b1.shape != (h,) or self.w2.shape != (h, d) or self.b2.shape != (d,):
-            raise DimensionMismatchError("inconsistent adapter parameter shapes")
-
-    @property
-    def dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[1]
-
-    def copy(self) -> "AdapterParams":
-        return AdapterParams(self.w1.copy(), self.b1.copy(),
-                             self.w2.copy(), self.b2.copy())
+    The one place that knows the order.  Offsets are Python ints, so a
+    file header's dims can be sized before anything is allocated.
+    """
+    slots, start = [], 0
+    for name, shape, decayed in (
+            ("w1", (dim, hidden), True), ("b1", (hidden,), False),
+            ("w2", (hidden, dim), True), ("b2", (dim,), False),
+            ("w", (dim,), True), ("b", (), False),
+            ("s_sim", (), False), ("s_cls", (), False)):
+        stop = start + math.prod(shape)
+        slots.append(Slot(name, shape, start, stop, decayed))
+        start = stop
+    return tuple(slots)
 
 
-@dataclass
-class DetectorParams:
-    """Weights of the scalar logit head."""
+def param_views(vec: np.ndarray, dim: int, hidden: int) -> Dict[str, np.ndarray]:
+    """Named reshaped views into a θ-sized vector (θ or a gradient)."""
+    layout = param_layout(dim, hidden)
+    if vec.shape != (layout[-1].stop,):
+        raise DimensionMismatchError(f"parameter vector has shape {vec.shape}, "
+                                     f"D={dim}, H={hidden} need ({layout[-1].stop},)")
+    return {s.name: vec[s.start:s.stop].reshape(s.shape) for s in layout}
 
-    w: np.ndarray  # (D,)
-    b: float
 
-    def __post_init__(self):
-        self.w = _finite("detector w", np.asarray(self.w, dtype=np.float64))
-        if self.w.ndim != 1:
-            raise DimensionMismatchError("detector weight must be a vector")
-        self.b = float(self.b)
-        if not np.isfinite(self.b):
-            raise ValidationError("detector bias is non-finite")
+class _Tensor:
+    """One named tensor of a checkpoint's θ; a 0-d one reads as a float."""
 
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
+    def __set_name__(self, owner, name):
+        self.name = name
 
-    def copy(self) -> "DetectorParams":
-        return DetectorParams(self.w.copy(), self.b)
+    def __get__(self, ckpt, owner=None):
+        view = ckpt._views[self.name]
+        return float(view) if view.ndim == 0 else view
+
+    def __set__(self, ckpt, value):
+        ckpt._views[self.name][...] = value
 
 
 @dataclass
 class ModelCheckpoint:
-    """Adapter + detector + log-variance loss weights, with dims header."""
+    """θ (adapter, detector, log-variance loss weights) plus the dims header.
 
-    adapter: AdapterParams
-    detector: DetectorParams
-    s_sim: float
-    s_cls: float
+    ``theta`` is one contiguous float64 vector in ``param_layout`` order.
+    The named tensors below are views into it, so assigning one writes θ
+    and an optimiser that updates θ in place trains the checkpoint itself.
+    Change θ in place; ``dataclasses.replace(ckpt, theta=vec)`` gives a
+    checkpoint over another vector.
+    """
+
+    theta: np.ndarray
     dim: int
     hidden: int
     gamma: float
     seed: int
     epoch: int = 0
 
-    def __post_init__(self):
-        if self.adapter.dim != self.dim or self.adapter.hidden != self.hidden:
-            raise DimensionMismatchError("adapter shapes do not match dims header")
-        if self.detector.dim != self.dim:
-            raise DimensionMismatchError("detector shape does not match dims header")
+    w1 = _Tensor()  # (D, H)
+    b1 = _Tensor()  # (H,)
+    w2 = _Tensor()  # (H, D)
+    b2 = _Tensor()  # (D,)
+    w = _Tensor()  # (D,) detector weight
+    b = _Tensor()  # detector bias
+    s_sim = _Tensor()  # log-variance of the alignment loss
+    s_cls = _Tensor()  # log-variance of the classification loss
 
-    def copy(self) -> "ModelCheckpoint":
-        return ModelCheckpoint(self.adapter.copy(), self.detector.copy(),
-                               self.s_sim, self.s_cls, self.dim, self.hidden,
-                               self.gamma, self.seed, self.epoch)
+    def __post_init__(self):
+        self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
+        self._views = param_views(self.theta, self.dim, self.hidden)
 
 
 def init_checkpoint(dim: int, hidden: int = DEFAULT_HIDDEN, gamma: float = 10.0,
@@ -123,51 +122,21 @@ def init_checkpoint(dim: int, hidden: int = DEFAULT_HIDDEN, gamma: float = 10.0,
     the identity at initialization (residual start).
     """
     rng = np.random.default_rng(seed)
-    if zero_first_layer:
-        w1 = np.zeros((dim, hidden))
-    else:
-        w1 = rng.uniform(-1, 1, size=(dim, hidden)) / np.sqrt(dim)
-    w2 = rng.uniform(-1, 1, size=(hidden, dim)) / np.sqrt(hidden)
-    w = rng.uniform(-1, 1, size=dim) / np.sqrt(dim)
-    adapter = AdapterParams(w1, np.zeros(hidden), w2, np.zeros(dim))
-    detector = DetectorParams(w, 0.0)
-    return ModelCheckpoint(adapter, detector, s_sim=0.0, s_cls=0.0, dim=dim,
-                           hidden=hidden, gamma=gamma, seed=seed, epoch=0)
+    ckpt = ModelCheckpoint(np.zeros(param_layout(dim, hidden)[-1].stop),
+                           dim=dim, hidden=hidden, gamma=gamma, seed=seed)
+    if not zero_first_layer:
+        ckpt.w1 = rng.uniform(-1, 1, size=(dim, hidden)) / np.sqrt(dim)
+    ckpt.w2 = rng.uniform(-1, 1, size=(hidden, dim)) / np.sqrt(hidden)
+    ckpt.w = rng.uniform(-1, 1, size=dim) / np.sqrt(dim)
+    return ckpt
 
 
-def _vec(e, dim: int, what: str) -> np.ndarray:
-    vals = e.values if isinstance(e, Embedding) else e
-    vals = np.asarray(vals, dtype=np.float64)
-    if vals.shape != (dim,):
-        raise DimensionMismatchError(f"{what} has shape {vals.shape}, expected ({dim},)")
-    return vals
-
-
-def adapter_forward(snips: np.ndarray, params: AdapterParams) -> Tuple[np.ndarray, ...]:
+def adapter_forward(snips: np.ndarray, params: ModelCheckpoint) -> Tuple[np.ndarray, ...]:
     """Forward pass over a (T, D) block; returns (pre-act, hidden, adapted)."""
     u = snips @ params.w1 + params.b1
     h = np.tanh(u)
     adapted = snips + h @ params.w2 + params.b2
     return u, h, adapted
-
-
-def adapt(e_v, params: AdapterParams):
-    """Residual refinement of a video embedding: e + MLP(e), same dim."""
-    vals = _vec(e_v, params.dim, "video embedding")
-    _, _, adapted = adapter_forward(vals[None, :], params)
-    out = adapted[0]
-    if isinstance(e_v, Embedding):
-        return Embedding(out.astype(np.float32), e_v.source)
-    return out
-
-
-def detect_logit(e_adapted, params: DetectorParams) -> float:
-    """Pre-sigmoid collision logit of one adapted embedding."""
-    vals = _vec(e_adapted, params.dim, "adapted embedding")
-    z = float(vals @ params.w + params.b)
-    if not np.isfinite(z):
-        raise ValidationError("detector produced a non-finite logit")
-    return z
 
 
 def forward_rows(snips: np.ndarray, ckpt: ModelCheckpoint) -> Tuple[np.ndarray, ...]:
@@ -181,8 +150,8 @@ def forward_rows(snips: np.ndarray, ckpt: ModelCheckpoint) -> Tuple[np.ndarray, 
     if snips.ndim != 2 or snips.shape[1] != ckpt.dim:
         raise DimensionMismatchError(
             f"snippet rows have shape {snips.shape}, checkpoint dim {ckpt.dim}")
-    _, h, adapted = adapter_forward(snips, ckpt.adapter)
-    return h, adapted, adapted @ ckpt.detector.w + ckpt.detector.b
+    _, h, adapted = adapter_forward(snips, ckpt)
+    return h, adapted, adapted @ ckpt.w + ckpt.b
 
 
 def bag_logits(bag: Bag, ckpt: ModelCheckpoint) -> np.ndarray:
@@ -196,78 +165,72 @@ def forward_bag(bag: Bag, ckpt: ModelCheckpoint) -> RiskTrace:
 
 
 def heads_backward(snips: np.ndarray, hidden: np.ndarray, adapted: np.ndarray,
-                   adapter: AdapterParams, detector: DetectorParams,
-                   dz: np.ndarray, d_adapted) -> dict:
-    """Parameter gradients of any scalar through the heads.
+                   ckpt: ModelCheckpoint, *, dz: np.ndarray,
+                   d_adapted=0.0) -> np.ndarray:
+    """Gradient of any scalar through the heads, as one vector in θ's layout.
 
     ``dz`` holds dL/dz per snippet; ``d_adapted`` is the direct
-    dL/d(adapted) term that bypasses the detector (0 when absent).  Rows may
-    span several bags: contributions simply add.
+    dL/d(adapted) term that bypasses the detector.  Rows may span several
+    bags: contributions simply add.  The s_sim/s_cls entries are zero.
     """
-    g_e = np.asarray(d_adapted, dtype=np.float64) + dz[:, None] * detector.w[None, :]
-    g_u = (g_e @ adapter.w2.T) * (1.0 - hidden * hidden)
-    return {
-        "w1": snips.T @ g_u,
-        "b1": g_u.sum(axis=0),
-        "w2": hidden.T @ g_e,
-        "b2": g_e.sum(axis=0),
-        "w": adapted.T @ dz,
-        "b": np.asarray([float(dz.sum())]),
-    }
-
-
-def pooled_logit_with_grad(bag: Bag, ckpt: ModelCheckpoint):
-    """Pooled bag logit and its analytic gradient per parameter.
-
-    The pooling gradient with respect to the snippet logits is exactly the
-    pooling-induced attention, so the chain is attention-weighted.
-    """
-    snips = np.asarray(bag.snippets, dtype=np.float64)
-    h, adapted, z = forward_rows(snips, ckpt)
-    attn = pooling_attention(z, ckpt.gamma)
-    grads = heads_backward(snips, h, adapted, ckpt.adapter, ckpt.detector,
-                           attn, 0.0)
-    return lse_pool(z, ckpt.gamma), grads
-
-
-def _tensors(ckpt: ModelCheckpoint):
-    a, d = ckpt.adapter, ckpt.detector
-    return [a.w1, a.b1, a.w2, a.b2, d.w,
-            np.asarray([d.b]), np.asarray([ckpt.s_sim]), np.asarray([ckpt.s_cls])]
+    grad = np.zeros_like(ckpt.theta)
+    g = param_views(grad, ckpt.dim, ckpt.hidden)
+    g_e = np.asarray(d_adapted, dtype=np.float64) + dz[:, None] * ckpt.w[None, :]
+    g_u = (g_e @ ckpt.w2.T) * (1.0 - hidden * hidden)
+    g["w1"][...] = snips.T @ g_u
+    g["b1"][...] = g_u.sum(axis=0)
+    g["w2"][...] = hidden.T @ g_e
+    g["b2"][...] = g_e.sum(axis=0)
+    g["w"][...] = adapted.T @ dz
+    g["b"][...] = dz.sum()
+    return grad
 
 
 def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
-    """Write the binary checkpoint: header then float32 row-major tensors."""
+    """Write the binary checkpoint: header then θ as little-endian float32."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack(_HEADER, CKPT_MAGIC, CKPT_VERSION, ckpt.dim,
-                             ckpt.hidden, ckpt.gamma, ckpt.seed, ckpt.epoch))
-        for tensor in _tensors(ckpt):
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+        fh.write(_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, ckpt.dim, ckpt.hidden,
+                              ckpt.gamma, ckpt.seed, ckpt.epoch))
+        fh.write(ckpt.theta.astype("<f4"))
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The header's dims fix the payload size, which the file must match
+    exactly before anything is read; every value must be finite.  Each
+    error names the path and the byte offset.
+    """
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize(_HEADER))
-        if len(header) != struct.calcsize(_HEADER):
-            raise ValidationError("truncated checkpoint header")
-        magic, version, dim, hidden, gamma, seed, epoch = struct.unpack(_HEADER, header)
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValidationError(f"{path}: truncated checkpoint header at byte "
+                                  f"{len(header)} of {_HEADER.size}")
+        magic, version, dim, hidden, gamma, seed, epoch = _HEADER.unpack(header)
         if magic != CKPT_MAGIC:
-            raise ValidationError(f"not a checkpoint file: bad magic {magic!r}")
+            raise ValidationError(f"{path}: bad checkpoint magic {magic!r} at byte 0")
         if version != CKPT_VERSION:
-            raise ValidationError(f"unsupported checkpoint version {version}")
-
-        def take(shape):
-            n = int(np.prod(shape))
-            arr = np.frombuffer(fh.read(4 * n), dtype="<f4")
-            if arr.size != n:
-                raise ValidationError("truncated checkpoint file")
-            return arr.astype(np.float64).reshape(shape)
-
-        adapter = AdapterParams(take((dim, hidden)), take((hidden,)),
-                                take((hidden, dim)), take((dim,)))
-        detector = DetectorParams(take((dim,)), float(take((1,))[0]))
-        s_sim = float(take((1,))[0])
-        s_cls = float(take((1,))[0])
-    return ModelCheckpoint(adapter, detector, s_sim, s_cls, dim=int(dim),
-                           hidden=int(hidden), gamma=float(gamma),
-                           seed=int(seed), epoch=int(epoch))
+            raise ValidationError(
+                f"{path}: unsupported checkpoint version {version} at byte 4")
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ValidationError(f"{path}: checkpoint gamma {gamma} at byte 16 "
+                                  f"must be finite and positive")
+        layout = param_layout(dim, hidden)
+        end = _HEADER.size + 4 * layout[-1].stop
+        size = os.fstat(fh.fileno()).st_size
+        if size != end:
+            raise ValidationError(
+                f"{path}: {'truncated' if size < end else 'trailing bytes in'} "
+                f"checkpoint: header dims D={dim}, H={hidden} put its end at "
+                f"byte {end}, but the file ends at byte {size}")
+        theta = np.empty(layout[-1].stop)
+        for slot in layout:  # one tensor at a time bounds the float32 buffer
+            part = theta[slot.start:slot.stop]
+            part[...] = np.frombuffer(fh.read(4 * part.size), dtype="<f4")
+            finite = np.isfinite(part)
+            if not finite.all():
+                raise ValidationError(
+                    f"{path}: checkpoint tensor {slot.name} has a non-finite value "
+                    f"at byte {_HEADER.size + 4 * (slot.start + finite.argmin())}")
+    return ModelCheckpoint(theta, dim=int(dim), hidden=int(hidden),
+                           gamma=float(gamma), seed=int(seed), epoch=int(epoch))

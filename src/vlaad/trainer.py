@@ -2,9 +2,9 @@
 
 Only the adapter, the detector, and the two log-variance loss weights are
 trainable; encoders are frozen inputs.  All gradients are analytic and
-float64, verified against central finite differences by ``gradient_check``.
-Adam uses decoupled weight decay applied to weight tensors only (never to
-biases or to the log-variance weights).
+float64 and come back as one vector in the layout of the checkpoint's θ.
+Adam updates θ in place with decoupled weight decay applied to weight
+tensors only (never to biases or to the log-variance weights).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -22,15 +22,12 @@ from .errors import NonFiniteLossError, ValidationError
 from .losses import LossBreakdown
 from .mil import segment_clip, segment_lse_pool
 from .model import (ModelCheckpoint, forward_rows, heads_backward,
-                    init_checkpoint)
+                    init_checkpoint, param_layout, param_views)
 from .numerics import sigmoid, softplus
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-PARAM_KEYS = ("w1", "b1", "w2", "b2", "w", "b", "s_sim", "s_cls")
-DECAYED_KEYS = ("w1", "w2", "w")  # weight tensors only
 
 
 @dataclass
@@ -196,8 +193,8 @@ def _forward_stack(ckpt: ModelCheckpoint, examples: Sequence[TrainExample],
 def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
                     mode: str = "mil", pos_weight: float = 1.0,
                     unmatched: Sequence[np.ndarray] | None = None,
-                    ) -> Tuple[LossBreakdown, Dict[str, np.ndarray]]:
-    """Uncertainty-weighted objective and its analytic gradients.
+                    ) -> Tuple[LossBreakdown, np.ndarray]:
+    """Uncertainty-weighted objective and its analytic gradient.
 
     The whole batch runs as one stacked, ragged kernel: every clip's snippet
     rows are concatenated into one (sum T, D) block with per-clip offsets,
@@ -209,8 +206,8 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
     each example is one row with a matched pair against its own caption plus
     one unmatched pair against ``unmatched`` (one text vector per example).
 
-    Returns the loss breakdown (batch means) and gradients for every
-    parameter in ``PARAM_KEYS`` order.  Scalar loss sums use ``math.fsum``
+    Returns the loss breakdown (batch means) and the gradient as one vector
+    in the layout of ``ckpt.theta``.  Scalar loss sums use ``math.fsum``
     (exactly order-independent); the gradient reductions run as single
     matrix products over the stacked rows in batch order.
     """
@@ -251,122 +248,42 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
         dz_sim = 0.0
         de_sim = -dcos + (c_un > 0)[:, None] * dc_un
 
-    grads = heads_backward(fw.rows, fw.hidden, fw.adapted, ckpt.adapter,
-                           ckpt.detector, (ws * dz_sim + wc * dz_cls) / n,
-                           ws * de_sim / n)
+    grad = heads_backward(fw.rows, fw.hidden, fw.adapted, ckpt,
+                          dz=(ws * dz_sim + wc * dz_cls) / n,
+                          d_adapted=ws * de_sim / n)
     l_sim = math.fsum(l_sim) / n
     l_cls = math.fsum(l_cls) / n
     if not (np.isfinite(l_sim) and np.isfinite(l_cls)
-            and all(np.all(np.isfinite(g)) for g in grads.values())):
+            and np.all(np.isfinite(grad))):
         raise NonFiniteLossError("non-finite loss or gradient in batch objective")
     breakdown = LossBreakdown.compute(l_sim, l_cls, ckpt.s_sim, ckpt.s_cls)
-    grads["s_sim"] = np.asarray([-ws * l_sim + 1.0])
-    grads["s_cls"] = np.asarray([-wc * l_cls + 1.0])
-    return breakdown, grads
-
-
-def _theta_from_ckpt(ckpt: ModelCheckpoint) -> Dict[str, np.ndarray]:
-    return {"w1": ckpt.adapter.w1.copy(), "b1": ckpt.adapter.b1.copy(),
-            "w2": ckpt.adapter.w2.copy(), "b2": ckpt.adapter.b2.copy(),
-            "w": ckpt.detector.w.copy(), "b": np.asarray([ckpt.detector.b]),
-            "s_sim": np.asarray([ckpt.s_sim]), "s_cls": np.asarray([ckpt.s_cls])}
-
-
-def _ckpt_from_theta(theta: Dict[str, np.ndarray],
-                     template: ModelCheckpoint) -> ModelCheckpoint:
-    ckpt = template.copy()
-    ckpt.adapter.w1 = theta["w1"].copy()
-    ckpt.adapter.b1 = theta["b1"].copy()
-    ckpt.adapter.w2 = theta["w2"].copy()
-    ckpt.adapter.b2 = theta["b2"].copy()
-    ckpt.detector.w = theta["w"].copy()
-    ckpt.detector.b = float(theta["b"][0])
-    ckpt.s_sim = float(theta["s_sim"][0])
-    ckpt.s_cls = float(theta["s_cls"][0])
-    return ckpt
-
-
-def flatten_params(ckpt: ModelCheckpoint) -> np.ndarray:
-    theta = _theta_from_ckpt(ckpt)
-    return np.concatenate([theta[k].ravel() for k in PARAM_KEYS])
-
-
-def unflatten_params(vec: np.ndarray, template: ModelCheckpoint) -> ModelCheckpoint:
-    theta = _theta_from_ckpt(template)
-    offset = 0
-    for key in PARAM_KEYS:
-        size = theta[key].size
-        theta[key] = np.asarray(vec[offset:offset + size],
-                                dtype=np.float64).reshape(theta[key].shape)
-        offset += size
-    if offset != vec.size:
-        raise ValidationError("parameter vector has the wrong length")
-    return _ckpt_from_theta(theta, template)
-
-
-def vector_objective(template: ModelCheckpoint, batch: Sequence[TrainExample],
-                     mode: str = "mil", pos_weight: float = 1.0,
-                     unmatched: Sequence[np.ndarray] | None = None,
-                     ) -> Callable[[np.ndarray], Tuple[float, np.ndarray]]:
-    """Wrap ``batch_objective`` as a flat-vector (loss, gradient) handle."""
-
-    def fn(vec: np.ndarray) -> Tuple[float, np.ndarray]:
-        ckpt = unflatten_params(vec, template)
-        breakdown, grads = batch_objective(ckpt, batch, mode, pos_weight,
-                                           unmatched)
-        flat = np.concatenate([grads[k].ravel() for k in PARAM_KEYS])
-        return breakdown.l_total, flat
-
-    return fn
-
-
-def gradient_check(loss_and_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]],
-                   params: np.ndarray, step: float = 1e-5, n_coords: int = 64,
-                   seed: int = 0) -> float:
-    """Worst relative error of analytic vs central-difference gradients over
-    a seeded random coordinate subset (at least ``n_coords`` when available).
-    """
-    params = np.asarray(params, dtype=np.float64)
-    _, grad = loss_and_grad(params)
-    if not np.all(np.isfinite(grad)):
-        raise ValidationError("analytic gradient is non-finite")
-    rng = np.random.default_rng(seed)
-    count = min(n_coords, params.size)
-    coords = rng.choice(params.size, size=count, replace=False)
-    worst = 0.0
-    for idx in coords:
-        probe = params.copy()
-        probe[idx] = params[idx] + step
-        up, _ = loss_and_grad(probe)
-        probe[idx] = params[idx] - step
-        down, _ = loss_and_grad(probe)
-        fd = (up - down) / (2.0 * step)
-        denom = max(abs(fd), abs(grad[idx]), 1e-8)
-        worst = max(worst, abs(fd - grad[idx]) / denom)
-    return worst
+    g = param_views(grad, ckpt.dim, ckpt.hidden)
+    g["s_sim"][...] = -ws * l_sim + 1.0
+    g["s_cls"][...] = -wc * l_cls + 1.0
+    return breakdown, grad
 
 
 class AdamState:
-    """Adam moments with decoupled weight decay on weight tensors only."""
+    """Adam moments over θ with decoupled weight decay on weight tensors only."""
 
-    def __init__(self, theta: Dict[str, np.ndarray]):
-        self.m = {k: np.zeros_like(v) for k, v in theta.items()}
-        self.v = {k: np.zeros_like(v) for k, v in theta.items()}
+    def __init__(self, ckpt: ModelCheckpoint):
+        self.m = np.zeros_like(ckpt.theta)
+        self.v = np.zeros_like(ckpt.theta)
+        self.decay = np.zeros_like(ckpt.theta)  # 1 over the decayed tensors
+        for slot in param_layout(ckpt.dim, ckpt.hidden):
+            self.decay[slot.start:slot.stop] = slot.decayed
         self.t = 0
 
-    def step(self, theta: Dict[str, np.ndarray], grads: Dict[str, np.ndarray],
-             lr: float, weight_decay: float) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray, lr: float,
+             weight_decay: float) -> None:
+        """Update ``theta`` in place from its gradient ``grad``."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for key in PARAM_KEYS:
-            g = grads[key]
-            self.m[key] = ADAM_BETA1 * self.m[key] + (1 - ADAM_BETA1) * g
-            self.v[key] = ADAM_BETA2 * self.v[key] + (1 - ADAM_BETA2) * g * g
-            update = (self.m[key] / bc1) / (np.sqrt(self.v[key] / bc2) + ADAM_EPS)
-            if key in DECAYED_KEYS:
-                update = update + weight_decay * theta[key]
-            theta[key] -= lr * update
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
+        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
+        theta -= lr * (update + weight_decay * self.decay * theta)
 
 
 @dataclass
@@ -430,7 +347,6 @@ def train(config: TrainConfig, records: Sequence[ClipRecord],
     if labels != {0, 1}:
         raise ValidationError("training split must contain both classes")
 
-    hash_before = encoder.state_hash()
     pos_weight = _resolve_pos_weight(config, train_recs)
     examples = prepare_examples(train_recs, encoder, config)
     val_examples = prepare_examples(val_recs, encoder, config) if val_recs else []
@@ -439,8 +355,7 @@ def train(config: TrainConfig, records: Sequence[ClipRecord],
     ckpt = init_checkpoint(dim=encoder.dim, hidden=config.hidden_dim,
                            gamma=config.gamma, seed=config.seed,
                            zero_first_layer=config.zero_first_layer)
-    theta = _theta_from_ckpt(ckpt)
-    adam = AdamState(theta)
+    adam = AdamState(ckpt)
     history: List[EpochStats] = []
     n = len(examples)
 
@@ -458,35 +373,29 @@ def train(config: TrainConfig, records: Sequence[ClipRecord],
                 unmatched = [examples[(j + 1 + int(rng.integers(0, n - 1))) % n].text
                              if n > 1 else examples[j].text
                              for j in idx]
-            current = _ckpt_from_theta(theta, ckpt)
             try:
-                breakdown, grads = batch_objective(current, batch, config.mode,
-                                                   pos_weight, unmatched)
+                breakdown, grad = batch_objective(ckpt, batch, config.mode,
+                                                  pos_weight, unmatched)
             except NonFiniteLossError as exc:
                 raise NonFiniteLossError(
                     f"epoch {epoch}, batch {bi}: {exc}") from exc
             if not np.isfinite(breakdown.l_total):
                 raise NonFiniteLossError(
                     f"epoch {epoch}, batch {bi}: non-finite total loss")
-            adam.step(theta, grads, config.learning_rate, config.weight_decay)
+            adam.step(ckpt.theta, grad, config.learning_rate, config.weight_decay)
             sim_total += breakdown.l_sim * len(batch)
             cls_total += breakdown.l_cls * len(batch)
-        epoch_ckpt = _ckpt_from_theta(theta, ckpt)
-        epoch_ckpt.epoch = epoch + 1
+        ckpt.epoch = epoch + 1
         stats = LossBreakdown.compute(sim_total / n, cls_total / n,
-                                      epoch_ckpt.s_sim, epoch_ckpt.s_cls)
+                                      ckpt.s_sim, ckpt.s_cls)
         val_auc = float("nan")
         if val_examples and {0, 1} == set(val_labels.tolist()):
-            probs = scores_for(epoch_ckpt, val_examples, config.mode,
+            probs = scores_for(ckpt, val_examples, config.mode,
                                config.eval_batch)
             val_auc = roc_auc(ScoredSet(probs, val_labels))
         history.append(EpochStats(epoch + 1, stats, val_auc))
 
-    final = _ckpt_from_theta(theta, ckpt)
-    final.epoch = config.epochs
-    if encoder.state_hash() != hash_before:
-        raise ValidationError("encoder state changed during training")
-    return TrainResult(final, history, warnings)
+    return TrainResult(ckpt, history, warnings)
 
 
 def write_history_csv(path, history: Sequence[EpochStats]) -> None:

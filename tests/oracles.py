@@ -5,16 +5,21 @@ enumeration, direct formulas) and must stay independent of the package
 code paths it checks.
 """
 
+import dataclasses
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
 
-from vlaad.losses import LossBreakdown, binary_cross_entropy_from_logit
+from vlaad.errors import ValidationError
+from vlaad.evalkit import roc_curve
+from vlaad.losses import LossBreakdown, cosine_similarity
 from vlaad.mil import lse_pool, pooling_attention
-from vlaad.model import adapter_forward, heads_backward
-from vlaad.numerics import sigmoid
+from vlaad.model import adapter_forward, forward_rows, heads_backward, param_views
+from vlaad.numerics import sigmoid, softplus
+from vlaad.trainer import batch_objective
 
 
 def stub_video_embedding(frames, seed, dim):
@@ -143,8 +148,8 @@ def per_clip_objective(ckpt, batch, mode="mil", pos_weight=1.0, unmatched=None):
 
     Each clip runs its own adapter forward, ``lse_pool``,
     ``pooling_attention`` and scalar BCE; only the final gradient products
-    run over the concatenated rows.  Returns (LossBreakdown, gradients by
-    parameter name), as ``trainer.batch_objective`` does.
+    run over the concatenated rows.  Returns (LossBreakdown, gradient in
+    θ's layout), as ``trainer.batch_objective`` does.
     """
     n = len(batch)
     ws = 0.5 * math.exp(-ckpt.s_sim)
@@ -154,8 +159,8 @@ def per_clip_objective(ckpt, batch, mode="mil", pos_weight=1.0, unmatched=None):
     dz_blocks, de_blocks = [], []
     for i, ex in enumerate(batch):
         snips = np.asarray(ex.snippets, dtype=np.float64)
-        _, h, adapted = adapter_forward(snips, ckpt.adapter)
-        z = adapted @ ckpt.detector.w + ckpt.detector.b
+        _, h, adapted = adapter_forward(snips, ckpt)
+        z = adapted @ ckpt.w + ckpt.b
         t_count = z.shape[0]
         cos, dcos = _cosines_with_grads(adapted, ex.text)
         if mode == "mil":
@@ -190,12 +195,126 @@ def per_clip_objective(ckpt, batch, mode="mil", pos_weight=1.0, unmatched=None):
         adapted_blocks.append(adapted)
         dz_blocks.append((ws * dz_sim + wc * dz_cls) / n)
         de_blocks.append(ws * de_sim / n)
-    grads = heads_backward(
+    grad = heads_backward(
         np.concatenate(snips_blocks), np.concatenate(hidden_blocks),
-        np.concatenate(adapted_blocks), ckpt.adapter, ckpt.detector,
-        np.concatenate(dz_blocks), np.concatenate(de_blocks))
+        np.concatenate(adapted_blocks), ckpt,
+        dz=np.concatenate(dz_blocks), d_adapted=np.concatenate(de_blocks))
     l_sim = math.fsum(l_sims) / n
     l_cls = math.fsum(l_clses) / n
-    grads["s_sim"] = np.asarray([-ws * l_sim + 1.0])
-    grads["s_cls"] = np.asarray([-wc * l_cls + 1.0])
-    return LossBreakdown.compute(l_sim, l_cls, ckpt.s_sim, ckpt.s_cls), grads
+    g = param_views(grad, ckpt.dim, ckpt.hidden)
+    g["s_sim"][...] = -ws * l_sim + 1.0
+    g["s_cls"][...] = -wc * l_cls + 1.0
+    return LossBreakdown.compute(l_sim, l_cls, ckpt.s_sim, ckpt.s_cls), grad
+
+
+# --- helpers that only tests call, moved out of the package ----------------
+
+
+def cosine_alignment_loss(e_video, e_text, matched: bool) -> float:
+    """1 - cos for matched pairs; max(0, cos) for unmatched pairs."""
+    c = cosine_similarity(e_video, e_text)
+    return 1.0 - c if matched else max(0.0, c)
+
+
+def binary_cross_entropy_from_logit(logit: float, y: int, pos_weight: float = 1.0) -> float:
+    """Stable BCE in logit space; pos_weight scales the y=1 term."""
+    if not np.isfinite(logit):
+        raise ValidationError("logit must be finite")
+    if y not in (0, 1):
+        raise ValidationError(f"label must be 0 or 1, got {y}")
+    if not pos_weight > 0:
+        raise ValidationError("pos_weight must be positive")
+    # -log sigmoid(z) = softplus(-z);  -log(1 - sigmoid(z)) = softplus(z)
+    return float(pos_weight * y * softplus(-logit) + (1 - y) * softplus(logit))
+
+
+def mil_alignment_loss(adapted_snippets, e_text, attention, y: int) -> float:
+    """Bag-level alignment loss of one bag, one snippet at a time.
+
+    Positive bags weight per-snippet matched losses by the pooling-induced
+    attention; negative bags uniformly average the clamped similarities to
+    discourage uniformly high activations.
+    """
+    snips = np.asarray(adapted_snippets, dtype=np.float64)
+    if snips.ndim != 2 or snips.shape[0] < 1:
+        raise ValidationError("at least one adapted snippet required")
+    if y not in (0, 1):
+        raise ValidationError(f"label must be 0 or 1, got {y}")
+    cosines = np.array([cosine_similarity(row, e_text) for row in snips])
+    if y == 1:
+        a = np.asarray(attention, dtype=np.float64)
+        if a.shape != (snips.shape[0],):
+            raise ValidationError("one attention weight per snippet required")
+        if abs(float(a.sum()) - 1.0) > 1e-6:
+            raise ValidationError(f"attention sums to {a.sum()}, expected 1")
+        return float(a @ (1.0 - cosines))
+    return float(np.maximum(0.0, cosines).mean())
+
+
+def pooled_logit_with_grad(bag, ckpt):
+    """Pooled bag logit and its analytic gradient in θ's layout.
+
+    The pooling gradient with respect to the snippet logits is exactly the
+    pooling-induced attention, so the chain is attention-weighted.
+    """
+    snips = np.asarray(bag.snippets, dtype=np.float64)
+    h, adapted, z = forward_rows(snips, ckpt)
+    grad = heads_backward(snips, h, adapted, ckpt,
+                          dz=pooling_attention(z, ckpt.gamma))
+    return lse_pool(z, ckpt.gamma), grad
+
+
+def roc_auc_trapezoid(scored) -> float:
+    """Trapezoidal area under the ROC curve; equals ``roc_auc`` exactly."""
+    fpr, tpr = roc_curve(scored)
+    return float(np.trapezoid(tpr, fpr))
+
+
+def serialize_global_state(state) -> str:
+    return json.dumps([float(x) for x in state])
+
+
+def parse_global_state(text: str) -> np.ndarray:
+    values = np.asarray(json.loads(text), dtype=np.float64)
+    if values.ndim != 1 or values.size < 3:
+        raise ValidationError("global state must be [risk, velocity, onehot...]")
+    onehot = values[2:]
+    if abs(float(onehot.sum()) - 1.0) > 1e-9 or np.any(onehot < 0):
+        raise ValidationError("command one-hot must sum to 1")
+    return values
+
+
+def vector_objective(template, batch, mode="mil", pos_weight=1.0, unmatched=None):
+    """Wrap ``batch_objective`` as a (loss, gradient) handle over θ vectors."""
+
+    def fn(vec):
+        breakdown, grad = batch_objective(
+            dataclasses.replace(template, theta=vec), batch, mode, pos_weight,
+            unmatched)
+        return breakdown.l_total, grad
+
+    return fn
+
+
+def gradient_check(loss_and_grad, params, step=1e-5, n_coords=64, seed=0) -> float:
+    """Worst relative error of analytic vs central-difference gradients over
+    a seeded random coordinate subset (at least ``n_coords`` when available).
+    """
+    params = np.asarray(params, dtype=np.float64)
+    _, grad = loss_and_grad(params)
+    if not np.all(np.isfinite(grad)):
+        raise ValidationError("analytic gradient is non-finite")
+    rng = np.random.default_rng(seed)
+    count = min(n_coords, params.size)
+    coords = rng.choice(params.size, size=count, replace=False)
+    worst = 0.0
+    for idx in coords:
+        probe = params.copy()
+        probe[idx] = params[idx] + step
+        up, _ = loss_and_grad(probe)
+        probe[idx] = params[idx] - step
+        down, _ = loss_and_grad(probe)
+        fd = (up - down) / (2.0 * step)
+        denom = max(abs(fd), abs(grad[idx]), 1e-8)
+        worst = max(worst, abs(fd - grad[idx]) / denom)
+    return worst

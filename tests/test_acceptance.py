@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from oracles import brute_force_auc, exhaustive_youden, v20_penalty_product
+from oracles import (brute_force_auc, exhaustive_youden, gradient_check,
+                     v20_penalty_product, vector_objective)
 from vlaad.datakit import (InfractionLog, SynthConfig, assemble_clips,
                            augment_collision_position,
                            generate_synthetic_dataset, read_manifest,
@@ -25,9 +26,8 @@ from vlaad.evalkit import (DEFAULT_V21_COEFFICIENTS, DrivingRunRecord,
 from vlaad.inference import CausalBuffer, push_tick
 from vlaad.mil import lse_pool, pooling_attention, segment_clip
 from vlaad.model import bag_logits, init_checkpoint, save_checkpoint
-from vlaad.trainer import (TrainConfig, TrainExample, flatten_params,
-                           gradient_check, scores_for, split_dataset, train,
-                           vector_objective)
+from vlaad.trainer import (TrainConfig, TrainExample, scores_for,
+                           split_dataset, train)
 
 # Pinned desk-scale configuration: 300 synthetic clips (150/150) split 2:1
 # into 200 train / 100 validation, feature dim 32, shared shift direction.
@@ -160,7 +160,7 @@ def test_criterion_4_gradient_verification():
                          rng.standard_normal(10), 0),
         ]
         fn = vector_objective(ckpt, batch, "mil", pos_weight=1.7)
-        worst = gradient_check(fn, flatten_params(ckpt), step=1e-5,
+        worst = gradient_check(fn, ckpt.theta, step=1e-5,
                                n_coords=96, seed=seed)
         worst_overall = max(worst_overall, worst)
         assert worst <= 1e-4

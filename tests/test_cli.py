@@ -1,11 +1,17 @@
+import contextlib
 import io
 import json
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlaad.cli import build_parser, run
+from vlaad.model import init_checkpoint, save_checkpoint
 from vlaad.plotting import emit_trace_plot, parse_trace_csv
 
 
@@ -141,6 +147,87 @@ class TestTrainEval:
         loaded = load_checkpoint(ckpt)
         assert loaded.epoch == 1  # --set beats the file
         assert loaded.seed == 0  # --seed beats both
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """A small manifest and the bytes of a valid D=6, H=4 checkpoint."""
+    root = tmp_path_factory.mktemp("reader")
+    manifest = root / "m.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["synth", "--n-normal", "3", "--n-collision", "3",
+                    "--dim", "8", "--seed", "0", "-o", str(manifest)]) == 0
+    save_checkpoint(root / "good.bin", init_checkpoint(
+        dim=6, hidden=4, gamma=7.5, seed=42, zero_first_layer=False))
+    return root, manifest, (root / "good.bin").read_bytes()
+
+
+def eval_bytes(root, manifest, data):
+    """``vlaad eval`` on a checkpoint file holding ``data``: (code, stderr, path)."""
+    path = root / "ckpt.bin"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["eval", "--checkpoint", str(path), "--manifest", str(manifest)])
+    return code, err.getvalue(), path
+
+
+class TestCheckpointReader:
+    """Malformed checkpoints exit 2 with one error line naming path and byte."""
+
+    HEADER = struct.Struct("<4sIIIdQI")  # 36 bytes; the good file has 304
+
+    def assert_rejected(self, eval_inputs, data, pattern):
+        code, err, path = eval_bytes(*eval_inputs[:2], data)
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err and re.search(pattern, err), err
+
+    def test_dims_overflowing_int64(self, eval_inputs):
+        good = eval_inputs[2]
+        header = self.HEADER.pack(b"VLAD", 1, 4_000_000_000, 4_000_000_000,
+                                  7.5, 42, 13)
+        self.assert_rejected(eval_inputs, header + good[36:],
+                             r"truncated .* ends at byte 304$")
+
+    def test_large_dims_read_nothing(self, eval_inputs):
+        good = eval_inputs[2]
+        header = self.HEADER.pack(b"VLAD", 1, 4000, 4000, 7.5, 42, 13)
+        tracemalloc.start()
+        try:
+            self.assert_rejected(eval_inputs, header + good[36:],
+                                 r"truncated .* ends at byte 304$")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20  # w1 alone would be 64 MB
+
+    def test_body_cut_mid_float(self, eval_inputs):
+        self.assert_rejected(eval_inputs, eval_inputs[2][:-2],
+                             r"truncated .* byte 304, .* ends at byte 302$")
+
+    def test_trailing_bytes(self, eval_inputs):
+        self.assert_rejected(eval_inputs, eval_inputs[2] + b"\0",
+                             r"trailing bytes .* byte 304, .* ends at byte 305$")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fuzz_truncate_extend_bitflip(self, eval_inputs, data):
+        root, manifest, good = eval_inputs
+        kind = data.draw(st.sampled_from(["truncate", "extend", "flip"]))
+        if kind == "truncate":
+            blob = good[:data.draw(st.integers(0, len(good) - 1))]
+        elif kind == "extend":
+            blob = good + data.draw(st.binary(min_size=1, max_size=64))
+        else:
+            blob = bytearray(good)
+            for bit in data.draw(st.lists(st.integers(0, 8 * len(good) - 1),
+                                          min_size=1, max_size=3)):
+                blob[bit // 8] ^= 1 << (bit % 8)
+        code, err, _ = eval_bytes(root, manifest, bytes(blob))
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestTraceAndPlot:

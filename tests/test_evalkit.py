@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from oracles import (brute_force_auc, exhaustive_youden, v20_penalty_product,
-                     wilcoxon_brute_force_p)
+from oracles import (brute_force_auc, exhaustive_youden, roc_auc_trapezoid,
+                     v20_penalty_product, wilcoxon_brute_force_p)
 from vlaad.errors import ValidationError
 from vlaad.evalkit import (DEFAULT_V21_COEFFICIENTS, DrivingRunRecord,
                            ScoredSet, WilcoxonResult, infraction_penalty,
-                           read_run_records, roc_auc, roc_auc_trapezoid,
+                           read_run_records, roc_auc,
                            summarize_run, threshold_metrics,
                            wilcoxon_signed_rank, youden_threshold)
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import make_clip
+from oracles import parse_global_state, serialize_global_state
 from vlaad.embeddings import FrameWindow, StubEncoder, encode_video_snippet
 from vlaad.errors import ValidationError
-from vlaad.inference import (CausalBuffer, make_global_state,
-                             parse_global_state, push_tick, score_clip_trace,
-                             serialize_global_state, stream_tokens,
-                             toy_policy_step)
+from vlaad.inference import (CausalBuffer, make_global_state, push_tick,
+                             score_clip_trace, stream_tokens, toy_policy_step)
 from vlaad.mil import Bag, segment_clip
 from vlaad.model import bag_logits, forward_bag, init_checkpoint
 from vlaad.numerics import sigmoid

@@ -1,21 +1,39 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from oracles import pooled_logit_with_grad
 from vlaad.errors import DimensionMismatchError, ValidationError
 from vlaad.mil import Bag, lse_pool
-from vlaad.model import (AdapterParams, DetectorParams, ModelCheckpoint,
-                         adapt, bag_logits, detect_logit, forward_bag,
-                         init_checkpoint, load_checkpoint,
-                         pooled_logit_with_grad, save_checkpoint)
+from vlaad.model import (ModelCheckpoint, adapter_forward, bag_logits,
+                         forward_bag, forward_rows, init_checkpoint,
+                         load_checkpoint, param_layout, save_checkpoint)
 
 
 def tiny_adapter(rng, dim=6, hidden=4, scale=0.1):
-    return AdapterParams(scale * rng.standard_normal((dim, hidden)),
-                         scale * rng.standard_normal(hidden),
-                         scale * rng.standard_normal((hidden, dim)),
-                         scale * rng.standard_normal(dim))
+    """A checkpoint with every parameter drawn at random."""
+    size = param_layout(dim, hidden)[-1].stop
+    return ModelCheckpoint(scale * rng.standard_normal(size), dim=dim,
+                           hidden=hidden, gamma=10.0, seed=0)
+
+
+def adapt(e, ckpt):
+    """The adapted embedding of one vector, through the shared row forward."""
+    return adapter_forward(np.asarray(e, dtype=np.float64)[None, :], ckpt)[2][0]
+
+
+def identity_adapter(w, b):
+    """Zero first layer and adapter biases: the adapter is the identity, so
+    the logit is the detector alone."""
+    ckpt = init_checkpoint(dim=len(w), hidden=4, seed=0, zero_first_layer=True)
+    ckpt.w, ckpt.b = w, b
+    return ckpt
+
+
+def detect_logit(e, ckpt):
+    return float(forward_rows(np.asarray(e, dtype=np.float64)[None, :], ckpt)[2][0])
 
 
 def make_bag(rng, t=3, dim=6):
@@ -25,8 +43,8 @@ def make_bag(rng, t=3, dim=6):
 
 class TestAdapt:
     def test_zero_mlp_is_identity(self, rng):
-        params = AdapterParams(np.zeros((6, 4)), np.zeros(4),
-                               0.3 * rng.standard_normal((4, 6)), np.zeros(6))
+        params = init_checkpoint(dim=6, hidden=4, seed=0, zero_first_layer=True)
+        params.w2 = 0.3 * rng.standard_normal((4, 6))
         e = rng.standard_normal(6)
         np.testing.assert_array_equal(adapt(e, params), e)
 
@@ -44,17 +62,17 @@ class TestAdapt:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
-            adapt(rng.standard_normal(5), tiny_adapter(rng))
+            forward_rows(rng.standard_normal((1, 5)), tiny_adapter(rng))
 
 
 class TestDetectLogit:
     def test_zero_map(self):
-        params = DetectorParams(np.zeros(6), 0.0)
+        params = identity_adapter(np.zeros(6), 0.0)
         assert detect_logit(np.ones(6), params) == 0.0
 
     def test_constructed_inner_product(self, rng):
         e = rng.standard_normal(6)
-        params = DetectorParams(e / float(e @ e), 0.0)
+        params = identity_adapter(e / float(e @ e), 0.0)
         assert detect_logit(e, params) == pytest.approx(1.0, abs=1e-12)
 
     def test_dot_product_oracle(self, rng):
@@ -62,12 +80,18 @@ class TestDetectLogit:
         w = rng.standard_normal(6)
         b = float(rng.standard_normal())
         expected = float(np.dot(w, e) + b)  # standalone recomputation
-        assert detect_logit(e, DetectorParams(w, b)) == pytest.approx(
+        assert detect_logit(e, identity_adapter(w, b)) == pytest.approx(
             expected, abs=1e-6)
 
-    def test_non_finite_params_rejected(self):
-        with pytest.raises(ValidationError):
-            DetectorParams(np.array([np.inf, 0.0]), 0.0)
+    def test_non_finite_params_rejected(self, tmp_path):
+        ckpt = init_checkpoint(dim=6, hidden=4, seed=0)
+        ckpt.w = np.array([0.0, np.inf, 0.0, 0.0, 0.0, 0.0])
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, ckpt)
+        # w starts after w1, b1, w2, b2: 36 + 4 * (24 + 4 + 24 + 6 + 1)
+        with pytest.raises(ValidationError, match="tensor w has a non-finite "
+                           "value at byte 272$"):
+            load_checkpoint(path)
 
 
 class TestForwardBag:
@@ -92,9 +116,8 @@ class TestForwardBag:
         trace = forward_bag(bag, ckpt)
         logits = []
         for row in bag.snippets.astype(np.float64):
-            a = (row + np.tanh(row @ ckpt.adapter.w1 + ckpt.adapter.b1)
-                 @ ckpt.adapter.w2 + ckpt.adapter.b2)
-            logits.append(float(a @ ckpt.detector.w + ckpt.detector.b))
+            a = (row + np.tanh(row @ ckpt.w1 + ckpt.b1) @ ckpt.w2 + ckpt.b2)
+            logits.append(float(a @ ckpt.w + ckpt.b))
         np.testing.assert_allclose(trace.logits, logits, atol=1e-6)
         expected_pool = (np.log(np.sum(np.exp(10.0 * np.array(logits))))
                          - np.log(3.0)) / 10.0
@@ -113,27 +136,24 @@ class TestForwardBag:
     def test_residual_init_equals_detector_on_raw(self, rng):
         ckpt = init_checkpoint(dim=6, hidden=4, seed=0, zero_first_layer=True)
         bag = make_bag(rng)
-        expected = bag.snippets.astype(np.float64) @ ckpt.detector.w
+        expected = bag.snippets.astype(np.float64) @ ckpt.w
         np.testing.assert_allclose(bag_logits(bag, ckpt), expected, atol=1e-12)
 
 
 class TestPooledLogitGradient:
     def test_matches_finite_differences(self, rng):
         """Analytic bag-logit gradient vs central differences, 64-bit."""
-        from vlaad.trainer import PARAM_KEYS, flatten_params, unflatten_params
-
         ckpt = init_checkpoint(dim=6, hidden=4, gamma=10.0, seed=9,
                                zero_first_layer=False)
         bag = make_bag(rng, t=4)
-        _, grads = pooled_logit_with_grad(bag, ckpt)
-        flat_grad = np.concatenate(
-            [np.asarray(grads.get(k, np.zeros(1))).ravel()
-             for k in PARAM_KEYS[:6]])
-        vec = flatten_params(ckpt)[:flat_grad.size]
+        _, grad = pooled_logit_with_grad(bag, ckpt)
+        # every head parameter; s_sim and s_cls do not reach the bag logit
+        flat_grad = grad[:-2]
+        vec = ckpt.theta[:-2]
 
         def pooled_of(v):
             full = np.concatenate([v, [ckpt.s_sim, ckpt.s_cls]])
-            return lse_pool(bag_logits(bag, unflatten_params(full, ckpt)),
+            return lse_pool(bag_logits(bag, dataclasses.replace(ckpt, theta=full)),
                             ckpt.gamma)
 
         step = 1e-5
@@ -163,10 +183,8 @@ class TestCheckpointIO:
         assert loaded.seed == 42
         assert loaded.epoch == 13
         # float32 storage: round-trip equals the f32-rounded parameters
-        np.testing.assert_array_equal(
-            loaded.adapter.w2, ckpt.adapter.w2.astype(np.float32))
-        np.testing.assert_array_equal(
-            loaded.detector.w, ckpt.detector.w.astype(np.float32))
+        np.testing.assert_array_equal(loaded.w2, ckpt.w2.astype(np.float32))
+        np.testing.assert_array_equal(loaded.w, ckpt.w.astype(np.float32))
 
     def test_golden_bytes(self, tmp_path):
         """The VLAD v1 bytes of a fixed checkpoint, and load -> save keeps them."""
@@ -193,5 +211,4 @@ class TestCheckpointIO:
     def test_dims_header_must_match(self, rng):
         good = init_checkpoint(dim=6, hidden=4, seed=0)
         with pytest.raises(DimensionMismatchError):
-            ModelCheckpoint(good.adapter, good.detector, 0.0, 0.0,
-                            dim=7, hidden=4, gamma=10.0, seed=0)
+            ModelCheckpoint(good.theta, dim=7, hidden=4, gamma=10.0, seed=0)

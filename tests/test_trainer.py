@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,20 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_clip_objective
+from oracles import (binary_cross_entropy_from_logit, gradient_check,
+                     per_clip_objective, vector_objective)
 from vlaad.datakit import SynthConfig, generate_synthetic_dataset
 from vlaad.embeddings import StubEncoder
 from vlaad.errors import NonFiniteLossError, ValidationError
-from vlaad.losses import binary_cross_entropy_from_logit
 from vlaad.mil import Bag, lse_pool, pooling_attention
 from vlaad.model import (adapter_forward, bag_logits, heads_backward,
-                         init_checkpoint, save_checkpoint)
+                         init_checkpoint, param_views, save_checkpoint)
 from vlaad.numerics import sigmoid
-from vlaad.trainer import (PARAM_KEYS, AdamState, TrainConfig, TrainExample,
-                           batch_objective, flatten_params, gradient_check,
-                           prepare_examples, scores_for, split_dataset, train,
-                           unflatten_params, vector_objective,
-                           _theta_from_ckpt)
+from vlaad.trainer import (AdamState, TrainConfig, TrainExample,
+                           batch_objective, prepare_examples, scores_for,
+                           split_dataset, train)
 
 
 def synth_records(n=30, dim=8, delta=4.0, seed=1):
@@ -86,8 +85,8 @@ class TestBatchObjective:
         breakdown, _ = batch_objective(ckpt, batch, "mil", pos_weight=2.0)
         sims, clses = [], []
         for ex in batch:
-            _, _, adapted = adapter_forward(ex.snippets, ckpt.adapter)
-            z = adapted @ ckpt.detector.w + ckpt.detector.b
+            _, _, adapted = adapter_forward(ex.snippets, ckpt)
+            z = adapted @ ckpt.w + ckpt.b
             attn = pooling_attention(z, ckpt.gamma)
             clses.append(binary_cross_entropy_from_logit(
                 lse_pool(z, ckpt.gamma), ex.label, 2.0))
@@ -107,8 +106,7 @@ class TestBatchObjective:
         _, g1 = batch_objective(ckpt, batch, "mil")
         perm = list(reversed(batch))
         _, g2 = batch_objective(ckpt, perm, "mil")
-        for key in PARAM_KEYS:
-            np.testing.assert_allclose(g1[key], g2[key], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(g1, g2, rtol=0, atol=1e-10)
 
     def test_non_finite_raises(self, rng):
         ckpt = init_checkpoint(dim=6, hidden=4, seed=2, zero_first_layer=False)
@@ -181,9 +179,10 @@ class TestStackedKernel:
                                           unmatched)
         for field in ("l_sim", "l_cls", "s_sim", "s_cls", "l_total"):
             assert abs(getattr(got, field) - getattr(want, field)) <= 1e-10
-        for key in PARAM_KEYS:
-            np.testing.assert_allclose(g_got[key], g_want[key], rtol=0,
-                                       atol=1e-10, err_msg=key)
+        want = param_views(g_want, ckpt.dim, ckpt.hidden)
+        for key, got_view in param_views(g_got, ckpt.dim, ckpt.hidden).items():
+            np.testing.assert_allclose(got_view, want[key], rtol=0, atol=1e-10,
+                                       err_msg=key)
 
     @pytest.mark.parametrize("mode", ["mil", "clip"])
     def test_scores_independent_of_eval_batch(self, mode):
@@ -208,14 +207,14 @@ class TestGradientCheck:
                                zero_first_layer=False)
         batch = random_examples(rng, n=2, t=3)
         fn = vector_objective(ckpt, batch, "mil", pos_weight=1.5)
-        assert gradient_check(fn, flatten_params(ckpt), n_coords=80) <= 1e-4
+        assert gradient_check(fn, ckpt.theta, n_coords=80) <= 1e-4
 
     def test_clip_mode_objective(self, rng):
         ckpt = init_checkpoint(dim=6, hidden=4, seed=4, zero_first_layer=False)
         batch = random_examples(rng, n=3, t=1)
         unmatched = [rng.standard_normal(6) for _ in batch]
         fn = vector_objective(ckpt, batch, "clip", 1.0, unmatched)
-        assert gradient_check(fn, flatten_params(ckpt), n_coords=80) <= 1e-4
+        assert gradient_check(fn, ckpt.theta, n_coords=80) <= 1e-4
 
     def test_bce_only_zero_init(self, rng):
         """BCE-only loss on a zero-initialized model, production analytic
@@ -225,19 +224,15 @@ class TestGradientCheck:
         snips = rng.standard_normal((3, 5))
 
         def loss_and_grad(vec):
-            ckpt = unflatten_params(vec, template)
-            _, h, adapted = adapter_forward(snips, ckpt.adapter)
-            z = adapted @ ckpt.detector.w + ckpt.detector.b
+            ckpt = dataclasses.replace(template, theta=vec)
+            _, h, adapted = adapter_forward(snips, ckpt)
+            z = adapted @ ckpt.w + ckpt.b
             pooled = lse_pool(z, ckpt.gamma)
             loss = binary_cross_entropy_from_logit(pooled, 1, 1.0)
             dz = -sigmoid(-pooled) * pooling_attention(z, ckpt.gamma)
-            grads = heads_backward(snips, h, adapted, ckpt.adapter,
-                                   ckpt.detector, dz, 0.0)
-            flat = np.concatenate([grads[k].ravel() for k in PARAM_KEYS[:6]]
-                                  + [np.zeros(2)])
-            return loss, flat
+            return loss, heads_backward(snips, h, adapted, ckpt, dz=dz)
 
-        assert gradient_check(loss_and_grad, flatten_params(template),
+        assert gradient_check(loss_and_grad, template.theta,
                               n_coords=64) <= 1e-4
 
     def test_constant_loss_zero_gradient(self):
@@ -257,18 +252,17 @@ class TestGradientCheck:
 class TestAdam:
     def test_decoupled_decay_exact_shrink(self):
         ckpt = init_checkpoint(dim=5, hidden=3, seed=1, zero_first_layer=False)
-        theta = _theta_from_ckpt(ckpt)
-        before = {k: v.copy() for k, v in theta.items()}
-        adam = AdamState(theta)
-        zero_grads = {k: np.zeros_like(v) for k, v in theta.items()}
+        ckpt.theta[:] = np.random.default_rng(2).standard_normal(ckpt.theta.size)
+        before = param_views(ckpt.theta.copy(), 5, 3)
+        adam = AdamState(ckpt)
         lr, wd = 1e-3, 1e-4
-        adam.step(theta, zero_grads, lr, wd)
+        adam.step(ckpt.theta, np.zeros_like(ckpt.theta), lr, wd)
         for key in ("w1", "w2", "w"):
             # exact decay rule up to one rounding of the fused form
-            np.testing.assert_allclose(theta[key], before[key] * (1 - lr * wd),
+            np.testing.assert_allclose(getattr(ckpt, key), before[key] * (1 - lr * wd),
                                        rtol=4e-16, atol=0)
         for key in ("b1", "b2", "b", "s_sim", "s_cls"):
-            np.testing.assert_array_equal(theta[key], before[key])
+            np.testing.assert_array_equal(getattr(ckpt, key), before[key])
 
 
 class TestTrain:
@@ -283,8 +277,8 @@ class TestTrain:
         enc = StubEncoder(dim=24, seed=0)
         result = train(self.small_config(epochs=0), recs, enc)
         ref = init_checkpoint(dim=24, hidden=8, gamma=10.0, seed=0)
-        np.testing.assert_array_equal(result.checkpoint.adapter.w2, ref.adapter.w2)
-        np.testing.assert_array_equal(result.checkpoint.detector.w, ref.detector.w)
+        np.testing.assert_array_equal(result.checkpoint.w2, ref.w2)
+        np.testing.assert_array_equal(result.checkpoint.w, ref.w)
         assert result.checkpoint.s_sim == 0.0
         assert result.history == []
 
@@ -362,7 +356,7 @@ class TestTrain:
                 "b", ex.snippets.astype(np.float32),
                 np.arange(float(len(ex.snippets))), ex.label),
             result.checkpoint)
-        raw = ex.snippets @ result.checkpoint.detector.w
+        raw = ex.snippets @ result.checkpoint.w
         np.testing.assert_allclose(z, raw, atol=1e-6)
 
 
