@@ -212,6 +212,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
         if version != CKPT_VERSION:
             raise ValidationError(
                 f"{path}: unsupported checkpoint version {version} at byte 4")
+        if dim < 1:
+            raise ValidationError(f"{path}: checkpoint dim D=0 at byte 8 must be >= 1")
         if not (math.isfinite(gamma) and gamma > 0):
             raise ValidationError(f"{path}: checkpoint gamma {gamma} at byte 16 "
                                   f"must be finite and positive")

@@ -202,6 +202,10 @@ class TestCheckpointReader:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20  # w1 alone would be 64 MB
 
+    def test_zero_dim(self, eval_inputs):
+        header = self.HEADER.pack(b"VLAD", 1, 0, 4, 7.5, 42, 13)
+        self.assert_rejected(eval_inputs, header + bytes(4 * 7), r"D=0 at byte 8")
+
     def test_body_cut_mid_float(self, eval_inputs):
         self.assert_rejected(eval_inputs, eval_inputs[2][:-2],
                              r"truncated .* byte 304, .* ends at byte 302$")
