@@ -13,15 +13,15 @@ from .evalkit import (DrivingRunRecord, ScoredSet, WilcoxonResult,
                       threshold_metrics, wilcoxon_signed_rank,
                       youden_threshold)
 from .losses import LossBreakdown, uncertainty_weighted_total
-from .mil import Bag, RiskTrace, lse_pool, pooling_attention, segment_clip
-from .model import (ModelCheckpoint, forward_bag, init_checkpoint,
-                    load_checkpoint, save_checkpoint)
+from .mil import Bag, lse_pool, pooling_attention, segment_clip
+from .model import (ModelCheckpoint, init_checkpoint, load_checkpoint,
+                    save_checkpoint)
 from .datakit import (ClipRecord, InfractionLog, SynthConfig, assemble_clips,
                       augment_collision_position, caption_collision_clip,
                       caption_normal_clip, generate_synthetic_dataset,
                       read_manifest, write_manifest)
 from .inference import (CausalBuffer, make_global_state, push_tick,
-                        score_clip_trace, toy_policy_step)
+                        toy_policy_step)
 from .trainer import TrainConfig, split_dataset, train
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ import numpy as np
 from . import datakit, evalkit, inference, plotting, trainer
 from .embeddings import CachedEncoder, StubEncoder
 from .errors import NonFiniteLossError, SummarizerError, ValidationError, VlaadError
+from .mil import segment_clip
 from .model import load_checkpoint, save_checkpoint
 from .numerics import sigmoid
 
@@ -288,18 +289,21 @@ def _cmd_trace(args) -> int:
         if not records:
             raise ValidationError(f"clip {args.clip_id!r} not in manifest")
     encoder = _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache)
+    chunk = trainer.DEFAULT_EVAL_BATCH
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for rec in records:
-            result = inference.score_clip_trace(
-                rec, ckpt, encoder, args.snippet_len, args.stride)
-            for i, (t, z, a) in enumerate(zip(result.timestamps,
-                                              result.trace.logits,
-                                              result.attention)):
-                writer.writerow([rec.clip_id, i, repr(float(t)),
-                                 repr(float(z)), repr(float(sigmoid(z))),
-                                 repr(float(a))])
+        # eval's chunks: the same row blocks give eval's logits bit for bit
+        for start in range(0, len(records), chunk):
+            bags = [segment_clip(rec, args.snippet_len, args.stride, encoder)
+                    for rec in records[start:start + chunk]]
+            fw = trainer.forward_stack(ckpt, bags, "mil")
+            writer.writerows(zip(
+                [bag.clip_id for bag in bags for _ in range(bag.size)],
+                [i for bag in bags for i in range(bag.size)],
+                np.concatenate([bag.start_times for bag in bags]).tolist(),
+                fw.logits.tolist(), sigmoid(fw.logits).tolist(),
+                fw.attn.tolist()))
     if args.plot:
         plotting.emit_trace_plot(args.output, args.plot)
     print(f"traced {len(records)} clips to {args.output}")

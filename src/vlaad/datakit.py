@@ -578,6 +578,7 @@ def read_manifest(path) -> List[ClipRecord]:
                 continue
             try:
                 records.append(record_from_json(json.loads(line)))
-            except (KeyError, json.JSONDecodeError) as exc:
-                raise ValidationError(f"manifest line {lineno}: {exc}") from exc
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ValidationError(
+                    f"{path}: manifest line {lineno}: {exc}") from exc
     return records

@@ -18,6 +18,7 @@ family at the CLI level.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Protocol, Tuple
@@ -36,6 +37,7 @@ DEFAULT_TEXT_BUCKETS = 512
 
 CACHE_MAGIC = b"VLEC"
 CACHE_VERSION = 1
+_CACHE_HEADER = struct.Struct("<4sIIQ")  # magic, version, D, count
 
 # Seed-stream tags so the video and text projections never collide even
 # for identical (seed, shape) pairs.
@@ -183,9 +185,7 @@ class CachedEncoder:
 
     def __init__(self, path):
         self._table, self.dim = read_embedding_cache(path)
-        self._digest = hashlib.sha256(
-            b"".join(k.encode() + v.tobytes() for k, v in self._table.items())
-        ).hexdigest()
+        self._digest: str | None = None
 
     def _lookup(self, key: str, source: str) -> Embedding:
         vec = self._table.get(key)
@@ -202,6 +202,14 @@ class CachedEncoder:
         return self._lookup(caption.strip(), "text")
 
     def state_hash(self) -> str:
+        # sha256 over every id and vector of the table; computed on the
+        # first call, since hashing the table costs a pass over all of it
+        if self._digest is None:
+            h = hashlib.sha256()
+            for key, vec in self._table.items():
+                h.update(key.encode())
+                h.update(vec.tobytes())
+            self._digest = h.hexdigest()
         return self._digest
 
 
@@ -235,7 +243,7 @@ def write_embedding_cache(path, entries: Mapping[str, np.ndarray] | Iterable[Tup
     """
     items = list(entries.items()) if isinstance(entries, Mapping) else list(entries)
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIQ", CACHE_MAGIC, CACHE_VERSION, dim, len(items)))
+        fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, dim, len(items)))
         for key, vec in items:
             vec = np.asarray(vec, dtype="<f4")
             if vec.shape != (dim,):
@@ -251,20 +259,55 @@ def write_embedding_cache(path, entries: Mapping[str, np.ndarray] | Iterable[Tup
 
 
 def read_embedding_cache(path) -> Tuple[Dict[str, np.ndarray], int]:
-    """Read a cache file back into an id -> float32 vector table."""
+    """Read a cache file back into an id -> float32 vector table.
+
+    The header's count is checked against the file size before anything
+    else is read (every record takes at least 2 + 4·D bytes), records are
+    read one at a time, and the file must end where the last record does.
+    Each error names the path and the byte offset.
+    """
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIIQ"))
-        magic, version, dim, count = struct.unpack("<4sIIQ", header)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_CACHE_HEADER.size)
+        if len(header) != _CACHE_HEADER.size:
+            raise ValidationError(f"{path}: truncated embedding cache header at "
+                                  f"byte {len(header)} of {_CACHE_HEADER.size}")
+        magic, version, dim, count = _CACHE_HEADER.unpack(header)
         if magic != CACHE_MAGIC:
-            raise ValidationError(f"not an embedding cache file: bad magic {magic!r}")
+            raise ValidationError(
+                f"{path}: not an embedding cache file: bad magic {magic!r} at byte 0")
         if version != CACHE_VERSION:
-            raise ValidationError(f"unsupported cache version {version}")
+            raise ValidationError(
+                f"{path}: unsupported embedding cache version {version} at byte 4")
+        if dim < 1:
+            raise ValidationError(
+                f"{path}: embedding cache dim D=0 at byte 8 must be >= 1")
+        least = _CACHE_HEADER.size + count * (2 + 4 * dim)
+        if least > size:
+            raise ValidationError(
+                f"{path}: embedding cache count {count} at byte 12 needs at "
+                f"least {least} bytes at D={dim}, but the file ends at byte {size}")
+        vectors = np.empty((count, dim), dtype="<f4")  # at most the file's size
         table: Dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (klen,) = struct.unpack("<H", fh.read(2))
-            key = fh.read(klen).decode("utf-8")
-            vec = np.frombuffer(fh.read(4 * dim), dtype="<f4").copy()
-            if vec.shape != (dim,):
-                raise ValidationError("truncated embedding cache file")
-            table[key] = vec
+        at = _CACHE_HEADER.size
+        for i, vec in enumerate(vectors):
+            raw = fh.read(2)
+            klen = int.from_bytes(raw, "little")
+            key = fh.read(klen)
+            if len(raw) != 2 or len(key) != klen or fh.readinto(vec) != 4 * dim:
+                raise ValidationError(
+                    f"{path}: truncated embedding cache record {i} at byte {at}: "
+                    f"it needs {2 + klen + 4 * dim} bytes, but the file ends at "
+                    f"byte {size}")
+            try:
+                table[key.decode("utf-8")] = vec
+            except UnicodeDecodeError as exc:
+                raise ValidationError(
+                    f"{path}: embedding cache record {i} id at byte {at + 2} is "
+                    f"not UTF-8: {exc.reason} at byte {at + 2 + exc.start}") from None
+            at += 2 + klen + 4 * dim
+        if at != size:
+            raise ValidationError(
+                f"{path}: trailing bytes in embedding cache: its {count} records "
+                f"end at byte {at}, but the file ends at byte {size}")
     return table, int(dim)

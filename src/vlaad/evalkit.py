@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Tuple
+from typing import Dict, List, Mapping, NamedTuple
 
 import numpy as np
 
@@ -80,19 +80,6 @@ def roc_auc(scored: ScoredSet) -> float:
     n_neg = scored.labels.size - n_pos
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def roc_curve(scored: ScoredSet) -> Tuple[np.ndarray, np.ndarray]:
-    """(FPR, TPR) points swept over the distinct scores, high to low."""
-    scored.require_both_classes()
-    n_pos = int((scored.labels == 1).sum())
-    n_neg = scored.labels.size - n_pos
-    fpr, tpr = [0.0], [0.0]
-    for tau in np.unique(scored.scores)[::-1]:
-        preds = scored.scores >= tau
-        tpr.append(float((preds & (scored.labels == 1)).sum()) / n_pos)
-        fpr.append(float((preds & (scored.labels == 0)).sum()) / n_neg)
-    return np.asarray(fpr), np.asarray(tpr)
 
 
 class YoudenResult(NamedTuple):
@@ -250,8 +237,9 @@ def read_run_records(path) -> List[DrivingRunRecord]:
                                  obj.get("infractions", {}).items()},
                     coefficients=obj.get("coefficients"),
                     penalty_weights=obj.get("penalty_weights")))
-            except (KeyError, json.JSONDecodeError) as exc:
-                raise ValidationError(f"run record line {lineno}: {exc}") from exc
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ValidationError(
+                    f"{path}: run record line {lineno}: {exc}") from exc
     return records
 
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, NamedTuple
+from typing import Iterable, Iterator, List
 
 import numpy as np
 
 from .embeddings import EncoderHandle, FrameWindow, encode_video_snippet
 from .errors import ValidationError
-from .mil import RiskTrace, pooling_attention, segment_clip
-from .model import ModelCheckpoint, forward_bag, forward_rows
+from .model import ModelCheckpoint, forward_rows
 from .numerics import sigmoid
 
 DEFAULT_BUFFER_FRAMES = 8
@@ -97,21 +96,6 @@ def push_tick(buffer: CausalBuffer, frame, tick: int, ckpt: ModelCheckpoint,
     if caching:
         return buffer.cached_token
     return buffer._compute_token(ckpt)  # same buffer, bit-identical token
-
-
-class ClipTrace(NamedTuple):
-    trace: RiskTrace
-    timestamps: np.ndarray  # snippet start seconds
-    attention: np.ndarray
-
-
-def score_clip_trace(clip, ckpt: ModelCheckpoint, encoder: EncoderHandle,
-                     snippet_len: int = 8, stride: int = 8) -> ClipTrace:
-    """Per-snippet risk trace of one clip, identical numbers to a bag pass."""
-    bag = segment_clip(clip, snippet_len, stride, encoder)
-    trace = forward_bag(bag, ckpt)
-    return ClipTrace(trace, bag.start_times.copy(),
-                     pooling_attention(trace.logits, ckpt.gamma))
 
 
 def make_global_state(risk: float, velocity: float, command_index: int,

@@ -1,5 +1,5 @@
-"""Cosine similarity and the homoscedastic uncertainty-weighted total of
-the training objective's two losses."""
+"""The homoscedastic uncertainty-weighted total of the training objective's
+two losses."""
 
 from __future__ import annotations
 
@@ -7,24 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import Embedding
-from .errors import DegenerateInputError, DimensionMismatchError, ValidationError
-
-
-def _vec(e) -> np.ndarray:
-    vals = e.values if isinstance(e, Embedding) else e
-    return np.asarray(vals, dtype=np.float64)
-
-
-def cosine_similarity(a, b) -> float:
-    """cos(a, b); raises on zero-norm input rather than emitting NaN."""
-    va, vb = _vec(a), _vec(b)
-    if va.shape != vb.shape:
-        raise DimensionMismatchError(f"shape mismatch {va.shape} vs {vb.shape}")
-    na, nb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
-    if na < 1e-12 or nb < 1e-12:
-        raise DegenerateInputError("cosine of a zero-norm vector is undefined")
-    return float(va @ vb / (na * nb))
+from .errors import ValidationError
 
 
 def uncertainty_weighted_total(l_sim: float, l_cls: float,

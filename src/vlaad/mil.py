@@ -20,7 +20,6 @@ import numpy as np
 
 from .embeddings import EncoderHandle, FrameWindow, encode_video_snippet
 from .errors import EmptyInputError, ValidationError
-from .numerics import sigmoid
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datakit import ClipRecord
@@ -54,24 +53,6 @@ class Bag:
     @property
     def size(self) -> int:
         return int(self.snippets.shape[0])
-
-
-@dataclass
-class RiskTrace:
-    """Per-snippet logits of one clip plus their pooled value."""
-
-    clip_id: str
-    logits: np.ndarray  # (T,)
-    pooled: float
-    prob: float
-    gamma: float
-
-    def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        lo, hi = float(self.logits.mean()), float(self.logits.max())
-        if not (lo - 1e-9 <= self.pooled <= hi + 1e-9):
-            raise ValidationError(
-                f"pooled logit {self.pooled} outside [mean, max] = [{lo}, {hi}]")
 
 
 def _check_pool_args(logits, gamma) -> np.ndarray:
@@ -159,10 +140,3 @@ def segment_clip(clip: "ClipRecord", snippet_len: int = DEFAULT_SNIPPET_LEN,
         times.append(s / clip.frame_hz)
     return Bag(clip_id=clip.clip_id, snippets=np.stack(rows),
                start_times=np.asarray(times), label=clip.label)
-
-
-def make_trace(clip_id: str, logits, gamma: float) -> RiskTrace:
-    """Bundle logits into a RiskTrace with pooled logit and probability."""
-    pooled = lse_pool(logits, gamma)
-    return RiskTrace(clip_id=clip_id, logits=np.asarray(logits, dtype=np.float64),
-                     pooled=pooled, prob=float(sigmoid(pooled)), gamma=gamma)

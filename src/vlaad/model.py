@@ -21,7 +21,7 @@ from typing import Dict, NamedTuple, Tuple
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .mil import Bag, RiskTrace, make_trace
+from .mil import Bag
 
 CKPT_MAGIC = b"VLAD"
 CKPT_VERSION = 1
@@ -157,11 +157,6 @@ def forward_rows(snips: np.ndarray, ckpt: ModelCheckpoint) -> Tuple[np.ndarray, 
 def bag_logits(bag: Bag, ckpt: ModelCheckpoint) -> np.ndarray:
     """Per-snippet logits with parameters shared across snippets."""
     return forward_rows(np.asarray(bag.snippets, dtype=np.float64), ckpt)[2]
-
-
-def forward_bag(bag: Bag, ckpt: ModelCheckpoint) -> RiskTrace:
-    """Full bag pass: adapt, detect, pool with the checkpoint's gamma."""
-    return make_trace(bag.clip_id, bag_logits(bag, ckpt), ckpt.gamma)
 
 
 def heads_backward(snips: np.ndarray, hidden: np.ndarray, adapted: np.ndarray,

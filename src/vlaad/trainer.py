@@ -28,6 +28,7 @@ from .numerics import sigmoid, softplus
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+DEFAULT_EVAL_BATCH = 64  # clips per forward when scoring or tracing
 
 
 @dataclass
@@ -38,7 +39,7 @@ class TrainConfig:
     weight_decay: float = 1e-4
     epochs: int = 50
     train_batch: int = 256
-    eval_batch: int = 64
+    eval_batch: int = DEFAULT_EVAL_BATCH
     seed: int = 0
     gamma: float = 10.0
     mode: str = "mil"  # "mil" | "clip"
@@ -156,7 +157,7 @@ def _cosines_with_grads(adapted: np.ndarray, texts: np.ndarray):
     return cos, dcos
 
 
-class _Stack(NamedTuple):
+class Stack(NamedTuple):
     """Forward state of a batch of clips stacked into one block of rows."""
 
     rows: np.ndarray  # (N, D) float64 snippet rows, clip by clip
@@ -164,15 +165,18 @@ class _Stack(NamedTuple):
     seg: np.ndarray  # (N,) clip index of each row
     hidden: np.ndarray  # (N, H)
     adapted: np.ndarray  # (N, D)
+    logits: np.ndarray  # (N,) snippet logits
     pooled: np.ndarray  # (B,) pooled clip logits
     attn: np.ndarray  # (N,) pooling attention within each clip
 
 
-def _forward_stack(ckpt: ModelCheckpoint, examples: Sequence[TrainExample],
-                   mode: str) -> _Stack:
+def forward_stack(ckpt: ModelCheckpoint, examples: Sequence, mode: str) -> Stack:
     """One forward over every snippet row of ``examples``, pooled per clip.
 
-    A clip-mode example has one row, which pools to its own logit with
+    The only offline snippet kernel: training, ``scores_for`` and
+    ``vlaad trace`` all run it.  ``examples`` may be ``TrainExample``s or
+    ``mil.Bag``s; each needs ``.snippets`` (T, D) and ``.clip_id``.  A
+    clip-mode example has one row, which pools to its own logit with
     attention 1, so both modes share this path.
     """
     counts = np.asarray([ex.snippets.shape[0] for ex in examples], dtype=np.intp)
@@ -187,7 +191,7 @@ def _forward_stack(ckpt: ModelCheckpoint, examples: Sequence[TrainExample],
         raise NonFiniteLossError(
             f"non-finite snippet logits for clip {examples[seg[bad.argmax()]].clip_id}")
     pooled, attn = segment_lse_pool(z, starts, ckpt.gamma)
-    return _Stack(rows, starts, seg, hidden, adapted, pooled, attn)
+    return Stack(rows, starts, seg, hidden, adapted, z, pooled, attn)
 
 
 def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
@@ -221,7 +225,7 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
             raise ValidationError(f"label must be 0 or 1, got {ex.label}")
     if not pos_weight > 0:
         raise ValidationError("pos_weight must be positive")
-    fw = _forward_stack(ckpt, batch, mode)
+    fw = forward_stack(ckpt, batch, mode)
     seg, attn = fw.seg, fw.attn
     y = np.asarray([ex.label for ex in batch], dtype=np.float64)
     ws = 0.5 * math.exp(-ckpt.s_sim)
@@ -308,7 +312,7 @@ def _resolve_pos_weight(config: TrainConfig, records: Sequence[ClipRecord]) -> f
 
 
 def scores_for(ckpt: ModelCheckpoint, examples: Sequence[TrainExample],
-               mode: str, eval_batch: int = 64) -> np.ndarray:
+               mode: str, eval_batch: int = DEFAULT_EVAL_BATCH) -> np.ndarray:
     """Bag probabilities (MIL pooled, or the single clip logit in clip mode).
 
     Runs the stacked kernel of ``batch_objective`` once per chunk of
@@ -320,7 +324,7 @@ def scores_for(ckpt: ModelCheckpoint, examples: Sequence[TrainExample],
     for start in range(0, len(examples), eval_batch):
         chunk = examples[start:start + eval_batch]
         probs[start:start + len(chunk)] = sigmoid(
-            _forward_stack(ckpt, chunk, mode).pooled)
+            forward_stack(ckpt, chunk, mode).pooled)
     return probs
 
 

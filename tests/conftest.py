@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import sys
 from pathlib import Path
 
@@ -6,9 +9,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from vlaad.datakit import ClipRecord
+from vlaad.cli import run
+from vlaad.datakit import ClipRecord, write_manifest
 from vlaad.embeddings import StubEncoder
-from vlaad.model import init_checkpoint
+from vlaad.model import init_checkpoint, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture
@@ -41,3 +45,26 @@ def make_clip(clip_id="clip0", n_frames=40, feat_dim=6, label=0,
 @pytest.fixture
 def clip_factory():
     return make_clip
+
+
+def run_trace(tmp_path, clips, ckpt, *flags):
+    """``vlaad trace`` over ``clips`` with the stub encoder.
+
+    Returns the CSV data rows as (clip_id, snippet_index, t_start_s, logit,
+    prob, attention) tuples and the checkpoint as the command read it.
+    """
+    manifest, ckpt_path = tmp_path / "trace.jsonl", tmp_path / "trace.bin"
+    out = tmp_path / "trace.csv"
+    write_manifest(clips, manifest)
+    save_checkpoint(ckpt_path, ckpt)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["trace", "--checkpoint", str(ckpt_path), "--manifest",
+                    str(manifest), "-o", str(out), *flags])
+    assert code == 0, err.getvalue()
+    with open(out, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["clip_id", "snippet_index", "t_start_s",
+                                "logit", "prob", "attention"]
+        rows = [(r[0], int(r[1]), *map(float, r[2:])) for r in reader]
+    return rows, load_checkpoint(ckpt_path)

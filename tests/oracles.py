@@ -13,11 +13,12 @@ import math
 
 import numpy as np
 
-from vlaad.errors import ValidationError
-from vlaad.evalkit import roc_curve
-from vlaad.losses import LossBreakdown, cosine_similarity
-from vlaad.mil import lse_pool, pooling_attention
-from vlaad.model import adapter_forward, forward_rows, heads_backward, param_views
+from vlaad.embeddings import Embedding
+from vlaad.errors import DegenerateInputError, DimensionMismatchError, ValidationError
+from vlaad.losses import LossBreakdown
+from vlaad.mil import lse_pool, pooling_attention, segment_clip
+from vlaad.model import (adapter_forward, bag_logits, forward_rows,
+                         heads_backward, param_views)
 from vlaad.numerics import sigmoid, softplus
 from vlaad.trainer import batch_objective
 
@@ -210,6 +211,18 @@ def per_clip_objective(ckpt, batch, mode="mil", pos_weight=1.0, unmatched=None):
 # --- helpers that only tests call, moved out of the package ----------------
 
 
+def cosine_similarity(a, b) -> float:
+    """cos(a, b); raises on zero-norm input rather than emitting NaN."""
+    va, vb = (np.asarray(e.values if isinstance(e, Embedding) else e,
+                         dtype=np.float64) for e in (a, b))
+    if va.shape != vb.shape:
+        raise DimensionMismatchError(f"shape mismatch {va.shape} vs {vb.shape}")
+    na, nb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
+    if na < 1e-12 or nb < 1e-12:
+        raise DegenerateInputError("cosine of a zero-norm vector is undefined")
+    return float(va @ vb / (na * nb))
+
+
 def cosine_alignment_loss(e_video, e_text, matched: bool) -> float:
     """1 - cos for matched pairs; max(0, cos) for unmatched pairs."""
     c = cosine_similarity(e_video, e_text)
@@ -262,6 +275,19 @@ def pooled_logit_with_grad(bag, ckpt):
     grad = heads_backward(snips, h, adapted, ckpt,
                           dz=pooling_attention(z, ckpt.gamma))
     return lse_pool(z, ckpt.gamma), grad
+
+
+def roc_curve(scored):
+    """(FPR, TPR) points swept over the distinct scores, high to low."""
+    scored.require_both_classes()
+    n_pos = int((scored.labels == 1).sum())
+    n_neg = scored.labels.size - n_pos
+    fpr, tpr = [0.0], [0.0]
+    for tau in np.unique(scored.scores)[::-1]:
+        preds = scored.scores >= tau
+        tpr.append(float((preds & (scored.labels == 1)).sum()) / n_pos)
+        fpr.append(float((preds & (scored.labels == 0)).sum()) / n_neg)
+    return np.asarray(fpr), np.asarray(tpr)
 
 
 def roc_auc_trapezoid(scored) -> float:
@@ -318,3 +344,51 @@ def gradient_check(loss_and_grad, params, step=1e-5, n_coords=64, seed=0) -> flo
         denom = max(abs(fd), abs(grad[idx]), 1e-8)
         worst = max(worst, abs(fd - grad[idx]) / denom)
     return worst
+
+
+# --- the per-clip trace path, oracle for the stacked `vlaad trace` ---------
+
+
+@dataclasses.dataclass
+class RiskTrace:
+    """Per-snippet logits of one clip plus their pooled value."""
+
+    clip_id: str
+    logits: np.ndarray  # (T,)
+    pooled: float
+    prob: float
+    gamma: float
+
+    def __post_init__(self):
+        self.logits = np.asarray(self.logits, dtype=np.float64)
+        lo, hi = float(self.logits.mean()), float(self.logits.max())
+        if not (lo - 1e-9 <= self.pooled <= hi + 1e-9):
+            raise ValidationError(
+                f"pooled logit {self.pooled} outside [mean, max] = [{lo}, {hi}]")
+
+
+def make_trace(clip_id: str, logits, gamma: float) -> RiskTrace:
+    """Bundle logits into a RiskTrace with pooled logit and probability."""
+    pooled = lse_pool(logits, gamma)
+    return RiskTrace(clip_id=clip_id, logits=np.asarray(logits, dtype=np.float64),
+                     pooled=pooled, prob=float(sigmoid(pooled)), gamma=gamma)
+
+
+def forward_bag(bag, ckpt) -> RiskTrace:
+    """Full bag pass: adapt, detect, pool with the checkpoint's gamma."""
+    return make_trace(bag.clip_id, bag_logits(bag, ckpt), ckpt.gamma)
+
+
+def per_clip_trace_rows(records, ckpt, encoder, snippet_len=8, stride=8):
+    """`vlaad trace` CSV rows computed one clip and one snippet at a time:
+    (clip_id, snippet_index, t_start_s, logit, prob, attention)."""
+    rows = []
+    for rec in records:
+        bag = segment_clip(rec, snippet_len, stride, encoder)
+        trace = forward_bag(bag, ckpt)
+        attention = pooling_attention(trace.logits, ckpt.gamma)
+        for i, (t, z, a) in enumerate(zip(bag.start_times, trace.logits,
+                                          attention)):
+            rows.append((rec.clip_id, i, float(t), float(z),
+                         float(sigmoid(z)), float(a)))
+    return rows

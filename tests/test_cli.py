@@ -10,9 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_clip, run_trace
+from oracles import per_clip_trace_rows
 from vlaad.cli import build_parser, run
+from vlaad.datakit import read_manifest, write_manifest
+from vlaad.embeddings import StubEncoder, write_embedding_cache
+from vlaad.mil import segment_clip, segment_lse_pool
 from vlaad.model import init_checkpoint, save_checkpoint
+from vlaad.numerics import sigmoid
 from vlaad.plotting import emit_trace_plot, parse_trace_csv
+from vlaad.trainer import (TrainConfig, forward_stack, prepare_examples,
+                           scores_for)
 
 
 def run_cli(capsys, *argv):
@@ -162,14 +170,27 @@ def eval_inputs(tmp_path_factory):
     return root, manifest, (root / "good.bin").read_bytes()
 
 
+def run_quiet(argv):
+    """``cli.run`` with stdout dropped: (code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def assert_one_error_line(err, *parts):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for part in parts:
+        assert re.search(part, err), err
+
+
 def eval_bytes(root, manifest, data):
     """``vlaad eval`` on a checkpoint file holding ``data``: (code, stderr, path)."""
     path = root / "ckpt.bin"
     path.write_bytes(data)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = run(["eval", "--checkpoint", str(path), "--manifest", str(manifest)])
-    return code, err.getvalue(), path
+    code, err = run_quiet(["eval", "--checkpoint", path, "--manifest", manifest])
+    return code, err, path
 
 
 class TestCheckpointReader:
@@ -232,6 +253,178 @@ class TestCheckpointReader:
         assert code in (0, 2), err
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def cache_inputs(eval_inputs):
+    """``eval_inputs`` plus the bytes of a valid D=6 cache for its manifest."""
+    root, manifest, _ = eval_inputs
+    stub = StubEncoder(dim=6, seed=42)
+    entries = {}
+    for rec in read_manifest(manifest):
+        for i, row in enumerate(segment_clip(rec, 8, 8, stub).snippets):
+            entries[f"{rec.clip_id}:{i}"] = row
+        entries[rec.caption.strip()] = stub.encode_text(rec.caption).values
+    write_embedding_cache(root / "good.vlec", entries, dim=6)
+    return root, manifest, (root / "good.vlec").read_bytes()
+
+
+def eval_cache_bytes(root, manifest, data):
+    """``vlaad eval`` with an embedding cache holding ``data``: (code, stderr, path)."""
+    path = root / "cache.vlec"
+    path.write_bytes(data)
+    code, err = run_quiet(["eval", "--checkpoint", root / "good.bin", "--manifest",
+                           manifest, "--embedding-cache", path])
+    return code, err, path
+
+
+class TestEmbeddingCacheReader:
+    """Malformed caches exit 2 with one error line naming path and byte."""
+
+    def assert_rejected(self, cache_inputs, data, pattern):
+        code, err, path = eval_cache_bytes(*cache_inputs[:2], data)
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(str(path)), pattern)
+
+    def test_valid_cache_scores(self, cache_inputs):
+        code, err, _ = eval_cache_bytes(*cache_inputs)
+        assert code == 0, err
+
+    def test_header_cut_short(self, cache_inputs):
+        self.assert_rejected(cache_inputs, cache_inputs[2][:10],
+                             r"truncated embedding cache header at byte 10 of 20$")
+
+    def test_body_cut_mid_float(self, cache_inputs):
+        good = cache_inputs[2]
+        self.assert_rejected(cache_inputs, good[:-2],
+                             rf"truncated .* record \d+ at byte \d+: .* "
+                             rf"ends at byte {len(good) - 2}$")
+
+    def test_count_beyond_file_size(self, cache_inputs):
+        good = cache_inputs[2]
+        data = good[:12] + struct.pack("<Q", 10 ** 12) + good[20:]
+        self.assert_rejected(cache_inputs, data,
+                             rf"count 1000000000000 at byte 12 .* ends at "
+                             rf"byte {len(good)}$")
+
+    def test_trailing_bytes(self, cache_inputs):
+        good = cache_inputs[2]
+        self.assert_rejected(cache_inputs, good + b"\0",
+                             rf"trailing bytes .* end at byte {len(good)}, .* "
+                             rf"ends at byte {len(good) + 1}$")
+
+    def test_zero_dim(self, cache_inputs):
+        good = cache_inputs[2]
+        self.assert_rejected(cache_inputs, good[:8] + bytes(4) + good[12:],
+                             r"D=0 at byte 8")
+
+    def test_id_not_utf8(self, cache_inputs):
+        data = bytearray(cache_inputs[2])
+        data[22] = 0xFF  # first byte of the first record's id
+        self.assert_rejected(cache_inputs, bytes(data),
+                             r"record 0 id at byte 22 is not UTF-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fuzz_truncate_extend_bitflip(self, cache_inputs, data):
+        root, manifest, good = cache_inputs
+        kind = data.draw(st.sampled_from(["truncate", "extend", "flip"]))
+        if kind == "truncate":
+            blob = good[:data.draw(st.integers(0, len(good) - 1))]
+        elif kind == "extend":
+            blob = good + data.draw(st.binary(min_size=1, max_size=64))
+        else:
+            blob = bytearray(good)
+            for bit in data.draw(st.lists(st.integers(0, 8 * len(good) - 1),
+                                          min_size=1, max_size=3)):
+                blob[bit // 8] ^= 1 << (bit % 8)
+        code, err, _ = eval_cache_bytes(root, manifest, bytes(blob))
+        assert code in (0, 2), err
+        if code == 2:
+            assert_one_error_line(err)
+
+
+class TestLineReaderTypes:
+    """Well-formed JSON of the wrong shape exits 2 naming the path and line."""
+
+    def test_manifest_line_not_an_object(self, manifest, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(manifest.read_text().splitlines()[0] + "\n[1,2]\n")
+        code, err = run_quiet(["ingest", "--manifest", bad])
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(f"{bad}: manifest line 2:"))
+
+    def test_run_record_km_not_a_number(self, tmp_path):
+        bad = tmp_path / "runs.jsonl"
+        bad.write_text(json.dumps({"route_id": "r0", "km": "x",
+                                   "route_completion": 50.0}) + "\n")
+        code, err = run_quiet(["score", "--runs", bad])
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(f"{bad}: run record line 1:"))
+
+
+def ragged_clips(n, seed=0):
+    """``n`` external clips of 8 to 40 frames, labels alternating."""
+    rng = np.random.default_rng(seed)
+    return [make_clip(f"c{i:03d}", n_frames=int(rng.integers(8, 41)),
+                      label=i % 2, collision_frame=4 if i % 2 else None, seed=i)
+            for i in range(n)]
+
+
+@pytest.fixture
+def trace_ckpt():
+    return init_checkpoint(dim=64, hidden=24, gamma=10.0, seed=3,
+                           zero_first_layer=False)
+
+
+class TestTraceKernel:
+    """``vlaad trace`` runs eval's stacked kernel over more than one chunk;
+    the per-clip path in ``oracles`` checks every value."""
+
+    def test_logits_are_evals(self, tmp_path, trace_ckpt):
+        clips = ragged_clips(70)
+        rows, ckpt = run_trace(tmp_path, clips, trace_ckpt)
+        cfg = TrainConfig(epochs=0, embed_dim=ckpt.dim, hidden_dim=ckpt.hidden,
+                          gamma=ckpt.gamma, seed=ckpt.seed)
+        examples = prepare_examples(
+            clips, StubEncoder(dim=ckpt.dim, seed=ckpt.seed), cfg)
+        kernel = np.concatenate([forward_stack(ckpt, examples[s:s + 64], "mil").logits
+                                 for s in range(0, len(examples), 64)])
+        logits = np.array([r[3] for r in rows])
+        assert np.array_equal(logits, kernel)
+        starts = np.flatnonzero([r[1] == 0 for r in rows])
+        pooled, _ = segment_lse_pool(logits, starts, ckpt.gamma)
+        assert np.array_equal(sigmoid(pooled), scores_for(ckpt, examples, "mil"))
+
+    @pytest.mark.parametrize("snippet_len, stride", [(8, 8), (5, 3), (8, 2)])
+    def test_matches_per_clip_oracle(self, tmp_path, trace_ckpt, snippet_len,
+                                     stride):
+        clips = ragged_clips(70, seed=snippet_len + stride)
+        rows, ckpt = run_trace(tmp_path, clips, trace_ckpt, "--snippet-len",
+                               str(snippet_len), "--stride", str(stride))
+        expected = per_clip_trace_rows(
+            clips, ckpt, StubEncoder(dim=ckpt.dim, seed=ckpt.seed),
+            snippet_len, stride)
+        assert [r[:3] for r in rows] == [e[:3] for e in expected]
+        np.testing.assert_allclose([r[3:] for r in rows],
+                                   [e[3:] for e in expected], rtol=0, atol=1e-12)
+
+    def test_clip_id_matches_per_clip_oracle(self, tmp_path, trace_ckpt):
+        clips = ragged_clips(70)
+        longest = max(clips[1:], key=lambda c: c.n_frames)
+        rows, ckpt = run_trace(tmp_path, clips, trace_ckpt, "--clip-id",
+                               longest.clip_id)
+        expected = per_clip_trace_rows(
+            [longest], ckpt, StubEncoder(dim=ckpt.dim, seed=ckpt.seed))
+        assert len(rows) == len(expected) > 1
+        assert [r[:3] for r in rows] == [e[:3] for e in expected]
+        np.testing.assert_allclose([r[3:] for r in rows],
+                                   [e[3:] for e in expected], rtol=0, atol=1e-12)
+
+    def test_empty_manifest_header_only(self, tmp_path, trace_ckpt):
+        assert run_trace(tmp_path, [], trace_ckpt)[0] == []
+        assert (tmp_path / "trace.csv").read_bytes() == (
+            b"clip_id,snippet_index,t_start_s,logit,prob,attention\r\n")
 
 
 class TestTraceAndPlot:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,20 @@ class TestEmbeddingCache:
             enc.encode_window(window(np.ones((2, 3))))  # no key
         with pytest.raises(ValidationError):
             enc.encode_window(window(np.ones((2, 3)), key="b"))
+
+    def test_state_hash_is_the_whole_table_digest(self, tmp_path, rng):
+        """The lazy, incremental hash equals sha256 over every id and vector
+        joined in table order, computed from the written entries."""
+        path = tmp_path / "emb.bin"
+        entries = {f"clip:{i}": rng.standard_normal(8).astype(np.float32)
+                   for i in range(5)}
+        entries["a café scene"] = rng.standard_normal(8).astype(np.float32)
+        write_embedding_cache(path, entries, dim=8)
+        expected = hashlib.sha256(b"".join(
+            k.encode() + v.tobytes() for k, v in entries.items())).hexdigest()
+        enc = CachedEncoder(path)
+        assert enc.state_hash() == expected
+        assert enc.state_hash() == expected
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.bin"

@@ -3,14 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_clip
-from oracles import parse_global_state, serialize_global_state
+from conftest import make_clip, run_trace
+from oracles import forward_bag, parse_global_state, serialize_global_state
 from vlaad.embeddings import FrameWindow, StubEncoder, encode_video_snippet
 from vlaad.errors import ValidationError
 from vlaad.inference import (CausalBuffer, make_global_state, push_tick,
-                             score_clip_trace, stream_tokens, toy_policy_step)
-from vlaad.mil import Bag, segment_clip
-from vlaad.model import bag_logits, forward_bag, init_checkpoint
+                             stream_tokens, toy_policy_step)
+from vlaad.mil import Bag, lse_pool, segment_clip
+from vlaad.model import bag_logits, init_checkpoint
 from vlaad.numerics import sigmoid
 
 
@@ -110,28 +110,27 @@ class TestPushTick:
 
 
 class TestScoreClipTrace:
-    def test_default_layout_timestamps(self, ckpt, small_encoder):
-        clip = make_clip(n_frames=40)
-        result = score_clip_trace(clip, ckpt, small_encoder)
-        assert len(result.trace.logits) == 5
-        np.testing.assert_allclose(result.timestamps, [0, 2, 4, 6, 8])
-        assert result.attention.shape == (5,)
-        assert result.attention.sum() == pytest.approx(1.0)
+    """``vlaad trace`` on one clip: layout, the per-clip oracle, determinism."""
 
-    def test_matches_forward_bag(self, ckpt, small_encoder):
+    def test_default_layout_timestamps(self, ckpt, tmp_path):
+        rows, _ = run_trace(tmp_path, [make_clip(n_frames=40)], ckpt)
+        assert [r[1] for r in rows] == [0, 1, 2, 3, 4]
+        np.testing.assert_allclose([r[2] for r in rows], [0, 2, 4, 6, 8])
+        assert sum(r[5] for r in rows) == pytest.approx(1.0)
+
+    def test_matches_forward_bag(self, ckpt, tmp_path):
         clip = make_clip(n_frames=40, seed=9)
-        result = score_clip_trace(clip, ckpt, small_encoder)
-        bag = segment_clip(clip, 8, 8, small_encoder)
-        trace = forward_bag(bag, ckpt)
-        np.testing.assert_array_equal(result.trace.logits, trace.logits)
-        assert result.trace.pooled == trace.pooled
+        rows, read = run_trace(tmp_path, [clip], ckpt)
+        bag = segment_clip(clip, 8, 8, StubEncoder(dim=read.dim, seed=read.seed))
+        trace = forward_bag(bag, read)
+        # one clip is one row block, so the stacked forward is the bag's own
+        np.testing.assert_array_equal([r[3] for r in rows], trace.logits)
+        assert lse_pool([r[3] for r in rows], read.gamma) == trace.pooled
 
-    def test_deterministic(self, ckpt, small_encoder):
+    def test_deterministic(self, ckpt, tmp_path):
         clip = make_clip(n_frames=40, seed=4)
-        a = score_clip_trace(clip, ckpt, small_encoder)
-        b = score_clip_trace(clip, ckpt, small_encoder)
-        np.testing.assert_array_equal(a.trace.logits, b.trace.logits)
-        np.testing.assert_array_equal(a.attention, b.attention)
+        assert (run_trace(tmp_path, [clip], ckpt)[0]
+                == run_trace(tmp_path, [clip], ckpt)[0])
 
 
 class TestGlobalState:

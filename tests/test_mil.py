@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clip
+from oracles import RiskTrace, forward_bag
 from vlaad.errors import EmptyInputError, ValidationError
-from vlaad.mil import (Bag, RiskTrace, lse_pool, pooling_attention,
-                       segment_clip, segment_lse_pool)
+from vlaad.mil import (Bag, lse_pool, pooling_attention, segment_clip,
+                       segment_lse_pool)
 
 finite_logits = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False),
@@ -151,8 +152,6 @@ class TestSegmentClip:
         assert bag.size == 9
 
     def test_single_snippet_edge(self, small_encoder, small_ckpt):
-        from vlaad.model import forward_bag
-
         clip = make_clip(n_frames=8)
         bag = segment_clip(clip, 8, 8, small_encoder)
         assert bag.size == 1

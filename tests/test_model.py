@@ -4,12 +4,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import pooled_logit_with_grad
+from oracles import forward_bag, pooled_logit_with_grad
 from vlaad.errors import DimensionMismatchError, ValidationError
 from vlaad.mil import Bag, lse_pool
 from vlaad.model import (ModelCheckpoint, adapter_forward, bag_logits,
-                         forward_bag, forward_rows, init_checkpoint,
-                         load_checkpoint, param_layout, save_checkpoint)
+                         forward_rows, init_checkpoint, load_checkpoint,
+                         param_layout, save_checkpoint)
 
 
 def tiny_adapter(rng, dim=6, hidden=4, scale=0.1):
