@@ -88,7 +88,7 @@ class ClipRecord:
         if self.features is not None:
             return self.features
         if self.frames_path is not None:
-            return np.asarray(np.load(self.frames_path), dtype=np.float32)
+            return _load_frames(self.clip_id, self.frames_path)
         raise ValidationError(f"clip {self.clip_id} carries no frame features")
 
     @property
@@ -98,6 +98,26 @@ class ClipRecord:
     @property
     def duration_s(self) -> float:
         return self.n_frames / FRAME_HZ
+
+
+def _load_frames(clip_id: str, path: str) -> np.ndarray:
+    """A clip's ``.npy`` frame matrix, held to the rules inline features
+    meet: 2-D, at least one frame, finite.  Errors name the clip and file."""
+    what = f"clip {clip_id}: frames file {path}"
+    try:
+        loaded = np.load(path)
+        if not isinstance(loaded, np.ndarray):
+            loaded.close()
+            raise TypeError("an .npz archive, not one .npy array")
+        feats = np.asarray(loaded, dtype=np.float32)
+    except (TypeError, ValueError, EOFError) as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+    if feats.ndim != 2 or feats.shape[0] < 1:
+        raise ValidationError(
+            f"{what}: features must be (F, dim) with F >= 1, got shape {feats.shape}")
+    if not np.all(np.isfinite(feats)):
+        raise ValidationError(f"{what}: non-finite features")
+    return feats
 
 
 def validate_record(rec: ClipRecord) -> None:

@@ -20,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Protocol, Tuple
+from typing import Dict, Iterable, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ DEFAULT_TEXT_BUCKETS = 512
 CACHE_MAGIC = b"VLEC"
 CACHE_VERSION = 1
 _CACHE_HEADER = struct.Struct("<4sIIQ")  # magic, version, D, count
+_FINITE_CHECK_BYTES = 1 << 20  # vector bytes per pass locating a non-finite one
 
 # Seed-stream tags so the video and text projections never collide even
 # for identical (seed, shape) pairs.
@@ -100,6 +102,12 @@ class EncoderHandle(Protocol):
 
     def encode_window(self, window: FrameWindow) -> Embedding: ...
 
+    def encode_windows(self, frames: np.ndarray, starts: Sequence[int],
+                       length: int, keys: Sequence[str]) -> np.ndarray:
+        """(T, D) float32: row t encodes ``frames[starts[t]:starts[t] + length]``,
+        the window ``keys[t]`` names."""
+        ...
+
     def encode_text(self, caption: str) -> Embedding: ...
 
     def state_hash(self) -> str: ...
@@ -152,10 +160,22 @@ class StubEncoder:
                                / np.sqrt(self.text_buckets))
         return self._text_proj
 
+    def _window_vector(self, frames: np.ndarray) -> np.ndarray:
+        # one window at a time, so every row is bit for bit encode_window's;
+        # a (T, F) @ (F, D) product over many windows may round differently
+        pooled = np.asarray(frames, dtype=np.float64).mean(axis=0)
+        return _unit(pooled @ self._projection(pooled.shape[0]), "projected window")
+
     def encode_window(self, window: FrameWindow) -> Embedding:
-        pooled = window.frames.mean(axis=0)
-        projected = pooled @ self._projection(pooled.shape[0])
-        return Embedding(_unit(projected, "projected window"), "video")
+        return Embedding(self._window_vector(window.frames), "video")
+
+    def encode_windows(self, frames, starts, length, keys) -> np.ndarray:
+        out = np.empty((len(starts), self.dim), dtype=np.float32)
+        # each slice goes to float64 on its own: a float64 copy of the whole
+        # clip per call fragments the heap (+1 MB peak RSS in training)
+        for row, s in zip(out, starts):
+            row[:] = self._window_vector(frames[s:s + length])
+        return out
 
     def encode_text(self, caption: str) -> Embedding:
         text = caption.strip()
@@ -180,7 +200,8 @@ class CachedEncoder:
     """Encoder backed by an offline embedding-cache file.
 
     Video windows must carry a ``key``; captions are looked up by their
-    trimmed text.  Vectors are returned exactly as stored.
+    trimmed text.  Vectors are returned exactly as stored; the reader has
+    already rejected any that is not finite.
     """
 
     def __init__(self, path):
@@ -197,6 +218,15 @@ class CachedEncoder:
         if window.key is None:
             raise ValidationError("cache-backed encoding requires a window key")
         return self._lookup(window.key, "video")
+
+    def encode_windows(self, frames, starts, length, keys) -> np.ndarray:
+        rows = self._table.rows
+        try:
+            index = [rows[key] for key in keys]
+        except KeyError as exc:
+            raise ValidationError(
+                f"embedding id {exc.args[0]!r} not present in cache") from None
+        return self._table.vectors.take(index, axis=0)  # one gather, a copy
 
     def encode_text(self, caption: str) -> Embedding:
         return self._lookup(caption.strip(), "text")
@@ -222,6 +252,18 @@ def encode_video_snippet(window: FrameWindow, encoder: EncoderHandle) -> Embeddi
         raise DimensionMismatchError(
             f"encoder produced dim {emb.dim}, configured for {encoder.dim}")
     return emb
+
+
+def encode_video_snippets(frames: np.ndarray, starts: Sequence[int], length: int,
+                          keys: Sequence[str], encoder: EncoderHandle) -> np.ndarray:
+    """Encode the windows ``frames[s:s + length]`` of one clip in one encoder
+    call: a (len(starts), D) float32 block, row t keyed ``keys[t]``."""
+    rows = encoder.encode_windows(frames, starts, length, keys)
+    if rows.shape != (len(starts), encoder.dim):
+        raise DimensionMismatchError(
+            f"encoder produced shape {rows.shape} for {len(starts)} windows, "
+            f"expected ({len(starts)}, {encoder.dim})")
+    return rows
 
 
 def encode_text(caption: str, encoder: EncoderHandle) -> Embedding:
@@ -258,13 +300,35 @@ def write_embedding_cache(path, entries: Mapping[str, np.ndarray] | Iterable[Tup
     return len(items)
 
 
-def read_embedding_cache(path) -> Tuple[Dict[str, np.ndarray], int]:
+class EmbeddingTable(Mapping):
+    """Read-only id -> float32 vector mapping over one (count, D) block.
+
+    ``rows`` maps each id to its row of ``vectors``; an id stored twice maps
+    to its last record.  Looking up an id returns a view into the block.
+    """
+
+    def __init__(self, rows: Dict[str, int], vectors: np.ndarray):
+        self.rows = rows
+        self.vectors = vectors
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self.vectors[self.rows[key]]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def read_embedding_cache(path) -> Tuple[EmbeddingTable, int]:
     """Read a cache file back into an id -> float32 vector table.
 
     The header's count is checked against the file size before anything
     else is read (every record takes at least 2 + 4·D bytes), records are
-    read one at a time, and the file must end where the last record does.
-    Each error names the path and the byte offset.
+    read one at a time into one preallocated block, the file must end where
+    the last record does, and every vector must be finite.  Each error names
+    the path and the byte offset.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -288,7 +352,7 @@ def read_embedding_cache(path) -> Tuple[Dict[str, np.ndarray], int]:
                 f"{path}: embedding cache count {count} at byte 12 needs at "
                 f"least {least} bytes at D={dim}, but the file ends at byte {size}")
         vectors = np.empty((count, dim), dtype="<f4")  # at most the file's size
-        table: Dict[str, np.ndarray] = {}
+        rows: Dict[str, int] = {}
         at = _CACHE_HEADER.size
         for i, vec in enumerate(vectors):
             raw = fh.read(2)
@@ -300,7 +364,7 @@ def read_embedding_cache(path) -> Tuple[Dict[str, np.ndarray], int]:
                     f"it needs {2 + klen + 4 * dim} bytes, but the file ends at "
                     f"byte {size}")
             try:
-                table[key.decode("utf-8")] = vec
+                rows[key.decode("utf-8")] = i
             except UnicodeDecodeError as exc:
                 raise ValidationError(
                     f"{path}: embedding cache record {i} id at byte {at + 2} is "
@@ -310,4 +374,23 @@ def read_embedding_cache(path) -> Tuple[Dict[str, np.ndarray], int]:
             raise ValidationError(
                 f"{path}: trailing bytes in embedding cache: its {count} records "
                 f"end at byte {at}, but the file ends at byte {size}")
-    return table, int(dim)
+        # NaN and ±inf reach the min or the max, which need no temporary
+        if count and not np.isfinite([vectors.min(), vectors.max()]).all():
+            step = max(1, _FINITE_CHECK_BYTES // (4 * dim))  # bounds the mask
+            lo = 0
+            while np.isfinite(vectors[lo:lo + step]).all():
+                lo += step
+            i = lo + int(np.argmin(np.isfinite(vectors[lo:lo + step]).all(axis=1)))
+            raise ValidationError(
+                f"{path}: embedding cache record {i} at byte "
+                f"{_record_offset(fh, dim, i)} has a non-finite value")
+    return EmbeddingTable(rows, vectors), int(dim)
+
+
+def _record_offset(fh, dim: int, index: int) -> int:
+    """Byte offset of record ``index`` in a cache file already read whole."""
+    at = _CACHE_HEADER.size
+    for _ in range(index):
+        fh.seek(at)
+        at += 2 + int.from_bytes(fh.read(2), "little") + 4 * dim
+    return at

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .embeddings import EncoderHandle, FrameWindow, encode_video_snippet
+from .embeddings import EncoderHandle, encode_video_snippets
 from .errors import EmptyInputError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,7 +116,8 @@ def segment_clip(clip: "ClipRecord", snippet_len: int = DEFAULT_SNIPPET_LEN,
     """Slice a clip's frame features into encoded snippets, order preserved.
 
     Produces T = floor((F - snippet_len) / stride) + 1 snippets at 4 Hz
-    frame timing.
+    frame timing, all encoded in one encoder call; snippet i is keyed
+    ``clip_id:i``.
     """
     if encoder is None:
         raise ValidationError("segment_clip requires an encoder")
@@ -129,14 +130,8 @@ def segment_clip(clip: "ClipRecord", snippet_len: int = DEFAULT_SNIPPET_LEN,
             f"clip {clip.clip_id} has {n_frames} frames, fewer than "
             f"snippet_len {snippet_len}")
     starts = range(0, n_frames - snippet_len + 1, stride)
-    rows, times = [], []
-    for i, s in enumerate(starts):
-        window = FrameWindow(
-            frames=feats[s:s + snippet_len],
-            timestamps=(np.arange(s, s + snippet_len) / clip.frame_hz),
-            key=f"{clip.clip_id}:{i}",
-        )
-        rows.append(encode_video_snippet(window, encoder).values)
-        times.append(s / clip.frame_hz)
-    return Bag(clip_id=clip.clip_id, snippets=np.stack(rows),
-               start_times=np.asarray(times), label=clip.label)
+    keys = [f"{clip.clip_id}:{i}" for i in range(len(starts))]
+    rows = encode_video_snippets(feats, starts, snippet_len, keys, encoder)
+    return Bag(clip_id=clip.clip_id, snippets=rows,
+               start_times=np.asarray(starts, dtype=np.float64) / clip.frame_hz,
+               label=clip.label)

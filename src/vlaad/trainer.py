@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .datakit import ClipRecord
-from .embeddings import EncoderHandle, FrameWindow, encode_text, encode_video_snippet
+from .embeddings import EncoderHandle, encode_text, encode_video_snippets
 from .errors import NonFiniteLossError, ValidationError
 from .losses import LossBreakdown
 from .mil import segment_clip, segment_lse_pool
@@ -133,12 +133,9 @@ def prepare_examples(records: Sequence[ClipRecord], encoder: EncoderHandle,
                 f"clip {rec.clip_id} has no caption; run captioning first")
         text = encode_text(rec.caption, encoder).values.astype(np.float64)
         if config.mode == "clip":
-            feats = rec.feature_matrix()
-            window = FrameWindow(
-                frames=feats,
-                timestamps=np.arange(feats.shape[0]) / rec.frame_hz,
-                key=f"{rec.clip_id}:clip")
-            snips = encode_video_snippet(window, encoder).values[None, :]
+            feats = rec.feature_matrix()  # one window of every frame
+            snips = encode_video_snippets(feats, [0], feats.shape[0],
+                                          [f"{rec.clip_id}:clip"], encoder)
         else:
             bag = segment_clip(rec, config.snippet_len, config.snippet_stride,
                                encoder)

@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from vlaad.embeddings import Embedding
+from vlaad.embeddings import Embedding, FrameWindow, encode_video_snippet
 from vlaad.errors import DegenerateInputError, DimensionMismatchError, ValidationError
 from vlaad.losses import LossBreakdown
-from vlaad.mil import lse_pool, pooling_attention, segment_clip
+from vlaad.mil import Bag, lse_pool, pooling_attention, segment_clip
 from vlaad.model import (adapter_forward, bag_logits, forward_rows,
                          heads_backward, param_views)
 from vlaad.numerics import sigmoid, softplus
@@ -30,6 +30,22 @@ def stub_video_embedding(frames, seed, dim):
     proj = rng.standard_normal((pooled.shape[0], dim)) / math.sqrt(pooled.shape[0])
     vec = pooled @ proj
     return (vec / np.linalg.norm(vec)).astype(np.float32)
+
+
+def per_snippet_bag(clip, snippet_len, stride, encoder):
+    """``segment_clip`` one snippet at a time: a validated ``FrameWindow`` and
+    one ``encode_video_snippet`` call per snippet, keyed ``clip_id:i``."""
+    feats = clip.feature_matrix()
+    rows, times = [], []
+    for i, s in enumerate(range(0, feats.shape[0] - snippet_len + 1, stride)):
+        window = FrameWindow(
+            frames=feats[s:s + snippet_len],
+            timestamps=np.arange(s, s + snippet_len) / clip.frame_hz,
+            key=f"{clip.clip_id}:{i}")
+        rows.append(encode_video_snippet(window, encoder).values)
+        times.append(s / clip.frame_hz)
+    return Bag(clip_id=clip.clip_id, snippets=np.stack(rows),
+               start_times=np.asarray(times), label=clip.label)
 
 
 def stub_text_embedding(caption, seed, buckets, dim):

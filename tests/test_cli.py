@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from conftest import make_clip, run_trace
 from oracles import per_clip_trace_rows
 from vlaad.cli import build_parser, run
-from vlaad.datakit import read_manifest, write_manifest
-from vlaad.embeddings import StubEncoder, write_embedding_cache
+from vlaad.datakit import ClipRecord, read_manifest, write_manifest
+from vlaad.embeddings import (StubEncoder, read_embedding_cache,
+                              write_embedding_cache)
 from vlaad.mil import segment_clip, segment_lse_pool
 from vlaad.model import init_checkpoint, save_checkpoint
 from vlaad.numerics import sigmoid
@@ -324,6 +325,26 @@ class TestEmbeddingCacheReader:
         self.assert_rejected(cache_inputs, bytes(data),
                              r"record 0 id at byte 22 is not UTF-8")
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_value(self, cache_inputs, value):
+        data = bytearray(cache_inputs[2])
+        second = 22 + int.from_bytes(data[20:22], "little") + 4 * 6
+        at = second + 2 + int.from_bytes(data[second:second + 2], "little")
+        data[at + 12:at + 16] = np.float32(value).tobytes()  # its fourth value
+        self.assert_rejected(cache_inputs, bytes(data),
+                             rf"record 1 at byte {second} has a non-finite value$")
+
+    def test_missing_window_id(self, cache_inputs):
+        root, manifest, _ = cache_inputs
+        table, dim = read_embedding_cache(root / "good.vlec")
+        missing = f"{read_manifest(manifest)[0].clip_id}:2"
+        write_embedding_cache(root / "short.vlec",
+                              {k: v for k, v in table.items() if k != missing}, dim)
+        code, err, _ = eval_cache_bytes(root, manifest,
+                                        (root / "short.vlec").read_bytes())
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(f"embedding id {missing!r} not present"))
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_fuzz_truncate_extend_bitflip(self, cache_inputs, data):
@@ -342,6 +363,80 @@ class TestEmbeddingCacheReader:
         assert code in (0, 2), err
         if code == 2:
             assert_one_error_line(err)
+
+
+def write_frames(root, case):
+    """A frames file for ``case``; every case but "valid" is malformed."""
+    feats = np.random.default_rng(0).standard_normal((40, 8)).astype(np.float32)
+    path = root / f"{case}.npy"
+    if case == "nan":
+        feats[17, 3] = np.nan
+    elif case == "one_dim":
+        feats = feats[0]
+    elif case == "three_dim":
+        feats = feats[None]
+    elif case == "npz":
+        path = root / "frames.npz"
+        np.savez(path, feats=feats)
+        return path
+    np.save(path, feats)
+    if case == "header_cut":
+        path.write_bytes(path.read_bytes()[:20])
+    elif case == "body_cut":
+        path.write_bytes(path.read_bytes()[:-7])
+    elif case == "empty":
+        path.write_bytes(b"")
+    return path
+
+
+class TestFramesPathReader:
+    """A manifest's frames file must hold a finite (F, dim) array; otherwise
+    eval and trace exit 2 with one error line naming the clip and the file."""
+
+    MESSAGES = {
+        "nan": r"non-finite features$",
+        "one_dim": r"must be \(F, dim\) with F >= 1, got shape \(8,\)$",
+        "three_dim": r"must be \(F, dim\) with F >= 1, got shape \(1, 40, 8\)$",
+        "header_cut": r"EOF: reading array header",
+        "body_cut": r"Failed to read all data",
+        "empty": r"No data left in file$",
+        "npz": r"an \.npz archive, not one \.npy array$",
+    }
+
+    def run_on(self, eval_inputs, tmp_path, case, *argv):
+        root, good_manifest = eval_inputs[:2]
+        frames = write_frames(tmp_path, case)
+        manifest = tmp_path / "m.jsonl"
+        caption = read_manifest(good_manifest)[0].caption  # one the cache holds
+        write_manifest([ClipRecord("ext0", frames_path=str(frames), label=0,
+                                   caption=caption)], manifest)
+        common = ["--checkpoint", root / "good.bin", "--manifest", manifest]
+        if argv[0] == "trace":
+            argv = (*argv, "-o", tmp_path / "t.csv")
+        code, err = run_quiet([*argv, *common])
+        return code, err, frames
+
+    @pytest.mark.parametrize("command", [("eval",), ("trace",)])
+    @pytest.mark.parametrize("case", list(MESSAGES))
+    def test_malformed_frames_exit_2(self, eval_inputs, tmp_path, case, command):
+        code, err, frames = self.run_on(eval_inputs, tmp_path, case, *command)
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(f"clip ext0: frames file {frames}: "),
+                              self.MESSAGES[case])
+
+    def test_non_finite_frames_with_cache_encoder(self, cache_inputs, tmp_path):
+        root = cache_inputs[0]
+        code, err, frames = self.run_on(
+            cache_inputs, tmp_path, "nan", "eval", "--embedding-cache",
+            root / "good.vlec")
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(f"clip ext0: frames file {frames}: "),
+                              self.MESSAGES["nan"])
+
+    def test_valid_frames_trace(self, eval_inputs, tmp_path):
+        code, err, _ = self.run_on(eval_inputs, tmp_path, "valid", "trace")
+        assert code == 0, err
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 5
 
 
 class TestLineReaderTypes:

@@ -118,6 +118,7 @@ class TestEmbeddingCache:
         assert set(table) == set(entries)
         for key, vec in entries.items():
             assert np.array_equal(table[key], vec)
+            assert np.shares_memory(table[key], table.vectors)  # one block
 
     def test_cached_encoder_serves_vectors_as_is(self, tmp_path, rng):
         path = tmp_path / "emb.bin"

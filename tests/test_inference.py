@@ -36,10 +36,19 @@ class TestPushTick:
         assert buffer.encoder_calls == 1
         assert len(set(tokens)) == 1  # cached token repeated
 
-    def test_hundred_ticks_twenty_calls(self, ckpt, small_encoder, rng):
+    def test_hundred_ticks_twenty_calls(self, ckpt, rng):
+        class CountingEncoder(StubEncoder):
+            windows = 0
+
+            def encode_window(self, window):
+                self.windows += 1
+                return super().encode_window(window)
+
+        encoder = CountingEncoder(dim=16, seed=7)
         frames = rng.standard_normal((100, 4))
-        buffer, _ = run_stream(frames, ckpt, small_encoder)
+        buffer, _ = run_stream(frames, ckpt, encoder)
         assert buffer.encoder_calls == 20
+        assert encoder.windows == 20  # one encode_window call per update tick
 
     def test_warmup_before_first_update_tick(self, ckpt, small_encoder, rng):
         buffer = CausalBuffer(small_encoder)

@@ -1,13 +1,16 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clip
-from oracles import RiskTrace, forward_bag
-from vlaad.errors import EmptyInputError, ValidationError
+from oracles import RiskTrace, forward_bag, per_snippet_bag
+from vlaad.embeddings import CachedEncoder, StubEncoder, write_embedding_cache
+from vlaad.errors import DimensionMismatchError, EmptyInputError, ValidationError
 from vlaad.mil import (Bag, lse_pool, pooling_attention, segment_clip,
                        segment_lse_pool)
 
@@ -173,6 +176,46 @@ class TestSegmentClip:
             w = FrameWindow(frames, np.arange(8 * i, 8 * i + 8) / 4.0)
             expected = encode_video_snippet(w, small_encoder).values
             assert np.array_equal(bag.snippets[i], expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(snippet_len=st.integers(1, 10), stride=st.integers(1, 10),
+           extra=st.integers(0, 59), feat_dim=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 16))
+    @example(snippet_len=8, stride=8, extra=0, feat_dim=6, seed=0)  # F == len
+    @example(snippet_len=3, stride=10, extra=20, feat_dim=6, seed=1)  # stride > len
+    @example(snippet_len=1, stride=1, extra=59, feat_dim=1, seed=2)
+    def test_rows_equal_per_snippet_oracle(self, snippet_len, stride, extra,
+                                           feat_dim, seed):
+        """One encoder call per clip gives the per-snippet rows exactly,
+        with the stub and with a cache encoder."""
+        n_frames = min(snippet_len + extra, 60)
+        clip = make_clip(n_frames=n_frames, feat_dim=feat_dim, seed=seed)
+        stub = StubEncoder(dim=16, seed=7)
+        bag = segment_clip(clip, snippet_len, stride, stub)
+        expected = per_snippet_bag(clip, snippet_len, stride, stub)
+        assert bag.size == (n_frames - snippet_len) // stride + 1
+        assert np.array_equal(bag.snippets, expected.snippets)
+        assert np.array_equal(bag.start_times, expected.start_times)
+
+        rng = np.random.default_rng(seed)
+        entries = {f"{clip.clip_id}:{i}": rng.standard_normal(5).astype(np.float32)
+                   for i in range(bag.size + 2)}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.vlec"
+            write_embedding_cache(path, entries, dim=5)
+            cached = CachedEncoder(path)
+            bag = segment_clip(clip, snippet_len, stride, cached)
+            expected = per_snippet_bag(clip, snippet_len, stride, cached)
+        assert np.array_equal(bag.snippets, expected.snippets)
+        assert np.array_equal(bag.start_times, expected.start_times)
+
+    def test_wrong_width_encoder_rejected(self):
+        class WideEncoder(StubEncoder):
+            def encode_windows(self, frames, starts, length, keys):
+                return np.zeros((len(starts), self.dim + 1), np.float32)
+
+        with pytest.raises(DimensionMismatchError, match=r"\(5, 17\)"):
+            segment_clip(make_clip(n_frames=40), 8, 8, WideEncoder(dim=16))
 
 
 class TestBagAndTrace:
