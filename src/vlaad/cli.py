@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -17,13 +18,13 @@ import numpy as np
 
 from . import datakit, evalkit, inference, plotting, trainer
 from .embeddings import CachedEncoder, StubEncoder
-from .errors import NonFiniteLossError, SummarizerError, ValidationError, VlaadError
+from .errors import (LINES_BUFFER, NonFiniteLossError, SummarizerError,
+                     ValidationError, VlaadError, json_document, json_lines)
 from .mil import segment_clip
 from .model import load_checkpoint, save_checkpoint
 from .numerics import sigmoid
 
 ENCODER_ENV = "VLAAD_ENCODER"
-TRACE_HEADER = plotting.TRACE_HEADER
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,9 +131,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    records = datakit.read_manifest(args.manifest)
-    for rec in records:
-        datakit.validate_record(rec)
+    records = datakit.read_manifest(args.manifest)  # validates every record
     summary = {
         "records": len(records),
         "positives": sum(r.label for r in records),
@@ -146,24 +145,24 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _caption_one(job, index, client, seed):
-    rng = np.random.default_rng([seed, index])
-    kind = job.get("type")
+def _caption_job(obj):
+    """A caption-jobs line as (the line, its captioner of client and rng)."""
+    kind = obj.get("type")
     if kind == "collision":
-        log = job["log"]
-        caption = datakit.caption_collision_clip(
-            datakit.InfractionLog(
-                frame_number=log["frame_number"], infraction_type=log["type"],
-                message=log["message"], scenario_type=log["scenario"]),
-            client, rng=rng)
-        return {"id": job.get("id", index), "caption": caption, "warning": False}
+        log = datakit.InfractionLog.from_json(obj["log"])
+        return obj, lambda client, rng: (
+            datakit.caption_collision_clip(log, client, rng=rng), False)
     if kind == "normal":
-        result = datakit.caption_normal_clip(
-            job["annotations"], client, rng=rng,
-            paraphrase=bool(job.get("paraphrase", False)))
-        return {"id": job.get("id", index), "caption": result.text,
-                "warning": result.warning}
-    raise ValidationError(f"caption job {index}: unknown type {kind!r}")
+        return obj, functools.partial(
+            datakit.caption_normal_clip, list(obj["annotations"]),
+            paraphrase=bool(obj.get("paraphrase", False)))
+    raise ValidationError(f"unknown type {kind!r}")
+
+
+def _caption_one(job, index, client, seed):
+    obj, captioner = job
+    text, warning = captioner(client, rng=np.random.default_rng([seed, index]))
+    return {"id": obj.get("id", index), "caption": text, "warning": warning}
 
 
 def _cmd_caption(args) -> int:
@@ -172,20 +171,12 @@ def _cmd_caption(args) -> int:
         client = datakit.HttpSummarizerClient(url)
     else:
         client = datakit.StubSummarizerClient()
-    jobs = []
-    with open(args.jobs, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                jobs.append(json.loads(line))
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(
-                lambda pair: _caption_one(pair[1], pair[0], client, args.seed),
-                enumerate(jobs)))
-    else:
-        results = [_caption_one(job, i, client, args.seed)
-                   for i, job in enumerate(jobs)]
+    with open(args.jobs, "rb", buffering=LINES_BUFFER) as fh:
+        jobs = list(json_lines(fh, args.jobs, "caption job", _caption_job))
+    with ThreadPoolExecutor(max_workers=max(1, args.parallel)) as pool:
+        results = list(pool.map(  # in job order, whatever the thread count
+            functools.partial(_caption_one, client=client, seed=args.seed),
+            jobs, range(len(jobs))))
     with open(args.output, "w", encoding="utf-8") as fh:  # append-ordered
         for res in results:
             fh.write(json.dumps(res, separators=(",", ":")) + "\n")
@@ -196,19 +187,20 @@ def _cmd_caption(args) -> int:
 def _load_train_config(args) -> trainer.TrainConfig:
     data = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data.update(json.load(fh))
+        data = json_document(args.config, "train config",
+                             trainer.TrainConfig.check_fields)
     for item in args.set:
         if "=" not in item:
             raise ValidationError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
-        fields = trainer.TrainConfig.__dataclass_fields__
-        if key not in fields:
-            raise ValidationError(f"unknown config key {key!r}")
         try:
-            data[key] = json.loads(raw)
+            value = json.loads(raw)
         except json.JSONDecodeError:
-            data[key] = raw  # bare strings like mode=mil
+            value = raw  # bare strings like mode=mil
+        try:
+            data.update(trainer.TrainConfig.check_fields({key: value}))
+        except ValidationError as exc:
+            raise ValidationError(f"--set {item}: {exc}") from None
     if args.seed is not None:
         data["seed"] = args.seed
     return trainer.TrainConfig.from_dict(data)
@@ -232,22 +224,16 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _scored_set(args, config_mode):
+def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     records = datakit.read_manifest(args.manifest)
-    encoder = _make_encoder(ckpt.dim, ckpt.seed,
-                            getattr(args, "embedding_cache", None))
-    cfg = trainer.TrainConfig(epochs=0, mode=config_mode, embed_dim=ckpt.dim,
+    encoder = _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache)
+    cfg = trainer.TrainConfig(epochs=0, mode=args.mode, embed_dim=ckpt.dim,
                               hidden_dim=ckpt.hidden, gamma=ckpt.gamma,
                               seed=ckpt.seed)
     examples = trainer.prepare_examples(records, encoder, cfg)
-    probs = trainer.scores_for(ckpt, examples, config_mode)
-    labels = np.asarray([r.label for r in records])
-    return ckpt, records, encoder, evalkit.ScoredSet(probs, labels)
-
-
-def _cmd_eval(args) -> int:
-    _, _, _, scored = _scored_set(args, args.mode)
+    scored = evalkit.ScoredSet(trainer.scores_for(ckpt, examples, args.mode),
+                               np.asarray([r.label for r in records]))
     auc = evalkit.roc_auc(scored)
     if args.tau is None:
         tau = evalkit.youden_threshold(scored).threshold
@@ -263,10 +249,10 @@ def _cmd_eval(args) -> int:
 def _cmd_infer(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     encoder = _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache)
-    tokens = inference.stream_tokens(
-        sys.stdin, ckpt, encoder, size=args.buffer_size,
-        subsample_period=args.period, tick_rate_hz=args.tick_rate,
-        caching=not args.no_cache)
+    tokens = inference.stream_tokens(  # bytes, so bad UTF-8 gets a line number
+        getattr(sys.stdin, "buffer", sys.stdin), ckpt, encoder,
+        size=args.buffer_size, subsample_period=args.period,
+        tick_rate_hz=args.tick_rate, caching=not args.no_cache)
     for token in tokens:
         print(f"{token:.8f}")
     return 0
@@ -292,7 +278,7 @@ def _cmd_trace(args) -> int:
     chunk = trainer.DEFAULT_EVAL_BATCH
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
+        writer.writerow(plotting.TRACE_HEADER)
         # eval's chunks: the same row blocks give eval's logits bit for bit
         for start in range(0, len(records), chunk):
             bags = [segment_clip(rec, args.snippet_len, args.stride, encoder)
@@ -314,34 +300,32 @@ def _cmd_score(args) -> int:
     records = evalkit.read_run_records(args.runs)
     if not records:
         raise ValidationError("no run records found")
-    totals = {"km": 0.0, "collisions": 0.0}
-    summaries = []
-    for rec in records:
-        summary = evalkit.summarize_run(rec, version=args.version)
-        summaries.append({"route_id": rec.route_id, **summary})
-        totals["km"] += rec.km
-        totals["collisions"] += sum(
-            c for k, c in rec.infractions.items() if k in evalkit.COLLISION_TYPES)
+    summaries = [{"route_id": rec.route_id,
+                  **evalkit.summarize_run(rec, version=args.version)}
+                 for rec in records]
     for row in summaries:
         print(json.dumps(row))
-    aggregate = {
-        "routes": len(records),
-        "km": totals["km"],
-        "RC": float(np.mean([s["RC"] for s in summaries])),
-        "IS": float(np.mean([s["IS"] for s in summaries])),
-        "DS": float(np.mean([s["DS"] for s in summaries])),
-        "Col_per_km": (totals["collisions"] / totals["km"]
-                       if totals["km"] > 0 else 0.0),
-    }
+    km = collisions = 0.0  # added in record order (sum() may compensate)
+    for rec in records:
+        km += rec.km
+        collisions += sum(c for k, c in rec.infractions.items()
+                          if k in evalkit.COLLISION_TYPES)
+    aggregate = {"routes": len(records), "km": km}
+    for key in ("RC", "IS", "DS"):
+        aggregate[key] = float(np.mean([s[key] for s in summaries]))
+    aggregate["Col_per_km"] = collisions / km if km > 0 else 0.0
     print(json.dumps({"aggregate": aggregate}))
     return 0
 
 
 def _cmd_wilcoxon(args) -> int:
-    with open(args.deltas, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    deltas = payload["deltas"] if isinstance(payload, dict) else payload
-    result = evalkit.wilcoxon_signed_rank(deltas, continuity=args.continuity)
+    def parse(payload) -> evalkit.WilcoxonResult:
+        deltas = payload["deltas"] if isinstance(payload, dict) else payload
+        if not isinstance(deltas, list):
+            raise ValidationError("expected a list, or an object with a 'deltas' list")
+        return evalkit.wilcoxon_signed_rank(deltas, continuity=args.continuity)
+
+    result = json_document(args.deltas, "deltas", parse)
     print(json.dumps({"W": result.statistic, "n": result.n_effective,
                       "p": result.p_one_sided, "method": result.method}))
     return 0
@@ -369,15 +353,11 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (SummarizerError, NonFiniteLossError) as exc:
+    except (VlaadError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (VlaadError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, (SummarizerError, NonFiniteLossError)):
+            return 1  # runtime errors, like OSError
+        return 2 if isinstance(exc, (VlaadError, ValueError)) else 1
 
 
 def main() -> None:

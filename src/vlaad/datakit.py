@@ -20,7 +20,8 @@ from typing import Iterable, List, NamedTuple, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptyInputError, SummarizerError, ValidationError
+from .errors import (LINES_BUFFER, EmptyInputError, SummarizerError,
+                     ValidationError, json_lines)
 
 CLIP_FRAMES = 40
 FRAME_HZ = 4.0
@@ -54,6 +55,11 @@ class InfractionLog:
         if self.infraction_type not in INFRACTION_TYPES:
             raise ValidationError(
                 f"infraction type {self.infraction_type!r} not in {INFRACTION_TYPES}")
+
+    @classmethod
+    def from_json(cls, obj) -> "InfractionLog":
+        return cls(frame_number=obj["frame_number"], infraction_type=obj["type"],
+                   message=obj["message"], scenario_type=obj["scenario"])
 
 
 @dataclass
@@ -91,18 +97,18 @@ class ClipRecord:
             return _load_frames(self.clip_id, self.frames_path)
         raise ValidationError(f"clip {self.clip_id} carries no frame features")
 
-    @property
-    def n_frames(self) -> int:
-        return int(self.feature_matrix().shape[0])
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_frames / FRAME_HZ
+def _check_frames(feats: np.ndarray, what: str) -> None:
+    """The rules every frame matrix meets: 2-D, at least one frame, finite."""
+    if feats.ndim != 2 or feats.shape[0] < 1:
+        raise ValidationError(
+            f"{what}: features must be (F, dim) with F >= 1, got shape {feats.shape}")
+    if not np.all(np.isfinite(feats)):
+        raise ValidationError(f"{what}: non-finite features")
 
 
 def _load_frames(clip_id: str, path: str) -> np.ndarray:
-    """A clip's ``.npy`` frame matrix, held to the rules inline features
-    meet: 2-D, at least one frame, finite.  Errors name the clip and file."""
+    """A clip's ``.npy`` frame matrix; errors name the clip and the file."""
     what = f"clip {clip_id}: frames file {path}"
     try:
         loaded = np.load(path)
@@ -112,18 +118,16 @@ def _load_frames(clip_id: str, path: str) -> np.ndarray:
         feats = np.asarray(loaded, dtype=np.float32)
     except (TypeError, ValueError, EOFError) as exc:
         raise ValidationError(f"{what}: {exc}") from None
-    if feats.ndim != 2 or feats.shape[0] < 1:
-        raise ValidationError(
-            f"{what}: features must be (F, dim) with F >= 1, got shape {feats.shape}")
-    if not np.all(np.isfinite(feats)):
-        raise ValidationError(f"{what}: non-finite features")
+    _check_frames(feats, what)
     return feats
 
 
 def validate_record(rec: ClipRecord) -> None:
     """Re-checkable schema invariants; also re-run on every manifest write."""
-    if not rec.clip_id:
-        raise ValidationError("clip_id must be non-empty")
+    if not isinstance(rec.clip_id, str) or not rec.clip_id:
+        raise ValidationError("clip_id must be a non-empty string")
+    if not isinstance(rec.caption, str):
+        raise ValidationError(f"clip {rec.clip_id}: caption must be a string")
     if rec.label not in (0, 1):
         raise ValidationError(f"label must be 0 or 1, got {rec.label}")
     if (rec.label == 1) != (rec.collision_frame is not None):
@@ -135,18 +139,16 @@ def validate_record(rec: ClipRecord) -> None:
         raise ValidationError(f"source {rec.source!r} not in {SOURCES}")
     if rec.features is None and rec.frames_path is None:
         raise ValidationError(f"clip {rec.clip_id} needs features or a frames path")
+    n = float("inf")  # the frame count, unknown until a frames file is read
     if rec.features is not None:
-        if rec.features.ndim != 2 or rec.features.shape[0] < 1:
-            raise ValidationError(f"clip {rec.clip_id}: features must be (F, dim)")
-        if not np.all(np.isfinite(rec.features)):
-            raise ValidationError(f"clip {rec.clip_id}: non-finite features")
+        _check_frames(rec.features, f"clip {rec.clip_id}")
         n = rec.features.shape[0]
         if rec.source in ("assembled", "augmented", "synthetic") and n != CLIP_FRAMES:
             raise ValidationError(
                 f"clip {rec.clip_id}: expected {CLIP_FRAMES} frames, got {n}")
-        if rec.collision_frame is not None and not (0 <= rec.collision_frame < n):
-            raise ValidationError(f"clip {rec.clip_id}: collision_frame out of range")
     if rec.collision_frame is not None:
+        if not 0 <= rec.collision_frame < n:
+            raise ValidationError(f"clip {rec.clip_id}: collision_frame out of range")
         if rec.source == "assembled" and not (
                 ASSEMBLY_MIN_FRAME <= rec.collision_frame <= ASSEMBLY_MAX_FRAME):
             raise ValidationError(
@@ -157,8 +159,6 @@ def validate_record(rec: ClipRecord) -> None:
                 AUGMENT_MIN_FRAME <= rec.collision_frame <= AUGMENT_MAX_FRAME):
             raise ValidationError(
                 f"clip {rec.clip_id}: augmented collision frame out of band")
-    if rec.infraction is not None and rec.infraction.infraction_type not in INFRACTION_TYPES:
-        raise ValidationError("invalid infraction type")
     if rec.event_window is not None:
         s, e = rec.event_window
         if not (0 <= s < e):
@@ -561,9 +561,7 @@ def record_to_json(rec: ClipRecord) -> dict:
 def record_from_json(obj: dict) -> ClipRecord:
     feats, path = _frames_from_json(obj["frames"])
     inf = obj.get("infraction")
-    infraction = None if inf is None else InfractionLog(
-        frame_number=inf["frame_number"], infraction_type=inf["type"],
-        message=inf["message"], scenario_type=inf["scenario"])
+    infraction = None if inf is None else InfractionLog.from_json(inf)
     window = obj.get("event_window")
     return ClipRecord(
         clip_id=obj["clip_id"], features=feats, frames_path=path,
@@ -590,15 +588,5 @@ def write_manifest(records: Iterable[ClipRecord], path) -> int:
 
 
 def read_manifest(path) -> List[ClipRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(record_from_json(json.loads(line)))
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise ValidationError(
-                    f"{path}: manifest line {lineno}: {exc}") from exc
-    return records
+    with open(path, "rb", buffering=LINES_BUFFER) as fh:
+        return list(json_lines(fh, path, "manifest", record_from_json))

@@ -91,9 +91,6 @@ class FrameWindow:
         if np.any(np.diff(self.timestamps) <= 0):
             raise ValidationError("timestamps must be strictly increasing")
 
-    def __len__(self) -> int:
-        return int(self.frames.shape[0])
-
 
 class EncoderHandle(Protocol):
     """Anything that maps windows and captions to D-dim embeddings."""
@@ -245,8 +242,6 @@ class CachedEncoder:
 
 def encode_video_snippet(window: FrameWindow, encoder: EncoderHandle) -> Embedding:
     """Encode one frame window into a video embedding of the encoder's dim."""
-    if len(window) < 1:
-        raise EmptyInputError("cannot encode an empty window")
     emb = encoder.encode_window(window)
     if emb.dim != encoder.dim:
         raise DimensionMismatchError(

@@ -1,4 +1,10 @@
-"""Shared exception types for the toolkit."""
+"""Shared exception types for the toolkit, and the one place that decides
+how a malformed JSON input is reported."""
+
+from __future__ import annotations
+
+import json
+from typing import Callable, Iterable, Iterator
 
 
 class VlaadError(Exception):
@@ -27,3 +33,41 @@ class SummarizerError(VlaadError, RuntimeError):
 
 class NonFiniteLossError(VlaadError, RuntimeError):
     """Training produced a non-finite loss; message carries epoch/batch."""
+
+
+# What bad JSON or a value of the wrong type raises while it is parsed
+# (JSONDecodeError and ValidationError are ValueErrors).
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError,
+              OverflowError)
+LINES_BUFFER = 1 << 16  # bytes; the default 8 KB reads 7 KB lines 5x slower
+
+
+def _malformed(where: str, exc: Exception) -> ValidationError:
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return ValidationError(f"{where}: {detail}")
+
+
+def json_lines(lines: Iterable, where, what: str, parse: Callable) -> Iterator:
+    """``parse`` of each non-blank JSON line (str, or UTF-8 bytes), reading
+    one line per item.
+
+    A line that is not JSON, or that ``parse`` rejects, raises
+    ``ValidationError("{where}: {what} line {n}: ...")``.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        if line and not line.isspace():
+            try:  # strict UTF-8; json.loads(bytes) sniffs, slower, for UTF-16 too
+                item = parse(json.loads(line.decode() if isinstance(line, bytes) else line))
+            except _MALFORMED as exc:
+                raise _malformed(f"{where}: {what} line {lineno}", exc) from exc
+            yield item
+
+
+def json_document(path, what: str, parse: Callable):
+    """``parse`` of the one JSON value in the file at ``path``.  Errors name
+    the path (a syntax error also its line and column)."""
+    with open(path, "rb") as fh:
+        try:
+            return parse(json.loads(fh.read().decode()))
+        except _MALFORMED as exc:
+            raise _malformed(f"{path}: {what}", exc) from exc

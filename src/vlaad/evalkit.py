@@ -10,14 +10,13 @@ approximation above that.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import LINES_BUFFER, ValidationError, json_lines
 
 # Severity coefficients of the additive-denominator penalty (v2.1):
 # pedestrian 1.0, vehicle 0.70, static-layout 0.60.
@@ -153,6 +152,11 @@ class DrivingRunRecord:
         for kind, count in self.infractions.items():
             if count < 0:
                 raise ValidationError(f"negative count for infraction {kind!r}")
+        for name in ("coefficients", "penalty_weights"):
+            params = getattr(self, name)
+            if params is not None and not (isinstance(params, Mapping) and all(
+                    isinstance(v, (int, float)) for v in params.values())):
+                raise ValidationError(f"{name} must map infraction types to numbers")
 
 
 def infraction_penalty(counts: Mapping[str, int], params: Mapping[str, float],
@@ -222,25 +226,17 @@ def summarize_run(record: DrivingRunRecord, version: str = "v21",
 
 def read_run_records(path) -> List[DrivingRunRecord]:
     """Run records as JSON Lines matching the DrivingRunRecord fields."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                records.append(DrivingRunRecord(
-                    route_id=obj["route_id"], km=obj["km"],
-                    route_completion=obj["route_completion"],
-                    infractions={k: int(v) for k, v in
-                                 obj.get("infractions", {}).items()},
-                    coefficients=obj.get("coefficients"),
-                    penalty_weights=obj.get("penalty_weights")))
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise ValidationError(
-                    f"{path}: run record line {lineno}: {exc}") from exc
-    return records
+    with open(path, "rb", buffering=LINES_BUFFER) as fh:
+        return list(json_lines(fh, path, "run record", _run_record))
+
+
+def _run_record(obj) -> DrivingRunRecord:
+    return DrivingRunRecord(
+        route_id=obj["route_id"], km=obj["km"],
+        route_completion=obj["route_completion"],
+        infractions={k: int(v) for k, v in obj.get("infractions", {}).items()},
+        coefficients=obj.get("coefficients"),
+        penalty_weights=obj.get("penalty_weights"))
 
 
 @dataclass

@@ -8,14 +8,13 @@ bit-identical outputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List
 
 import numpy as np
 
 from .embeddings import EncoderHandle, FrameWindow, encode_video_snippet
-from .errors import ValidationError
+from .errors import ValidationError, json_lines
 from .model import ModelCheckpoint, forward_rows
 from .numerics import sigmoid
 
@@ -79,6 +78,9 @@ def push_tick(buffer: CausalBuffer, frame, tick: int, ckpt: ModelCheckpoint,
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 1:
         raise ValidationError(f"frame must be a feature vector, got shape {frame.shape}")
+    if not np.isfinite(frame).all():
+        index = int(np.argmin(np.isfinite(frame)))
+        raise ValidationError(f"frame feature {index} is {frame[index]}, not finite")
     if buffer.frames and frame.shape != buffer.frames[0].shape:
         raise ValidationError(
             f"frame width {frame.shape[0]} differs from the buffer's first "
@@ -149,15 +151,8 @@ def stream_tokens(lines: Iterable[str], ckpt: ModelCheckpoint,
     """
     buffer = CausalBuffer(encoder, size=size, subsample_period=subsample_period,
                           tick_rate_hz=tick_rate_hz)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-            tick = int(obj["tick"])
-            frame = np.asarray(obj["features"], dtype=np.float64)
-            token = push_tick(buffer, frame, tick, ckpt, caching=caching)
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"stream line {lineno}: {exc}") from exc
-        yield token
+
+    def parse(obj) -> float:
+        return push_tick(buffer, obj["features"], int(obj["tick"]), ckpt, caching)
+
+    yield from json_lines(lines, getattr(lines, "name", "<stdin>"), "stream", parse)

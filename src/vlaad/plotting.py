@@ -35,37 +35,24 @@ def parse_trace_csv(path) -> Series:
     if not rows:
         raise ValidationError(f"{path}: trace CSV has a header but no data rows")
 
-    series: Series = {}
-    if header == TRACE_HEADER:
-        for lineno, row in rows:
-            if len(row) != len(TRACE_HEADER):
-                raise ValidationError(f"{path}: malformed row at line {lineno}")
-            try:
-                t, prob = float(row[2]), float(row[4])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: non-numeric value at line {lineno}") from None
-            xs, ys = series.setdefault(row[0], ([], []))
-            xs.append(t)
-            ys.append(prob)
-        return series
-
-    if len(header) < 2:
+    trace = header == TRACE_HEADER
+    if not trace and len(header) < 2:
         raise ValidationError(f"{path}: need a time column plus one series")
-    for name in header[1:]:
-        series[name] = ([], [])
+    series: Series = {} if trace else {name: ([], []) for name in header[1:]}
     for lineno, row in rows:
         if len(row) != len(header):
             raise ValidationError(f"{path}: malformed row at line {lineno}")
-        try:
-            t = float(row[0])
-            values = [float(v) for v in row[1:]]
+        try:  # (series, time, value) points: one per trace row, one per column
+            points = ([(row[0], float(row[2]), float(row[4]))] if trace else
+                      [(name, float(row[0]), float(v))
+                       for name, v in zip(header[1:], row[1:])])
         except ValueError:
             raise ValidationError(
                 f"{path}: non-numeric value at line {lineno}") from None
-        for name, v in zip(header[1:], values):
-            series[name][0].append(t)
-            series[name][1].append(v)
+        for name, t, value in points:
+            xs, ys = series.setdefault(name, ([], []))
+            xs.append(t)
+            ys.append(value)
     return series
 
 

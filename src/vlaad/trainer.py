@@ -52,7 +52,7 @@ class TrainConfig:
     zero_first_layer: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN included
             raise ValidationError("learning_rate must be positive")
         if not (0.0 < self.split_fraction < 1.0):
             raise ValidationError("split_fraction must be in (0, 1)")
@@ -62,18 +62,32 @@ class TrainConfig:
             raise ValidationError(f"mode must be 'mil' or 'clip', got {self.mode!r}")
         if self.train_batch < 1 or self.eval_batch < 1:
             raise ValidationError("batch sizes must be >= 1")
-        if self.pos_weight != "auto" and not float(self.pos_weight) > 0:
+        if self.pos_weight != "auto" and not (
+                isinstance(self.pos_weight, (int, float)) and self.pos_weight > 0):
             raise ValidationError("pos_weight must be positive or 'auto'")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+    def from_dict(cls, data) -> "TrainConfig":
+        return cls(**cls.check_fields(data))
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+    @classmethod
+    def check_fields(cls, data) -> dict:
+        """``data`` if it is an object of known fields, each holding a JSON
+        value of its annotated type (an int passes for a float)."""
+        if not isinstance(data, dict):
+            raise ValidationError("config must be a JSON object")
+        fields = cls.__dataclass_fields__
+        for name, value in data.items():
+            if name not in fields:
+                raise ValidationError(f"unknown config key {name!r}")
+            kinds = _JSON_TYPES[fields[name].type]
+            if not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool):
+                raise ValidationError(f"{name} must be {fields[name].type}, got {value!r}")
+        return data
+
+
+_JSON_TYPES = {"float": (int, float), "int": int, "str": str, "bool": bool,
+               "float | str": (int, float, str)}
 
 
 class SplitResult(NamedTuple):

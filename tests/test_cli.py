@@ -506,7 +506,7 @@ class TestTraceKernel:
 
     def test_clip_id_matches_per_clip_oracle(self, tmp_path, trace_ckpt):
         clips = ragged_clips(70)
-        longest = max(clips[1:], key=lambda c: c.n_frames)
+        longest = max(clips[1:], key=lambda c: c.features.shape[0])
         rows, ckpt = run_trace(tmp_path, clips, trace_ckpt, "--clip-id",
                                longest.clip_id)
         expected = per_clip_trace_rows(

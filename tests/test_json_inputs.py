@@ -1,0 +1,357 @@
+"""Every JSON text input of the CLI reports malformed input one way: exit 2
+and one ``error:`` line naming the file (or ``<stdin>``) and, for a line
+format, the line.
+
+The six formats are the manifest, run records, caption jobs, the stream
+NDJSON on stdin, the train config and the Wilcoxon deltas.
+"""
+
+import contextlib
+import io
+import json
+import re
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vlaad.cli import run
+from vlaad.datakit import ClipRecord, InfractionLog, write_manifest
+from vlaad.model import init_checkpoint, save_checkpoint
+
+
+def run_cli(argv, stdin=b""):
+    """``cli.run`` with ``stdin`` (bytes) on standard input:
+    (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([str(a) for a in argv])
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_2(result, *parts):
+    """Exit 2 with exactly one ``error:`` line holding every regex in ``parts``."""
+    code, _, err = result
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for part in parts:
+        assert re.search(part, err), err
+
+
+def jsonl(*objs) -> bytes:
+    return "".join(json.dumps(obj) + "\n" for obj in objs).encode()
+
+
+def stream_line(tick, features=(0.5, -0.25, 1.0)):
+    return {"tick": tick, "features": list(features)}
+
+
+@pytest.fixture(scope="module")
+def root(tmp_path_factory):
+    """A directory holding a D=8 checkpoint and a manifest no command accepts."""
+    root = tmp_path_factory.mktemp("json_inputs")
+    save_checkpoint(root / "ckpt.bin", init_checkpoint(
+        dim=8, hidden=4, seed=0, zero_first_layer=False))
+    (root / "bad_manifest.jsonl").write_bytes(jsonl({"clip_id": "x"}))
+    return root
+
+
+def valid_inputs(root):
+    """Each format's valid bytes and the argv that reads them from ``path``
+    (the stream is read from stdin instead)."""
+    manifest = root / "valid_manifest.jsonl"
+    feats = np.random.default_rng(0).standard_normal((40, 2)).astype(np.float32)
+    write_manifest([
+        ClipRecord("c0", features=feats, caption="a car hits a wall", label=1,
+                   collision_frame=20, source="external", event_window=(2, 3),
+                   infraction=InfractionLog(20, "vehicle", "hit", "ControlLoss")),
+        ClipRecord("c1", frames_path="c1.npy", caption="a calm drive", label=0,
+                   split="test"),
+    ], manifest)
+    runs = jsonl(
+        {"route_id": "r0", "km": 2.5, "route_completion": 80.0,
+         "infractions": {"vehicle": 1, "pedestrian": 2},
+         "coefficients": {"vehicle": 0.7, "pedestrian": 1.0}},
+        {"route_id": "r1", "km": 1.0, "route_completion": 100.0, "infractions": {}})
+    jobs = jsonl(
+        {"type": "collision", "id": "j0",
+         "log": {"frame_number": 12, "type": "pedestrian",
+                 "message": "Agent hit a walker. Hard.", "scenario": "Crossing"}},
+        {"type": "normal", "annotations": ["The car drives. Slowly.", "A turn."],
+         "paraphrase": True})
+    stream = jsonl(*(stream_line(t, (0.1 * t, -0.5, 1.0)) for t in range(7)))
+    config = json.dumps({"epochs": 2, "learning_rate": 0.01, "mode": "mil",
+                         "pos_weight": "auto", "zero_first_layer": False,
+                         "gamma": 10}, indent=1).encode()
+    deltas = json.dumps({"deltas": [1.5, -2.0, 3.0, 0.5, 4.0]}).encode()
+    return {
+        "manifest": (manifest.read_bytes(), lambda p: ["ingest", "--manifest", p]),
+        "run_records": (runs, lambda p: ["score", "--runs", p]),
+        "caption_jobs": (jobs, lambda p: ["caption", "--jobs", p,
+                                          "-o", root / "captions.jsonl"]),
+        "stream": (stream, None),
+        "config": (config, lambda p: ["train", "--config", p, "--manifest",
+                                      root / "bad_manifest.jsonl",
+                                      "-o", root / "never.bin"]),
+        "deltas": (deltas, lambda p: ["wilcoxon", "--deltas", p]),
+    }
+
+
+def run_format(root, formats, name, data):
+    """Run the command that reads format ``name`` on ``data``."""
+    argv = formats[name][1]
+    if argv is None:
+        return run_cli(["infer", "--checkpoint", root / "ckpt.bin"], stdin=data)
+    path = root / f"input_{name}"
+    path.write_bytes(data)
+    return run_cli(argv(path))
+
+
+SWAPS = ([], None, "7", {"k": {"k": 1}})  # a string where a number was
+
+
+def value_paths(value, path=()):
+    """The key path of ``value`` itself and of every value nested in it."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from value_paths(child, path + (key,))
+
+
+def swapped(value, path, new):
+    if not path:
+        return new
+    target = value
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = new
+    return value
+
+
+@st.composite
+def mutated(draw, good: bytes, one_document: bool):
+    """``good`` truncated, with one to three bits flipped, or with one value
+    (a whole line included) swapped for a value of another JSON type."""
+    kind = draw(st.sampled_from(["truncate", "flip", "swap"]))
+    if kind == "truncate":
+        return good[:draw(st.integers(0, len(good) - 1))]
+    if kind == "flip":
+        blob = bytearray(good)
+        for bit in draw(st.lists(st.integers(0, 8 * len(good) - 1),
+                                 min_size=1, max_size=3)):
+            blob[bit // 8] ^= 1 << (bit % 8)
+        return bytes(blob)
+    texts = [good.decode()] if one_document else good.decode().splitlines()
+    i = draw(st.integers(0, len(texts) - 1))
+    value = json.loads(texts[i])
+    path = draw(st.sampled_from(list(value_paths(value))))
+    texts[i] = json.dumps(swapped(value, path, draw(st.sampled_from(SWAPS))))
+    return "".join(t + "\n" for t in texts).encode()
+
+
+FORMATS = ["manifest", "run_records", "caption_jobs", "stream", "config", "deltas"]
+
+
+@pytest.fixture(scope="module")
+def formats(root):
+    return valid_inputs(root)
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_valid_input_exits_0(root, formats, name):
+    code, _, err = run_format(root, formats, name, formats[name][0])
+    if name == "config":  # the config is read, then the manifest fails
+        assert_exit_2((code, "", err), re.escape("bad_manifest.jsonl: manifest line 1"))
+    else:
+        assert code == 0 and err == "", err
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_input_exits_0_or_2(root, formats, name, data):
+    good = formats[name][0]
+    blob = data.draw(mutated(good, one_document=name in ("config", "deltas")))
+    code, _, err = run_format(root, formats, name, blob)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert_exit_2((code, "", err))
+
+
+class TestMalformedRegressions:
+    """Inputs that once ended in an uncaught traceback or a message that
+    named neither the file nor the line."""
+
+    def test_deltas_object_without_deltas(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"x":1}')
+        assert_exit_2(run_cli(["wilcoxon", "--deltas", path]),
+                      re.escape(f"{path}: deltas: missing key 'deltas'"))
+
+    def test_deltas_not_a_list(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"deltas": {"a": 1}}')
+        assert_exit_2(run_cli(["wilcoxon", "--deltas", path]),
+                      re.escape(f"{path}: deltas: expected a list"))
+
+    def train_config(self, tmp_path, text, *flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        return path, run_cli(["train", "--config", path, "--manifest",
+                              tmp_path / "none.jsonl", "-o", tmp_path / "x.bin",
+                              *flags])
+
+    def test_config_not_an_object(self, tmp_path):
+        path, result = self.train_config(tmp_path, "[1]")
+        assert_exit_2(result, re.escape(
+            f"{path}: train config: config must be a JSON object"))
+
+    def test_config_epochs_a_string(self, tmp_path):
+        path, result = self.train_config(tmp_path, '{"epochs":"x"}')
+        assert_exit_2(result, re.escape(
+            f"{path}: train config: epochs must be int, got 'x'"))
+
+    def test_set_epochs_a_list(self, tmp_path):
+        _, result = self.train_config(tmp_path, "{}", "--set", "epochs=[]")
+        assert_exit_2(result, re.escape("--set epochs=[]: epochs must be int, got []"))
+
+    def test_config_learning_rate_nan(self, tmp_path):
+        """Rejected before training, not by a non-finite loss after it."""
+        _, result = self.train_config(tmp_path, '{"learning_rate": NaN}')
+        assert_exit_2(result, "learning_rate must be positive$")
+
+    def test_config_syntax_error_names_line(self, tmp_path):
+        path, result = self.train_config(tmp_path, '{\n "epochs": 2,\n}')
+        assert_exit_2(result, re.escape(f"{path}: train config: "), "line 3 column 1")
+
+    def test_set_overrides_file_value(self, tmp_path):
+        """A --set value replaces the file's before the whole config is
+        checked, so the file's value may be out of range on its own."""
+        _, result = self.train_config(tmp_path, '{"learning_rate": 0}',
+                                      "--set", "learning_rate=0.1")
+        assert result[0] == 1, result  # config accepted; the manifest is missing
+
+    @pytest.mark.parametrize("value, ok", [(2, True), (2.5, True), ("auto", True),
+                                           ("2.5", False), (True, False)])
+    def test_pos_weight_number_or_auto(self, tmp_path, value, ok):
+        _, result = self.train_config(tmp_path, json.dumps({"pos_weight": value}))
+        if ok:
+            assert result[0] == 1, result
+        else:
+            assert_exit_2(result, "pos_weight must be")
+
+    def caption(self, tmp_path, *lines):
+        path = tmp_path / "jobs.jsonl"
+        good = {"type": "normal", "annotations": ["The car drives."]}
+        path.write_text(json.dumps(good) + "\n\n" + "".join(l + "\n" for l in lines))
+        result = run_cli(["caption", "--jobs", path, "-o", tmp_path / "out.jsonl"])
+        assert not (tmp_path / "out.jsonl").exists()
+        return path, result
+
+    def test_caption_job_not_an_object(self, tmp_path):
+        path, result = self.caption(tmp_path, "[1]")
+        assert_exit_2(result, re.escape(f"{path}: caption job line 3: "))
+
+    def test_caption_collision_without_log(self, tmp_path):
+        path, result = self.caption(tmp_path, '{"type":"collision"}')
+        assert_exit_2(result, re.escape(f"{path}: caption job line 3: missing key 'log'"))
+
+    def test_caption_annotations_a_number(self, tmp_path):
+        path, result = self.caption(tmp_path, '{"type":"normal","annotations":5}')
+        assert_exit_2(result, re.escape(f"{path}: caption job line 3: "), "not iterable")
+
+    def test_caption_job_not_json(self, tmp_path):
+        path, result = self.caption(tmp_path, "{oops")
+        assert_exit_2(result, re.escape(f"{path}: caption job line 3: "),
+                      "Expecting property name")
+
+    def test_caption_unknown_type(self, tmp_path):
+        path, result = self.caption(tmp_path, '{"type":"crash"}')
+        assert_exit_2(result, re.escape(
+            f"{path}: caption job line 3: unknown type 'crash'"))
+
+    def infer(self, root, bad_line):
+        stdin = jsonl(stream_line(0)) + bad_line.encode() + b"\n"
+        return run_cli(["infer", "--checkpoint", root / "ckpt.bin"], stdin=stdin)
+
+    def test_stream_line_a_list(self, root):
+        result = self.infer(root, "[1,2]")
+        assert_exit_2(result, re.escape("<stdin>: stream line 2: "))
+        assert len(result[1].splitlines()) == 1  # line 1's token came first
+
+    def test_stream_tick_null(self, root):
+        assert_exit_2(self.infer(root, '{"tick":null,"features":[1,2,3]}'),
+                      re.escape("<stdin>: stream line 2: "))
+
+    def test_stream_features_an_object(self, root):
+        assert_exit_2(self.infer(root, '{"tick":1,"features":{"a":1}}'),
+                      re.escape("<stdin>: stream line 2: "))
+
+    @pytest.mark.parametrize("value", ["NaN", "-Infinity", "1e999"])
+    def test_stream_non_finite_feature(self, root, value):
+        line = '{"tick":5,"features":[0.5,0.25,%s]}' % value
+        assert_exit_2(self.infer(root, line), re.escape(
+            "<stdin>: stream line 2: frame feature 2 is "), "not finite$")
+
+    def test_stream_bad_utf8_names_line(self, root):
+        stdin = jsonl(stream_line(0)) + b'{"tick":1,"features":[1,2,3],"x":"\xff"}\n'
+        assert_exit_2(run_cli(["infer", "--checkpoint", root / "ckpt.bin"],
+                              stdin=stdin),
+                      re.escape("<stdin>: stream line 2: 'utf-8' codec"))
+
+    def manifest(self, tmp_path, edit):
+        path = tmp_path / "m.jsonl"
+        feats = np.zeros((40, 2), dtype=np.float32)
+        write_manifest([ClipRecord(f"c{i}", features=feats, caption="x",
+                                   event_window=(0, 1)) for i in range(2)], path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = edit(lines[1])
+        path.write_bytes(b"".join(lines))
+        return path, run_cli(["ingest", "--manifest", path])
+
+    def test_manifest_event_window_empty(self, tmp_path):
+        path, result = self.manifest(
+            tmp_path, lambda line: line.replace(b'"event_window":[0,1]',
+                                                b'"event_window":[]'))
+        assert_exit_2(result, re.escape(f"{path}: manifest line 2: "))
+
+    def test_manifest_caption_not_a_string(self, tmp_path):
+        path, result = self.manifest(
+            tmp_path, lambda line: line.replace(b'"caption":"x"', b'"caption":5'))
+        assert_exit_2(result, re.escape(
+            f"{path}: manifest line 2: clip c1: caption must be a string"))
+
+    def test_manifest_bad_utf8_names_line(self, tmp_path):
+        path, result = self.manifest(
+            tmp_path, lambda line: line.replace(b'"caption":"x"', b'"caption":"\xe9"'))
+        assert_exit_2(result, re.escape(f"{path}: manifest line 2: 'utf-8' codec"))
+
+    @pytest.mark.parametrize("value, why", [('"x"', "not supported"),
+                                            ("-1", "out of range$")])
+    def test_manifest_collision_frame_of_frames_file(self, tmp_path, value, why):
+        """Checked even when the frames are in a file the reader does not open."""
+        path = tmp_path / "m.jsonl"
+        write_manifest([ClipRecord("c0", frames_path="c0.npy", label=1,
+                                   collision_frame=3)], path)
+        path.write_text(path.read_text().replace(
+            '"collision_frame":3', f'"collision_frame":{value}'))
+        assert_exit_2(run_cli(["ingest", "--manifest", path]),
+                      re.escape(f"{path}: manifest line 1: "), why)
+
+    def test_run_record_coefficients_not_numbers(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes(jsonl({"route_id": "r", "km": 1.0, "route_completion": 50.0,
+                                "infractions": {"vehicle": 1},
+                                "coefficients": {"vehicle": "x"}}))
+        assert_exit_2(run_cli(["score", "--runs", path]), re.escape(
+            f"{path}: run record line 1: coefficients must map"))

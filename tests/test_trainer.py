@@ -377,4 +377,4 @@ class TestTrainConfig:
 
     def test_round_trip(self):
         cfg = TrainConfig(epochs=7, gamma=5.0)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig.from_dict(dataclasses.asdict(cfg)) == cfg
