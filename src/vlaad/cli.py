@@ -153,8 +153,11 @@ def _caption_job(obj):
         return obj, lambda client, rng: (
             datakit.caption_collision_clip(log, client, rng=rng), False)
     if kind == "normal":
+        annotations = list(obj["annotations"])
+        if not annotations:
+            raise ValidationError("annotations must hold at least one frame annotation")
         return obj, functools.partial(
-            datakit.caption_normal_clip, list(obj["annotations"]),
+            datakit.caption_normal_clip, annotations,
             paraphrase=bool(obj.get("paraphrase", False)))
     raise ValidationError(f"unknown type {kind!r}")
 

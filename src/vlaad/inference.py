@@ -153,6 +153,9 @@ def stream_tokens(lines: Iterable[str], ckpt: ModelCheckpoint,
                           tick_rate_hz=tick_rate_hz)
 
     def parse(obj) -> float:
-        return push_tick(buffer, obj["features"], int(obj["tick"]), ckpt, caching)
+        tick = obj["tick"]
+        if type(tick) is not int:  # a JSON integer: no float, string or bool
+            raise ValidationError("tick must be an integer")
+        return push_tick(buffer, obj["features"], tick, ckpt, caching)
 
     yield from json_lines(lines, getattr(lines, "name", "<stdin>"), "stream", parse)

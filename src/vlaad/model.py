@@ -132,10 +132,17 @@ def init_checkpoint(dim: int, hidden: int = DEFAULT_HIDDEN, gamma: float = 10.0,
 
 
 def adapter_forward(snips: np.ndarray, params: ModelCheckpoint) -> Tuple[np.ndarray, ...]:
-    """Forward pass over a (T, D) block; returns (pre-act, hidden, adapted)."""
-    u = snips @ params.w1 + params.b1
+    """Forward pass over a (T, D) block; returns (pre-act, hidden, adapted).
+
+    Each sum accumulates into the fresh result of its matmul, so the pass
+    allocates only the three arrays it returns; ``snips`` is never written.
+    """
+    u = snips @ params.w1
+    u += params.b1
     h = np.tanh(u)
-    adapted = snips + h @ params.w2 + params.b2
+    adapted = h @ params.w2
+    adapted += snips  # == snips + h @ w2: addition commutes exactly
+    adapted += params.b2
     return u, h, adapted
 
 
@@ -167,17 +174,25 @@ def heads_backward(snips: np.ndarray, hidden: np.ndarray, adapted: np.ndarray,
     ``dz`` holds dL/dz per snippet; ``d_adapted`` is the direct
     dL/d(adapted) term that bypasses the detector.  Rows may span several
     bags: contributions simply add.  The s_sim/s_cls entries are zero.
+    Writes only arrays it allocates itself, never its arguments; the θ-sized
+    result is written slot by slot, the s_sim/s_cls zeros included.
     """
-    grad = np.zeros_like(ckpt.theta)
+    grad = np.empty_like(ckpt.theta)
     g = param_views(grad, ckpt.dim, ckpt.hidden)
-    g_e = np.asarray(d_adapted, dtype=np.float64) + dz[:, None] * ckpt.w[None, :]
-    g_u = (g_e @ ckpt.w2.T) * (1.0 - hidden * hidden)
-    g["w1"][...] = snips.T @ g_u
-    g["b1"][...] = g_u.sum(axis=0)
-    g["w2"][...] = hidden.T @ g_e
-    g["b2"][...] = g_e.sum(axis=0)
-    g["w"][...] = adapted.T @ dz
+    g_e = np.multiply(dz[:, None], ckpt.w[None, :])
+    g_e += np.asarray(d_adapted, dtype=np.float64)  # d_adapted + dz w, commuted
+    g_u = g_e @ ckpt.w2.T
+    tanh_grad = np.multiply(hidden, hidden)
+    np.subtract(1.0, tanh_grad, out=tanh_grad)
+    g_u *= tanh_grad
+    np.matmul(snips.T, g_u, out=g["w1"])
+    np.sum(g_u, axis=0, out=g["b1"])
+    np.matmul(hidden.T, g_e, out=g["w2"])
+    np.sum(g_e, axis=0, out=g["b2"])
+    np.matmul(adapted.T, dz, out=g["w"])
     g["b"][...] = dz.sum()
+    g["s_sim"][...] = 0.0
+    g["s_cls"][...] = 0.0
     return grad
 
 

@@ -132,20 +132,29 @@ class TrainExample:
 
     clip_id: str
     snippets: np.ndarray  # (T, D) in the encoder's dtype; T == 1 in clip mode
-    text: np.ndarray  # (D,) float64
+    text: np.ndarray  # (D,) float64, read-only: examples may share it
     label: int
     event_window: Tuple[int, int] | None = None
 
 
 def prepare_examples(records: Sequence[ClipRecord], encoder: EncoderHandle,
                      config: TrainConfig) -> List[TrainExample]:
-    """Encode records into training examples (frozen-feature work up front)."""
+    """Encode records into training examples (frozen-feature work up front).
+
+    Each distinct caption is encoded once; the examples that carry it share
+    one read-only float64 vector.
+    """
     out = []
+    texts = {}  # caption -> its text vector
     for rec in records:
         if not rec.caption.strip():
             raise ValidationError(
                 f"clip {rec.clip_id} has no caption; run captioning first")
-        text = encode_text(rec.caption, encoder).values.astype(np.float64)
+        text = texts.get(rec.caption)
+        if text is None:
+            text = encode_text(rec.caption, encoder).values.astype(np.float64)
+            text.flags.writeable = False
+            texts[rec.caption] = text
         if config.mode == "clip":
             feats = rec.feature_matrix()  # one window of every frame
             snips = encode_video_snippets(feats, [0], feats.shape[0],
@@ -160,11 +169,17 @@ def prepare_examples(records: Sequence[ClipRecord], encoder: EncoderHandle,
 
 
 def _cosines_with_grads(adapted: np.ndarray, texts: np.ndarray):
-    """Row-wise cos(adapted_t, text_t) and its gradient in each adapted row."""
+    """Row-wise cos(adapted_t, text_t) and its gradient in each adapted row.
+
+    ``texts`` must be a block the caller owns: the gradient is written into
+    it and returned as ``dcos``.
+    """
     nt = np.sqrt(np.einsum("ij,ij->i", texts, texts))
     na = np.sqrt(np.einsum("ij,ij->i", adapted, adapted))
     cos = np.einsum("ij,ij->i", adapted, texts) / (na * nt)
-    dcos = texts / (na * nt)[:, None] - (cos / (na * na))[:, None] * adapted
+    dcos = texts
+    dcos /= (na * nt)[:, None]
+    dcos -= (cos / (na * na))[:, None] * adapted
     return cos, dcos
 
 
@@ -245,8 +260,8 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
     l_cls = pos_weight * y * softplus(-fw.pooled) + (1 - y) * softplus(fw.pooled)
     d_pooled = -pos_weight * y * sigmoid(-fw.pooled) + (1 - y) * sigmoid(fw.pooled)
     dz_cls = d_pooled[seg] * attn
-    texts = np.stack([ex.text for ex in batch])
-    cos, dcos = _cosines_with_grads(fw.adapted, texts[seg])
+    row_texts = np.stack([ex.text for ex in batch], dtype=np.float64)[seg]
+    cos, dcos = _cosines_with_grads(fw.adapted, row_texts)
     if mode == "mil":
         counts = np.diff(fw.starts, append=seg.size)
         positive = y == 1
@@ -256,16 +271,21 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
         row_pos = positive[seg]
         dz_sim = np.where(row_pos,
                           ckpt.gamma * attn * ((1.0 - cos) - l_sim[seg]), 0.0)
-        de_sim = np.where(row_pos, -attn, (cos > 0) / counts[seg])[:, None] * dcos
+        de_sim = dcos
+        de_sim *= np.where(row_pos, -attn, (cos > 0) / counts[seg])[:, None]
     else:
-        c_un, dc_un = _cosines_with_grads(fw.adapted, np.stack(unmatched))
+        c_un, dc_un = _cosines_with_grads(fw.adapted,
+                                          np.stack(unmatched, dtype=np.float64))
         l_sim = (1.0 - cos) + np.maximum(0.0, c_un)
         dz_sim = 0.0
-        de_sim = -dcos + (c_un > 0)[:, None] * dc_un
+        de_sim = np.negative(dcos, out=dcos)
+        dc_un *= (c_un > 0)[:, None]
+        de_sim += dc_un
+    de_sim *= ws  # (ws * de_sim) / n: two roundings; ws / n is never folded
+    de_sim /= n
 
     grad = heads_backward(fw.rows, fw.hidden, fw.adapted, ckpt,
-                          dz=(ws * dz_sim + wc * dz_cls) / n,
-                          d_adapted=ws * de_sim / n)
+                          dz=(ws * dz_sim + wc * dz_cls) / n, d_adapted=de_sim)
     l_sim = math.fsum(l_sim) / n
     l_cls = math.fsum(l_cls) / n
     if not (np.isfinite(l_sim) and np.isfinite(l_cls)
@@ -279,7 +299,12 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
 
 
 class AdamState:
-    """Adam moments over θ with decoupled weight decay on weight tensors only."""
+    """Adam moments over θ with decoupled weight decay on weight tensors only.
+
+    Holds the moments and two θ-sized scratch vectors, all allocated here,
+    so a step allocates nothing θ-sized; it writes only these arrays and
+    the ``theta`` it is given.
+    """
 
     def __init__(self, ckpt: ModelCheckpoint):
         self.m = np.zeros_like(ckpt.theta)
@@ -287,18 +312,39 @@ class AdamState:
         self.decay = np.zeros_like(ckpt.theta)  # 1 over the decayed tensors
         for slot in param_layout(ckpt.dim, ckpt.hidden):
             self.decay[slot.start:slot.stop] = slot.decayed
+        self._a = np.empty_like(ckpt.theta)
+        self._b = np.empty_like(ckpt.theta)
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float,
              weight_decay: float) -> None:
-        """Update ``theta`` in place from its gradient ``grad``."""
+        """Update ``theta`` in place from its gradient ``grad``.
+
+        Computes, rounding for rounding, m = β1 m + (1-β1) g,
+        v = β2 v + ((1-β2) g) g and θ -= lr ((m/bc1) / (sqrt(v/bc2) + ε)
+        + (wd decay) θ); only the operands of a product or a sum are swapped.
+        """
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
-        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
-        theta -= lr * (update + weight_decay * self.decay * theta)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= ADAM_BETA1
+        np.multiply(grad, 1 - ADAM_BETA1, out=a)
+        m += a
+        v *= ADAM_BETA2
+        np.multiply(grad, 1 - ADAM_BETA2, out=a)
+        a *= grad
+        v += a
+        np.divide(v, bc2, out=a)  # a: the denominator
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        np.divide(m, bc1, out=b)  # b: the update
+        b /= a
+        np.multiply(self.decay, weight_decay, out=a)
+        a *= theta
+        b += a
+        b *= lr
+        theta -= b
 
 
 @dataclass

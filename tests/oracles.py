@@ -16,11 +16,12 @@ import numpy as np
 from vlaad.embeddings import Embedding, FrameWindow, encode_video_snippet
 from vlaad.errors import DegenerateInputError, DimensionMismatchError, ValidationError
 from vlaad.losses import LossBreakdown
-from vlaad.mil import Bag, lse_pool, pooling_attention, segment_clip
+from vlaad.mil import (Bag, lse_pool, pooling_attention, segment_clip,
+                       segment_lse_pool)
 from vlaad.model import (adapter_forward, bag_logits, forward_rows,
-                         heads_backward, param_views)
+                         heads_backward, param_layout, param_views)
 from vlaad.numerics import sigmoid, softplus
-from vlaad.trainer import batch_objective
+from vlaad.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, batch_objective
 
 
 def stub_video_embedding(frames, seed, dim):
@@ -408,3 +409,108 @@ def per_clip_trace_rows(records, ckpt, encoder, snippet_len=8, stride=8):
             rows.append((rec.clip_id, i, float(t), float(z),
                          float(sigmoid(z)), float(a)))
     return rows
+
+
+# --- the training step written out of place --------------------------------
+# Every expression here allocates its result, exactly as the package did
+# before its step was rewritten to work in place.  The in-place step must
+# perform the same float operations in the same order, so it has to equal
+# these bit for bit (``==``, never approx).
+
+
+def adapter_forward_out_of_place(snips, params):
+    u = snips @ params.w1 + params.b1
+    h = np.tanh(u)
+    adapted = snips + h @ params.w2 + params.b2
+    return u, h, adapted
+
+
+def heads_backward_out_of_place(snips, hidden, adapted, ckpt, *, dz, d_adapted=0.0):
+    grad = np.zeros_like(ckpt.theta)
+    g = param_views(grad, ckpt.dim, ckpt.hidden)
+    g_e = np.asarray(d_adapted, dtype=np.float64) + dz[:, None] * ckpt.w[None, :]
+    g_u = (g_e @ ckpt.w2.T) * (1.0 - hidden * hidden)
+    g["w1"][...] = snips.T @ g_u
+    g["b1"][...] = g_u.sum(axis=0)
+    g["w2"][...] = hidden.T @ g_e
+    g["b2"][...] = g_e.sum(axis=0)
+    g["w"][...] = adapted.T @ dz
+    g["b"][...] = dz.sum()
+    return grad
+
+
+def cosines_with_grads_out_of_place(adapted, texts):
+    """Row-wise cos(adapted_t, text_t) and its gradient in each adapted row."""
+    nt = np.sqrt(np.einsum("ij,ij->i", texts, texts))
+    na = np.sqrt(np.einsum("ij,ij->i", adapted, adapted))
+    cos = np.einsum("ij,ij->i", adapted, texts) / (na * nt)
+    dcos = texts / (na * nt)[:, None] - (cos / (na * na))[:, None] * adapted
+    return cos, dcos
+
+
+def batch_objective_out_of_place(ckpt, batch, mode="mil", pos_weight=1.0,
+                                 unmatched=None):
+    """``trainer.batch_objective`` over valid input, every step out of place."""
+    counts = np.asarray([ex.snippets.shape[0] for ex in batch], dtype=np.intp)
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    seg = np.repeat(np.arange(counts.size), counts)
+    rows = np.concatenate([ex.snippets for ex in batch], dtype=np.float64)
+    _, hidden, adapted = adapter_forward_out_of_place(rows, ckpt)
+    pooled, attn = segment_lse_pool(adapted @ ckpt.w + ckpt.b, starts, ckpt.gamma)
+    n = len(batch)
+    y = np.asarray([ex.label for ex in batch], dtype=np.float64)
+    ws = 0.5 * math.exp(-ckpt.s_sim)
+    wc = 0.5 * math.exp(-ckpt.s_cls)
+
+    l_cls = pos_weight * y * softplus(-pooled) + (1 - y) * softplus(pooled)
+    d_pooled = -pos_weight * y * sigmoid(-pooled) + (1 - y) * sigmoid(pooled)
+    dz_cls = d_pooled[seg] * attn
+    texts = np.stack([ex.text for ex in batch])
+    cos, dcos = cosines_with_grads_out_of_place(adapted, texts[seg])
+    if mode == "mil":
+        counts = np.diff(starts, append=seg.size)
+        positive = y == 1
+        l_sim = np.where(positive,
+                         np.add.reduceat(attn * (1.0 - cos), starts),
+                         np.add.reduceat(np.maximum(0.0, cos), starts) / counts)
+        row_pos = positive[seg]
+        dz_sim = np.where(row_pos,
+                          ckpt.gamma * attn * ((1.0 - cos) - l_sim[seg]), 0.0)
+        de_sim = np.where(row_pos, -attn, (cos > 0) / counts[seg])[:, None] * dcos
+    else:
+        c_un, dc_un = cosines_with_grads_out_of_place(adapted, np.stack(unmatched))
+        l_sim = (1.0 - cos) + np.maximum(0.0, c_un)
+        dz_sim = 0.0
+        de_sim = -dcos + (c_un > 0)[:, None] * dc_un
+
+    grad = heads_backward_out_of_place(rows, hidden, adapted, ckpt,
+                                       dz=(ws * dz_sim + wc * dz_cls) / n,
+                                       d_adapted=ws * de_sim / n)
+    l_sim = math.fsum(l_sim) / n
+    l_cls = math.fsum(l_cls) / n
+    breakdown = LossBreakdown.compute(l_sim, l_cls, ckpt.s_sim, ckpt.s_cls)
+    g = param_views(grad, ckpt.dim, ckpt.hidden)
+    g["s_sim"][...] = -ws * l_sim + 1.0
+    g["s_cls"][...] = -wc * l_cls + 1.0
+    return breakdown, grad
+
+
+class AdamOutOfPlace:
+    """``trainer.AdamState`` with a fresh array for every expression."""
+
+    def __init__(self, ckpt):
+        self.m = np.zeros_like(ckpt.theta)
+        self.v = np.zeros_like(ckpt.theta)
+        self.decay = np.zeros_like(ckpt.theta)
+        for slot in param_layout(ckpt.dim, ckpt.hidden):
+            self.decay[slot.start:slot.stop] = slot.decayed
+        self.t = 0
+
+    def step(self, theta, grad, lr, weight_decay):
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
+        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
+        theta -= lr * (update + weight_decay * self.decay * theta)

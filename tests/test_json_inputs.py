@@ -270,6 +270,11 @@ class TestMalformedRegressions:
         path, result = self.caption(tmp_path, '{"type":"normal","annotations":5}')
         assert_exit_2(result, re.escape(f"{path}: caption job line 3: "), "not iterable")
 
+    def test_caption_annotations_empty(self, tmp_path):
+        path, result = self.caption(tmp_path, '{"type":"normal","annotations":[]}')
+        assert_exit_2(result, re.escape(
+            f"{path}: caption job line 3: annotations must hold at least one"))
+
     def test_caption_job_not_json(self, tmp_path):
         path, result = self.caption(tmp_path, "{oops")
         assert_exit_2(result, re.escape(f"{path}: caption job line 3: "),
@@ -292,6 +297,20 @@ class TestMalformedRegressions:
     def test_stream_tick_null(self, root):
         assert_exit_2(self.infer(root, '{"tick":null,"features":[1,2,3]}'),
                       re.escape("<stdin>: stream line 2: "))
+
+    @pytest.mark.parametrize("tick", ["0.9", "1.0", '"1"', "true", "1e999"])
+    def test_stream_tick_not_an_integer(self, root, tick):
+        line = '{"tick":%s,"features":[1,2,3]}' % tick
+        result = self.infer(root, line)
+        assert_exit_2(result, re.escape(
+            "<stdin>: stream line 2: tick must be an integer") + "$")
+        assert len(result[1].splitlines()) == 1
+
+    def test_stream_float_then_string_tick_first_line(self, root):
+        stdin = b'{"tick":0.9,"features":[1,2,3]}\n{"tick":"1","features":[1,2,3]}\n'
+        result = run_cli(["infer", "--checkpoint", root / "ckpt.bin"], stdin=stdin)
+        assert_exit_2(result, re.escape("<stdin>: stream line 1: tick must be an integer"))
+        assert result[1] == ""
 
     def test_stream_features_an_object(self, root):
         assert_exit_2(self.infer(root, '{"tick":1,"features":{"a":1}}'),

@@ -1,0 +1,208 @@
+"""The in-place training step against its out-of-place oracles.
+
+Adapter forward, heads backward, the stacked objective and the Adam step
+work in place, yet must do the same float operations in the same order as
+the out-of-place bodies in ``oracles``: results are compared bit for bit,
+and every array a caller passed in must be unchanged afterwards.  Two
+``tracemalloc`` guards bound what one objective and one Adam step allocate.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (AdamOutOfPlace, adapter_forward_out_of_place,
+                     batch_objective_out_of_place, heads_backward_out_of_place)
+from vlaad.datakit import SynthConfig, generate_synthetic_dataset
+from vlaad.embeddings import StubEncoder
+from vlaad.model import adapter_forward, heads_backward, init_checkpoint
+from vlaad.trainer import (AdamState, TrainConfig, TrainExample,
+                           batch_objective, prepare_examples)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def random_ckpt(seed, dim, hidden, gamma=10.0):
+    """A checkpoint with every tensor, the log-variances included, random."""
+    ckpt = init_checkpoint(dim=dim, hidden=hidden, gamma=gamma, seed=seed,
+                           zero_first_layer=False)
+    rng = np.random.default_rng([seed, 3])
+    ckpt.theta[:] = rng.standard_normal(ckpt.theta.size) * 0.5
+    return ckpt
+
+
+def snapshot(*arrays):
+    return [np.array(a, copy=True) for a in arrays]
+
+
+def assert_unchanged(arrays, copies):
+    for a, c in zip(arrays, copies):
+        assert_same_bits(a, c)
+
+
+@st.composite
+def objective_cases(draw):
+    mode = draw(st.sampled_from(["mil", "clip"]))
+    n = draw(st.integers(1, 7))
+    lengths = (draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+               if mode == "mil" else [1] * n)
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return dict(mode=mode, lengths=lengths, labels=labels,
+                seed=draw(st.integers(0, 2 ** 32 - 1)),
+                dim=draw(st.integers(2, 12)), hidden=draw(st.integers(1, 8)),
+                pos_weight=draw(st.floats(0.05, 20.0)),
+                gamma=draw(st.floats(0.5, 20.0)),
+                snippet_dtype=draw(st.sampled_from([np.float32, np.float64])))
+
+
+class TestObjectiveBitForBit:
+    @settings(max_examples=200, deadline=None)
+    @given(objective_cases())
+    def test_equals_out_of_place_objective(self, case):
+        dim, seed = case["dim"], case["seed"]
+        ckpt = random_ckpt(seed % 1000, dim, case["hidden"], case["gamma"])
+        rng = np.random.default_rng(seed)
+        batch = [TrainExample(f"e{i}", rng.standard_normal((t, dim)).astype(
+                                  case["snippet_dtype"]),
+                              rng.standard_normal(dim), y)
+                 for i, (t, y) in enumerate(zip(case["lengths"], case["labels"]))]
+        unmatched = None
+        if case["mode"] == "clip":
+            unmatched = list(rng.standard_normal((len(batch), dim)))
+        inputs = ([ckpt.theta] + [ex.snippets for ex in batch]
+                  + [ex.text for ex in batch] + (unmatched or []))
+        copies = snapshot(*inputs)
+
+        got, g_got = batch_objective(ckpt, batch, case["mode"],
+                                     case["pos_weight"], unmatched)
+        assert_unchanged(inputs, copies)
+        want, g_want = batch_objective_out_of_place(
+            ckpt, batch, case["mode"], case["pos_weight"], unmatched)
+        assert got == want
+        assert_same_bits(g_got, g_want)
+
+
+class TestLayersBitForBit:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 12),
+           st.integers(1, 8), st.sampled_from([np.float32, np.float64]))
+    def test_adapter_forward(self, seed, rows, dim, hidden, dtype):
+        ckpt = random_ckpt(seed % 1000, dim, hidden)
+        snips = np.random.default_rng(seed).standard_normal((rows, dim)).astype(dtype)
+        copies = snapshot(snips, ckpt.theta)
+        got = adapter_forward(snips, ckpt)
+        assert_unchanged([snips, ckpt.theta], copies)
+        for g, w in zip(got, adapter_forward_out_of_place(snips, ckpt)):
+            assert_same_bits(g, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 12),
+           st.integers(1, 8), st.sampled_from(["default", "scalar", "row", "array"]))
+    def test_heads_backward(self, seed, rows, dim, hidden, d_kind):
+        ckpt = random_ckpt(seed % 1000, dim, hidden)
+        rng = np.random.default_rng(seed)
+        snips = rng.standard_normal((rows, dim))
+        _, h, adapted = adapter_forward_out_of_place(snips, ckpt)
+        dz = rng.standard_normal(rows)
+        kwargs = {"dz": dz}
+        if d_kind == "scalar":
+            kwargs["d_adapted"] = float(rng.standard_normal())
+        elif d_kind == "row":
+            kwargs["d_adapted"] = rng.standard_normal(dim)
+        elif d_kind == "array":
+            kwargs["d_adapted"] = rng.standard_normal((rows, dim))
+        inputs = [snips, h, adapted, ckpt.theta, dz] + (
+            [kwargs["d_adapted"]] if d_kind in ("row", "array") else [])
+        copies = snapshot(*inputs)
+        got = heads_backward(snips, h, adapted, ckpt, **kwargs)
+        assert_unchanged(inputs, copies)
+        assert_same_bits(got, heads_backward_out_of_place(snips, h, adapted, ckpt,
+                                                          **kwargs))
+
+
+class TestAdamBitForBit:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(5, 8),
+           st.floats(1e-5, 0.5), st.floats(1e-6, 0.5))
+    def test_consecutive_steps(self, seed, steps, lr, weight_decay):
+        ckpt = random_ckpt(seed % 1000, 5, 3)
+        theta_ref = ckpt.theta.copy()
+        adam, ref = AdamState(ckpt), AdamOutOfPlace(ckpt)
+        rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            grad = rng.standard_normal(ckpt.theta.size)
+            before = grad.copy()
+            adam.step(ckpt.theta, grad, lr, weight_decay)
+            ref.step(theta_ref, grad, lr, weight_decay)
+            assert_same_bits(grad, before)
+            assert_same_bits(ckpt.theta, theta_ref)
+            assert_same_bits(adam.m, ref.m)
+            assert_same_bits(adam.v, ref.v)
+
+
+def traced_peak(fn):
+    """Bytes ``fn()`` allocates at its peak, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocations:
+    def test_objective_at_acceptance_shape(self):
+        """One objective over N=1000 rows at D=768, H=256 peaks at no more
+        than six (N, D) float64 blocks: the stacked rows, the adapted rows,
+        the gathered captions (which become the cosine gradient), one
+        temporary and the backward's row gradient, plus θ-sized vectors."""
+        n_rows, dim, hidden = 1000, 768, 256
+        ckpt = init_checkpoint(dim=dim, hidden=hidden, seed=0,
+                               zero_first_layer=False)
+        rng = np.random.default_rng(0)
+        batch = [TrainExample(f"e{i}", rng.standard_normal((5, dim)).astype(
+                                  np.float32), rng.standard_normal(dim), i % 2)
+                 for i in range(n_rows // 5)]
+        batch_objective(ckpt, batch, "mil", 1.0)  # lazy numpy set-up first
+        peak = traced_peak(lambda: batch_objective(ckpt, batch, "mil", 1.0))
+        assert peak / (n_rows * dim * 8) <= 6.0
+
+    def test_adam_step_allocates_nothing_theta_sized(self):
+        ckpt = init_checkpoint(dim=768, hidden=256, seed=0, zero_first_layer=False)
+        grad = np.random.default_rng(0).standard_normal(ckpt.theta.size)
+        adam = AdamState(ckpt)
+        adam.step(ckpt.theta, grad, 1e-3, 1e-4)
+        peak = traced_peak(lambda: adam.step(ckpt.theta, grad, 1e-3, 1e-4))
+        assert peak < ckpt.theta.nbytes
+
+
+class CountingTextEncoder(StubEncoder):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.captions = []
+
+    def encode_text(self, caption):
+        self.captions.append(caption)
+        return super().encode_text(caption)
+
+
+def test_prepare_examples_encodes_each_caption_once():
+    records = generate_synthetic_dataset(SynthConfig(6, 6, feature_dim=4, seed=2))
+    distinct = {r.caption for r in records}
+    assert len(distinct) < len(records)
+    encoder = CountingTextEncoder(dim=16, seed=0)
+    config = TrainConfig(embed_dim=16)
+    examples = prepare_examples(records, encoder, config)
+    assert sorted(encoder.captions) == sorted(distinct)
+    plain = StubEncoder(dim=16, seed=0)
+    for rec, ex in zip(records, examples):
+        want = plain.encode_text(rec.caption).values.astype(np.float64)
+        assert_same_bits(ex.text, want)
+        assert not ex.text.flags.writeable
