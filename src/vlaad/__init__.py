@@ -20,8 +20,7 @@ from .datakit import (ClipRecord, InfractionLog, SynthConfig, assemble_clips,
                       augment_collision_position, caption_collision_clip,
                       caption_normal_clip, generate_synthetic_dataset,
                       read_manifest, write_manifest)
-from .inference import (CausalBuffer, make_global_state, push_tick,
-                        toy_policy_step)
+from .inference import CausalBuffer, push_tick
 from .trainer import TrainConfig, split_dataset, train
 
 __version__ = "0.1.0"

@@ -153,7 +153,10 @@ def _caption_job(obj):
         return obj, lambda client, rng: (
             datakit.caption_collision_clip(log, client, rng=rng), False)
     if kind == "normal":
-        annotations = list(obj["annotations"])
+        annotations = obj["annotations"]
+        if not (isinstance(annotations, list)
+                and all(isinstance(a, str) for a in annotations)):
+            raise ValidationError("annotations must be a list of strings")
         if not annotations:
             raise ValidationError("annotations must hold at least one frame annotation")
         return obj, functools.partial(
@@ -257,7 +260,7 @@ def _cmd_infer(args) -> int:
         size=args.buffer_size, subsample_period=args.period,
         tick_rate_hz=args.tick_rate, caching=not args.no_cache)
     for token in tokens:
-        print(f"{token:.8f}")
+        print(f"{token:.8f}", flush=True)  # a closed-loop client waits for it
     return 0
 
 

@@ -57,17 +57,10 @@ class ScoredSet:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the average of their rank run."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(np.asarray(values, dtype=np.float64),
+                                 return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # run g covers sorted positions i..j = ends-counts..ends-1
+    return (0.5 * ((ends - counts) + (ends - 1)) + 1.0)[group]
 
 
 def roc_auc(scored: ScoredSet) -> float:
@@ -102,11 +95,14 @@ def youden_threshold(validation: ScoredSet) -> YoudenResult:
         [distinct[-1] + 1.0],
     ])
     pos = validation.labels == 1
-    n_pos = int(pos.sum())
-    n_neg = validation.labels.size - n_pos
-    preds = validation.scores[None, :] >= candidates[:, None]
-    tpr = (preds & pos[None, :]).sum(axis=1) / n_pos
-    fpr = (preds & ~pos[None, :]).sum(axis=1) / n_neg
+    pos_sorted = np.sort(validation.scores[pos])
+    neg_sorted = np.sort(validation.scores[~pos])
+    # scores >= candidate, counted per class; a midpoint that rounds onto a
+    # score still counts that score, as the comparison does
+    tp = pos_sorted.size - np.searchsorted(pos_sorted, candidates, side="left")
+    fp = neg_sorted.size - np.searchsorted(neg_sorted, candidates, side="left")
+    tpr = tp / pos_sorted.size
+    fpr = fp / neg_sorted.size
     j = tpr - fpr
     best = int(np.argmax(j))  # first max = smallest candidate
     return YoudenResult(float(candidates[best]), float(j[best]),

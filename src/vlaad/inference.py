@@ -1,4 +1,4 @@
-"""Causal streaming inference and the driver-bridge global-state token.
+"""Causal streaming inference of the risk token.
 
 A tick-driven ring buffer holds the last K subsampled frames (never future
 ones); the risk token is recomputed only on subsample ticks and served from
@@ -8,15 +8,16 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .embeddings import EncoderHandle, FrameWindow, encode_video_snippet
 from .errors import ValidationError, json_lines
 from .model import ModelCheckpoint, forward_rows
-from .numerics import sigmoid
+from .numerics import scalar_sigmoid
 
 DEFAULT_BUFFER_FRAMES = 8
 DEFAULT_SUBSAMPLE_PERIOD = 5
@@ -31,37 +32,76 @@ class CausalBuffer:
     The buffer content changes only on ticks that are multiples of
     ``subsample_period``; frames arriving on other ticks are dropped, so at
     20 Hz ticks with period 5 the buffer tracks an effective 4 Hz stream.
+
+    The frames live in one float64 (2K, F) ring and their timestamps in a
+    (2K,) ring, both allocated at the first update tick, when F is known.
+    Each frame is written at slot i and at slot i + K, so the held frames,
+    oldest first, are always the one contiguous block ``ring[lo:lo + n]``.
     """
 
     encoder: EncoderHandle
     size: int = DEFAULT_BUFFER_FRAMES
     subsample_period: int = DEFAULT_SUBSAMPLE_PERIOD
     tick_rate_hz: float = DEFAULT_TICK_RATE_HZ
-    frames: List[np.ndarray] = field(default_factory=list)
-    frame_ticks: List[int] = field(default_factory=list)
     last_update_tick: int | None = None
     cached_token: float = NEUTRAL_TOKEN
     encoder_calls: int = 0
+    held: int = field(default=0, init=False)  # frames in the ring, <= size
+    _ring: np.ndarray | None = field(default=None, init=False, repr=False)
+    _times: np.ndarray | None = field(default=None, init=False, repr=False)
+    _next: int = field(default=0, init=False, repr=False)  # next frame's slot
     _last_tick: int | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.size < 1 or self.subsample_period < 1:
             raise ValidationError("buffer size and period must be >= 1")
 
+    def _write(self, frame: np.ndarray, tick: int) -> None:
+        k = self.size
+        if self._ring is None:
+            self._ring = np.empty((2 * k, frame.shape[0]), dtype=np.float64)
+            self._times = np.empty(2 * k, dtype=np.float64)
+        # numpy division: a rate of 0 gives inf or nan, as for an array of
+        # ticks, not a ZeroDivisionError
+        stamp = np.float64(tick) / self.tick_rate_hz
+        i = self._next
+        self._ring[i] = frame
+        self._ring[i + k] = frame
+        self._times[i] = self._times[i + k] = stamp
+        self._next = i + 1 if i + 1 < k else 0
+        if self.held < k:
+            self.held += 1
+        if self.held > 1 and stamp - self._times[i + k - 1] <= 0:
+            # increasing ticks give increasing stamps, except at a negative or
+            # infinite rate, or for ticks past float64 precision
+            raise ValidationError("timestamps must be strictly increasing")
+
+    def window(self) -> FrameWindow | None:
+        """The held frames and their timestamps, oldest first, as views of
+        the ring (valid until the next update tick); None while empty."""
+        if not self.held:
+            return None
+        hi = self._next + self.size
+        lo = hi - self.held
+        # FrameWindow without __post_init__: the block is 2-D float64 with at
+        # least one row, and _write keeps its timestamps strictly increasing
+        window = object.__new__(FrameWindow)
+        window.frames = self._ring[lo:hi]
+        window.timestamps = self._times[lo:hi]
+        window.key = None
+        return window
+
     def _compute_token(self, ckpt: ModelCheckpoint) -> float:
-        if not self.frames:
+        window = self.window()
+        if window is None:
             return NEUTRAL_TOKEN  # zero-logit convention before any frame
-        window = FrameWindow(
-            frames=np.stack(self.frames),
-            timestamps=np.asarray(self.frame_ticks, dtype=np.float64)
-            / self.tick_rate_hz)
         emb = encode_video_snippet(window, self.encoder)
         self.encoder_calls += 1
         # the offline forward of a one-row bag, so both paths agree exactly
         logit = forward_rows(emb.values.astype(np.float64)[None, :], ckpt)[2][0]
-        if not np.isfinite(logit):
+        if not math.isfinite(logit):
             raise ValidationError("detector produced a non-finite logit")
-        return float(sigmoid(logit))
+        return scalar_sigmoid(logit)
 
 
 def push_tick(buffer: CausalBuffer, frame, tick: int, ckpt: ModelCheckpoint,
@@ -81,63 +121,19 @@ def push_tick(buffer: CausalBuffer, frame, tick: int, ckpt: ModelCheckpoint,
     if not np.isfinite(frame).all():
         index = int(np.argmin(np.isfinite(frame)))
         raise ValidationError(f"frame feature {index} is {frame[index]}, not finite")
-    if buffer.frames and frame.shape != buffer.frames[0].shape:
+    if buffer._ring is not None and frame.shape[0] != buffer._ring.shape[1]:
         raise ValidationError(
             f"frame width {frame.shape[0]} differs from the buffer's first "
-            f"frame width {buffer.frames[0].shape[0]}")
+            f"frame width {buffer._ring.shape[1]}")
     buffer._last_tick = tick
     if tick % buffer.subsample_period == 0:
-        buffer.frames.append(frame)
-        buffer.frame_ticks.append(tick)
-        if len(buffer.frames) > buffer.size:
-            buffer.frames.pop(0)
-            buffer.frame_ticks.pop(0)
         buffer.last_update_tick = tick
+        buffer._write(frame, tick)
         buffer.cached_token = buffer._compute_token(ckpt)
         return buffer.cached_token
     if caching:
         return buffer.cached_token
     return buffer._compute_token(ckpt)  # same buffer, bit-identical token
-
-
-def make_global_state(risk: float, velocity: float, command_index: int,
-                      command_count: int) -> np.ndarray:
-    """Concatenate [risk, velocity, onehot(command)] in that fixed order.
-
-    Out-of-range risk is an error, never a silent clamp.
-    """
-    if not (0.0 <= risk <= 1.0):
-        raise ValidationError(f"risk {risk} outside [0, 1]")
-    if velocity < 0:
-        raise ValidationError("velocity must be >= 0")
-    if not (0 <= command_index < command_count):
-        raise ValidationError(
-            f"command index {command_index} outside [0, {command_count})")
-    state = np.zeros(2 + command_count, dtype=np.float64)
-    state[0] = risk
-    state[1] = velocity
-    state[2 + command_index] = 1.0
-    return state
-
-
-def toy_policy_step(state: np.ndarray, weights: np.ndarray,
-                    bias: np.ndarray | None = None) -> np.ndarray:
-    """Affine map of the global state to 2 waypoints (4 reals).
-
-    Stand-in consumer for the risk token; deterministic by construction.
-    """
-    state = np.asarray(state, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (state.size, 4):
-        raise ValidationError(
-            f"policy weights must be ({state.size}, 4), got {weights.shape}")
-    out = state @ weights
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (4,):
-            raise ValidationError("policy bias must have shape (4,)")
-        out = out + bias
-    return out
 
 
 def stream_tokens(lines: Iterable[str], ckpt: ModelCheckpoint,

@@ -18,6 +18,15 @@ def sigmoid(x):
     return out
 
 
+def scalar_sigmoid(x: float) -> float:
+    """``sigmoid`` of one float, bit for bit: the same branches through
+    ``np.exp`` (``math.exp`` differs from it in the last bit on some inputs)."""
+    if x >= 0:
+        return float(1.0 / (1.0 + np.exp(-x)))
+    ex = np.exp(x)
+    return float(ex / (1.0 + ex))
+
+
 def softplus(x):
     """log(1 + exp(x)) without overflow for large |x|."""
     x = np.asarray(x, dtype=np.float64)

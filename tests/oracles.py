@@ -313,6 +313,43 @@ def roc_auc_trapezoid(scored) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
+def make_global_state(risk: float, velocity: float, command_index: int,
+                      command_count: int) -> np.ndarray:
+    """Concatenate [risk, velocity, onehot(command)] in that fixed order: the
+    driver-bridge global-state token.  Out-of-range risk is an error, never
+    a silent clamp."""
+    if not (0.0 <= risk <= 1.0):
+        raise ValidationError(f"risk {risk} outside [0, 1]")
+    if velocity < 0:
+        raise ValidationError("velocity must be >= 0")
+    if not (0 <= command_index < command_count):
+        raise ValidationError(
+            f"command index {command_index} outside [0, {command_count})")
+    state = np.zeros(2 + command_count, dtype=np.float64)
+    state[0] = risk
+    state[1] = velocity
+    state[2 + command_index] = 1.0
+    return state
+
+
+def toy_policy_step(state: np.ndarray, weights: np.ndarray,
+                    bias: np.ndarray | None = None) -> np.ndarray:
+    """Affine map of the global state to 2 waypoints (4 reals): a stand-in
+    consumer for the risk token, deterministic by construction."""
+    state = np.asarray(state, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (state.size, 4):
+        raise ValidationError(
+            f"policy weights must be ({state.size}, 4), got {weights.shape}")
+    out = state @ weights
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.float64)
+        if bias.shape != (4,):
+            raise ValidationError("policy bias must have shape (4,)")
+        out = out + bias
+    return out
+
+
 def serialize_global_state(state) -> str:
     return json.dumps([float(x) for x in state])
 
@@ -514,3 +551,104 @@ class AdamOutOfPlace:
         self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
         update = (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
         theta -= lr * (update + weight_decay * self.decay * theta)
+
+
+@dataclasses.dataclass
+class ListRingBuffer:
+    """``inference.CausalBuffer`` as a Python list of frames: each update
+    tick stacks the list into a new array and builds a validated
+    ``FrameWindow``.  Drive it with ``list_ring_push_tick``."""
+
+    encoder: object
+    size: int = 8
+    subsample_period: int = 5
+    tick_rate_hz: float = 20.0
+    frames: list = dataclasses.field(default_factory=list)
+    frame_ticks: list = dataclasses.field(default_factory=list)
+    cached_token: float = 0.5
+    encoder_calls: int = 0
+    last_tick: int | None = None
+
+    def window(self):
+        if not self.frames:
+            return None
+        return FrameWindow(
+            frames=np.stack(self.frames),
+            timestamps=np.asarray(self.frame_ticks, dtype=np.float64)
+            / self.tick_rate_hz)
+
+    def compute_token(self, ckpt) -> float:
+        window = self.window()
+        if window is None:
+            return 0.5
+        emb = encode_video_snippet(window, self.encoder)
+        self.encoder_calls += 1
+        logit = forward_rows(emb.values.astype(np.float64)[None, :], ckpt)[2][0]
+        if not np.isfinite(logit):
+            raise ValidationError("detector produced a non-finite logit")
+        return float(sigmoid(logit))
+
+
+def list_ring_push_tick(buffer, frame, tick, ckpt, caching=True) -> float:
+    """``inference.push_tick`` over a ``ListRingBuffer``."""
+    if buffer.last_tick is not None and tick <= buffer.last_tick:
+        raise ValidationError(f"out-of-order tick {tick} after {buffer.last_tick}")
+    frame = np.asarray(frame, dtype=np.float64)
+    if frame.ndim != 1:
+        raise ValidationError(f"frame must be a feature vector, got shape {frame.shape}")
+    if not np.isfinite(frame).all():
+        index = int(np.argmin(np.isfinite(frame)))
+        raise ValidationError(f"frame feature {index} is {frame[index]}, not finite")
+    if buffer.frames and frame.shape != buffer.frames[0].shape:
+        raise ValidationError(
+            f"frame width {frame.shape[0]} differs from the buffer's first "
+            f"frame width {buffer.frames[0].shape[0]}")
+    buffer.last_tick = tick
+    if tick % buffer.subsample_period == 0:
+        buffer.frames.append(frame)
+        buffer.frame_ticks.append(tick)
+        if len(buffer.frames) > buffer.size:
+            buffer.frames.pop(0)
+            buffer.frame_ticks.pop(0)
+        buffer.cached_token = buffer.compute_token(ckpt)
+        return buffer.cached_token
+    if caching:
+        return buffer.cached_token
+    return buffer.compute_token(ckpt)
+
+
+def midranks_loop(values) -> np.ndarray:
+    """1-based ranks, tied values sharing the average of their rank run,
+    found by walking the sorted order one run at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def youden_threshold_matrix(validation):
+    """``evalkit.youden_threshold`` by a (candidates x n) boolean matrix:
+    (threshold, J, degenerate)."""
+    validation.require_both_classes()
+    distinct = np.unique(validation.scores)
+    candidates = np.concatenate([
+        [distinct[0] - 1.0],
+        (distinct[:-1] + distinct[1:]) / 2.0,
+        [distinct[-1] + 1.0],
+    ])
+    pos = validation.labels == 1
+    n_pos = int(pos.sum())
+    n_neg = validation.labels.size - n_pos
+    preds = validation.scores[None, :] >= candidates[:, None]
+    tpr = (preds & pos[None, :]).sum(axis=1) / n_pos
+    fpr = (preds & ~pos[None, :]).sum(axis=1) / n_neg
+    j = tpr - fpr
+    best = int(np.argmax(j))
+    return float(candidates[best]), float(j[best]), bool(j[best] <= 0.0)

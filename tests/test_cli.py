@@ -1,9 +1,14 @@
 import contextlib
 import io
 import json
+import os
 import re
+import select
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import make_clip, run_trace
 from oracles import per_clip_trace_rows
+import vlaad
 from vlaad.cli import build_parser, run
 from vlaad.datakit import ClipRecord, read_manifest, write_manifest
 from vlaad.embeddings import (StubEncoder, read_embedding_cache,
@@ -686,6 +692,34 @@ class TestInfer:
         assert all(0.0 <= t <= 1.0 for t in tokens)
         # non-update ticks repeat the cached token
         assert tokens[1] == tokens[0]
+
+    def test_token_readable_before_next_frame(self, tmp_path):
+        """On a pipe, with no PYTHONUNBUFFERED, a frame's token arrives while
+        the client still holds the next frame back."""
+        ckpt = tmp_path / "p.bin"
+        save_checkpoint(ckpt, init_checkpoint(dim=16, hidden=4, seed=0))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(vlaad.__file__).resolve().parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vlaad.cli", "infer", "--checkpoint", str(ckpt)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+        try:
+            proc.stdin.write(json.dumps({"tick": 0, "features": [0.5] * 8})
+                             .encode() + b"\n")
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 10.0)
+            assert ready, "no token within 10 s of the first frame"
+            token = float(proc.stdout.readline())
+            rest, err = proc.communicate(timeout=30)  # closes stdin: end of input
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, err
+        assert 0.0 <= token <= 1.0 and rest == b""
 
     def test_frame_width_change_exit_2(self, tmp_path, capsys, monkeypatch):
         from vlaad.model import init_checkpoint, save_checkpoint

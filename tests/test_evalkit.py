@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from oracles import (brute_force_auc, exhaustive_youden, roc_auc_trapezoid,
-                     v20_penalty_product, wilcoxon_brute_force_p)
+from oracles import (brute_force_auc, exhaustive_youden, midranks_loop,
+                     roc_auc_trapezoid, v20_penalty_product,
+                     wilcoxon_brute_force_p, youden_threshold_matrix)
 from vlaad.errors import ValidationError
 from vlaad.evalkit import (DEFAULT_V21_COEFFICIENTS, DrivingRunRecord,
+                           _midranks,
                            ScoredSet, WilcoxonResult, infraction_penalty,
                            read_run_records, roc_auc,
                            summarize_run, threshold_metrics,
@@ -97,6 +99,36 @@ class TestYouden:
         assert res.j_statistic == pytest.approx(best, abs=1e-12)
         m = threshold_metrics(s, res.threshold)
         assert m["tpr"] - m["fpr"] == pytest.approx(best, abs=1e-12)
+
+
+# few distinct values, so ties are heavy; adjacent doubles, whose midpoint
+# rounds onto one of them, and signed zeros, which compare equal
+_ONE_UP = float(np.nextafter(1.0, 2.0))
+TIE_POOL = [0.0, -0.0, 0.5, 1.0, _ONE_UP, float(np.nextafter(_ONE_UP, 2.0)),
+            -3.25, 2.0, 5e-324, 1e300, -1e300]
+tie_heavy = st.lists(st.tuples(st.sampled_from(TIE_POOL), st.integers(0, 1)),
+                     min_size=2, max_size=300)
+
+
+class TestSortedAgainstOracles:
+    """The sort-based ranks and Youden cut equal the loop and matrix ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy)
+    def test_midranks(self, pairs):
+        values = np.array([v for v, _ in pairs])
+        ranks = _midranks(values)
+        assert ranks.tobytes() == midranks_loop(values).tobytes()
+        assert ranks.tobytes() == scipy_stats.rankdata(values).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy)
+    def test_youden(self, pairs):
+        labels = np.array([y for _, y in pairs])
+        if labels.min() == labels.max():
+            labels[0] = 1 - labels[0]
+        s = scored([v for v, _ in pairs], labels)
+        assert tuple(youden_threshold(s)) == youden_threshold_matrix(s)
 
 
 class TestThresholdMetrics:

@@ -2,16 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_clip, run_trace
-from oracles import forward_bag, parse_global_state, serialize_global_state
+from oracles import (ListRingBuffer, forward_bag, list_ring_push_tick,
+                     make_global_state, parse_global_state,
+                     serialize_global_state, toy_policy_step)
 from vlaad.embeddings import FrameWindow, StubEncoder, encode_video_snippet
 from vlaad.errors import ValidationError
-from vlaad.inference import (CausalBuffer, make_global_state, push_tick,
-                             stream_tokens, toy_policy_step)
+from vlaad.inference import CausalBuffer, push_tick, stream_tokens
 from vlaad.mil import Bag, lse_pool, segment_clip
 from vlaad.model import bag_logits, init_checkpoint
-from vlaad.numerics import sigmoid
+from vlaad.numerics import scalar_sigmoid, sigmoid
 
 
 @pytest.fixture
@@ -76,9 +79,10 @@ class TestPushTick:
         frames = rng.standard_normal((40, 4))
         run_stream(frames, ckpt, enc, buffer=buffer)
         # update ticks 0,5,...,35; last three subsampled frames survive
-        np.testing.assert_array_equal(
-            np.stack(buffer.frames), frames[[25, 30, 35]])
-        assert buffer.frame_ticks == [25, 30, 35]
+        window = buffer.window()
+        np.testing.assert_array_equal(window.frames, frames[[25, 30, 35]])
+        np.testing.assert_array_equal(window.timestamps,
+                                      np.array([25, 30, 35]) / 20.0)
         assert buffer.last_update_tick == 35
 
     def test_causality_future_perturbation(self, ckpt, small_encoder, rng):
@@ -116,6 +120,72 @@ class TestPushTick:
         frames = 100.0 * rng.standard_normal((50, 4))
         _, tokens = run_stream(frames, ckpt, small_encoder)
         assert all(0.0 <= t <= 1.0 for t in tokens)
+
+
+class TestRingAgainstListRing:
+    """The preallocated ring against the list ring it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(1, 10), period=st.integers(1, 7),
+           width=st.integers(1, 40), caching=st.booleans(),
+           gaps=st.lists(st.integers(1, 20), min_size=1, max_size=60),
+           start=st.integers(-1, 30), seed=st.integers(0, 2 ** 31 - 1))
+    def test_same_tokens_calls_and_window(self, size, period, width, caching,
+                                          gaps, start, seed):
+        # gaps up to 20 skip update ticks for every period 1..7
+        ckpt = init_checkpoint(dim=8, hidden=4, gamma=10.0, seed=3,
+                               zero_first_layer=False)
+        encoder = StubEncoder(dim=8, seed=7)
+        ring = CausalBuffer(encoder, size=size, subsample_period=period)
+        oracle = ListRingBuffer(encoder, size=size, subsample_period=period)
+        frames = np.random.default_rng(seed).standard_normal((len(gaps), width))
+        for tick, frame in zip((start + np.cumsum(gaps)).tolist(), frames):
+            assert (push_tick(ring, frame, tick, ckpt, caching)
+                    == list_ring_push_tick(oracle, frame, tick, ckpt, caching))
+            assert ring.encoder_calls == oracle.encoder_calls
+            got, want = ring.window(), oracle.window()
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.frames.tobytes() == want.frames.tobytes()
+                assert got.timestamps.tobytes() == want.timestamps.tobytes()
+
+    @pytest.mark.parametrize("rate, ticks", [
+        (-20.0, (0, 5)),  # negative rate: decreasing stamps
+        (float("inf"), (0, 5)),  # every stamp 0
+        (20.0, (5 * 2 ** 58, 5 * 2 ** 58 + 5)),  # stamps equal in float64
+    ])
+    def test_stamps_not_increasing_rejected_like_list_ring(self, ckpt, rate, ticks):
+        encoder = StubEncoder(dim=16, seed=7)
+        for buffer, push in ((CausalBuffer(encoder, tick_rate_hz=rate), push_tick),
+                             (ListRingBuffer(encoder, tick_rate_hz=rate),
+                              list_ring_push_tick)):
+            push(buffer, np.ones(4), ticks[0], ckpt)
+            with pytest.raises(ValidationError,
+                               match="^timestamps must be strictly increasing$"):
+                push(buffer, np.ones(4), ticks[1], ckpt)
+
+    def test_single_frame_ring_never_compares_stamps(self, ckpt):
+        encoder = StubEncoder(dim=16, seed=7)
+        ring = CausalBuffer(encoder, size=1, tick_rate_hz=-20.0)
+        oracle = ListRingBuffer(encoder, size=1, tick_rate_hz=-20.0)
+        for tick in (0, 5, 10):
+            frame = np.full(4, tick + 1.0)
+            assert (push_tick(ring, frame, tick, ckpt)
+                    == list_ring_push_tick(oracle, frame, tick, ckpt))
+
+
+class TestScalarSigmoid:
+    def test_bits_equal_array_sigmoid(self):
+        rng = np.random.default_rng(11)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        logits = np.concatenate([
+            rng.standard_normal(20000) * 10.0, rng.uniform(-800, 800, 20000),
+            [0.0, -0.0, 745.0, -745.0, 745.2, -745.2, 800.0, -800.0,
+             tiny, -tiny, 1e-310, -1e-310, np.finfo(np.float64).tiny]])
+        got = np.array([scalar_sigmoid(x) for x in logits.tolist()])
+        assert got.tobytes() == sigmoid(logits).tobytes()
+        zero_d = np.array([sigmoid(x) for x in logits])  # one 0-d array each
+        assert got.tobytes() == zero_d.tobytes()
 
 
 class TestScoreClipTrace:

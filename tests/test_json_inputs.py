@@ -268,7 +268,17 @@ class TestMalformedRegressions:
 
     def test_caption_annotations_a_number(self, tmp_path):
         path, result = self.caption(tmp_path, '{"type":"normal","annotations":5}')
-        assert_exit_2(result, re.escape(f"{path}: caption job line 3: "), "not iterable")
+        assert_exit_2(result, re.escape(
+            f"{path}: caption job line 3: annotations must be a list of strings"))
+
+    @pytest.mark.parametrize("annotations", ['"abc"', "[1,2]", '["ok",null]'])
+    def test_caption_annotations_not_strings(self, tmp_path, annotations):
+        """A string or a list holding a non-string is refused, not captioned
+        item by item."""
+        path, result = self.caption(
+            tmp_path, '{"type":"normal","annotations":%s}' % annotations)
+        assert_exit_2(result, re.escape(
+            f"{path}: caption job line 3: annotations must be a list of strings"))
 
     def test_caption_annotations_empty(self, tmp_path):
         path, result = self.caption(tmp_path, '{"type":"normal","annotations":[]}')
