@@ -24,8 +24,6 @@ from .mil import segment_clip
 from .model import load_checkpoint, save_checkpoint
 from .numerics import sigmoid
 
-ENCODER_ENV = "VLAAD_ENCODER"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -81,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=int, default=inference.DEFAULT_SUBSAMPLE_PERIOD)
     p.add_argument("--tick-rate", type=float, default=inference.DEFAULT_TICK_RATE_HZ)
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--embedding-cache")
 
     p = sub.add_parser("trace", help="emit per-snippet risk traces / plots")
     p.add_argument("--checkpoint")
@@ -107,16 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_encoder(dim: int, seed: int, cache_path=None):
-    kind = os.environ.get(ENCODER_ENV, "stub")
-    if kind == "cache" or cache_path:
-        if not cache_path:
-            raise ValidationError(
-                f"{ENCODER_ENV}=cache requires --embedding-cache PATH")
-        return CachedEncoder(cache_path)
-    if kind != "stub":
-        raise ValidationError(f"unknown {ENCODER_ENV} value {kind!r}")
-    return StubEncoder(dim=dim, seed=seed)
+def _make_encoder(dim: int, seed: int, cache_path):
+    """The cache encoder when ``--embedding-cache`` is given, else the stub."""
+    return CachedEncoder(cache_path) if cache_path else StubEncoder(dim=dim, seed=seed)
 
 
 def _cmd_synth(args) -> int:
@@ -254,7 +244,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_infer(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    encoder = _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache)
+    encoder = StubEncoder(dim=ckpt.dim, seed=ckpt.seed)
     tokens = inference.stream_tokens(  # bytes, so bad UTF-8 gets a line number
         getattr(sys.stdin, "buffer", sys.stdin), ckpt, encoder,
         size=args.buffer_size, subsample_period=args.period,

@@ -11,8 +11,8 @@ Two encoder families satisfy the same small interface:
   External backbones never link into the math core; the cache file is the
   only seam.  Cached vectors are served as-is, without renormalization.
 
-The ``VLAAD_ENCODER`` environment variable ("stub" or "cache") selects the
-family at the CLI level.
+At the CLI, ``--embedding-cache`` selects the cache encoder for ``train``,
+``eval`` and ``trace``; without it, and always for ``infer``, the stub runs.
 """
 
 from __future__ import annotations
@@ -52,14 +52,11 @@ class Embedding:
     """A fixed-dimension float32 vector from a video or text encoder."""
 
     values: np.ndarray
-    source: str  # "video" | "text"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float32)
         if vals.ndim != 1:
             raise ValidationError(f"embedding must be 1-D, got shape {vals.shape}")
-        if self.source not in ("video", "text"):
-            raise ValidationError(f"unknown embedding source {self.source!r}")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("embedding has non-finite entries")
         object.__setattr__(self, "values", vals)
@@ -71,15 +68,10 @@ class Embedding:
 
 @dataclass
 class FrameWindow:
-    """Ordered per-frame feature rows for one snippet.
-
-    ``key`` is the lookup id used by cache-backed encoders; the stub
-    encoder ignores it.
-    """
+    """Ordered per-frame feature rows for one snippet."""
 
     frames: np.ndarray  # (K, feat)
     timestamps: np.ndarray  # (K,) seconds, strictly increasing
-    key: str | None = None
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -93,11 +85,9 @@ class FrameWindow:
 
 
 class EncoderHandle(Protocol):
-    """Anything that maps windows and captions to D-dim embeddings."""
+    """Anything that maps clip windows and captions to D-dim embeddings."""
 
     dim: int
-
-    def encode_window(self, window: FrameWindow) -> Embedding: ...
 
     def encode_windows(self, frames: np.ndarray, starts: Sequence[int],
                        length: int, keys: Sequence[str]) -> np.ndarray:
@@ -106,8 +96,6 @@ class EncoderHandle(Protocol):
         ...
 
     def encode_text(self, caption: str) -> Embedding: ...
-
-    def state_hash(self) -> str: ...
 
 
 def _unit(vec: np.ndarray, what: str) -> np.ndarray:
@@ -164,7 +152,7 @@ class StubEncoder:
         return _unit(pooled @ self._projection(pooled.shape[0]), "projected window")
 
     def encode_window(self, window: FrameWindow) -> Embedding:
-        return Embedding(self._window_vector(window.frames), "video")
+        return Embedding(self._window_vector(window.frames))
 
     def encode_windows(self, frames, starts, length, keys) -> np.ndarray:
         out = np.empty((len(starts), self.dim), dtype=np.float32)
@@ -183,64 +171,35 @@ class StubEncoder:
             digest = hashlib.sha256(token.encode("utf-8")).digest()
             counts[int.from_bytes(digest[:8], "little") % self.text_buckets] += 1.0
         projected = counts @ self._text_projection()
-        return Embedding(_unit(projected, "projected caption"), "text")
-
-    def state_hash(self) -> str:
-        # Projections are derived, not state: hashing the defining config is
-        # the honest frozen-encoder fingerprint.
-        h = hashlib.sha256()
-        h.update(f"stub:{self.dim}:{self.seed}:{self.text_buckets}".encode())
-        return h.hexdigest()
+        return Embedding(_unit(projected, "projected caption"))
 
 
 class CachedEncoder:
     """Encoder backed by an offline embedding-cache file.
 
-    Video windows must carry a ``key``; captions are looked up by their
-    trimmed text.  Vectors are returned exactly as stored; the reader has
-    already rejected any that is not finite.
+    Windows are looked up by their keys and captions by their trimmed text.
+    Vectors are returned exactly as stored; the reader has already rejected
+    any that is not finite.
     """
 
     def __init__(self, path):
-        self._table, self.dim = read_embedding_cache(path)
-        self._digest: str | None = None
+        self._rows, self._vectors, self.dim = read_embedding_cache(path)
 
-    def _lookup(self, key: str, source: str) -> Embedding:
-        vec = self._table.get(key)
-        if vec is None:
-            raise ValidationError(f"embedding id {key!r} not present in cache")
-        return Embedding(vec, source)
-
-    def encode_window(self, window: FrameWindow) -> Embedding:
-        if window.key is None:
-            raise ValidationError("cache-backed encoding requires a window key")
-        return self._lookup(window.key, "video")
-
-    def encode_windows(self, frames, starts, length, keys) -> np.ndarray:
-        rows = self._table.rows
+    def _index(self, keys: Sequence[str]) -> list:
         try:
-            index = [rows[key] for key in keys]
+            return [self._rows[key] for key in keys]
         except KeyError as exc:
             raise ValidationError(
                 f"embedding id {exc.args[0]!r} not present in cache") from None
-        return self._table.vectors.take(index, axis=0)  # one gather, a copy
+
+    def encode_windows(self, frames, starts, length, keys) -> np.ndarray:
+        return self._vectors.take(self._index(keys), axis=0)  # one gather, a copy
 
     def encode_text(self, caption: str) -> Embedding:
-        return self._lookup(caption.strip(), "text")
-
-    def state_hash(self) -> str:
-        # sha256 over every id and vector of the table; computed on the
-        # first call, since hashing the table costs a pass over all of it
-        if self._digest is None:
-            h = hashlib.sha256()
-            for key, vec in self._table.items():
-                h.update(key.encode())
-                h.update(vec.tobytes())
-            self._digest = h.hexdigest()
-        return self._digest
+        return Embedding(self._vectors[self._index([caption.strip()])[0]])
 
 
-def encode_video_snippet(window: FrameWindow, encoder: EncoderHandle) -> Embedding:
+def encode_video_snippet(window: FrameWindow, encoder: StubEncoder) -> Embedding:
     """Encode one frame window into a video embedding of the encoder's dim."""
     emb = encoder.encode_window(window)
     if emb.dim != encoder.dim:
@@ -295,29 +254,9 @@ def write_embedding_cache(path, entries: Mapping[str, np.ndarray] | Iterable[Tup
     return len(items)
 
 
-class EmbeddingTable(Mapping):
-    """Read-only id -> float32 vector mapping over one (count, D) block.
-
-    ``rows`` maps each id to its row of ``vectors``; an id stored twice maps
-    to its last record.  Looking up an id returns a view into the block.
-    """
-
-    def __init__(self, rows: Dict[str, int], vectors: np.ndarray):
-        self.rows = rows
-        self.vectors = vectors
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self.vectors[self.rows[key]]
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-def read_embedding_cache(path) -> Tuple[EmbeddingTable, int]:
-    """Read a cache file back into an id -> float32 vector table.
+def read_embedding_cache(path) -> Tuple[Dict[str, int], np.ndarray, int]:
+    """Read a cache file back as (id -> row, (count, D) float32 block, D);
+    an id stored twice maps to its last record.
 
     The header's count is checked against the file size before anything
     else is read (every record takes at least 2 + 4·D bytes), records are
@@ -379,7 +318,7 @@ def read_embedding_cache(path) -> Tuple[EmbeddingTable, int]:
             raise ValidationError(
                 f"{path}: embedding cache record {i} at byte "
                 f"{_record_offset(fh, dim, i)} has a non-finite value")
-    return EmbeddingTable(rows, vectors), int(dim)
+    return rows, vectors, int(dim)
 
 
 def _record_offset(fh, dim: int, index: int) -> int:

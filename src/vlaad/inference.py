@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .embeddings import EncoderHandle, FrameWindow, encode_video_snippet
+from .embeddings import FrameWindow, StubEncoder, encode_video_snippet
 from .errors import ValidationError, json_lines
 from .model import ModelCheckpoint, forward_rows
 from .numerics import scalar_sigmoid
@@ -39,30 +39,30 @@ class CausalBuffer:
     oldest first, are always the one contiguous block ``ring[lo:lo + n]``.
     """
 
-    encoder: EncoderHandle
+    encoder: StubEncoder
     size: int = DEFAULT_BUFFER_FRAMES
     subsample_period: int = DEFAULT_SUBSAMPLE_PERIOD
     tick_rate_hz: float = DEFAULT_TICK_RATE_HZ
-    last_update_tick: int | None = None
-    cached_token: float = NEUTRAL_TOKEN
-    encoder_calls: int = 0
+    cached_token: float = field(default=NEUTRAL_TOKEN, init=False)
+    encoder_calls: int = field(default=0, init=False)
     held: int = field(default=0, init=False)  # frames in the ring, <= size
     _ring: np.ndarray | None = field(default=None, init=False, repr=False)
     _times: np.ndarray | None = field(default=None, init=False, repr=False)
     _next: int = field(default=0, init=False, repr=False)  # next frame's slot
-    _last_tick: int | None = field(default=None, repr=False)
+    _last_tick: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.size < 1 or self.subsample_period < 1:
             raise ValidationError("buffer size and period must be >= 1")
+        if not (math.isfinite(self.tick_rate_hz) and self.tick_rate_hz > 0):
+            raise ValidationError(
+                f"tick rate {self.tick_rate_hz} Hz must be finite and > 0")
 
     def _write(self, frame: np.ndarray, tick: int) -> None:
         k = self.size
         if self._ring is None:
             self._ring = np.empty((2 * k, frame.shape[0]), dtype=np.float64)
             self._times = np.empty(2 * k, dtype=np.float64)
-        # numpy division: a rate of 0 gives inf or nan, as for an array of
-        # ticks, not a ZeroDivisionError
         stamp = np.float64(tick) / self.tick_rate_hz
         i = self._next
         self._ring[i] = frame
@@ -72,8 +72,8 @@ class CausalBuffer:
         if self.held < k:
             self.held += 1
         if self.held > 1 and stamp - self._times[i + k - 1] <= 0:
-            # increasing ticks give increasing stamps, except at a negative or
-            # infinite rate, or for ticks past float64 precision
+            # increasing ticks give increasing stamps, except for ticks past
+            # float64 precision
             raise ValidationError("timestamps must be strictly increasing")
 
     def window(self) -> FrameWindow | None:
@@ -88,7 +88,6 @@ class CausalBuffer:
         window = object.__new__(FrameWindow)
         window.frames = self._ring[lo:hi]
         window.timestamps = self._times[lo:hi]
-        window.key = None
         return window
 
     def _compute_token(self, ckpt: ModelCheckpoint) -> float:
@@ -127,7 +126,6 @@ def push_tick(buffer: CausalBuffer, frame, tick: int, ckpt: ModelCheckpoint,
             f"frame width {buffer._ring.shape[1]}")
     buffer._last_tick = tick
     if tick % buffer.subsample_period == 0:
-        buffer.last_update_tick = tick
         buffer._write(frame, tick)
         buffer.cached_token = buffer._compute_token(ckpt)
         return buffer.cached_token
@@ -137,7 +135,7 @@ def push_tick(buffer: CausalBuffer, frame, tick: int, ckpt: ModelCheckpoint,
 
 
 def stream_tokens(lines: Iterable[str], ckpt: ModelCheckpoint,
-                  encoder: EncoderHandle, size: int = DEFAULT_BUFFER_FRAMES,
+                  encoder: StubEncoder, size: int = DEFAULT_BUFFER_FRAMES,
                   subsample_period: int = DEFAULT_SUBSAMPLE_PERIOD,
                   tick_rate_hz: float = DEFAULT_TICK_RATE_HZ,
                   caching: bool = True) -> Iterator[float]:

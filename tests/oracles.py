@@ -34,16 +34,21 @@ def stub_video_embedding(frames, seed, dim):
 
 
 def per_snippet_bag(clip, snippet_len, stride, encoder):
-    """``segment_clip`` one snippet at a time: a validated ``FrameWindow`` and
-    one ``encode_video_snippet`` call per snippet, keyed ``clip_id:i``."""
+    """``segment_clip`` one snippet at a time, snippet i keyed ``clip_id:i``.
+
+    ``encoder`` is a stub, called once per snippet on a validated
+    ``FrameWindow``, or the id -> vector entries written to a cache file,
+    read by key."""
     feats = clip.feature_matrix()
     rows, times = [], []
     for i, s in enumerate(range(0, feats.shape[0] - snippet_len + 1, stride)):
-        window = FrameWindow(
-            frames=feats[s:s + snippet_len],
-            timestamps=np.arange(s, s + snippet_len) / clip.frame_hz,
-            key=f"{clip.clip_id}:{i}")
-        rows.append(encode_video_snippet(window, encoder).values)
+        if isinstance(encoder, dict):
+            rows.append(np.asarray(encoder[f"{clip.clip_id}:{i}"], np.float32))
+        else:
+            window = FrameWindow(
+                frames=feats[s:s + snippet_len],
+                timestamps=np.arange(s, s + snippet_len) / clip.frame_hz)
+            rows.append(encode_video_snippet(window, encoder).values)
         times.append(s / clip.frame_hz)
     return Bag(clip_id=clip.clip_id, snippets=np.stack(rows),
                start_times=np.asarray(times), label=clip.label)

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,10 +343,10 @@ class TestEmbeddingCacheReader:
 
     def test_missing_window_id(self, cache_inputs):
         root, manifest, _ = cache_inputs
-        table, dim = read_embedding_cache(root / "good.vlec")
+        rows, vectors, dim = read_embedding_cache(root / "good.vlec")
         missing = f"{read_manifest(manifest)[0].clip_id}:2"
-        write_embedding_cache(root / "short.vlec",
-                              {k: v for k, v in table.items() if k != missing}, dim)
+        write_embedding_cache(root / "short.vlec", {k: vectors[i] for k, i in
+                                                    rows.items() if k != missing}, dim)
         code, err, _ = eval_cache_bytes(root, manifest,
                                         (root / "short.vlec").read_bytes())
         assert code == 2, err
@@ -627,7 +628,7 @@ class TestScoreWilcoxon:
 
 class TestCachedEncoderSeam:
     def test_eval_from_embedding_cache_matches_stub(self, manifest, tmp_path,
-                                                    capsys, monkeypatch):
+                                                    capsys):
         """External-backbone seam: precomputed embeddings served from the
         cache file reproduce the stub-encoder evaluation exactly."""
         from vlaad.datakit import read_manifest as read_m
@@ -656,7 +657,6 @@ class TestCachedEncoderSeam:
         cache = tmp_path / "emb.bin"
         write_embedding_cache(cache, entries, dim=ckpt.dim)
 
-        monkeypatch.setenv("VLAAD_ENCODER", "cache")
         code, cache_out, _ = run_cli(capsys, "eval", "--checkpoint",
                                      str(ckpt_path), "--manifest",
                                      str(manifest), "--embedding-cache",
@@ -664,15 +664,29 @@ class TestCachedEncoderSeam:
         assert code == 0
         assert json.loads(cache_out) == json.loads(stub_out)
 
-    def test_cache_mode_requires_path(self, manifest, tmp_path, capsys,
-                                      monkeypatch):
-        monkeypatch.setenv("VLAAD_ENCODER", "cache")
-        code, _, _ = run_cli(capsys, "train", "--manifest", str(manifest),
-                             "-o", str(tmp_path / "x.bin"))
-        assert code == 2
+    def test_encoder_env_var_ignored(self, manifest, tmp_path, capsys,
+                                     monkeypatch):
+        """Only --embedding-cache selects the cache encoder: VLAAD_ENCODER,
+        which once did too, leaves train on the stub."""
+        outs = []
+        for env in (None, "cache"):
+            if env:
+                monkeypatch.setenv("VLAAD_ENCODER", env)
+            path = tmp_path / f"{env}.bin"
+            code, _, err = run_cli(capsys, "train", "--manifest", str(manifest),
+                                   "-o", str(path), "--set", "epochs=1")
+            assert code == 0, err
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestInfer:
+    @staticmethod
+    def checkpoint(tmp_path):
+        path = tmp_path / "w.bin"
+        save_checkpoint(path, init_checkpoint(dim=16, hidden=4, seed=0))
+        return path
+
     def test_stdin_stream(self, manifest, tmp_path, capsys, monkeypatch):
         ckpt = tmp_path / "i.bin"
         code, _, _ = run_cli(capsys, "train", "--manifest", str(manifest),
@@ -722,10 +736,7 @@ class TestInfer:
         assert 0.0 <= token <= 1.0 and rest == b""
 
     def test_frame_width_change_exit_2(self, tmp_path, capsys, monkeypatch):
-        from vlaad.model import init_checkpoint, save_checkpoint
-
-        ckpt = tmp_path / "w.bin"
-        save_checkpoint(ckpt, init_checkpoint(dim=16, hidden=4, seed=0))
+        ckpt = self.checkpoint(tmp_path)
         lines = "".join(json.dumps({"tick": t, "features": [0.5] * width}) + "\n"
                         for t, width in enumerate((8, 8, 8, 9, 8)))
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
@@ -735,3 +746,26 @@ class TestInfer:
         assert len(errors) == 1 and "line 4" in errors[0]
         assert "Traceback" not in err
         assert len(out.splitlines()) == 3
+
+    @pytest.mark.parametrize("rate", ["0", "-20", "inf", "nan"])
+    def test_bad_tick_rate_exit_2_before_any_token(self, rate, tmp_path, capsys,
+                                                   monkeypatch):
+        ckpt = self.checkpoint(tmp_path)
+        lines = "".join(json.dumps({"tick": t, "features": [0.5] * 8}) + "\n"
+                        for t in range(11))
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails it
+            code, out, err = run_cli(capsys, "infer", "--checkpoint", str(ckpt),
+                                     "--tick-rate", rate)
+        assert code == 2 and out == ""
+        assert_one_error_line(
+            err, re.escape(f"tick rate {float(rate)} Hz must be finite and > 0"))
+
+    def test_embedding_cache_flag_rejected(self, tmp_path, capsys):
+        """infer always streams through the stub: it has no cache flag."""
+        code, out, err = run_cli(capsys, "infer", "--checkpoint",
+                                 str(self.checkpoint(tmp_path)),
+                                 "--embedding-cache", str(tmp_path / "c.vlec"))
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --embedding-cache" in err

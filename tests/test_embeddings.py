@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +11,9 @@ from vlaad.errors import (DegenerateInputError, DimensionMismatchError,
                           EmptyInputError, ValidationError)
 
 
-def window(frames, key=None):
+def window(frames):
     frames = np.asarray(frames, dtype=np.float64)
-    return FrameWindow(frames, np.arange(frames.shape[0]) / 4.0, key=key)
+    return FrameWindow(frames, np.arange(frames.shape[0]) / 4.0)
 
 
 class TestStubVideoEncoder:
@@ -30,7 +28,6 @@ class TestStubVideoEncoder:
         a = encode_video_snippet(window(frames), enc)
         b = encode_video_snippet(window(frames), enc)
         assert np.array_equal(a.values, b.values)
-        assert a.source == "video"
 
     def test_one_frame_difference_matches_standalone_projection(self, rng):
         """Cosine of two windows differing in one frame, against a fully
@@ -73,7 +70,6 @@ class TestStubTextEncoder:
         b = encode_text("a vehicle collides with a pedestrian", enc)
         assert np.array_equal(a.values, b.values)
         assert float(a.values @ b.values) == pytest.approx(1.0, abs=1e-6)
-        assert a.source == "text"
 
     def test_trailing_whitespace_trimmed(self):
         enc = StubEncoder(dim=8, seed=7)
@@ -100,11 +96,7 @@ class TestStubTextEncoder:
 class TestEmbeddingType:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
-            Embedding(np.array([1.0, np.nan]), "video")
-
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValidationError):
-            Embedding(np.ones(3), "audio")
+            Embedding(np.array([1.0, np.nan]))
 
 
 class TestEmbeddingCache:
@@ -113,44 +105,33 @@ class TestEmbeddingCache:
         entries = {f"clip:{i}": rng.standard_normal(8).astype(np.float32)
                    for i in range(5)}
         write_embedding_cache(path, entries, dim=8)
-        table, dim = read_embedding_cache(path)
+        rows, vectors, dim = read_embedding_cache(path)
         assert dim == 8
-        assert set(table) == set(entries)
+        assert vectors.shape == (5, 8)
+        assert list(rows) == list(entries)
         for key, vec in entries.items():
-            assert np.array_equal(table[key], vec)
-            assert np.shares_memory(table[key], table.vectors)  # one block
+            assert np.array_equal(vectors[rows[key]], vec)
 
     def test_cached_encoder_serves_vectors_as_is(self, tmp_path, rng):
         path = tmp_path / "emb.bin"
         vec = (3.0 * rng.standard_normal(8)).astype(np.float32)  # not unit
-        write_embedding_cache(path, {"w:0": vec, "hello": vec}, dim=8)
+        other = rng.standard_normal(8).astype(np.float32)
+        write_embedding_cache(path, {"w:0": vec, "w:1": other, "hello": vec},
+                              dim=8)
         enc = CachedEncoder(path)
-        out = enc.encode_window(window(np.ones((2, 3)), key="w:0"))
-        assert np.array_equal(out.values, vec)
+        out = enc.encode_windows(np.ones((4, 3)), [2, 0, 2], 2,
+                                 ["w:1", "w:0", "w:1"])
+        assert out.tobytes() == np.stack([other, vec, other]).tobytes()
         assert np.array_equal(encode_text("hello", enc).values, vec)
 
     def test_missing_key_and_missing_id(self, tmp_path, rng):
         path = tmp_path / "emb.bin"
         write_embedding_cache(path, {"a": np.ones(4, np.float32)}, dim=4)
         enc = CachedEncoder(path)
-        with pytest.raises(ValidationError):
-            enc.encode_window(window(np.ones((2, 3))))  # no key
-        with pytest.raises(ValidationError):
-            enc.encode_window(window(np.ones((2, 3)), key="b"))
-
-    def test_state_hash_is_the_whole_table_digest(self, tmp_path, rng):
-        """The lazy, incremental hash equals sha256 over every id and vector
-        joined in table order, computed from the written entries."""
-        path = tmp_path / "emb.bin"
-        entries = {f"clip:{i}": rng.standard_normal(8).astype(np.float32)
-                   for i in range(5)}
-        entries["a café scene"] = rng.standard_normal(8).astype(np.float32)
-        write_embedding_cache(path, entries, dim=8)
-        expected = hashlib.sha256(b"".join(
-            k.encode() + v.tobytes() for k, v in entries.items())).hexdigest()
-        enc = CachedEncoder(path)
-        assert enc.state_hash() == expected
-        assert enc.state_hash() == expected
+        with pytest.raises(ValidationError, match="embedding id 'b' not present"):
+            enc.encode_windows(np.ones((2, 3)), [0, 0], 2, ["a", "b"])
+        with pytest.raises(ValidationError, match="embedding id 'b' not present"):
+            encode_text("b", enc)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.bin"
@@ -170,22 +151,12 @@ class TestEncoderContract:
             dim = 8
 
             def encode_window(self, w):
-                return Embedding(np.ones(5, np.float32) / np.sqrt(5), "video")
+                return Embedding(np.ones(5, np.float32) / np.sqrt(5))
 
             def encode_text(self, c):
-                return Embedding(np.ones(5, np.float32) / np.sqrt(5), "text")
-
-            def state_hash(self):
-                return "x"
+                return Embedding(np.ones(5, np.float32) / np.sqrt(5))
 
         with pytest.raises(DimensionMismatchError):
             encode_video_snippet(window(np.ones((2, 3))), BadEncoder())
         with pytest.raises(DimensionMismatchError):
             encode_text("hi", BadEncoder())
-
-    def test_state_hash_stable(self):
-        enc = StubEncoder(dim=8, seed=7)
-        before = enc.state_hash()
-        encode_text("a car", enc)
-        encode_video_snippet(window(np.ones((2, 3))), enc)
-        assert enc.state_hash() == before

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -83,7 +84,6 @@ class TestPushTick:
         np.testing.assert_array_equal(window.frames, frames[[25, 30, 35]])
         np.testing.assert_array_equal(window.timestamps,
                                       np.array([25, 30, 35]) / 20.0)
-        assert buffer.last_update_tick == 35
 
     def test_causality_future_perturbation(self, ckpt, small_encoder, rng):
         frames = rng.standard_normal((60, 4))
@@ -155,21 +155,32 @@ class TestRingAgainstListRing:
         (20.0, (5 * 2 ** 58, 5 * 2 ** 58 + 5)),  # stamps equal in float64
     ])
     def test_stamps_not_increasing_rejected_like_list_ring(self, ckpt, rate, ticks):
+        """The list ring rejects the second stamp; the ring rejects a rate
+        that is not finite and > 0 when it is built, and past float64
+        precision at the same tick as the list ring."""
         encoder = StubEncoder(dim=16, seed=7)
-        for buffer, push in ((CausalBuffer(encoder, tick_rate_hz=rate), push_tick),
-                             (ListRingBuffer(encoder, tick_rate_hz=rate),
-                              list_ring_push_tick)):
-            push(buffer, np.ones(4), ticks[0], ckpt)
+        oracle = ListRingBuffer(encoder, tick_rate_hz=rate)
+        list_ring_push_tick(oracle, np.ones(4), ticks[0], ckpt)
+        with pytest.raises(ValidationError,
+                           match="^timestamps must be strictly increasing$"):
+            list_ring_push_tick(oracle, np.ones(4), ticks[1], ckpt)
+        if rate < 0 or math.isinf(rate):
             with pytest.raises(ValidationError,
-                               match="^timestamps must be strictly increasing$"):
-                push(buffer, np.ones(4), ticks[1], ckpt)
+                               match=f"^tick rate {rate} Hz must be finite and > 0$"):
+                CausalBuffer(encoder, tick_rate_hz=rate)
+            return
+        ring = CausalBuffer(encoder, tick_rate_hz=rate)
+        push_tick(ring, np.ones(4), ticks[0], ckpt)
+        with pytest.raises(ValidationError,
+                           match="^timestamps must be strictly increasing$"):
+            push_tick(ring, np.ones(4), ticks[1], ckpt)
 
     def test_single_frame_ring_never_compares_stamps(self, ckpt):
         encoder = StubEncoder(dim=16, seed=7)
-        ring = CausalBuffer(encoder, size=1, tick_rate_hz=-20.0)
-        oracle = ListRingBuffer(encoder, size=1, tick_rate_hz=-20.0)
-        for tick in (0, 5, 10):
-            frame = np.full(4, tick + 1.0)
+        ring = CausalBuffer(encoder, size=1)
+        oracle = ListRingBuffer(encoder, size=1)
+        for k in range(3):  # ticks whose stamps are equal in float64
+            tick, frame = 5 * 2 ** 58 + 5 * k, np.full(4, k + 1.0)
             assert (push_tick(ring, frame, tick, ckpt)
                     == list_ring_push_tick(oracle, frame, tick, ckpt))
 

@@ -205,7 +205,7 @@ class TestSegmentClip:
             write_embedding_cache(path, entries, dim=5)
             cached = CachedEncoder(path)
             bag = segment_clip(clip, snippet_len, stride, cached)
-            expected = per_snippet_bag(clip, snippet_len, stride, cached)
+        expected = per_snippet_bag(clip, snippet_len, stride, entries)
         assert np.array_equal(bag.snippets, expected.snippets)
         assert np.array_equal(bag.start_times, expected.start_times)
 

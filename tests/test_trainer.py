@@ -305,9 +305,14 @@ class TestTrain:
     def test_encoder_untouched(self):
         recs = synth_records(10, seed=9)
         enc = StubEncoder(dim=24, seed=0)
-        before = enc.state_hash()
+
+        def projections():  # the frozen weights: 8-wide frames, captions
+            return enc._projection(8).tobytes() + enc._text_projection().tobytes()
+
+        before = projections()
         train(self.small_config(), recs, enc)
-        assert enc.state_hash() == before
+        assert list(enc._video_proj) == [8]
+        assert projections() == before
 
     def test_non_finite_abort_names_epoch_and_batch(self, monkeypatch):
         import vlaad.trainer as trainer_mod
