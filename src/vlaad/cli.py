@@ -20,7 +20,7 @@ from . import datakit, evalkit, inference, plotting, trainer
 from .embeddings import CachedEncoder, StubEncoder
 from .errors import (LINES_BUFFER, NonFiniteLossError, SummarizerError,
                      ValidationError, VlaadError, json_document, json_lines)
-from .mil import segment_clip
+from .mil import encode_clip, segment_clip
 from .model import load_checkpoint, save_checkpoint
 from .numerics import sigmoid
 
@@ -208,6 +208,9 @@ def _cmd_train(args) -> int:
     val_records = (datakit.read_manifest(args.val_manifest)
                    if args.val_manifest else None)
     encoder = _make_encoder(config.embed_dim, config.seed, args.embedding_cache)
+    if encoder.dim != config.embed_dim:
+        raise ValidationError(f"{args.embedding_cache}: embedding cache has D="
+                              f"{encoder.dim}, but embed_dim is {config.embed_dim}")
     result = trainer.train(config, records, encoder, val_records)
     save_checkpoint(args.output, result.checkpoint)
     if args.history:
@@ -224,21 +227,13 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     records = datakit.read_manifest(args.manifest)
     encoder = _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache)
-    cfg = trainer.TrainConfig(epochs=0, mode=args.mode, embed_dim=ckpt.dim,
-                              hidden_dim=ckpt.hidden, gamma=ckpt.gamma,
-                              seed=ckpt.seed)
-    examples = trainer.prepare_examples(records, encoder, cfg)
-    scored = evalkit.ScoredSet(trainer.scores_for(ckpt, examples, args.mode),
+    bags = (encode_clip(rec, args.mode, encoder) for rec in records)
+    scored = evalkit.ScoredSet(trainer.scores_for(ckpt, bags, args.mode),
                                np.asarray([r.label for r in records]))
     auc = evalkit.roc_auc(scored)
-    if args.tau is None:
-        tau = evalkit.youden_threshold(scored).threshold
-    else:
-        tau = args.tau
-    metrics = evalkit.threshold_metrics(scored, tau)
-    out = {"n": int(scored.labels.size), "auc": auc, "tau": tau}
-    out.update(metrics)
-    print(json.dumps(out))
+    tau = evalkit.youden_threshold(scored).threshold if args.tau is None else args.tau
+    print(json.dumps({"n": int(scored.labels.size), "auc": auc, "tau": tau,
+                      **evalkit.threshold_metrics(scored, tau)}))
     return 0
 
 
@@ -271,15 +266,12 @@ def _cmd_trace(args) -> int:
         if not records:
             raise ValidationError(f"clip {args.clip_id!r} not in manifest")
     encoder = _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache)
-    chunk = trainer.DEFAULT_EVAL_BATCH
+    clips = (segment_clip(rec, args.snippet_len, args.stride, encoder)
+             for rec in records)
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(plotting.TRACE_HEADER)
-        # eval's chunks: the same row blocks give eval's logits bit for bit
-        for start in range(0, len(records), chunk):
-            bags = [segment_clip(rec, args.snippet_len, args.stride, encoder)
-                    for rec in records[start:start + chunk]]
-            fw = trainer.forward_stack(ckpt, bags, "mil")
+        for bags, fw in trainer.forward_chunks(ckpt, clips, "mil"):
             writer.writerows(zip(
                 [bag.clip_id for bag in bags for _ in range(bag.size)],
                 [i for bag in bags for i in range(bag.size)],

@@ -110,17 +110,14 @@ def segment_lse_pool(logits, starts, gamma: float = DEFAULT_GAMMA):
     return pooled, shifted / sums[seg]
 
 
-def segment_clip(clip: "ClipRecord", snippet_len: int = DEFAULT_SNIPPET_LEN,
-                 stride: int = DEFAULT_SNIPPET_STRIDE,
-                 encoder: EncoderHandle | None = None) -> Bag:
+def segment_clip(clip: "ClipRecord", snippet_len: int, stride: int,
+                 encoder: EncoderHandle) -> Bag:
     """Slice a clip's frame features into encoded snippets, order preserved.
 
     Produces T = floor((F - snippet_len) / stride) + 1 snippets at 4 Hz
     frame timing, all encoded in one encoder call; snippet i is keyed
     ``clip_id:i``.
     """
-    if encoder is None:
-        raise ValidationError("segment_clip requires an encoder")
     if snippet_len < 1 or stride < 1:
         raise ValidationError("snippet_len and stride must be >= 1")
     feats = clip.feature_matrix()
@@ -135,3 +132,16 @@ def segment_clip(clip: "ClipRecord", snippet_len: int = DEFAULT_SNIPPET_LEN,
     return Bag(clip_id=clip.clip_id, snippets=rows,
                start_times=np.asarray(starts, dtype=np.float64) / clip.frame_hz,
                label=clip.label)
+
+
+def encode_clip(clip: "ClipRecord", mode: str, encoder: EncoderHandle,
+                snippet_len: int = DEFAULT_SNIPPET_LEN,
+                stride: int = DEFAULT_SNIPPET_STRIDE) -> Bag:
+    """The bag a clip is scored from under ``mode``: ``segment_clip``'s in MIL
+    mode; in clip mode one window of every frame, keyed ``clip_id:clip``."""
+    if mode == "mil":
+        return segment_clip(clip, snippet_len, stride, encoder)
+    feats = clip.feature_matrix()
+    rows = encode_video_snippets(feats, [0], feats.shape[0],
+                                 [f"{clip.clip_id}:clip"], encoder)
+    return Bag(clip.clip_id, rows, [0.0], clip.label)

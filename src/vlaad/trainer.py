@@ -12,15 +12,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .datakit import ClipRecord
-from .embeddings import EncoderHandle, encode_text, encode_video_snippets
+from .embeddings import EncoderHandle, encode_text
 from .errors import NonFiniteLossError, ValidationError
 from .losses import LossBreakdown
-from .mil import segment_clip, segment_lse_pool
+from .mil import encode_clip, segment_lse_pool
 from .model import (ModelCheckpoint, forward_rows, heads_backward,
                     init_checkpoint, param_layout, param_views)
 from .numerics import sigmoid, softplus
@@ -134,7 +135,6 @@ class TrainExample:
     snippets: np.ndarray  # (T, D) in the encoder's dtype; T == 1 in clip mode
     text: np.ndarray  # (D,) float64, read-only: examples may share it
     label: int
-    event_window: Tuple[int, int] | None = None
 
 
 def prepare_examples(records: Sequence[ClipRecord], encoder: EncoderHandle,
@@ -155,16 +155,9 @@ def prepare_examples(records: Sequence[ClipRecord], encoder: EncoderHandle,
             text = encode_text(rec.caption, encoder).values.astype(np.float64)
             text.flags.writeable = False
             texts[rec.caption] = text
-        if config.mode == "clip":
-            feats = rec.feature_matrix()  # one window of every frame
-            snips = encode_video_snippets(feats, [0], feats.shape[0],
-                                          [f"{rec.clip_id}:clip"], encoder)
-        else:
-            bag = segment_clip(rec, config.snippet_len, config.snippet_stride,
-                               encoder)
-            snips = bag.snippets
-        out.append(TrainExample(rec.clip_id, snips, text, rec.label,
-                                rec.event_window))
+        bag = encode_clip(rec, config.mode, encoder, config.snippet_len,
+                          config.snippet_stride)
+        out.append(TrainExample(rec.clip_id, bag.snippets, text, rec.label))
     return out
 
 
@@ -199,11 +192,11 @@ class Stack(NamedTuple):
 def forward_stack(ckpt: ModelCheckpoint, examples: Sequence, mode: str) -> Stack:
     """One forward over every snippet row of ``examples``, pooled per clip.
 
-    The only offline snippet kernel: training, ``scores_for`` and
-    ``vlaad trace`` all run it.  ``examples`` may be ``TrainExample``s or
-    ``mil.Bag``s; each needs ``.snippets`` (T, D) and ``.clip_id``.  A
-    clip-mode example has one row, which pools to its own logit with
-    attention 1, so both modes share this path.
+    The only offline snippet kernel: training and ``forward_chunks`` run
+    it.  ``examples`` may be ``TrainExample``s or ``mil.Bag``s; each needs
+    ``.snippets`` (T, D) and ``.clip_id``.  A clip-mode example has one row,
+    which pools to its own logit with attention 1, so both modes share this
+    path.
     """
     counts = np.asarray([ex.snippets.shape[0] for ex in examples], dtype=np.intp)
     if mode == "clip" and np.any(counts != 1):
@@ -368,21 +361,25 @@ def _resolve_pos_weight(config: TrainConfig, records: Sequence[ClipRecord]) -> f
     return n_neg / n_pos if n_pos else 1.0
 
 
-def scores_for(ckpt: ModelCheckpoint, examples: Sequence[TrainExample],
-               mode: str, eval_batch: int = DEFAULT_EVAL_BATCH) -> np.ndarray:
-    """Bag probabilities (MIL pooled, or the single clip logit in clip mode).
+def forward_chunks(ckpt: ModelCheckpoint, examples: Iterable, mode: str,
+                   eval_batch: int = DEFAULT_EVAL_BATCH) -> Iterator[Tuple[list, Stack]]:
+    """``(chunk, forward_stack(ckpt, chunk, mode))`` per run of ``eval_batch``
+    clips of any iterable, such as a generator that encodes one clip at a
+    time.  The one scoring loop, so ``scores_for``, ``vlaad eval`` and
+    ``vlaad trace`` share chunks; memory scales with a chunk, not all clips."""
+    it = iter(examples)
+    while chunk := list(islice(it, eval_batch)):
+        yield chunk, forward_stack(ckpt, chunk, mode)
 
-    Runs the stacked kernel of ``batch_objective`` once per chunk of
-    ``eval_batch`` clips.  ``eval_batch`` bounds the float64 snippet rows
-    and their activations held at once, so that working memory stays fixed
-    however many clips are scored; the probabilities do not depend on it.
-    """
-    probs = np.empty(len(examples))
-    for start in range(0, len(examples), eval_batch):
-        chunk = examples[start:start + eval_batch]
-        probs[start:start + len(chunk)] = sigmoid(
-            forward_stack(ckpt, chunk, mode).pooled)
-    return probs
+
+def scores_for(ckpt: ModelCheckpoint, examples: Iterable, mode: str,
+               eval_batch: int = DEFAULT_EVAL_BATCH) -> np.ndarray:
+    """Bag probabilities (MIL pooled, or the single clip logit in clip mode),
+    one chunk of ``forward_chunks`` at a time; they do not depend on
+    ``eval_batch``."""
+    probs = [sigmoid(fw.pooled) for _, fw in
+             forward_chunks(ckpt, examples, mode, eval_batch)]
+    return np.concatenate(probs) if probs else np.empty(0)
 
 
 def train(config: TrainConfig, records: Sequence[ClipRecord],

@@ -24,7 +24,7 @@ from vlaad.datakit import ClipRecord, read_manifest, write_manifest
 from vlaad.embeddings import (StubEncoder, read_embedding_cache,
                               write_embedding_cache)
 from vlaad.mil import segment_clip, segment_lse_pool
-from vlaad.model import init_checkpoint, save_checkpoint
+from vlaad.model import init_checkpoint, load_checkpoint, save_checkpoint
 from vlaad.numerics import sigmoid
 from vlaad.plotting import emit_trace_plot, parse_trace_csv
 from vlaad.trainer import (TrainConfig, forward_stack, prepare_examples,
@@ -163,6 +163,68 @@ class TestTrainEval:
         loaded = load_checkpoint(ckpt)
         assert loaded.epoch == 1  # --set beats the file
         assert loaded.seed == 0  # --seed beats both
+
+    def test_cache_dim_must_match_embed_dim(self, manifest, tmp_path, capsys):
+        stub = StubEncoder(dim=16, seed=0)
+        entries = {}
+        for rec in read_manifest(manifest):
+            for i, row in enumerate(segment_clip(rec, 8, 8, stub).snippets):
+                entries[f"{rec.clip_id}:{i}"] = row
+            entries[rec.caption.strip()] = stub.encode_text(rec.caption).values
+        cache = tmp_path / "d16.vlec"
+        write_embedding_cache(cache, entries, dim=16)
+        ckpt = tmp_path / "c.bin"
+        argv = ["train", "--manifest", manifest, "-o", ckpt, "--set", "epochs=1",
+                "--embedding-cache", cache]
+        code, err = run_quiet(argv)  # embed_dim defaults to 768
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(str(cache)), "D=16", "768")
+        assert not ckpt.exists()
+        code, err = run_quiet([*argv, "--set", "embed_dim=16"])
+        assert code == 0, err
+        assert load_checkpoint(ckpt).dim == 16
+
+    @pytest.mark.parametrize("mode", ["mil", "clip"])
+    def test_eval_needs_no_captions(self, manifest, tmp_path, capsys, mode):
+        """Scores come from the video snippets alone: blank captions change
+        nothing."""
+        bare = tmp_path / "bare.jsonl"
+        records = read_manifest(manifest)
+        for rec in records:
+            rec.caption = ""
+        write_manifest(records, bare)
+        ckpt = tmp_path / "c.bin"
+        save_checkpoint(ckpt, init_checkpoint(dim=24, hidden=8, gamma=10.0,
+                                              seed=0, zero_first_layer=False))
+        outs = []
+        for path in (manifest, bare):
+            code, out, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
+                                     "--manifest", str(path), "--mode", mode)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_eval_memory_bounded_by_one_chunk(self, tmp_path):
+        """eval holds one chunk of snippet rows, not every clip's: from 64 to
+        1,280 clips at D=768 its traced peak grows by about 7 MB, mostly the
+        manifest, where keeping every clip's (T, D) rows adds about 20 MB."""
+        ckpt = tmp_path / "c.bin"
+        save_checkpoint(ckpt, init_checkpoint(dim=768, hidden=16, gamma=10.0,
+                                              seed=0, zero_first_layer=False))
+        peaks = []
+        for n in (64, 1280):
+            path = tmp_path / f"{n}.jsonl"
+            assert run_quiet(["synth", "--n-normal", n // 2, "--n-collision",
+                              n // 2, "--dim", 8, "-o", path])[0] == 0
+            tracemalloc.start()
+            try:
+                code, err = run_quiet(["eval", "--checkpoint", ckpt,
+                                       "--manifest", path])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+        assert peaks[1] - peaks[0] <= 8 * 2 ** 20, peaks
 
 
 @pytest.fixture(scope="module")
@@ -627,15 +689,11 @@ class TestScoreWilcoxon:
 
 
 class TestCachedEncoderSeam:
-    def test_eval_from_embedding_cache_matches_stub(self, manifest, tmp_path,
-                                                    capsys):
-        """External-backbone seam: precomputed embeddings served from the
-        cache file reproduce the stub-encoder evaluation exactly."""
-        from vlaad.datakit import read_manifest as read_m
-        from vlaad.embeddings import (StubEncoder, write_embedding_cache)
-        from vlaad.mil import segment_clip
-        from vlaad.model import load_checkpoint
-
+    @staticmethod
+    def stub_and_cache_evals(manifest, tmp_path, capsys, mode="mil",
+                             caption_ids=True):
+        """``eval`` stdout with the stub encoder, then with a cache holding
+        the stub's own vectors for every window id of ``mode``."""
         ckpt_path = tmp_path / "c.bin"
         code, _, _ = run_cli(capsys, "train", "--manifest", str(manifest),
                              "-o", str(ckpt_path), "--set", "embed_dim=24",
@@ -643,26 +701,48 @@ class TestCachedEncoderSeam:
                              "--seed", "0")
         assert code == 0
         code, stub_out, _ = run_cli(capsys, "eval", "--checkpoint",
-                                    str(ckpt_path), "--manifest", str(manifest))
+                                    str(ckpt_path), "--manifest", str(manifest),
+                                    "--mode", mode)
         assert code == 0
 
         ckpt = load_checkpoint(ckpt_path)
         stub = StubEncoder(dim=ckpt.dim, seed=ckpt.seed)
         entries = {}
-        for rec in read_m(manifest):
-            bag = segment_clip(rec, 8, 8, stub)
-            for i, row in enumerate(bag.snippets):
-                entries[f"{rec.clip_id}:{i}"] = row
-            entries[rec.caption] = stub.encode_text(rec.caption).values
+        for rec in read_manifest(manifest):
+            if mode == "clip":
+                feats = rec.feature_matrix()
+                entries[f"{rec.clip_id}:clip"] = stub.encode_windows(
+                    feats, [0], len(feats), [None])[0]
+            else:
+                for i, row in enumerate(segment_clip(rec, 8, 8, stub).snippets):
+                    entries[f"{rec.clip_id}:{i}"] = row
+            if caption_ids:
+                entries[rec.caption] = stub.encode_text(rec.caption).values
         cache = tmp_path / "emb.bin"
         write_embedding_cache(cache, entries, dim=ckpt.dim)
 
-        code, cache_out, _ = run_cli(capsys, "eval", "--checkpoint",
-                                     str(ckpt_path), "--manifest",
-                                     str(manifest), "--embedding-cache",
-                                     str(cache))
-        assert code == 0
+        code, cache_out, err = run_cli(capsys, "eval", "--checkpoint",
+                                       str(ckpt_path), "--manifest",
+                                       str(manifest), "--mode", mode,
+                                       "--embedding-cache", str(cache))
+        assert code == 0, err
+        return stub_out, cache_out
+
+    def test_eval_from_embedding_cache_matches_stub(self, manifest, tmp_path,
+                                                    capsys):
+        """External-backbone seam: precomputed embeddings served from the
+        cache file reproduce the stub-encoder evaluation exactly."""
+        stub_out, cache_out = self.stub_and_cache_evals(manifest, tmp_path, capsys)
         assert json.loads(cache_out) == json.loads(stub_out)
+
+    @pytest.mark.parametrize("mode", ["mil", "clip"])
+    def test_eval_from_cache_without_caption_ids(self, manifest, tmp_path,
+                                                 capsys, mode):
+        """eval looks up window ids only (``clip_id:clip`` in clip mode), so
+        a cache without caption ids prints the stub's JSON."""
+        stub_out, cache_out = self.stub_and_cache_evals(
+            manifest, tmp_path, capsys, mode, caption_ids=False)
+        assert cache_out == stub_out
 
     def test_encoder_env_var_ignored(self, manifest, tmp_path, capsys,
                                      monkeypatch):
