@@ -19,7 +19,8 @@ import numpy as np
 from . import datakit, evalkit, inference, plotting, trainer
 from .embeddings import CachedEncoder, StubEncoder
 from .errors import (LINES_BUFFER, NonFiniteLossError, SummarizerError,
-                     ValidationError, VlaadError, json_document, json_lines)
+                     ValidationError, VlaadError, json_document, json_lines,
+                     replace_on_success)
 from .mil import encode_clip, segment_clip
 from .model import load_checkpoint, save_checkpoint
 from .numerics import sigmoid
@@ -121,7 +122,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    records = datakit.read_manifest(args.manifest)  # validates every record
+    records = []
+    for rec in datakit.iter_manifest(args.manifest):  # validates every record
+        if rec.frames_path is None:
+            rec.feature_matrix()  # decodes and checks inline frames, line by line
+        records.append(rec)
     summary = {
         "records": len(records),
         "positives": sum(r.label for r in records),
@@ -225,11 +230,16 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    records = datakit.read_manifest(args.manifest)
     encoder = _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache)
-    bags = (encode_clip(rec, args.mode, encoder) for rec in records)
-    scored = evalkit.ScoredSet(trainer.scores_for(ckpt, bags, args.mode),
-                               np.asarray([r.label for r in records]))
+    labels = []
+
+    def bags():  # the manifest is read as the clips are scored
+        for rec in datakit.iter_manifest(args.manifest):
+            labels.append(rec.label)
+            yield encode_clip(rec, args.mode, encoder)
+
+    scores = trainer.scores_for(ckpt, bags(), args.mode)
+    scored = evalkit.ScoredSet(scores, np.asarray(labels))
     auc = evalkit.roc_auc(scored)
     tau = evalkit.youden_threshold(scored).threshold if args.tau is None else args.tau
     print(json.dumps({"n": int(scored.labels.size), "auc": auc, "tau": tau,
@@ -253,34 +263,40 @@ def _cmd_trace(args) -> int:
     if args.from_csv:
         if not args.plot:
             raise ValidationError("trace --from-csv requires --plot")
-        n = plotting.emit_trace_plot(args.from_csv, args.plot)
+        with replace_on_success(args.plot) as tmp:
+            n = plotting.emit_trace_plot(args.from_csv, tmp)
         print(f"plotted {n} series to {args.plot}")
         return 0
     if not (args.checkpoint and args.manifest and args.output):
         raise ValidationError(
             "trace needs --checkpoint, --manifest and -o (or --from-csv)")
     ckpt = load_checkpoint(args.checkpoint)
-    records = datakit.read_manifest(args.manifest)
-    if args.clip_id:
-        records = [r for r in records if r.clip_id == args.clip_id]
-        if not records:
-            raise ValidationError(f"clip {args.clip_id!r} not in manifest")
     encoder = _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache)
+    # every line is read and checked; only the clips traced are decoded
+    records = datakit.iter_manifest(args.manifest)
+    if args.clip_id:
+        records = (r for r in records if r.clip_id == args.clip_id)
     clips = (segment_clip(rec, args.snippet_len, args.stride, encoder)
              for rec in records)
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
+    n = 0
+    with (replace_on_success(args.output) as tmp,
+          open(tmp, "w", newline="", encoding="utf-8") as fh):
         writer = csv.writer(fh)
         writer.writerow(plotting.TRACE_HEADER)
         for bags, fw in trainer.forward_chunks(ckpt, clips, "mil"):
+            n += len(bags)
             writer.writerows(zip(
                 [bag.clip_id for bag in bags for _ in range(bag.size)],
                 [i for bag in bags for i in range(bag.size)],
                 np.concatenate([bag.start_times for bag in bags]).tolist(),
                 fw.logits.tolist(), sigmoid(fw.logits).tolist(),
                 fw.attn.tolist()))
+        if args.clip_id and not n:
+            raise ValidationError(f"clip {args.clip_id!r} not in manifest")
     if args.plot:
-        plotting.emit_trace_plot(args.output, args.plot)
-    print(f"traced {len(records)} clips to {args.output}")
+        with replace_on_success(args.plot) as tmp:
+            plotting.emit_trace_plot(args.output, tmp)
+    print(f"traced {n} clips to {args.output}")
     return 0
 
 

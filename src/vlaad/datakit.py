@@ -16,7 +16,7 @@ import json
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Iterable, List, NamedTuple, Protocol, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -62,10 +62,32 @@ class InfractionLog:
                    message=obj["message"], scenario_type=obj["scenario"])
 
 
+class InlineFrames(NamedTuple):
+    """A manifest's inline ``{shape, dtype, b64}`` frame matrix, still
+    base64: ``ClipRecord.feature_matrix`` decodes and checks it on first
+    use, so a clip scored from an embedding cache is never decoded."""
+
+    shape: tuple  # (F, dim), checked by validate_record
+    b64: str
+    where: str | None  # "{path}: manifest line N", for a deferred error
+
+    def decode(self, clip_id: str) -> np.ndarray:
+        what = f"clip {clip_id}" if self.where is None else f"{self.where}: clip {clip_id}"
+        try:
+            raw = base64.b64decode(self.b64)
+            feats = np.frombuffer(raw, dtype="<f4").reshape(self.shape).copy()
+        except ValueError as exc:  # binascii.Error included
+            raise ValidationError(f"{what}: {exc}") from None
+        _check_frames(feats, what)
+        return feats.astype(np.float32, copy=False)
+
+
 @dataclass
 class ClipRecord:
     """One clip: features, caption, label, and collision metadata.
 
+    A clip read from a manifest with inline frames holds them in ``inline``
+    until ``feature_matrix`` decodes them into ``features``.
     ``source_stream``/``source_start`` point back into the stream a clip was
     cropped from; they enable position augmentation and are never serialized.
     """
@@ -82,6 +104,7 @@ class ClipRecord:
     event_window: Tuple[int, int] | None = None  # [start, end) snippet indices
     source_stream: np.ndarray | None = field(default=None, repr=False)
     source_start: int | None = field(default=None, repr=False)
+    inline: InlineFrames | None = field(default=None, repr=False)
 
     frame_hz = FRAME_HZ
 
@@ -91,6 +114,10 @@ class ClipRecord:
         validate_record(self)
 
     def feature_matrix(self) -> np.ndarray:
+        """The (F, feat) frames.  Inline frames are decoded and checked on the
+        first call and kept; a frames file is loaded on every call."""
+        if self.inline is not None:
+            self.features, self.inline = self.inline.decode(self.clip_id), None
         if self.features is not None:
             return self.features
         if self.frames_path is not None:
@@ -107,6 +134,22 @@ def _check_frames(feats: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what}: non-finite features")
 
 
+def _check_inline(inline: InlineFrames, what: str) -> None:
+    """What an inline matrix meets before it is decoded: a shape of two ints
+    F, dim >= 1, and a base64 string that can hold F·dim floats, so no shape
+    promises more frames than its manifest line carries."""
+    shape = inline.shape
+    if len(shape) != 2 or not all(type(d) is int and d >= 1 for d in shape):
+        raise ValidationError(f"{what}: inline frames shape must be [F, dim] "
+                              f"with F, dim >= 1, got {list(shape)}")
+    if not isinstance(inline.b64, str):
+        raise ValidationError(f"{what}: inline frames b64 must be a string")
+    need, most = 4 * shape[0] * shape[1], len(inline.b64) // 4 * 3
+    if need > most:
+        raise ValidationError(f"{what}: inline frames of shape {list(shape)} need "
+                              f"{need} bytes, but their b64 holds at most {most}")
+
+
 def _load_frames(clip_id: str, path: str) -> np.ndarray:
     """A clip's ``.npy`` frame matrix; errors name the clip and the file."""
     what = f"clip {clip_id}: frames file {path}"
@@ -116,7 +159,7 @@ def _load_frames(clip_id: str, path: str) -> np.ndarray:
             loaded.close()
             raise TypeError("an .npz archive, not one .npy array")
         feats = np.asarray(loaded, dtype=np.float32)
-    except (TypeError, ValueError, EOFError) as exc:
+    except (TypeError, ValueError, EOFError, OSError) as exc:
         raise ValidationError(f"{what}: {exc}") from None
     _check_frames(feats, what)
     return feats
@@ -137,15 +180,19 @@ def validate_record(rec: ClipRecord) -> None:
         raise ValidationError(f"split {rec.split!r} not in {SPLITS}")
     if rec.source not in SOURCES:
         raise ValidationError(f"source {rec.source!r} not in {SOURCES}")
-    if rec.features is None and rec.frames_path is None:
+    if rec.features is None and rec.frames_path is None and rec.inline is None:
         raise ValidationError(f"clip {rec.clip_id} needs features or a frames path")
     n = float("inf")  # the frame count, unknown until a frames file is read
     if rec.features is not None:
         _check_frames(rec.features, f"clip {rec.clip_id}")
         n = rec.features.shape[0]
-        if rec.source in ("assembled", "augmented", "synthetic") and n != CLIP_FRAMES:
-            raise ValidationError(
-                f"clip {rec.clip_id}: expected {CLIP_FRAMES} frames, got {n}")
+    elif rec.inline is not None:
+        _check_inline(rec.inline, f"clip {rec.clip_id}")
+        n = rec.inline.shape[0]
+    if (n != float("inf") and n != CLIP_FRAMES
+            and rec.source in ("assembled", "augmented", "synthetic")):
+        raise ValidationError(
+            f"clip {rec.clip_id}: expected {CLIP_FRAMES} frames, got {n}")
     if rec.collision_frame is not None:
         if not 0 <= rec.collision_frame < n:
             raise ValidationError(f"clip {rec.clip_id}: collision_frame out of range")
@@ -522,18 +569,9 @@ def caption_normal_clip(frame_annotations: Sequence[str], client: SummarizerClie
 def _frames_to_json(rec: ClipRecord):
     if rec.frames_path is not None:
         return rec.frames_path
-    feats = np.ascontiguousarray(rec.features, dtype="<f4")
+    feats = np.ascontiguousarray(rec.feature_matrix(), dtype="<f4")
     return {"shape": list(feats.shape), "dtype": "f32",
             "b64": base64.b64encode(feats.tobytes()).decode("ascii")}
-
-
-def _frames_from_json(obj):
-    if isinstance(obj, str):
-        return None, obj
-    shape = tuple(obj["shape"])
-    raw = base64.b64decode(obj["b64"])
-    feats = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    return feats, None
 
 
 def record_to_json(rec: ClipRecord) -> dict:
@@ -558,13 +596,18 @@ def record_to_json(rec: ClipRecord) -> dict:
     return out
 
 
-def record_from_json(obj: dict) -> ClipRecord:
-    feats, path = _frames_from_json(obj["frames"])
+def record_from_json(obj: dict, where: str | None = None) -> ClipRecord:
+    """The clip of one manifest object.  Inline frames stay base64 until
+    first used; ``where`` (file and line) goes into an error they raise then."""
+    frames = obj["frames"]
+    path = frames if isinstance(frames, str) else None
+    inline = None if path is not None else InlineFrames(
+        tuple(frames["shape"]), frames["b64"], where)
     inf = obj.get("infraction")
     infraction = None if inf is None else InfractionLog.from_json(inf)
     window = obj.get("event_window")
     return ClipRecord(
-        clip_id=obj["clip_id"], features=feats, frames_path=path,
+        clip_id=obj["clip_id"], frames_path=path, inline=inline,
         caption=obj.get("caption", ""), label=obj["label"],
         collision_frame=obj.get("collision_frame"), infraction=infraction,
         split=obj.get("split", "train"), source=obj.get("source", "external"),
@@ -587,6 +630,12 @@ def write_manifest(records: Iterable[ClipRecord], path) -> int:
     return n
 
 
-def read_manifest(path) -> List[ClipRecord]:
+def iter_manifest(path) -> Iterator[ClipRecord]:
+    """The manifest's clips, one line read per clip; every field is checked
+    as its line is read, inline frames when first used."""
     with open(path, "rb", buffering=LINES_BUFFER) as fh:
-        return list(json_lines(fh, path, "manifest", record_from_json))
+        yield from json_lines(fh, path, "manifest", record_from_json, located=True)
+
+
+def read_manifest(path) -> List[ClipRecord]:
+    return list(iter_manifest(path))

@@ -89,10 +89,12 @@ class EncoderHandle(Protocol):
 
     dim: int
 
-    def encode_windows(self, frames: np.ndarray, starts: Sequence[int],
+    def encode_windows(self, frames, starts: Sequence[int],
                        length: int, keys: Sequence[str]) -> np.ndarray:
         """(T, D) float32: row t encodes ``frames[starts[t]:starts[t] + length]``,
-        the window ``keys[t]`` names."""
+        the window ``keys[t]`` names.  ``frames`` is the (F, feat) matrix or
+        a callable that returns it; an encoder calls it only if it reads
+        frames."""
         ...
 
     def encode_text(self, caption: str) -> Embedding: ...
@@ -155,6 +157,8 @@ class StubEncoder:
         return Embedding(self._window_vector(window.frames))
 
     def encode_windows(self, frames, starts, length, keys) -> np.ndarray:
+        if callable(frames):
+            frames = frames()
         out = np.empty((len(starts), self.dim), dtype=np.float32)
         # each slice goes to float64 on its own: a float64 copy of the whole
         # clip per call fragments the heap (+1 MB peak RSS in training)
@@ -208,10 +212,11 @@ def encode_video_snippet(window: FrameWindow, encoder: StubEncoder) -> Embedding
     return emb
 
 
-def encode_video_snippets(frames: np.ndarray, starts: Sequence[int], length: int,
+def encode_video_snippets(frames, starts: Sequence[int], length: int,
                           keys: Sequence[str], encoder: EncoderHandle) -> np.ndarray:
     """Encode the windows ``frames[s:s + length]`` of one clip in one encoder
-    call: a (len(starts), D) float32 block, row t keyed ``keys[t]``."""
+    call: a (len(starts), D) float32 block, row t keyed ``keys[t]``.
+    ``frames`` may be a callable that returns them (see ``EncoderHandle``)."""
     rows = encoder.encode_windows(frames, starts, length, keys)
     if rows.shape != (len(starts), encoder.dim):
         raise DimensionMismatchError(

@@ -1,9 +1,13 @@
-"""Shared exception types for the toolkit, and the one place that decides
-how a malformed JSON input is reported."""
+"""Shared exception types for the toolkit, the one place that decides how a
+malformed JSON input is reported, and the one way an output file is
+replaced."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import secrets
 from typing import Callable, Iterable, Iterator
 
 
@@ -47,17 +51,22 @@ def _malformed(where: str, exc: Exception) -> ValidationError:
     return ValidationError(f"{where}: {detail}")
 
 
-def json_lines(lines: Iterable, where, what: str, parse: Callable) -> Iterator:
+def json_lines(lines: Iterable, where, what: str, parse: Callable,
+               located: bool = False) -> Iterator:
     """``parse`` of each non-blank JSON line (str, or UTF-8 bytes), reading
     one line per item.
 
     A line that is not JSON, or that ``parse`` rejects, raises
-    ``ValidationError("{where}: {what} line {n}: ...")``.
+    ``ValidationError("{where}: {what} line {n}: ...")``.  With ``located``,
+    ``parse`` also gets that ``"{where}: {what} line {n}"``, to name in an
+    error it raises later.
     """
     for lineno, line in enumerate(lines, start=1):
         if line and not line.isspace():
             try:  # strict UTF-8; json.loads(bytes) sniffs, slower, for UTF-16 too
-                item = parse(json.loads(line.decode() if isinstance(line, bytes) else line))
+                obj = json.loads(line.decode() if isinstance(line, bytes) else line)
+                item = (parse(obj, f"{where}: {what} line {lineno}") if located
+                        else parse(obj))
             except _MALFORMED as exc:
                 raise _malformed(f"{where}: {what} line {lineno}", exc) from exc
             yield item
@@ -71,3 +80,20 @@ def json_document(path, what: str, parse: Callable):
             return parse(json.loads(fh.read().decode()))
         except _MALFORMED as exc:
             raise _malformed(f"{path}: {what}", exc) from exc
+
+
+@contextlib.contextmanager
+def replace_on_success(path) -> Iterator[str]:
+    """A temporary path beside ``path`` for the caller to write the whole
+    output to.  It replaces ``path`` only when the block finishes; on any
+    exception it is removed, so ``path`` is never left half-written and an
+    older file there stays as it was."""
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

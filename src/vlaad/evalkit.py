@@ -1,8 +1,8 @@
 """Detection metrics, driving-benchmark scoring, and route-paired
 significance testing.
 
-AUC uses the Mann-Whitney rank form with midrank tie handling and is
-cross-checkable against trapezoidal ROC integration (both are implemented).
+AUC uses the Mann-Whitney rank form with midrank tie handling; the tests
+cross-check it against trapezoidal ROC integration (``tests/oracles.py``).
 The Wilcoxon signed-rank p-value is exact (full sign enumeration over all
 2^n assignments) up to n = 20 effective pairs and switches to the normal
 approximation above that.

@@ -110,6 +110,16 @@ def segment_lse_pool(logits, starts, gamma: float = DEFAULT_GAMMA):
     return pooled, shifted / sums[seg]
 
 
+def _frames(clip: "ClipRecord"):
+    """The clip's frame count, and its frames for the encoder: for inline
+    frames not yet decoded, a callable that decodes them, so an encoder that
+    reads no frames never decodes them."""
+    if clip.inline is not None:
+        return clip.inline.shape[0], clip.feature_matrix
+    feats = clip.feature_matrix()
+    return feats.shape[0], feats
+
+
 def segment_clip(clip: "ClipRecord", snippet_len: int, stride: int,
                  encoder: EncoderHandle) -> Bag:
     """Slice a clip's frame features into encoded snippets, order preserved.
@@ -120,8 +130,7 @@ def segment_clip(clip: "ClipRecord", snippet_len: int, stride: int,
     """
     if snippet_len < 1 or stride < 1:
         raise ValidationError("snippet_len and stride must be >= 1")
-    feats = clip.feature_matrix()
-    n_frames = feats.shape[0]
+    n_frames, feats = _frames(clip)
     if n_frames < snippet_len:
         raise ValidationError(
             f"clip {clip.clip_id} has {n_frames} frames, fewer than "
@@ -141,7 +150,7 @@ def encode_clip(clip: "ClipRecord", mode: str, encoder: EncoderHandle,
     mode; in clip mode one window of every frame, keyed ``clip_id:clip``."""
     if mode == "mil":
         return segment_clip(clip, snippet_len, stride, encoder)
-    feats = clip.feature_matrix()
-    rows = encode_video_snippets(feats, [0], feats.shape[0],
+    n_frames, feats = _frames(clip)
+    rows = encode_video_snippets(feats, [0], n_frames,
                                  [f"{clip.clip_id}:clip"], encoder)
     return Bag(clip.clip_id, rows, [0.0], clip.label)

@@ -407,7 +407,9 @@ def train(config: TrainConfig, records: Sequence[ClipRecord],
 
     pos_weight = _resolve_pos_weight(config, train_recs)
     examples = prepare_examples(train_recs, encoder, config)
-    val_examples = prepare_examples(val_recs, encoder, config) if val_recs else []
+    # validation is scored like eval: from the clips' bags, reading no caption
+    val_bags = [encode_clip(r, config.mode, encoder, config.snippet_len,
+                            config.snippet_stride) for r in val_recs]
     val_labels = np.asarray([r.label for r in val_recs], dtype=np.int64)
 
     ckpt = init_checkpoint(dim=encoder.dim, hidden=config.hidden_dim,
@@ -447,9 +449,8 @@ def train(config: TrainConfig, records: Sequence[ClipRecord],
         stats = LossBreakdown.compute(sim_total / n, cls_total / n,
                                       ckpt.s_sim, ckpt.s_cls)
         val_auc = float("nan")
-        if val_examples and {0, 1} == set(val_labels.tolist()):
-            probs = scores_for(ckpt, val_examples, config.mode,
-                               config.eval_batch)
+        if val_bags and {0, 1} == set(val_labels.tolist()):
+            probs = scores_for(ckpt, val_bags, config.mode, config.eval_batch)
             val_auc = roc_auc(ScoredSet(probs, val_labels))
         history.append(EpochStats(epoch + 1, stats, val_auc))
 

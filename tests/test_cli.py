@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import io
 import json
@@ -204,27 +205,54 @@ class TestTrainEval:
             outs.append(out)
         assert outs[0] == outs[1]
 
-    def test_eval_memory_bounded_by_one_chunk(self, tmp_path):
-        """eval holds one chunk of snippet rows, not every clip's: from 64 to
-        1,280 clips at D=768 its traced peak grows by about 7 MB, mostly the
-        manifest, where keeping every clip's (T, D) rows adds about 20 MB."""
-        ckpt = tmp_path / "c.bin"
-        save_checkpoint(ckpt, init_checkpoint(dim=768, hidden=16, gamma=10.0,
-                                              seed=0, zero_first_layer=False))
-        peaks = []
-        for n in (64, 1280):
-            path = tmp_path / f"{n}.jsonl"
-            assert run_quiet(["synth", "--n-normal", n // 2, "--n-collision",
-                              n // 2, "--dim", 8, "-o", path])[0] == 0
-            tracemalloc.start()
-            try:
-                code, err = run_quiet(["eval", "--checkpoint", ckpt,
-                                       "--manifest", path])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+    def test_validation_needs_no_captions(self, manifest, tmp_path):
+        """Validation is scored as eval scores: a blank-captioned
+        --val-manifest trains to the same checkpoint and history."""
+        bare = tmp_path / "bare.jsonl"
+        records = read_manifest(manifest)
+        for rec in records:
+            rec.caption = ""
+        write_manifest(records, bare)
+        blobs = []
+        for val in (manifest, bare):
+            ckpt, history = tmp_path / "c.bin", tmp_path / "h.csv"
+            code, err = run_quiet(["train", "--manifest", manifest,
+                                   "--val-manifest", val, "-o", ckpt,
+                                   "--history", history, "--set", "embed_dim=24",
+                                   "--set", "hidden_dim=8", "--set", "epochs=2"])
             assert code == 0, err
-        assert peaks[1] - peaks[0] <= 8 * 2 ** 20, peaks
+            blobs.append(ckpt.read_bytes() + history.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_eval_memory_bounded_by_one_chunk(self, tmp_path):
+        """eval streams the manifest and holds one chunk of snippet rows, not
+        every clip's (about 20 MB more at 1,280 clips)."""
+        assert_peak_flat_in_clips(tmp_path, "eval")
+
+
+def assert_peak_flat_in_clips(tmp_path, *command):
+    """The traced peak of ``command`` at D=768 over 64, 128 and 1,280 clips.
+    From 64 to 128 clips it grows by the second chunk, which is scored while
+    the first is still referenced (about 5 MB); from 128 to 1,280 it must not
+    grow, as it would by every clip's frames if the manifest were held."""
+    ckpt = tmp_path / "c.bin"
+    save_checkpoint(ckpt, init_checkpoint(dim=768, hidden=16, gamma=10.0,
+                                          seed=0, zero_first_layer=False))
+    peaks = []
+    for n in (64, 128, 1280):
+        path = tmp_path / f"{n}.jsonl"
+        assert run_quiet(["synth", "--n-normal", n // 2, "--n-collision",
+                          n // 2, "--dim", 8, "-o", path])[0] == 0
+        tracemalloc.start()
+        try:
+            code, err = run_quiet([*command, "--checkpoint", ckpt,
+                                   "--manifest", path])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+    assert peaks[2] - peaks[0] <= 6 * 2 ** 20, peaks
+    assert peaks[2] - peaks[1] <= 2 ** 18, peaks
 
 
 @pytest.fixture(scope="module")
@@ -448,6 +476,8 @@ def write_frames(root, case):
         path = root / "frames.npz"
         np.savez(path, feats=feats)
         return path
+    if case == "missing":
+        return path
     np.save(path, feats)
     if case == "header_cut":
         path.write_bytes(path.read_bytes()[:20])
@@ -470,6 +500,7 @@ class TestFramesPathReader:
         "body_cut": r"Failed to read all data",
         "empty": r"No data left in file$",
         "npz": r"an \.npz archive, not one \.npy array$",
+        "missing": r"\[Errno 2\] No such file or directory",
     }
 
     def run_on(self, eval_inputs, tmp_path, case, *argv):
@@ -506,6 +537,188 @@ class TestFramesPathReader:
         code, err, _ = self.run_on(eval_inputs, tmp_path, "valid", "trace")
         assert code == 0, err
         assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 5
+
+
+def inline_manifest(path, n, edits=()):
+    """``n`` inline external clips ``c0``..., 40 frames of width 3, labels
+    alternating; ``edits`` maps a 1-based line number to a function of that
+    line's JSON object."""
+    write_manifest([make_clip(f"c{i}", feat_dim=3, label=i % 2,
+                              collision_frame=4 if i % 2 else None, seed=i)
+                    for i in range(n)], path)
+    lines = path.read_text().splitlines()
+    for lineno, edit in dict(edits).items():
+        obj = json.loads(lines[lineno - 1])
+        edit(obj)
+        lines[lineno - 1] = json.dumps(obj)
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def nan_frame(obj):
+    """Make one value of a line's inline frame matrix NaN, in valid base64."""
+    feats = np.frombuffer(base64.b64decode(obj["frames"]["b64"]), "<f4").copy()
+    feats[7] = np.nan
+    obj["frames"]["b64"] = base64.b64encode(feats.tobytes()).decode()
+
+
+def set_in(keys, value):
+    """An edit that sets ``obj[k0][k1]...`` to ``value``."""
+    def edit(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = value
+    return edit
+
+
+@pytest.fixture(scope="module")
+def inline_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("inline") / "c.bin"
+    save_checkpoint(path, init_checkpoint(dim=16, hidden=8, gamma=10.0, seed=0,
+                                          zero_first_layer=False))
+    return path
+
+
+def stub_cache(manifest, path, dim=16, seed=0):
+    """A cache of the stub encoder's window vectors for every clip of a
+    valid manifest."""
+    stub = StubEncoder(dim=dim, seed=seed)
+    entries = {}
+    for rec in read_manifest(manifest):
+        for i, row in enumerate(segment_clip(rec, 8, 8, stub).snippets):
+            entries[f"{rec.clip_id}:{i}"] = row
+    write_embedding_cache(path, entries, dim=dim)
+    return path
+
+
+class TestInlineFrames:
+    """Inline frames are decoded when a clip is encoded with the stub, never
+    for the cache encoder; every other field is checked as its line is read."""
+
+    @pytest.mark.parametrize("command", ["eval", "trace", "train"])
+    def test_bad_matrix_of_an_encoded_clip_names_file_line_clip(
+            self, tmp_path, inline_ckpt, command):
+        manifest = inline_manifest(tmp_path / "m.jsonl", 6, {3: nan_frame})
+        argv = {"eval": ["eval", "--checkpoint", inline_ckpt],
+                "trace": ["trace", "--checkpoint", inline_ckpt,
+                          "-o", tmp_path / "t.csv"],
+                "train": ["train", "-o", tmp_path / "c.bin", "--set",
+                          "embed_dim=16", "--set", "epochs=1"]}[command]
+        code, err = run_quiet([*argv, "--manifest", manifest])
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(
+            f"{manifest}: manifest line 3: clip c2: non-finite features") + "$")
+
+    @pytest.mark.parametrize("edit, message", [
+        (set_in(["frames", "b64"], "AAAA"),
+         "need 480 bytes, but their b64 holds at most 3$"),
+        (set_in(["frames", "b64"], "A" * 656),
+         "clip c1: cannot reshape array of size 123 into shape \\(40, ?3\\)$"),
+        (set_in(["frames", "b64"], "A" * 641),
+         "clip c1: Invalid base64-encoded string"),
+    ])
+    def test_undecodable_matrix(self, tmp_path, inline_ckpt, edit, message):
+        manifest = inline_manifest(tmp_path / "m.jsonl", 2, {2: edit})
+        code, err = run_quiet(["eval", "--checkpoint", inline_ckpt,
+                               "--manifest", manifest])
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(f"{manifest}: manifest line 2: "),
+                              message)
+
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    def test_cache_encoder_never_decodes(self, tmp_path, inline_ckpt, command):
+        """With --embedding-cache no frame is read, so a NaN inline matrix
+        goes unseen and the output equals the valid manifest's."""
+        good = inline_manifest(tmp_path / "good.jsonl", 6)
+        bad = inline_manifest(tmp_path / "bad.jsonl", 6, {3: nan_frame})
+        cache = stub_cache(good, tmp_path / "e.vlec")
+        outs = []
+        for manifest in (good, bad):
+            out = tmp_path / f"{manifest.stem}.csv"
+            argv = [command, "--checkpoint", inline_ckpt, "--manifest", manifest,
+                    "--embedding-cache", cache]
+            code, err = run_quiet([*argv, "-o", out] if command == "trace" else argv)
+            assert code == 0, err
+            outs.append(out.read_bytes() if command == "trace" else err)
+        assert outs[0] == outs[1]
+
+    def test_ingest_checks_every_matrix(self, tmp_path):
+        manifest = inline_manifest(tmp_path / "m.jsonl", 4, {4: nan_frame})
+        code, err = run_quiet(["ingest", "--manifest", manifest,
+                               "-o", tmp_path / "re.jsonl"])
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(
+            f"{manifest}: manifest line 4: clip c3: non-finite features") + "$")
+
+    def test_clip_id_decodes_only_its_clip(self, tmp_path, inline_ckpt):
+        """trace --clip-id reads and checks every line, but decodes only the
+        clip it traces."""
+        manifest = inline_manifest(tmp_path / "m.jsonl", 3, {3: nan_frame})
+        argv = ["trace", "--checkpoint", inline_ckpt, "--manifest", manifest,
+                "-o", tmp_path / "t.csv"]
+        code, err = run_quiet([*argv, "--clip-id", "c0"])
+        assert code == 0, err
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 5
+        code, err = run_quiet([*argv, "--clip-id", "c2"])
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(f"{manifest}: manifest line 3: clip c2: "))
+
+    @pytest.mark.parametrize("edit, message", [
+        (set_in(["label"], 7), "label must be 0 or 1"),
+        (set_in(["frames", "shape"], [4000, 3]),
+         "clip c2: inline frames of shape \\[4000, 3\\] need 48000 bytes"),
+        (set_in(["frames", "shape"], [40, 0]),
+         "clip c2: inline frames shape must be \\[F, dim\\] with F, dim >= 1"),
+        (set_in(["frames", "shape"], [40, 3, 1]), "got \\[40, 3, 1\\]$"),
+        (set_in(["frames", "shape"], [40.0, 3]), "got \\[40.0, 3\\]$"),
+        (set_in(["frames", "b64"], 7), "clip c2: inline frames b64 must be a string$"),
+        (lambda obj: obj["frames"].pop("b64"), "missing key 'b64'$"),
+    ])
+    def test_clip_id_still_checks_every_line(self, tmp_path, inline_ckpt,
+                                             edit, message):
+        manifest = inline_manifest(tmp_path / "m.jsonl", 3, {3: edit})
+        out = tmp_path / "t.csv"
+        code, err = run_quiet(["trace", "--checkpoint", inline_ckpt, "--manifest",
+                               manifest, "--clip-id", "c0", "-o", out])
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(f"{manifest}: manifest line 3: "),
+                              message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["nan", "missing_file"])
+    def test_trace_failure_leaves_previous_outputs(self, tmp_path, inline_ckpt,
+                                                   fault):
+        """Clip 101 fails after the first chunk of 64 clips was traced: the
+        previous CSV and SVG stay byte for byte, and no temporary file is
+        left."""
+        edit = nan_frame if fault == "nan" else set_in(["frames"], "nope.npy")
+        manifest = inline_manifest(tmp_path / "m.jsonl", 150, {101: edit})
+        out, svg = tmp_path / "trace.csv", tmp_path / "trace.svg"
+        out.write_bytes(b"previous trace\n")
+        svg.write_bytes(b"previous plot\n")
+        before = sorted(os.listdir(tmp_path))
+        code, err = run_quiet(["trace", "--checkpoint", inline_ckpt, "--manifest",
+                               manifest, "-o", out, "--plot", svg])
+        assert code == 2, err
+        assert_one_error_line(err, "clip c100: ")
+        assert out.read_bytes() == b"previous trace\n"
+        assert svg.read_bytes() == b"previous plot\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_trace_clip_not_found_leaves_previous_csv(self, tmp_path, inline_ckpt):
+        manifest = inline_manifest(tmp_path / "m.jsonl", 2)
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"previous\n")
+        code, err = run_quiet(["trace", "--checkpoint", inline_ckpt, "--manifest",
+                               manifest, "--clip-id", "c9", "-o", out])
+        assert code == 2, err
+        assert_one_error_line(err, "clip 'c9' not in manifest$")
+        assert out.read_bytes() == b"previous\n"
+        assert sorted(os.listdir(tmp_path)) == ["m.jsonl", "t.csv"]
+
+    def test_trace_memory_bounded_by_one_chunk(self, tmp_path):
+        """trace streams the manifest and writes each chunk as it is scored."""
+        assert_peak_flat_in_clips(tmp_path, "trace", "-o", tmp_path / "t.csv")
 
 
 class TestLineReaderTypes:

@@ -299,7 +299,7 @@ class TestManifestIO:
             assert a.caption == b.caption
             assert a.label == b.label
             assert a.event_window == b.event_window
-            np.testing.assert_array_equal(a.features, b.features)
+            np.testing.assert_array_equal(a.feature_matrix(), b.feature_matrix())
 
     def test_infraction_round_trip(self, tmp_path):
         result = assemble_clips(stream(400), [log_at(200)], seed=1)

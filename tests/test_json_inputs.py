@@ -188,6 +188,39 @@ def test_mutated_input_exits_0_or_2(root, formats, name, data):
         assert_exit_2((code, "", err))
 
 
+@pytest.fixture(scope="module")
+def inline_manifest(root):
+    """An all-inline two-clip manifest that ``eval`` and ``trace`` accept."""
+    path = root / "inline_manifest.jsonl"
+    rng = np.random.default_rng(1)
+    write_manifest([
+        ClipRecord("c0", features=rng.standard_normal((40, 3)).astype(np.float32),
+                   label=1, collision_frame=20, source="external"),
+        ClipRecord("c1", features=rng.standard_normal((24, 3)).astype(np.float32),
+                   label=0, source="external"),
+    ], path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["eval", "trace"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_inline_frames_exit_0_or_2(root, inline_manifest, command, data):
+    """Inline frames decoded late still fail one way: ``eval`` with the stub
+    encodes every clip, ``trace --clip-id`` reads every line and decodes
+    one clip."""
+    path = root / f"inline_{command}.jsonl"
+    path.write_bytes(data.draw(mutated(inline_manifest, one_document=False)))
+    argv = [command, "--checkpoint", root / "ckpt.bin", "--manifest", path]
+    if command == "trace":
+        argv += ["--clip-id", "c1", "-o", root / "inline_trace.csv"]
+    code, _, err = run_cli(argv)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert_exit_2((code, "", err))
+
+
 class TestMalformedRegressions:
     """Inputs that once ended in an uncaught traceback or a message that
     named neither the file nor the line."""
