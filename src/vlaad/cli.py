@@ -7,11 +7,13 @@ source of randomness flows from the ``--seed`` flag of the subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import os
 import sys
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -106,8 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_encoder(dim: int, seed: int, cache_path):
-    """The cache encoder when ``--embedding-cache`` is given, else the stub."""
-    return CachedEncoder(cache_path) if cache_path else StubEncoder(dim=dim, seed=seed)
+    """A context holding the cache encoder when ``--embedding-cache`` is
+    given, else the stub; leaving it closes the cache file."""
+    if cache_path:
+        return CachedEncoder(cache_path)
+    return contextlib.nullcontext(StubEncoder(dim=dim, seed=seed))
 
 
 def _cmd_synth(args) -> int:
@@ -212,11 +217,12 @@ def _cmd_train(args) -> int:
     records = datakit.read_manifest(args.manifest)
     val_records = (datakit.read_manifest(args.val_manifest)
                    if args.val_manifest else None)
-    encoder = _make_encoder(config.embed_dim, config.seed, args.embedding_cache)
-    if encoder.dim != config.embed_dim:
-        raise ValidationError(f"{args.embedding_cache}: embedding cache has D="
-                              f"{encoder.dim}, but embed_dim is {config.embed_dim}")
-    result = trainer.train(config, records, encoder, val_records)
+    with _make_encoder(config.embed_dim, config.seed,
+                       args.embedding_cache) as encoder:
+        if encoder.dim != config.embed_dim:
+            raise ValidationError(f"{args.embedding_cache}: embedding cache has D="
+                                  f"{encoder.dim}, but embed_dim is {config.embed_dim}")
+        result = trainer.train(config, records, encoder, val_records)
     save_checkpoint(args.output, result.checkpoint)
     if args.history:
         trainer.write_history_csv(args.history, result.history)
@@ -230,15 +236,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    encoder = _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache)
     labels = []
 
-    def bags():  # the manifest is read as the clips are scored
+    def bags(encoder):  # the manifest is read as the clips are scored
         for rec in datakit.iter_manifest(args.manifest):
             labels.append(rec.label)
             yield encode_clip(rec, args.mode, encoder)
 
-    scores = trainer.scores_for(ckpt, bags(), args.mode)
+    with _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache) as encoder:
+        scores = trainer.scores_for(ckpt, bags(encoder), args.mode)
     scored = evalkit.ScoredSet(scores, np.asarray(labels))
     auc = evalkit.roc_auc(scored)
     tau = evalkit.youden_threshold(scored).threshold if args.tau is None else args.tau
@@ -271,16 +277,16 @@ def _cmd_trace(args) -> int:
         raise ValidationError(
             "trace needs --checkpoint, --manifest and -o (or --from-csv)")
     ckpt = load_checkpoint(args.checkpoint)
-    encoder = _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache)
     # every line is read and checked; only the clips traced are decoded
     records = datakit.iter_manifest(args.manifest)
     if args.clip_id:
         records = (r for r in records if r.clip_id == args.clip_id)
-    clips = (segment_clip(rec, args.snippet_len, args.stride, encoder)
-             for rec in records)
     n = 0
-    with (replace_on_success(args.output) as tmp,
+    with (_make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache) as encoder,
+          replace_on_success(args.output) as tmp,
           open(tmp, "w", newline="", encoding="utf-8") as fh):
+        clips = (segment_clip(rec, args.snippet_len, args.stride, encoder)
+                 for rec in records)
         writer = csv.writer(fh)
         writer.writerow(plotting.TRACE_HEADER)
         for bags, fw in trainer.forward_chunks(ckpt, clips, "mil"):
@@ -301,22 +307,23 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    records = evalkit.read_run_records(args.runs)
-    if not records:
-        raise ValidationError("no run records found")
-    summaries = [{"route_id": rec.route_id,
-                  **evalkit.summarize_run(rec, version=args.version)}
-                 for rec in records]
-    for row in summaries:
-        print(json.dumps(row))
+    lines = []  # written once every record has passed
+    columns = {key: array("d") for key in ("RC", "IS", "DS")}
     km = collisions = 0.0  # added in record order (sum() may compensate)
-    for rec in records:
+    for rec in evalkit.iter_run_records(args.runs):
+        summary = evalkit.summarize_run(rec, version=args.version)
+        lines.append(json.dumps({"route_id": rec.route_id, **summary}) + "\n")
+        for key, column in columns.items():
+            column.append(summary[key])
         km += rec.km
         collisions += sum(c for k, c in rec.infractions.items()
                           if k in evalkit.COLLISION_TYPES)
-    aggregate = {"routes": len(records), "km": km}
-    for key in ("RC", "IS", "DS"):
-        aggregate[key] = float(np.mean([s[key] for s in summaries]))
+    if not lines:
+        raise ValidationError("no run records found")
+    sys.stdout.writelines(lines)
+    aggregate = {"routes": len(lines), "km": km}
+    for key, column in columns.items():
+        aggregate[key] = float(np.mean(column))
     aggregate["Col_per_km"] = collisions / km if km > 0 else 0.0
     print(json.dumps({"aggregate": aggregate}))
     return 0

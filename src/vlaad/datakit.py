@@ -13,8 +13,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, NamedTuple, Protocol, Sequence, Tuple
 
@@ -472,6 +470,9 @@ class HttpSummarizerClient:
         self.timeout = timeout
 
     def generate(self, prompt: str, model: str) -> str:
+        import urllib.error  # here, so importing vlaad loads no HTTP stack
+        import urllib.request
+
         body = json.dumps({"model": model, "prompt": prompt,
                            "stream": False}).encode("utf-8")
         req = urllib.request.Request(

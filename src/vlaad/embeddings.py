@@ -17,7 +17,9 @@ At the CLI, ``--embedding-cache`` selects the cache encoder for ``train``,
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import math
 import os
 import struct
 from collections.abc import Mapping
@@ -31,6 +33,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     ValidationError,
+    replace_on_success,
 )
 
 DEFAULT_DIM = 768
@@ -39,7 +42,7 @@ DEFAULT_TEXT_BUCKETS = 512
 CACHE_MAGIC = b"VLEC"
 CACHE_VERSION = 1
 _CACHE_HEADER = struct.Struct("<4sIIQ")  # magic, version, D, count
-_FINITE_CHECK_BYTES = 1 << 20  # vector bytes per pass locating a non-finite one
+_SCAN_BLOCK_BYTES = 1 << 18  # file bytes parsed and checked per block
 
 # Seed-stream tags so the video and text projections never collide even
 # for identical (seed, shape) pairs.
@@ -181,26 +184,82 @@ class StubEncoder:
 class CachedEncoder:
     """Encoder backed by an offline embedding-cache file.
 
-    Windows are looked up by their keys and captions by their trimmed text.
-    Vectors are returned exactly as stored; the reader has already rejected
-    any that is not finite.
+    Construction scans the whole file once (``read_embedding_cache``) and
+    keeps only the id -> vector offset index and the open file; each call
+    reads just the vectors it asks for.  Windows are looked up by their keys
+    and captions by their trimmed text.  Vectors are returned exactly as
+    stored.  A served block is checked again, so a file that shrank or
+    changed after the scan fails naming the path and the byte.  Use it as a
+    context manager, or ``close`` it, to release the file.
     """
 
     def __init__(self, path):
-        self._rows, self._vectors, self.dim = read_embedding_cache(path)
+        self.path = path
+        self._file = open(path, "rb", buffering=0)
+        try:
+            self._offsets, self.dim = read_embedding_cache(path, self._file)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _index(self, keys: Sequence[str]) -> list:
         try:
-            return [self._rows[key] for key in keys]
+            return [self._offsets[key] for key in keys]
         except KeyError as exc:
             raise ValidationError(
                 f"embedding id {exc.args[0]!r} not present in cache") from None
 
+    def _pread(self, at: int, size: int) -> bytes:
+        data = os.pread(self._file.fileno(), size, at)
+        if len(data) != size:
+            raise ValidationError(
+                f"{self.path}: embedding cache read at byte {at} needs {size} "
+                f"bytes, but the file now ends at byte {at + len(data)}")
+        return data
+
+    def _rows(self, keys: Sequence[str]) -> np.ndarray:
+        """The vectors of ``keys`` as a (len(keys), D) block, one read per
+        run of keys whose records lie evenly spaced in the file, less than
+        one vector apart (a whole clip, when its window ids have one length);
+        a read never takes twice the bytes it serves."""
+        offsets = self._index(keys)
+        n, width = len(offsets), 4 * self.dim
+        vectors = np.empty((n, self.dim), dtype="<f4")
+        i = 0
+        while i < n:
+            lo, j = offsets[i], i + 1
+            step = offsets[j] - lo if j < n else width
+            if width <= step <= 2 * width:
+                while j < n and offsets[j] == lo + (j - i) * step:
+                    j += 1
+            else:
+                step = width
+            data = self._pread(lo, (j - i - 1) * step + width)
+            vectors[i:j] = np.ndarray((j - i, self.dim), "<f4", data,
+                                      strides=(step, 4))
+            i = j
+        bad = _first_non_finite(vectors)
+        if bad is not None:
+            raise ValidationError(
+                f"{self.path}: embedding cache value at byte "
+                f"{offsets[bad[0]] + 4 * bad[1]} is not finite; the file "
+                f"changed after it was read")
+        return vectors
+
     def encode_windows(self, frames, starts, length, keys) -> np.ndarray:
-        return self._vectors.take(self._index(keys), axis=0)  # one gather, a copy
+        return self._rows(keys)
 
     def encode_text(self, caption: str) -> Embedding:
-        return Embedding(self._vectors[self._index([caption.strip()])[0]])
+        return Embedding(self._rows([caption.strip()])[0])
 
 
 def encode_video_snippet(window: FrameWindow, encoder: StubEncoder) -> Embedding:
@@ -240,10 +299,11 @@ def write_embedding_cache(path, entries: Mapping[str, np.ndarray] | Iterable[Tup
 
     Layout, little-endian: magic ``VLEC``, version u32, dim u32, count u64,
     then per record a u16 id length, the UTF-8 id, and dim float32 values.
-    Returns the number of records written.
+    Returns the number of records written.  The file replaces ``path`` only
+    once every record is written; a bad entry leaves ``path`` as it was.
     """
     items = list(entries.items()) if isinstance(entries, Mapping) else list(entries)
-    with open(path, "wb") as fh:
+    with replace_on_success(path) as tmp, open(tmp, "wb") as fh:
         fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, dim, len(items)))
         for key, vec in items:
             vec = np.asarray(vec, dtype="<f4")
@@ -259,19 +319,39 @@ def write_embedding_cache(path, entries: Mapping[str, np.ndarray] | Iterable[Tup
     return len(items)
 
 
-def read_embedding_cache(path) -> Tuple[Dict[str, int], np.ndarray, int]:
-    """Read a cache file back as (id -> row, (count, D) float32 block, D);
-    an id stored twice maps to its last record.
+def _first_non_finite(vectors: np.ndarray):
+    """(row, column) of the first non-finite value of a contiguous (n, D)
+    block, or None."""
+    flat = vectors.ravel()
+    # NaN and ±inf survive a sum of squares, which BLAS takes at memory
+    # speed; only a sum that overflows on finite values needs the exact pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(np.dot(flat, flat)):
+            return None
+    finite = np.isfinite(vectors)
+    if finite.all():
+        return None
+    return divmod(int(np.argmin(finite)), vectors.shape[1])
+
+
+def read_embedding_cache(path, file=None) -> Tuple[Dict[str, int], int]:
+    """Scan a cache file once: (id -> byte offset of its vector, D).  An id
+    stored twice maps to its last record.  ``file``, when given, is the
+    cache already open for binary reading; it is read by position and stays
+    open.
 
     The header's count is checked against the file size before anything
-    else is read (every record takes at least 2 + 4·D bytes), records are
-    read one at a time into one preallocated block, the file must end where
-    the last record does, and every vector must be finite.  Each error names
-    the path and the byte offset.
+    else is read (every record takes at least 2 + 4·D bytes); records are
+    parsed from one bounded block of the file at a time, the file must end
+    where the last record does, and every vector must be finite.  Each error
+    names the path and the byte offset.  No more than one block of vectors
+    is held at any time.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        header = fh.read(_CACHE_HEADER.size)
+    with (open(path, "rb", buffering=0) if file is None
+          else contextlib.nullcontext(file)) as fh:
+        fd = fh.fileno()
+        size = os.fstat(fd).st_size
+        header = os.pread(fd, _CACHE_HEADER.size, 0)
         if len(header) != _CACHE_HEADER.size:
             raise ValidationError(f"{path}: truncated embedding cache header at "
                                   f"byte {len(header)} of {_CACHE_HEADER.size}")
@@ -290,46 +370,73 @@ def read_embedding_cache(path) -> Tuple[Dict[str, int], np.ndarray, int]:
             raise ValidationError(
                 f"{path}: embedding cache count {count} at byte 12 needs at "
                 f"least {least} bytes at D={dim}, but the file ends at byte {size}")
-        vectors = np.empty((count, dim), dtype="<f4")  # at most the file's size
-        rows: Dict[str, int] = {}
-        at = _CACHE_HEADER.size
-        for i, vec in enumerate(vectors):
-            raw = fh.read(2)
-            klen = int.from_bytes(raw, "little")
-            key = fh.read(klen)
-            if len(raw) != 2 or len(key) != klen or fh.readinto(vec) != 4 * dim:
-                raise ValidationError(
-                    f"{path}: truncated embedding cache record {i} at byte {at}: "
-                    f"it needs {2 + klen + 4 * dim} bytes, but the file ends at "
-                    f"byte {size}")
+        width = 4 * dim
+        # a block holds the longest possible record, and no more than the
+        # file; two spare bytes let an id length be read past its end
+        cap = min(max(_SCAN_BLOCK_BYTES, 2 + 0xFFFF + width),
+                  size - _CACHE_HEADER.size)
+        buf = bytearray(cap + 2)
+        view = memoryview(buf)
+        base, p = _CACHE_HEADER.size, 0  # record i starts at byte base + p
+        filled = 0  # buf[:filled] holds the file's bytes from byte base
+        pending = []  # starts in buf of the records whose vectors are unchecked
+        first = 0  # the index of the record at pending[0]
+        bad = None  # (index, byte) of the first record with a non-finite value
+        offsets: Dict[str, int] = {}
+        for i in range(count):
+            klen = buf[p] | buf[p + 1] << 8  # stale past filled; then refilled
+            end = p + 2 + klen + width
+            if end > filled:  # move the record at p to the front, then refill
+                bad = bad or _non_finite_record(buf, filled, pending, width,
+                                                first, base)
+                pending, first = [], i
+                buf[:filled - p] = buf[p:filled]
+                base, filled, p = base + p, filled - p, 0
+                while filled < cap:
+                    got = os.preadv(fd, [view[filled:cap]], base + filled)
+                    if not got:
+                        break
+                    filled += got
+                klen = int.from_bytes(buf[:min(2, filled)], "little")
+                end = 2 + klen + width
+                if end > filled:
+                    raise ValidationError(
+                        f"{path}: truncated embedding cache record {i} at byte "
+                        f"{base}: it needs {end} bytes, but the file ends at "
+                        f"byte {size}")
             try:
-                rows[key.decode("utf-8")] = i
+                offsets[buf[p + 2:end - width].decode()] = base + end - width
             except UnicodeDecodeError as exc:
                 raise ValidationError(
-                    f"{path}: embedding cache record {i} id at byte {at + 2} is "
-                    f"not UTF-8: {exc.reason} at byte {at + 2 + exc.start}") from None
-            at += 2 + klen + 4 * dim
-        if at != size:
+                    f"{path}: embedding cache record {i} id at byte {base + p + 2} "
+                    f"is not UTF-8: {exc.reason} at byte "
+                    f"{base + p + 2 + exc.start}") from None
+            pending.append(p)
+            p = end
+        if base + p != size:
             raise ValidationError(
                 f"{path}: trailing bytes in embedding cache: its {count} records "
-                f"end at byte {at}, but the file ends at byte {size}")
-        # NaN and ±inf reach the min or the max, which need no temporary
-        if count and not np.isfinite([vectors.min(), vectors.max()]).all():
-            step = max(1, _FINITE_CHECK_BYTES // (4 * dim))  # bounds the mask
-            lo = 0
-            while np.isfinite(vectors[lo:lo + step]).all():
-                lo += step
-            i = lo + int(np.argmin(np.isfinite(vectors[lo:lo + step]).all(axis=1)))
-            raise ValidationError(
-                f"{path}: embedding cache record {i} at byte "
-                f"{_record_offset(fh, dim, i)} has a non-finite value")
-    return rows, vectors, int(dim)
+                f"end at byte {base + p}, but the file ends at byte {size}")
+        bad = bad or _non_finite_record(buf, filled, pending, width, first, base)
+        if bad is not None:
+            raise ValidationError(f"{path}: embedding cache record {bad[0]} at byte "
+                                  f"{bad[1]} has a non-finite value")
+        return offsets, int(dim)
 
 
-def _record_offset(fh, dim: int, index: int) -> int:
-    """Byte offset of record ``index`` in a cache file already read whole."""
-    at = _CACHE_HEADER.size
-    for _ in range(index):
-        fh.seek(at)
-        at += 2 + int.from_bytes(fh.read(2), "little") + 4 * dim
-    return at
+def _non_finite_record(buf, filled: int, starts: list, width: int, first: int,
+                       base: int):
+    """(index, byte) of the first record starting at ``starts`` in
+    ``buf[:filled]`` whose vector holds a non-finite value, or None.  The
+    buffer holds the file from byte ``base``; ``starts[0]`` is record
+    ``first``."""
+    if not starts:
+        return None
+    u8 = np.frombuffer(buf, dtype=np.uint8, count=filled)
+    starts = np.asarray(starts)
+    vec = starts + 2 + u8[starts] + (u8[starts + 1].astype(np.intp) << 8)
+    # every width-byte window of the block; its rows at vec are the vectors
+    windows = np.ndarray((filled - width + 1, width), np.uint8, u8,
+                         strides=(1, 1))
+    bad = _first_non_finite(windows[vec].view("<f4"))
+    return None if bad is None else (first + bad[0], base + int(starts[bad[0]]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple
 
 import numpy as np
 
@@ -220,10 +220,16 @@ def summarize_run(record: DrivingRunRecord, version: str = "v21",
     }
 
 
-def read_run_records(path) -> List[DrivingRunRecord]:
-    """Run records as JSON Lines matching the DrivingRunRecord fields."""
+def iter_run_records(path) -> Iterator[DrivingRunRecord]:
+    """Run records as JSON Lines matching the DrivingRunRecord fields, read
+    and checked one line at a time."""
     with open(path, "rb", buffering=LINES_BUFFER) as fh:
-        return list(json_lines(fh, path, "run record", _run_record))
+        yield from json_lines(fh, path, "run record", _run_record)
+
+
+def read_run_records(path) -> List[DrivingRunRecord]:
+    """Every record of ``iter_run_records``, in file order."""
+    return list(iter_run_records(path))
 
 
 def _run_record(obj) -> DrivingRunRecord:

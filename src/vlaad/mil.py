@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .embeddings import EncoderHandle, encode_video_snippets
-from .errors import EmptyInputError, ValidationError
+from .errors import DegenerateInputError, EmptyInputError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datakit import ClipRecord
@@ -111,13 +111,29 @@ def segment_lse_pool(logits, starts, gamma: float = DEFAULT_GAMMA):
 
 
 def _frames(clip: "ClipRecord"):
-    """The clip's frame count, and its frames for the encoder: for inline
-    frames not yet decoded, a callable that decodes them, so an encoder that
-    reads no frames never decodes them."""
+    """The clip's frame count, its frames for the encoder, and the words that
+    name the clip in an error.  Inline frames not yet decoded are passed as a
+    callable that decodes them, so an encoder that reads no frames never
+    decodes them."""
+    what = f"clip {clip.clip_id}"
     if clip.inline is not None:
-        return clip.inline.shape[0], clip.feature_matrix
+        where = clip.inline.where
+        return (clip.inline.shape[0], clip.feature_matrix,
+                what if where is None else f"{where}: {what}")
     feats = clip.feature_matrix()
-    return feats.shape[0], feats
+    if clip.frames_path is not None:
+        what += f": frames file {clip.frames_path}"
+    return feats.shape[0], feats, what
+
+
+def _encode(feats, starts, length: int, keys, encoder: EncoderHandle,
+            what: str) -> np.ndarray:
+    """``encode_video_snippets``; a window the encoder cannot normalize is a
+    ``ValidationError`` naming the clip."""
+    try:
+        return encode_video_snippets(feats, starts, length, keys, encoder)
+    except DegenerateInputError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
 
 
 def segment_clip(clip: "ClipRecord", snippet_len: int, stride: int,
@@ -130,14 +146,14 @@ def segment_clip(clip: "ClipRecord", snippet_len: int, stride: int,
     """
     if snippet_len < 1 or stride < 1:
         raise ValidationError("snippet_len and stride must be >= 1")
-    n_frames, feats = _frames(clip)
+    n_frames, feats, what = _frames(clip)
     if n_frames < snippet_len:
         raise ValidationError(
             f"clip {clip.clip_id} has {n_frames} frames, fewer than "
             f"snippet_len {snippet_len}")
     starts = range(0, n_frames - snippet_len + 1, stride)
     keys = [f"{clip.clip_id}:{i}" for i in range(len(starts))]
-    rows = encode_video_snippets(feats, starts, snippet_len, keys, encoder)
+    rows = _encode(feats, starts, snippet_len, keys, encoder, what)
     return Bag(clip_id=clip.clip_id, snippets=rows,
                start_times=np.asarray(starts, dtype=np.float64) / clip.frame_hz,
                label=clip.label)
@@ -150,7 +166,6 @@ def encode_clip(clip: "ClipRecord", mode: str, encoder: EncoderHandle,
     mode; in clip mode one window of every frame, keyed ``clip_id:clip``."""
     if mode == "mil":
         return segment_clip(clip, snippet_len, stride, encoder)
-    n_frames, feats = _frames(clip)
-    rows = encode_video_snippets(feats, [0], n_frames,
-                                 [f"{clip.clip_id}:clip"], encoder)
+    n_frames, feats, what = _frames(clip)
+    rows = _encode(feats, [0], n_frames, [f"{clip.clip_id}:clip"], encoder, what)
     return Bag(clip.clip_id, rows, [0.0], clip.label)

@@ -20,7 +20,7 @@ from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, replace_on_success
 from .mil import Bag
 
 CKPT_MAGIC = b"VLAD"
@@ -197,8 +197,9 @@ def heads_backward(snips: np.ndarray, hidden: np.ndarray, adapted: np.ndarray,
 
 
 def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
-    """Write the binary checkpoint: header then θ as little-endian float32."""
-    with open(path, "wb") as fh:
+    """Write the binary checkpoint: header then θ as little-endian float32.
+    The file replaces ``path`` only once it is whole."""
+    with replace_on_success(path) as tmp, open(tmp, "wb") as fh:
         fh.write(_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, ckpt.dim, ckpt.hidden,
                               ckpt.gamma, ckpt.seed, ckpt.epoch))
         fh.write(ckpt.theta.astype("<f4"))

@@ -10,6 +10,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import struct
 
 import numpy as np
 
@@ -657,3 +659,69 @@ def youden_threshold_matrix(validation):
     j = tpr - fpr
     best = int(np.argmax(j))
     return float(candidates[best]), float(j[best]), bool(j[best] <= 0.0)
+
+
+# --- the whole-file embedding-cache reader ----------------------------------
+# The package's reader scans the file into an id -> offset index and reads
+# vectors per clip.  This is the reader it replaced: it loads every vector,
+# and it must accept and reject the same files with the same error text.
+
+_CACHE_HEADER = struct.Struct("<4sIIQ")  # magic, version, D, count
+
+
+def read_embedding_cache_whole(path):
+    """(id -> row, (count, D) float32 block, D); an id stored twice maps to
+    its last record.  Checks, in order: header, magic, version, D, count
+    against the file size, each record's length and UTF-8 id, trailing bytes,
+    then the first non-finite vector."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_CACHE_HEADER.size)
+        if len(header) != _CACHE_HEADER.size:
+            raise ValidationError(f"{path}: truncated embedding cache header at "
+                                  f"byte {len(header)} of {_CACHE_HEADER.size}")
+        magic, version, dim, count = _CACHE_HEADER.unpack(header)
+        if magic != b"VLEC":
+            raise ValidationError(
+                f"{path}: not an embedding cache file: bad magic {magic!r} at byte 0")
+        if version != 1:
+            raise ValidationError(
+                f"{path}: unsupported embedding cache version {version} at byte 4")
+        if dim < 1:
+            raise ValidationError(
+                f"{path}: embedding cache dim D=0 at byte 8 must be >= 1")
+        least = _CACHE_HEADER.size + count * (2 + 4 * dim)
+        if least > size:
+            raise ValidationError(
+                f"{path}: embedding cache count {count} at byte 12 needs at "
+                f"least {least} bytes at D={dim}, but the file ends at byte {size}")
+        vectors = np.empty((count, dim), dtype="<f4")
+        rows, starts = {}, []
+        at = _CACHE_HEADER.size
+        for i, vec in enumerate(vectors):
+            raw = fh.read(2)
+            klen = int.from_bytes(raw, "little")
+            key = fh.read(klen)
+            if len(raw) != 2 or len(key) != klen or fh.readinto(vec) != 4 * dim:
+                raise ValidationError(
+                    f"{path}: truncated embedding cache record {i} at byte {at}: "
+                    f"it needs {2 + klen + 4 * dim} bytes, but the file ends at "
+                    f"byte {size}")
+            try:
+                rows[key.decode("utf-8")] = i
+            except UnicodeDecodeError as exc:
+                raise ValidationError(
+                    f"{path}: embedding cache record {i} id at byte {at + 2} is "
+                    f"not UTF-8: {exc.reason} at byte {at + 2 + exc.start}") from None
+            starts.append(at)
+            at += 2 + klen + 4 * dim
+        if at != size:
+            raise ValidationError(
+                f"{path}: trailing bytes in embedding cache: its {count} records "
+                f"end at byte {at}, but the file ends at byte {size}")
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValidationError(f"{path}: embedding cache record {i} at byte "
+                                  f"{starts[i]} has a non-finite value")
+    return rows, vectors, int(dim)

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clip, run_trace
-from oracles import per_clip_trace_rows
+from oracles import per_clip_trace_rows, read_embedding_cache_whole
 import vlaad
+from vlaad import embeddings
 from vlaad.cli import build_parser, run
 from vlaad.datakit import ClipRecord, read_manifest, write_manifest
-from vlaad.embeddings import (StubEncoder, read_embedding_cache,
-                              write_embedding_cache)
+from vlaad.embeddings import StubEncoder, write_embedding_cache
+from vlaad.errors import ValidationError
 from vlaad.mil import segment_clip, segment_lse_pool
 from vlaad.model import init_checkpoint, load_checkpoint, save_checkpoint
 from vlaad.numerics import sigmoid
@@ -433,7 +435,7 @@ class TestEmbeddingCacheReader:
 
     def test_missing_window_id(self, cache_inputs):
         root, manifest, _ = cache_inputs
-        rows, vectors, dim = read_embedding_cache(root / "good.vlec")
+        rows, vectors, dim = read_embedding_cache_whole(root / "good.vlec")
         missing = f"{read_manifest(manifest)[0].clip_id}:2"
         write_embedding_cache(root / "short.vlec", {k: vectors[i] for k, i in
                                                     rows.items() if k != missing}, dim)
@@ -462,12 +464,227 @@ class TestEmbeddingCacheReader:
             assert_one_error_line(err)
 
 
+def padded_cache(entries, path, extra, dim, seed=0):
+    """A cache of ``entries`` followed by ``extra`` records no clip asks for."""
+    rng = np.random.default_rng(seed)
+    pad = rng.standard_normal((extra, dim)).astype(np.float32)
+    write_embedding_cache(path, [*entries.items(),
+                                 *((f"pad:{i}", v) for i, v in enumerate(pad))], dim)
+    return path
+
+
+def scan_outcome(path):
+    """The cache scan's index as {id: vector bytes}, or its error text; the
+    same for the whole-file oracle."""
+    data = Path(path).read_bytes()
+    outcomes = []
+    try:
+        offsets, dim = embeddings.read_embedding_cache(path)
+        outcomes.append({k: data[at:at + 4 * dim] for k, at in offsets.items()})
+    except ValidationError as exc:
+        outcomes.append(str(exc))
+    try:
+        rows, vectors, _ = read_embedding_cache_whole(path)
+        outcomes.append({k: vectors[i].tobytes() for k, i in rows.items()})
+    except ValidationError as exc:
+        outcomes.append(str(exc))
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def padded_inputs(cache_inputs):
+    """``cache_inputs`` with 6,000 unused D=6 records appended (about 200 KB,
+    more than one scan block when blocks are at their smallest)."""
+    root, manifest, good = cache_inputs
+    rows, vectors, dim = read_embedding_cache_whole(root / "good.vlec")
+    path = padded_cache({k: vectors[i] for k, i in rows.items()},
+                        root / "padded.vlec", 6000, dim)
+    return root, manifest, path.read_bytes()
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestCacheIndex:
+    """Commands hold an id -> offset index of the cache and read vectors per
+    clip; the scan checks what the whole-file reader checked, and a served
+    block is checked again."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_scan_agrees_with_whole_file_oracle(self, padded_inputs, data):
+        """Byte mutations: the scan and the whole-file oracle accept the same
+        files, serve the same vectors, and reject the rest with the same
+        text, whether the scan takes the file in one block or in several."""
+        root, manifest, good = padded_inputs
+        kind = data.draw(st.sampled_from(["truncate", "extend", "flip", "set",
+                                          "non_finite"]))
+        blob = bytearray(good)
+        if kind == "truncate":
+            blob = blob[:data.draw(st.integers(0, len(good) - 1))]
+        elif kind == "extend":
+            blob += data.draw(st.binary(min_size=1, max_size=64))
+        elif kind == "flip":
+            for bit in data.draw(st.lists(st.integers(0, 8 * len(good) - 1),
+                                          min_size=1, max_size=3)):
+                blob[bit // 8] ^= 1 << (bit % 8)
+        elif kind == "set":
+            at = data.draw(st.integers(0, len(good) - 1))
+            blob[at] = data.draw(st.integers(0, 255))
+        else:
+            at = data.draw(st.integers(20, len(good) - 4))
+            value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            blob[at:at + 4] = np.float32(value).tobytes()
+        path = root / "mutated.vlec"
+        path.write_bytes(bytes(blob))
+        block = data.draw(st.sampled_from([0, embeddings._SCAN_BLOCK_BYTES]))
+        with mock.patch.object(embeddings, "_SCAN_BLOCK_BYTES", block):
+            scanned, whole = scan_outcome(path)
+        assert scanned == whole
+        code, err = run_quiet(["eval", "--checkpoint", root / "good.bin",
+                               "--manifest", manifest, "--embedding-cache", path])
+        assert code in (0, 2), err
+        if code == 2:
+            assert_one_error_line(err)
+
+    @pytest.mark.parametrize("record", [0, 3000, -1])
+    def test_non_finite_record_in_any_block(self, padded_inputs, tmp_path, record):
+        """Blocks at their smallest: the scan names the record and the byte
+        the oracle names, in the first block, a middle one or the last."""
+        root, _, good = padded_inputs
+        offsets, _ = embeddings.read_embedding_cache(root / "padded.vlec")
+        at = list(offsets.values())[record] + 4
+        blob = bytearray(good)
+        blob[at:at + 4] = np.float32(np.nan).tobytes()
+        path = tmp_path / "c.vlec"
+        path.write_bytes(bytes(blob))
+        with mock.patch.object(embeddings, "_SCAN_BLOCK_BYTES", 0):
+            scanned, whole = scan_outcome(path)
+        assert re.search(r"record \d+ at byte \d+ has a non-finite value$", whole)
+        assert scanned == whole
+
+    @pytest.mark.parametrize("change", ["nan", "cut"])
+    def test_served_block_checked_again(self, cache_inputs, tmp_path,
+                                        monkeypatch, change):
+        """The file changes in place after the scan built its index: serving
+        exits 2 naming the path and the byte, on the same open file."""
+        root, manifest, good = cache_inputs
+        path = tmp_path / "c.vlec"
+        path.write_bytes(good)
+        offsets, dim = embeddings.read_embedding_cache(path)
+        key = f"{read_manifest(manifest)[2].clip_id}:1"
+        at = offsets[key] + 4 * 3  # the fourth value of that window
+        scan = embeddings.read_embedding_cache
+
+        def scan_then_change(*args):
+            index = scan(*args)
+            if change == "nan":
+                with open(path, "r+b") as fh:
+                    fh.seek(at)
+                    fh.write(np.float32(np.nan).tobytes())
+            else:
+                os.truncate(path, at)
+            return index
+
+        monkeypatch.setattr(embeddings, "read_embedding_cache", scan_then_change)
+        code, err = run_quiet(["eval", "--checkpoint", root / "good.bin",
+                               "--manifest", manifest, "--embedding-cache", path])
+        assert code == 2, err
+        message = (rf"embedding cache value at byte {at} is not finite; the "
+                   rf"file changed after it was read$" if change == "nan" else
+                   rf"embedding cache read at byte \d+ needs \d+ bytes, but the "
+                   rf"file now ends at byte {at}$")
+        assert_one_error_line(err, "^error: " + re.escape(f"{path}: ") + message)
+
+    def test_eval_memory_flat_in_cache_padding(self, tmp_path):
+        """A cache with 10x records no clip asks for raises eval's peak by
+        its index only; reading the whole cache would add 3 MB at D=1,024."""
+        dim = 1024
+        ckpt = tmp_path / "c.bin"
+        save_checkpoint(ckpt, init_checkpoint(dim=dim, hidden=8, gamma=10.0,
+                                              seed=0, zero_first_layer=False))
+        manifest = tmp_path / "m.jsonl"
+        assert run_quiet(["synth", "--n-normal", 8, "--n-collision", 8,
+                          "--dim", 8, "-o", manifest])[0] == 0
+        exact = stub_cache(manifest, tmp_path / "exact.vlec", dim=dim)
+        rows, vectors, _ = read_embedding_cache_whole(exact)
+        padded = padded_cache({k: vectors[i] for k, i in rows.items()},
+                              tmp_path / "padded.vlec", 10 * len(rows), dim)
+        peaks = []
+        for cache in (exact, padded):
+            tracemalloc.start()
+            try:
+                code, err = run_quiet(["eval", "--checkpoint", ckpt, "--manifest",
+                                       manifest, "--embedding-cache", cache])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+        assert peaks[1] - peaks[0] <= 2 ** 20, peaks
+
+    def test_score_memory_bounded_by_output(self, tmp_path):
+        """score keeps its output lines and three columns, not the records."""
+        runs = tmp_path / "runs.jsonl"
+        rng = np.random.default_rng(0)
+        with open(runs, "w", encoding="utf-8") as fh:
+            for i in range(5000):
+                fh.write(json.dumps({
+                    "route_id": f"route-{i:05d}", "km": float(rng.uniform(0.5, 5)),
+                    "route_completion": float(rng.uniform(40, 100)),
+                    "infractions": {"vehicle": int(rng.integers(0, 3)),
+                                    "red_light": int(rng.integers(0, 2))},
+                    "coefficients": {"vehicle": 0.7, "red_light": 0.4}}) + "\n")
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = run(["score", "--runs", str(runs)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        size = len(out.getvalue())
+        assert peak <= 2 * size + 2 ** 19, (peak, size)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors in /proc/self/fd")
+    @pytest.mark.parametrize("case", ["eval", "trace", "train", "missing_id",
+                                      "bad_cache", "clip_not_found"])
+    def test_no_descriptor_left_open(self, cache_inputs, tmp_path, case):
+        """The cache file is closed when the command ends, also when it
+        fails while scanning, while serving, or after serving."""
+        root, manifest, good = cache_inputs
+        cache = tmp_path / "c.vlec"
+        cache.write_bytes(good + b"\0" if case == "bad_cache" else good)
+        if case == "missing_id":
+            rows, vectors, dim = read_embedding_cache_whole(cache)
+            missing = f"{read_manifest(manifest)[3].clip_id}:0"
+            write_embedding_cache(cache, {k: vectors[i] for k, i in rows.items()
+                                          if k != missing}, dim)
+        common = ["--manifest", manifest, "--embedding-cache", cache]
+        scored = ["--checkpoint", root / "good.bin", *common]
+        argv = {"train": ["train", *common, "-o", tmp_path / "m.bin", "--set",
+                          "embed_dim=6", "--set", "hidden_dim=4", "--set",
+                          "epochs=1"],
+                "trace": ["trace", *scored, "-o", tmp_path / "t.csv"],
+                "clip_not_found": ["trace", *scored, "--clip-id", "nope",
+                                   "-o", tmp_path / "t.csv"],
+                }.get(case, ["eval", *scored])
+        before = open_fds()
+        code, err = run_quiet(argv)
+        assert code == (0 if case in ("eval", "trace", "train") else 2), err
+        assert open_fds() == before
+
+
 def write_frames(root, case):
     """A frames file for ``case``; every case but "valid" is malformed."""
     feats = np.random.default_rng(0).standard_normal((40, 8)).astype(np.float32)
     path = root / f"{case}.npy"
     if case == "nan":
         feats[17, 3] = np.nan
+    elif case == "zero":
+        feats[:] = 0.0
     elif case == "one_dim":
         feats = feats[0]
     elif case == "three_dim":
@@ -494,6 +711,7 @@ class TestFramesPathReader:
 
     MESSAGES = {
         "nan": r"non-finite features$",
+        "zero": r"projected window has \(near-\)zero norm; refusing to emit NaN$",
         "one_dim": r"must be \(F, dim\) with F >= 1, got shape \(8,\)$",
         "three_dim": r"must be \(F, dim\) with F >= 1, got shape \(1, 40, 8\)$",
         "header_cut": r"EOF: reading array header",
@@ -641,6 +859,21 @@ class TestInlineFrames:
             assert code == 0, err
             outs.append(out.read_bytes() if command == "trace" else err)
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    def test_all_zero_matrix_names_file_line_clip(self, tmp_path, inline_ckpt,
+                                                  command):
+        """The stub cannot normalize a window of zero frames; the error names
+        where the clip came from, not only the window."""
+        zeros = set_in(["frames", "b64"], "A" * 640)  # 40 x 3 float32 zeros
+        manifest = inline_manifest(tmp_path / "m.jsonl", 3, {2: zeros})
+        argv = [command, "--checkpoint", inline_ckpt, "--manifest", manifest]
+        code, err = run_quiet([*argv, "-o", tmp_path / "t.csv"]
+                              if command == "trace" else argv)
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(
+            f"{manifest}: manifest line 2: clip c1: projected window has "
+            f"(near-)zero norm; refusing to emit NaN") + "$")
 
     def test_ingest_checks_every_matrix(self, tmp_path):
         manifest = inline_manifest(tmp_path / "m.jsonl", 4, {4: nan_frame})

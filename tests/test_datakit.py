@@ -1,11 +1,17 @@
 import json
+import os
+import socket
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from vlaad.cli import run
 from vlaad.datakit import (AUGMENT_MAX_FRAME, AUGMENT_MIN_FRAME, CLIP_FRAMES,
-                           COLLISION_CAPTIONS, NORMAL_CAPTIONS, CaptionResult,
+                           COLLISION_CAPTIONS, NORMAL_CAPTIONS,
+                           SUMMARIZER_URL_ENV, CaptionResult,
                            ClipRecord, InfractionLog, StubSummarizerClient,
                            SynthConfig, assemble_clips,
                            augment_collision_position, caption_collision_clip,
@@ -285,6 +291,36 @@ class TestCaptioning:
     def test_no_annotations_rejected(self):
         with pytest.raises(EmptyInputError):
             caption_normal_clip([], StubSummarizerClient())
+
+
+class TestHttpClient:
+    def test_import_loads_no_http_stack(self):
+        """urllib.request (and with it http.client, ssl and email) loads only
+        when the HTTP summarizer sends a request."""
+        code = ("import sys, vlaad; print(sorted(m for m in ('urllib.request', "
+                "'http.client', 'ssl', 'email') if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
+
+    def test_unreachable_url_exit_1(self, tmp_path, monkeypatch, capsys):
+        """``caption --client http`` on a closed local port: three attempts,
+        then one error line and exit 1."""
+        with socket.socket() as sock:  # a port that was free a moment ago
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        monkeypatch.setenv(SUMMARIZER_URL_ENV, f"http://127.0.0.1:{port}/api")
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(json.dumps({"type": "normal",
+                                    "annotations": ["a car drives on"]}) + "\n")
+        code = run(["caption", "--jobs", str(jobs), "-o",
+                    str(tmp_path / "out.jsonl"), "--client", "http"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: summarizer unreachable after 3 attempts: "
+                       "summarizer request failed: <urlopen error [Errno 111] "
+                       "Connection refused>\n")
 
 
 class TestManifestIO:

@@ -1,9 +1,14 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import stub_text_embedding, stub_video_embedding
+from oracles import (read_embedding_cache_whole, stub_text_embedding,
+                     stub_video_embedding)
+from vlaad import embeddings
 from vlaad.embeddings import (CachedEncoder, Embedding, FrameWindow,
                               StubEncoder, encode_text, encode_video_snippet,
                               read_embedding_cache, write_embedding_cache)
@@ -105,7 +110,7 @@ class TestEmbeddingCache:
         entries = {f"clip:{i}": rng.standard_normal(8).astype(np.float32)
                    for i in range(5)}
         write_embedding_cache(path, entries, dim=8)
-        rows, vectors, dim = read_embedding_cache(path)
+        rows, vectors, dim = read_embedding_cache_whole(path)
         assert dim == 8
         assert vectors.shape == (5, 8)
         assert list(rows) == list(entries)
@@ -118,20 +123,49 @@ class TestEmbeddingCache:
         other = rng.standard_normal(8).astype(np.float32)
         write_embedding_cache(path, {"w:0": vec, "w:1": other, "hello": vec},
                               dim=8)
-        enc = CachedEncoder(path)
-        out = enc.encode_windows(np.ones((4, 3)), [2, 0, 2], 2,
-                                 ["w:1", "w:0", "w:1"])
-        assert out.tobytes() == np.stack([other, vec, other]).tobytes()
-        assert np.array_equal(encode_text("hello", enc).values, vec)
+        with CachedEncoder(path) as enc:
+            out = enc.encode_windows(np.ones((4, 3)), [2, 0, 2], 2,
+                                     ["w:1", "w:0", "w:1"])
+            assert out.tobytes() == np.stack([other, vec, other]).tobytes()
+            assert np.array_equal(encode_text("hello", enc).values, vec)
+
+    @pytest.mark.parametrize("layout", ["clip_order", "interleaved", "reversed"])
+    def test_served_rows_in_any_layout(self, tmp_path, rng, layout):
+        """Windows come back in key order whatever the record layout: a
+        clip's records in file order take one read per run of one id length
+        (bb:0..bb:9, then bb:10, bb:11); records more than a vector apart,
+        or out of order, take one read each."""
+        clips, windows, dim = ["a", "bb", "c"], 12, 8
+        vecs = {f"{c}:{i}": rng.standard_normal(dim).astype(np.float32)
+                for c in clips for i in range(windows)}
+        order = ([f"{c}:{i}" for c in clips for i in range(windows)]
+                 if layout != "interleaved" else
+                 [f"{c}:{i}" for i in range(windows) for c in clips])
+        path = tmp_path / "e.vlec"
+        write_embedding_cache(path, [(k, vecs[k]) for k in order], dim)
+        keys = [f"bb:{i}" for i in range(windows)]
+        if layout == "reversed":
+            keys.reverse()
+        with CachedEncoder(path) as enc, mock.patch.object(
+                embeddings.os, "pread", wraps=os.pread) as pread:
+            out = enc.encode_windows(None, range(windows), 8, keys)
+        assert out.tobytes() == np.stack([vecs[k] for k in keys]).tobytes()
+        sizes = [call.args[1] for call in pread.call_args_list]
+        if layout == "clip_order":
+            assert len(sizes) == 2
+        else:
+            assert sizes == [4 * dim] * windows
 
     def test_missing_key_and_missing_id(self, tmp_path, rng):
         path = tmp_path / "emb.bin"
         write_embedding_cache(path, {"a": np.ones(4, np.float32)}, dim=4)
-        enc = CachedEncoder(path)
-        with pytest.raises(ValidationError, match="embedding id 'b' not present"):
-            enc.encode_windows(np.ones((2, 3)), [0, 0], 2, ["a", "b"])
-        with pytest.raises(ValidationError, match="embedding id 'b' not present"):
-            encode_text("b", enc)
+        with CachedEncoder(path) as enc:
+            with pytest.raises(ValidationError,
+                               match="embedding id 'b' not present"):
+                enc.encode_windows(np.ones((2, 3)), [0, 0], 2, ["a", "b"])
+            with pytest.raises(ValidationError,
+                               match="embedding id 'b' not present"):
+                encode_text("b", enc)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.bin"
@@ -143,6 +177,34 @@ class TestEmbeddingCache:
         with pytest.raises(DimensionMismatchError):
             write_embedding_cache(tmp_path / "e.bin",
                                   {"a": np.ones(3, np.float32)}, dim=4)
+
+    @pytest.mark.parametrize("k", [0, 7, 19])
+    def test_bad_entry_leaves_previous_file(self, tmp_path, rng, k):
+        """An entry of the wrong shape at record k leaves the previous cache
+        byte for byte, and no temporary file."""
+        path = tmp_path / "e.vlec"
+        write_embedding_cache(path, {"old": np.ones(4, np.float32)}, dim=4)
+        before = path.read_bytes()
+        entries = [(f"w:{i}", rng.standard_normal(3 if i == k else 4))
+                   for i in range(20)]
+        with pytest.raises(DimensionMismatchError, match=f"'w:{k}' has shape"):
+            write_embedding_cache(path, entries, dim=4)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["e.vlec"]
+
+    def test_index_points_at_each_vector(self, tmp_path, rng):
+        """The scan maps each id to the byte offset of its vector; an id
+        stored twice maps to its last record."""
+        path = tmp_path / "e.vlec"
+        entries = [("a", rng.standard_normal(4)), ("bb", rng.standard_normal(4)),
+                   ("a", rng.standard_normal(4))]
+        write_embedding_cache(path, entries, dim=4)
+        offsets, dim = read_embedding_cache(path)
+        data = path.read_bytes()
+        assert dim == 4 and list(offsets) == ["a", "bb"]
+        for key, vec in dict(entries).items():
+            at = offsets[key]
+            assert data[at:at + 16] == vec.astype("<f4").tobytes()
 
 
 class TestEncoderContract:

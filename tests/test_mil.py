@@ -203,8 +203,8 @@ class TestSegmentClip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.vlec"
             write_embedding_cache(path, entries, dim=5)
-            cached = CachedEncoder(path)
-            bag = segment_clip(clip, snippet_len, stride, cached)
+            with CachedEncoder(path) as cached:
+                bag = segment_clip(clip, snippet_len, stride, cached)
         expected = per_snippet_bag(clip, snippet_len, stride, entries)
         assert np.array_equal(bag.snippets, expected.snippets)
         assert np.array_equal(bag.start_times, expected.start_times)

@@ -1,5 +1,8 @@
 import dataclasses
+import errno
 import hashlib
+import os
+import types
 
 import numpy as np
 import pytest
@@ -201,6 +204,25 @@ class TestCheckpointIO:
         again = tmp_path / "again.bin"
         save_checkpoint(again, load_checkpoint(path))
         assert again.read_bytes() == data
+
+    def test_failed_save_leaves_previous_file(self, tmp_path):
+        """A write that raises after the header leaves the previous
+        checkpoint byte for byte, and no temporary file."""
+        class FullDisk:
+            def astype(self, dtype):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        good = init_checkpoint(dim=6, hidden=4, gamma=7.5, seed=42,
+                               zero_first_layer=False)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, good)
+        before = path.read_bytes()
+        failing = types.SimpleNamespace(dim=6, hidden=4, gamma=7.5, seed=42,
+                                        epoch=1, theta=FullDisk())
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, failing)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.bin"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"
