@@ -127,11 +127,22 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    records = []
-    for rec in datakit.iter_manifest(args.manifest):  # validates every record
-        if rec.frames_path is None:
-            rec.feature_matrix()  # decodes and checks inline frames, line by line
-        records.append(rec)
+    records, ids = [], set()
+
+    def unique_record(obj, where):
+        rec = datakit.record_from_json(obj, where)
+        if rec.clip_id in ids:
+            raise ValidationError(f"duplicate clip_id {rec.clip_id!r}")
+        ids.add(rec.clip_id)
+        return rec
+
+    with open(args.manifest, "rb", buffering=LINES_BUFFER) as fh:
+        # validates every record and, line by line, decodes inline frames
+        for rec in json_lines(fh, args.manifest, "manifest", unique_record,
+                              located=True):
+            if rec.frames_path is None:
+                rec.feature_matrix()
+            records.append(rec)
     summary = {
         "records": len(records),
         "positives": sum(r.label for r in records),
@@ -183,7 +194,8 @@ def _cmd_caption(args) -> int:
         results = list(pool.map(  # in job order, whatever the thread count
             functools.partial(_caption_one, client=client, seed=args.seed),
             jobs, range(len(jobs))))
-    with open(args.output, "w", encoding="utf-8") as fh:  # append-ordered
+    with (replace_on_success(args.output) as tmp,  # append-ordered
+          open(tmp, "w", encoding="utf-8") as fh):
         for res in results:
             fh.write(json.dumps(res, separators=(",", ":")) + "\n")
     print(f"captioned {len(results)} jobs")

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Protocol, Sequence, Tup
 import numpy as np
 
 from .errors import (LINES_BUFFER, EmptyInputError, SummarizerError,
-                     ValidationError, json_lines)
+                     ValidationError, json_lines, replace_on_success)
 
 CLIP_FRAMES = 40
 FRAME_HZ = 4.0
@@ -617,10 +617,11 @@ def record_from_json(obj: dict, where: str | None = None) -> ClipRecord:
 
 
 def write_manifest(records: Iterable[ClipRecord], path) -> int:
-    """Append-ordered JSONL manifest; every record is re-validated on write."""
+    """Append-ordered JSONL manifest; every record is re-validated on write.
+    The file replaces ``path`` only once every record is written."""
     ids = set()
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for rec in records:
             if rec.clip_id in ids:
                 raise ValidationError(f"duplicate clip_id {rec.clip_id!r}")

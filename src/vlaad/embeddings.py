@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import math
 import os
 import struct
 from collections.abc import Mapping
@@ -227,31 +226,26 @@ class CachedEncoder:
         return data
 
     def _rows(self, keys: Sequence[str]) -> np.ndarray:
-        """The vectors of ``keys`` as a (len(keys), D) block, one read per
-        run of keys whose records lie evenly spaced in the file, less than
-        one vector apart (a whole clip, when its window ids have one length);
-        a read never takes twice the bytes it serves."""
+        """The vectors of ``keys`` as a (len(keys), D) block: one read of the
+        span from the first to the last record asked for when it is under
+        twice the bytes served (a clip's records in file order), else one
+        read per key."""
         offsets = self._index(keys)
-        n, width = len(offsets), 4 * self.dim
-        vectors = np.empty((n, self.dim), dtype="<f4")
-        i = 0
-        while i < n:
-            lo, j = offsets[i], i + 1
-            step = offsets[j] - lo if j < n else width
-            if width <= step <= 2 * width:
-                while j < n and offsets[j] == lo + (j - i) * step:
-                    j += 1
-            else:
-                step = width
-            data = self._pread(lo, (j - i - 1) * step + width)
-            vectors[i:j] = np.ndarray((j - i, self.dim), "<f4", data,
-                                      strides=(step, 4))
-            i = j
-        bad = _first_non_finite(vectors)
-        if bad is not None:
+        width = 4 * self.dim
+        lo = min(offsets)
+        span = max(offsets) + width - lo
+        if span < 2 * width * len(offsets):
+            data, starts = self._pread(lo, span), np.subtract(offsets, lo)
+        else:
+            data = b"".join([self._pread(at, width) for at in offsets])
+            starts = range(0, len(data), width)
+        vectors = _gather(data, starts, self.dim)
+        finite = np.isfinite(vectors)
+        if np.count_nonzero(finite) < finite.size:  # .all() costs more per clip
+            row, col = divmod(int(np.argmin(finite)), self.dim)
             raise ValidationError(
                 f"{self.path}: embedding cache value at byte "
-                f"{offsets[bad[0]] + 4 * bad[1]} is not finite; the file "
+                f"{offsets[row] + 4 * col} is not finite; the file "
                 f"changed after it was read")
         return vectors
 
@@ -269,19 +263,6 @@ def encode_video_snippet(window: FrameWindow, encoder: StubEncoder) -> Embedding
         raise DimensionMismatchError(
             f"encoder produced dim {emb.dim}, configured for {encoder.dim}")
     return emb
-
-
-def encode_video_snippets(frames, starts: Sequence[int], length: int,
-                          keys: Sequence[str], encoder: EncoderHandle) -> np.ndarray:
-    """Encode the windows ``frames[s:s + length]`` of one clip in one encoder
-    call: a (len(starts), D) float32 block, row t keyed ``keys[t]``.
-    ``frames`` may be a callable that returns them (see ``EncoderHandle``)."""
-    rows = encoder.encode_windows(frames, starts, length, keys)
-    if rows.shape != (len(starts), encoder.dim):
-        raise DimensionMismatchError(
-            f"encoder produced shape {rows.shape} for {len(starts)} windows, "
-            f"expected ({len(starts)}, {encoder.dim})")
-    return rows
 
 
 def encode_text(caption: str, encoder: EncoderHandle) -> Embedding:
@@ -319,19 +300,12 @@ def write_embedding_cache(path, entries: Mapping[str, np.ndarray] | Iterable[Tup
     return len(items)
 
 
-def _first_non_finite(vectors: np.ndarray):
-    """(row, column) of the first non-finite value of a contiguous (n, D)
-    block, or None."""
-    flat = vectors.ravel()
-    # NaN and ±inf survive a sum of squares, which BLAS takes at memory
-    # speed; only a sum that overflows on finite values needs the exact pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        if math.isfinite(np.dot(flat, flat)):
-            return None
-    finite = np.isfinite(vectors)
-    if finite.all():
-        return None
-    return divmod(int(np.argmin(finite)), vectors.shape[1])
+def _gather(data: bytes, starts, dim: int) -> np.ndarray:
+    """The D-value little-endian float32 vectors at byte ``starts`` of
+    ``data`` as one (len(starts), D) block."""
+    at_every_byte = np.ndarray((len(data) - 4 * dim + 1, dim), "<f4", data,
+                               strides=(1, 4))
+    return at_every_byte[starts]
 
 
 def read_embedding_cache(path, file=None) -> Tuple[Dict[str, int], int]:
@@ -371,72 +345,46 @@ def read_embedding_cache(path, file=None) -> Tuple[Dict[str, int], int]:
                 f"{path}: embedding cache count {count} at byte 12 needs at "
                 f"least {least} bytes at D={dim}, but the file ends at byte {size}")
         width = 4 * dim
-        # a block holds the longest possible record, and no more than the
-        # file; two spare bytes let an id length be read past its end
-        cap = min(max(_SCAN_BLOCK_BYTES, 2 + 0xFFFF + width),
-                  size - _CACHE_HEADER.size)
-        buf = bytearray(cap + 2)
-        view = memoryview(buf)
-        base, p = _CACHE_HEADER.size, 0  # record i starts at byte base + p
-        filled = 0  # buf[:filled] holds the file's bytes from byte base
-        pending = []  # starts in buf of the records whose vectors are unchecked
-        first = 0  # the index of the record at pending[0]
-        bad = None  # (index, byte) of the first record with a non-finite value
+        # a block holds the longest possible record, so a record that a
+        # block starting at it does not hold whole runs past the file's end
+        block = max(_SCAN_BLOCK_BYTES, 2 + 0xFFFF + width)
         offsets: Dict[str, int] = {}
-        for i in range(count):
-            klen = buf[p] | buf[p + 1] << 8  # stale past filled; then refilled
-            end = p + 2 + klen + width
-            if end > filled:  # move the record at p to the front, then refill
-                bad = bad or _non_finite_record(buf, filled, pending, width,
-                                                first, base)
-                pending, first = [], i
-                buf[:filled - p] = buf[p:filled]
-                base, filled, p = base + p, filled - p, 0
-                while filled < cap:
-                    got = os.preadv(fd, [view[filled:cap]], base + filled)
-                    if not got:
-                        break
-                    filled += got
-                klen = int.from_bytes(buf[:min(2, filled)], "little")
-                end = 2 + klen + width
-                if end > filled:
+        bad = None  # (index, byte) of the first record with a non-finite value
+        at, i = _CACHE_HEADER.size, 0  # record i starts at byte at
+        while i < count:
+            data = os.pread(fd, block, at)
+            n, p, ends = len(data), 0, []  # ends[j]: where record i + j ends in data
+            for k in range(i, count):
+                if p + 2 + width > n:
+                    break
+                end = p + 2 + (data[p] | data[p + 1] << 8) + width
+                if end > n:
+                    break
+                try:
+                    offsets[data[p + 2:end - width].decode()] = at + end - width
+                except UnicodeDecodeError as exc:
                     raise ValidationError(
-                        f"{path}: truncated embedding cache record {i} at byte "
-                        f"{base}: it needs {end} bytes, but the file ends at "
-                        f"byte {size}")
-            try:
-                offsets[buf[p + 2:end - width].decode()] = base + end - width
-            except UnicodeDecodeError as exc:
+                        f"{path}: embedding cache record {k} id at byte {at + p + 2} "
+                        f"is not UTF-8: {exc.reason} at byte "
+                        f"{at + p + 2 + exc.start}") from None
+                ends.append(end)
+                p = end
+            if not ends:
                 raise ValidationError(
-                    f"{path}: embedding cache record {i} id at byte {base + p + 2} "
-                    f"is not UTF-8: {exc.reason} at byte "
-                    f"{base + p + 2 + exc.start}") from None
-            pending.append(p)
-            p = end
-        if base + p != size:
+                    f"{path}: truncated embedding cache record {i} at byte {at}: "
+                    f"it needs {2 + int.from_bytes(data[:2], 'little') + width} "
+                    f"bytes, but the file ends at byte {size}")
+            finite = np.isfinite(_gather(data, np.subtract(ends, width),
+                                         dim)).all(axis=1)
+            if bad is None and not finite.all():
+                j = int(np.argmin(finite))
+                bad = (i + j, at + (ends[j - 1] if j else 0))
+            at, i = at + p, i + len(ends)
+        if at != size:
             raise ValidationError(
                 f"{path}: trailing bytes in embedding cache: its {count} records "
-                f"end at byte {base + p}, but the file ends at byte {size}")
-        bad = bad or _non_finite_record(buf, filled, pending, width, first, base)
+                f"end at byte {at}, but the file ends at byte {size}")
         if bad is not None:
             raise ValidationError(f"{path}: embedding cache record {bad[0]} at byte "
                                   f"{bad[1]} has a non-finite value")
         return offsets, int(dim)
-
-
-def _non_finite_record(buf, filled: int, starts: list, width: int, first: int,
-                       base: int):
-    """(index, byte) of the first record starting at ``starts`` in
-    ``buf[:filled]`` whose vector holds a non-finite value, or None.  The
-    buffer holds the file from byte ``base``; ``starts[0]`` is record
-    ``first``."""
-    if not starts:
-        return None
-    u8 = np.frombuffer(buf, dtype=np.uint8, count=filled)
-    starts = np.asarray(starts)
-    vec = starts + 2 + u8[starts] + (u8[starts + 1].astype(np.intp) << 8)
-    # every width-byte window of the block; its rows at vec are the vectors
-    windows = np.ndarray((filled - width + 1, width), np.uint8, u8,
-                         strides=(1, 1))
-    bad = _first_non_finite(windows[vec].view("<f4"))
-    return None if bad is None else (first + bad[0], base + int(starts[bad[0]]))

@@ -18,8 +18,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .embeddings import EncoderHandle, encode_video_snippets
-from .errors import DegenerateInputError, EmptyInputError, ValidationError
+from .embeddings import EncoderHandle
+from .errors import (DegenerateInputError, DimensionMismatchError, EmptyInputError,
+                     ValidationError)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datakit import ClipRecord
@@ -128,12 +129,19 @@ def _frames(clip: "ClipRecord"):
 
 def _encode(feats, starts, length: int, keys, encoder: EncoderHandle,
             what: str) -> np.ndarray:
-    """``encode_video_snippets``; a window the encoder cannot normalize is a
-    ``ValidationError`` naming the clip."""
+    """The windows ``feats[s:s + length]`` of the clip ``what`` names, in one
+    encoder call: a (len(starts), D) float32 block, row t keyed ``keys[t]``.
+    A block of another shape, or a window the encoder cannot normalize, is
+    an error naming the clip."""
     try:
-        return encode_video_snippets(feats, starts, length, keys, encoder)
+        rows = encoder.encode_windows(feats, starts, length, keys)
     except DegenerateInputError as exc:
         raise ValidationError(f"{what}: {exc}") from None
+    if rows.shape != (len(starts), encoder.dim):
+        raise DimensionMismatchError(
+            f"{what}: encoder produced shape {rows.shape} for {len(starts)} "
+            f"windows, expected ({len(starts)}, {encoder.dim})")
+    return rows
 
 
 def segment_clip(clip: "ClipRecord", snippet_len: int, stride: int,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .datakit import ClipRecord
 from .embeddings import EncoderHandle, encode_text
-from .errors import NonFiniteLossError, ValidationError
+from .errors import NonFiniteLossError, ValidationError, replace_on_success
 from .losses import LossBreakdown
 from .mil import encode_clip, segment_lse_pool
 from .model import (ModelCheckpoint, forward_rows, heads_backward,
@@ -458,7 +458,10 @@ def train(config: TrainConfig, records: Sequence[ClipRecord],
 
 
 def write_history_csv(path, history: Sequence[EpochStats]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """One CSV row per epoch; the file replaces ``path`` only once every row
+    is written."""
+    with (replace_on_success(path) as tmp,
+          open(tmp, "w", newline="", encoding="utf-8") as fh):
         writer = csv.writer(fh)
         writer.writerow(["epoch", "L_sim", "L_cls", "s_sim", "s_cls",
                          "L_total", "val_auc"])

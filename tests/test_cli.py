@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import errno
 import io
 import json
 import os
@@ -106,6 +107,31 @@ class TestSynthIngest:
         bad.write_text("{\"clip_id\": \"x\"}\n")
         code, _, _ = run_cli(capsys, "ingest", "--manifest", str(bad))
         assert code == 2
+
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_caption_failure_leaves_previous_output(self, tmp_path, capsys, k):
+        """A write that raises at caption k leaves the previous output byte
+        for byte, and no temporary file."""
+        jobs, out = tmp_path / "jobs.jsonl", tmp_path / "captions.jsonl"
+        jobs.write_text("".join(json.dumps(
+            {"type": "normal", "id": i, "annotations": [f"frame {i}. more."]})
+            + "\n" for i in range(5)))
+        out.write_bytes(b"old\n")
+        dumps, calls = json.dumps, []
+
+        def failing_dumps(obj, **kw):
+            calls.append(obj)
+            if len(calls) == k + 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return dumps(obj, **kw)
+
+        with mock.patch.object(vlaad.cli.json, "dumps", failing_dumps):
+            code, _, err = run_cli(capsys, "caption", "--jobs", str(jobs),
+                                   "-o", str(out))
+        assert code == 1 and "No space left" in err, err
+        assert out.read_bytes() == b"old\n"
+        assert sorted(os.listdir(tmp_path)) == ["captions.jsonl", "jobs.jsonl"]
 
 
 class TestTrainEval:
@@ -563,6 +589,41 @@ class TestCacheIndex:
             scanned, whole = scan_outcome(path)
         assert re.search(r"record \d+ at byte \d+ has a non-finite value$", whole)
         assert scanned == whole
+
+    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("edge", ["length", "id", "vector"])
+    def test_block_edge_inside_a_record(self, tmp_path, edge, nan):
+        """Blocks at their smallest (one longest record): the first block
+        ends inside record 1's length prefix, id or vector, with or without
+        a NaN in the value the edge cuts (or the first value past it); the
+        scan re-reads record 1 from its start and gives the oracle's index
+        or error text."""
+        dim, header = 4, embeddings._CACHE_HEADER.size
+        block = 2 + 0xFFFF + 4 * dim
+        into = {"length": 1, "id": 2 + 3, "vector": 2 + 5 + 6}[edge]
+        start1 = header + block - into  # record 1 starts here
+        entries = [("a" * (start1 - header - 2 - 4 * dim), np.ones(dim)),
+                   ("bbbbb", np.arange(dim) + 1.0),
+                   *((f"z:{i}", np.full(dim, i + 1.0)) for i in range(3))]
+        path = tmp_path / "edge.vlec"
+        write_embedding_cache(path, entries, dim)
+        if nan:
+            with open(path, "r+b") as fh:
+                fh.seek(start1 + 2 + 5 + 4)  # record 1's second value
+                fh.write(np.float32(np.nan).tobytes())
+        with mock.patch.object(embeddings, "_SCAN_BLOCK_BYTES", 0), \
+                mock.patch.object(embeddings.os, "pread",
+                                  wraps=os.pread) as pread:
+            scanned, whole = scan_outcome(path)
+        reads = [call.args[1:] for call in pread.call_args_list]
+        assert reads[1:3] == [(block, header), (block, start1)]
+        assert scanned == whole
+        if nan:
+            assert whole.endswith(f"embedding cache record 1 at byte {start1} "
+                                  f"has a non-finite value")
+        else:
+            assert list(whole) == ["a" * len(entries[0][0]), "bbbbb",
+                                   "z:0", "z:1", "z:2"]
 
     @pytest.mark.parametrize("change", ["nan", "cut"])
     def test_served_block_checked_again(self, cache_inputs, tmp_path,

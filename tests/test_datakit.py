@@ -352,6 +352,20 @@ class TestManifestIO:
         with pytest.raises(ValidationError):
             write_manifest(recs, tmp_path / "m.jsonl")
 
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    def test_bad_record_leaves_previous_file(self, tmp_path, k):
+        """A record that fails re-validation at record k leaves the previous
+        manifest byte for byte, and no temporary file."""
+        path = tmp_path / "m.jsonl"
+        recs = generate_synthetic_dataset(SynthConfig(6, 0, feature_dim=4, seed=0))
+        write_manifest(recs[:1], path)
+        before = path.read_bytes()
+        recs[k].label = 1  # now violates label <-> collision_frame
+        with pytest.raises(ValidationError, match=recs[k].clip_id):
+            write_manifest(recs, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.jsonl"]
+
     def test_validation_rerun_on_write(self, tmp_path):
         recs = generate_synthetic_dataset(SynthConfig(1, 0, feature_dim=4, seed=0))
         recs[0].label = 1  # now violates label <-> collision_frame

@@ -132,9 +132,9 @@ class TestEmbeddingCache:
     @pytest.mark.parametrize("layout", ["clip_order", "interleaved", "reversed"])
     def test_served_rows_in_any_layout(self, tmp_path, rng, layout):
         """Windows come back in key order whatever the record layout: a
-        clip's records in file order take one read per run of one id length
-        (bb:0..bb:9, then bb:10, bb:11); records more than a vector apart,
-        or out of order, take one read each."""
+        clip's records in file order, forwards or backwards, take one read
+        of the span from its first record to its last; records spread over
+        twice the bytes served take one read each."""
         clips, windows, dim = ["a", "bb", "c"], 12, 8
         vecs = {f"{c}:{i}": rng.standard_normal(dim).astype(np.float32)
                 for c in clips for i in range(windows)}
@@ -146,15 +146,17 @@ class TestEmbeddingCache:
         keys = [f"bb:{i}" for i in range(windows)]
         if layout == "reversed":
             keys.reverse()
+        offsets, _ = read_embedding_cache(path)
+        at = sorted(offsets[k] for k in keys)
         with CachedEncoder(path) as enc, mock.patch.object(
                 embeddings.os, "pread", wraps=os.pread) as pread:
             out = enc.encode_windows(None, range(windows), 8, keys)
         assert out.tobytes() == np.stack([vecs[k] for k in keys]).tobytes()
-        sizes = [call.args[1] for call in pread.call_args_list]
-        if layout == "clip_order":
-            assert len(sizes) == 2
+        reads = [call.args[1:] for call in pread.call_args_list]
+        if layout == "interleaved":
+            assert reads == [(4 * dim, offsets[k]) for k in keys]
         else:
-            assert sizes == [4 * dim] * windows
+            assert reads == [(at[-1] + 4 * dim - at[0], at[0])]
 
     def test_missing_key_and_missing_id(self, tmp_path, rng):
         path = tmp_path / "emb.bin"

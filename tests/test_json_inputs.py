@@ -9,6 +9,7 @@ NDJSON on stdin, the train config and the Wilcoxon deltas.
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 
@@ -186,6 +187,27 @@ def test_mutated_input_exits_0_or_2(root, formats, name, data):
     assert "Traceback" not in err
     if code == 2:
         assert_exit_2((code, "", err))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_ingest_output(root, formats, data):
+    """``ingest -o`` on a mutated manifest, or on the valid one with one of
+    its lines repeated (a clip_id twice): exit 0, or exit 2 with the file
+    already at the output path byte for byte and no temporary file."""
+    good = formats["manifest"][0]
+    blob = data.draw(st.one_of(
+        mutated(good, one_document=False),
+        st.sampled_from(good.splitlines(keepends=True)).map(good.__add__)))
+    path, out = root / "ingest_in.jsonl", root / "ingest_out.jsonl"
+    path.write_bytes(blob)
+    out.write_bytes(b"old\n")
+    code, _, err = run_cli(["ingest", "--manifest", path, "-o", out])
+    assert code in (0, 2), err
+    if code == 2:
+        assert_exit_2((code, "", err))
+        assert out.read_bytes() == b"old\n"
+    assert not [n for n in os.listdir(root) if n.endswith(".tmp")]
 
 
 @pytest.fixture(scope="module")
@@ -397,6 +419,24 @@ class TestMalformedRegressions:
         path, result = self.manifest(
             tmp_path, lambda line: line.replace(b'"caption":"x"', b'"caption":"\xe9"'))
         assert_exit_2(result, re.escape(f"{path}: manifest line 2: 'utf-8' codec"))
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_manifest_duplicate_clip_id(self, tmp_path, output):
+        """ingest stops at the first repeated clip_id and names its line,
+        with or without -o; with -o the file already there stays as it was."""
+        path, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+        feats = np.zeros((40, 2), dtype=np.float32)
+        write_manifest([ClipRecord(f"c{i}", features=feats) for i in range(60)],
+                       path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[50] = lines[3]
+        path.write_bytes(b"".join(lines))
+        out.write_bytes(b"old\n")
+        argv = ["ingest", "--manifest", path, *(["-o", out] if output else [])]
+        assert_exit_2(run_cli(argv), re.escape(
+            f"{path}: manifest line 51: duplicate clip_id 'c3'"))
+        assert out.read_bytes() == b"old\n"
+        assert sorted(os.listdir(tmp_path)) == ["m.jsonl", "out.jsonl"]
 
     @pytest.mark.parametrize("value, why", [('"x"', "not supported"),
                                             ("-1", "out of range$")])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from oracles import (binary_cross_entropy_from_logit, gradient_check,
 from vlaad.datakit import SynthConfig, generate_synthetic_dataset
 from vlaad.embeddings import StubEncoder
 from vlaad.errors import NonFiniteLossError, ValidationError
+from vlaad.losses import LossBreakdown
 from vlaad.mil import Bag, lse_pool, pooling_attention
 from vlaad.model import (adapter_forward, bag_logits, heads_backward,
                          init_checkpoint, param_views, save_checkpoint)
 from vlaad.numerics import sigmoid
 from vlaad.trainer import (AdamState, TrainConfig, TrainExample,
-                           batch_objective, prepare_examples, scores_for,
-                           split_dataset, train)
+                           EpochStats, batch_objective, prepare_examples,
+                           scores_for, split_dataset, train, write_history_csv)
 
 
 def synth_records(n=30, dim=8, delta=4.0, seed=1):
@@ -383,3 +385,20 @@ class TestTrainConfig:
     def test_round_trip(self):
         cfg = TrainConfig(epochs=7, gamma=5.0)
         assert TrainConfig.from_dict(dataclasses.asdict(cfg)) == cfg
+
+
+class TestHistoryCsv:
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_bad_row_leaves_previous_file(self, tmp_path, k):
+        """A row that cannot be written at epoch k leaves the previous
+        history byte for byte, and no temporary file."""
+        history = [EpochStats(e, LossBreakdown(0.5, 0.25, 0.0, 0.0, 0.75), 0.5)
+                   for e in range(5)]
+        path = tmp_path / "h.csv"
+        write_history_csv(path, history[:1])
+        before = path.read_bytes()
+        history[k] = dataclasses.replace(history[k], breakdown=None)
+        with pytest.raises(AttributeError):
+            write_history_csv(path, history)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["h.csv"]
