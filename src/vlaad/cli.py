@@ -10,7 +10,9 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import json
+import math
 import os
 import sys
 from array import array
@@ -277,6 +279,16 @@ def _cmd_infer(args) -> int:
     return 0
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one field of a row that ``csv.writer`` writes: quoted by
+    the csv module when it holds a delimiter, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, ""])
+        return buf.getvalue()[:-3]  # less the empty field and "\r\n"
+    return text
+
+
 def _cmd_trace(args) -> int:
     if args.from_csv:
         if not args.plot:
@@ -299,16 +311,18 @@ def _cmd_trace(args) -> int:
           open(tmp, "w", newline="", encoding="utf-8") as fh):
         clips = (segment_clip(rec, args.snippet_len, args.stride, encoder)
                  for rec in records)
-        writer = csv.writer(fh)
-        writer.writerow(plotting.TRACE_HEADER)
+        csv.writer(fh).writerow(plotting.TRACE_HEADER)
         for bags, fw in trainer.forward_chunks(ckpt, clips, "mil"):
             n += len(bags)
-            writer.writerows(zip(
-                [bag.clip_id for bag in bags for _ in range(bag.size)],
-                [i for bag in bags for i in range(bag.size)],
-                np.concatenate([bag.start_times for bag in bags]).tolist(),
-                fw.logits.tolist(), sigmoid(fw.logits).tolist(),
-                fw.attn.tolist()))
+            cells = [_csv_cell(bag.clip_id) for bag in bags]
+            rows = zip([cell for bag, cell in zip(bags, cells) for _ in range(bag.size)],
+                       [i for bag in bags for i in range(bag.size)],
+                       np.concatenate([bag.start_times for bag in bags]).tolist(),
+                       fw.logits.tolist(), sigmoid(fw.logits).tolist(),
+                       fw.attn.tolist())
+            # the lines csv.writer writes: str() of a float is its repr
+            fh.writelines([f"{c},{i},{t!r},{z!r},{p!r},{a!r}\r\n"
+                           for c, i, t, z, p, a in rows])
         if args.clip_id and not n:
             raise ValidationError(f"clip {args.clip_id!r} not in manifest")
     if args.plot:
@@ -320,24 +334,29 @@ def _cmd_trace(args) -> int:
 
 def _cmd_score(args) -> int:
     lines = []  # written once every record has passed
-    columns = {key: array("d") for key in ("RC", "IS", "DS")}
+    rcs, penalties, dss = array("d"), array("d"), array("d")
     km = collisions = 0.0  # added in record order (sum() may compensate)
-    for rec in evalkit.iter_run_records(args.runs):
-        summary = evalkit.summarize_run(rec, version=args.version)
-        lines.append(json.dumps({"route_id": rec.route_id, **summary}) + "\n")
-        for key, column in columns.items():
-            column.append(summary[key])
+    for rec, summary in evalkit.iter_run_summaries(args.runs, args.version):
+        rc, penalty, ds = summary["RC"], summary["IS"], summary["DS"]
+        # every value is a finite int or float (the record checks), so repr
+        # writes what json.dumps would
+        lines.append(f'{{"route_id": {json.dumps(rec.route_id)}, "RC": {rc!r}, '
+                     f'"IS": {penalty!r}, "DS": {ds!r}, '
+                     f'"Col_per_km": {summary["Col_per_km"]!r}}}\n')
+        rcs.append(rc)
+        penalties.append(penalty)
+        dss.append(ds)
         km += rec.km
-        collisions += sum(c for k, c in rec.infractions.items()
-                          if k in evalkit.COLLISION_TYPES)
+        collisions += rec.collisions
     if not lines:
-        raise ValidationError("no run records found")
+        raise ValidationError(f"{args.runs}: no run records found")
+    if not math.isfinite(km):
+        raise ValidationError(f"{args.runs}: the routes' total km is not finite")
     sys.stdout.writelines(lines)
-    aggregate = {"routes": len(lines), "km": km}
-    for key, column in columns.items():
-        aggregate[key] = float(np.mean(column))
-    aggregate["Col_per_km"] = collisions / km if km > 0 else 0.0
-    print(json.dumps({"aggregate": aggregate}))
+    print(json.dumps({"aggregate": {
+        "routes": len(lines), "km": km, "RC": float(np.mean(rcs)),
+        "IS": float(np.mean(penalties)), "DS": float(np.mean(dss)),
+        "Col_per_km": collisions / km if km > 0 else 0.0}}))
     return 0
 
 

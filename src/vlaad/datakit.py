@@ -137,7 +137,8 @@ def _check_inline(inline: InlineFrames, what: str) -> None:
     F, dim >= 1, and a base64 string that can hold F·dim floats, so no shape
     promises more frames than its manifest line carries."""
     shape = inline.shape
-    if len(shape) != 2 or not all(type(d) is int and d >= 1 for d in shape):
+    if not (len(shape) == 2 and type(shape[0]) is int and type(shape[1]) is int
+            and shape[0] >= 1 and shape[1] >= 1):
         raise ValidationError(f"{what}: inline frames shape must be [F, dim] "
                               f"with F, dim >= 1, got {list(shape)}")
     if not isinstance(inline.b64, str):

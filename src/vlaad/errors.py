@@ -51,6 +51,23 @@ def _malformed(where: str, exc: Exception) -> ValidationError:
     return ValidationError(f"{where}: {detail}")
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _loads(text: str):
+    """``json.loads(text)``, without its per-call cost when ``text`` starts
+    with its JSON value: the value is decoded in one ``raw_decode`` and only
+    JSON whitespace may follow.  Any other text goes to ``json.loads``, so
+    the value or the error is always the one it gives."""
+    try:
+        obj, end = _raw_decode(text)
+    except ValueError:
+        return json.loads(text)
+    if text[end:].strip(" \t\n\r"):
+        return json.loads(text)
+    return obj
+
+
 def json_lines(lines: Iterable, where, what: str, parse: Callable,
                located: bool = False) -> Iterator:
     """``parse`` of each non-blank JSON line (str, or UTF-8 bytes), reading
@@ -64,7 +81,7 @@ def json_lines(lines: Iterable, where, what: str, parse: Callable,
     for lineno, line in enumerate(lines, start=1):
         if line and not line.isspace():
             try:  # strict UTF-8; json.loads(bytes) sniffs, slower, for UTF-16 too
-                obj = json.loads(line.decode() if isinstance(line, bytes) else line)
+                obj = _loads(line.decode() if isinstance(line, bytes) else line)
                 item = (parse(obj, f"{where}: {what} line {lineno}") if located
                         else parse(obj))
             except _MALFORMED as exc:

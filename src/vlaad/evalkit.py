@@ -11,8 +11,9 @@ approximation above that.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, NamedTuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -129,9 +130,21 @@ def threshold_metrics(scored: ScoredSet, tau: float) -> Dict[str, float]:
     }
 
 
+def _finite_number(value, what: str) -> None:
+    """A JSON number (an int or float, not a bool) that is finite."""
+    if type(value) not in (float, int) or not math.isfinite(value):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+
+
 @dataclass
 class DrivingRunRecord:
-    """Per-route closed-loop outcome: completion, distance, infractions."""
+    """Per-route closed-loop outcome: completion, distance, infractions.
+
+    Checked on construction: ``route_id`` a string, ``km`` and
+    ``route_completion`` finite numbers, counts non-negative integers, and
+    coefficients/weights finite numbers (bools are none of these).
+    ``collisions`` is the sum of the collision-type counts, taken then.
+    """
 
     route_id: str
     km: float
@@ -139,20 +152,36 @@ class DrivingRunRecord:
     infractions: Dict[str, int] = field(default_factory=dict)
     coefficients: Dict[str, float] | None = None  # v2.1 c_j
     penalty_weights: Dict[str, float] | None = None  # v2.0 p_j
+    collisions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.route_id, str):
+            raise ValidationError(f"route_id must be a string, got {self.route_id!r}")
+        _finite_number(self.km, "km")
+        _finite_number(self.route_completion, "route_completion")
         if self.km < 0:
             raise ValidationError("km must be >= 0")
         if not (0.0 <= self.route_completion <= 100.0):
             raise ValidationError("route_completion must be in [0, 100]")
+        if not isinstance(self.infractions, Mapping):
+            raise ValidationError("infractions must map infraction types to counts")
+        collisions = 0
         for kind, count in self.infractions.items():
+            if type(count) is not int:
+                raise ValidationError(
+                    f"count for infraction {kind!r} must be an integer, got {count!r}")
             if count < 0:
                 raise ValidationError(f"negative count for infraction {kind!r}")
+            if kind in COLLISION_TYPES:
+                collisions += count
+        self.collisions = collisions
         for name in ("coefficients", "penalty_weights"):
             params = getattr(self, name)
             if params is not None and not (isinstance(params, Mapping) and all(
-                    isinstance(v, (int, float)) for v in params.values())):
-                raise ValidationError(f"{name} must map infraction types to numbers")
+                    type(v) in (float, int) and math.isfinite(v)
+                    for v in params.values())):
+                raise ValidationError(
+                    f"{name} must map infraction types to finite numbers")
 
 
 def infraction_penalty(counts: Mapping[str, int], params: Mapping[str, float],
@@ -204,14 +233,16 @@ def summarize_run(record: DrivingRunRecord, version: str = "v21",
         else:
             raise ValidationError("v2.0 scoring requires explicit penalty weights")
     penalty = infraction_penalty(record.infractions, params, version)
-    collisions = sum(c for k, c in record.infractions.items()
-                     if k in COLLISION_TYPES)
+    collisions = record.collisions
     if record.km == 0:
         if collisions:
             raise ValidationError("km = 0 with nonzero collision counts")
         col_per_km = 0.0
     else:
         col_per_km = collisions / record.km
+        if col_per_km == math.inf:
+            raise ValidationError(f"Col_per_km = {collisions} collisions / "
+                                  f"{record.km!r} km is not finite")
     return {
         "RC": record.route_completion,
         "IS": penalty,
@@ -227,6 +258,18 @@ def iter_run_records(path) -> Iterator[DrivingRunRecord]:
         yield from json_lines(fh, path, "run record", _run_record)
 
 
+def iter_run_summaries(path, version: str = "v21") -> Iterator[
+        Tuple[DrivingRunRecord, Dict[str, float]]]:
+    """``(record, summarize_run(record, version))`` per run record, in file
+    order; an error in either names the file and the line."""
+    def parse(obj):
+        record = _run_record(obj)
+        return record, summarize_run(record, version)
+
+    with open(path, "rb", buffering=LINES_BUFFER) as fh:
+        yield from json_lines(fh, path, "run record", parse)
+
+
 def read_run_records(path) -> List[DrivingRunRecord]:
     """Every record of ``iter_run_records``, in file order."""
     return list(iter_run_records(path))
@@ -236,7 +279,7 @@ def _run_record(obj) -> DrivingRunRecord:
     return DrivingRunRecord(
         route_id=obj["route_id"], km=obj["km"],
         route_completion=obj["route_completion"],
-        infractions={k: int(v) for k, v in obj.get("infractions", {}).items()},
+        infractions=obj.get("infractions", {}),
         coefficients=obj.get("coefficients"),
         penalty_weights=obj.get("penalty_weights"))
 

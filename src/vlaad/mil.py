@@ -141,7 +141,7 @@ def _encode(feats, starts, length: int, keys, encoder: EncoderHandle,
         raise DimensionMismatchError(
             f"{what}: encoder produced shape {rows.shape} for {len(starts)} "
             f"windows, expected ({len(starts)}, {encoder.dim})")
-    return rows
+    return np.asarray(rows, dtype=np.float32)
 
 
 def segment_clip(clip: "ClipRecord", snippet_len: int, stride: int,
@@ -162,9 +162,19 @@ def segment_clip(clip: "ClipRecord", snippet_len: int, stride: int,
     starts = range(0, n_frames - snippet_len + 1, stride)
     keys = [f"{clip.clip_id}:{i}" for i in range(len(starts))]
     rows = _encode(feats, starts, snippet_len, keys, encoder, what)
-    return Bag(clip_id=clip.clip_id, snippets=rows,
-               start_times=np.asarray(starts, dtype=np.float64) / clip.frame_hz,
-               label=clip.label)
+    return _bag(clip, rows, np.arange(starts.start, starts.stop, stride,
+                                      dtype=np.float64) / clip.frame_hz)
+
+
+def _bag(clip: "ClipRecord", rows: np.ndarray, start_times: np.ndarray) -> Bag:
+    """``Bag(clip.clip_id, rows, start_times, clip.label)`` without
+    re-running ``Bag.__post_init__``: ``_encode`` gave a (T >= 1, D) float32
+    block, the start times are one per row and strictly increasing (a range
+    of stride >= 1), and the record checked its label."""
+    bag = object.__new__(Bag)
+    bag.clip_id, bag.snippets = clip.clip_id, rows
+    bag.start_times, bag.label = start_times, clip.label
+    return bag
 
 
 def encode_clip(clip: "ClipRecord", mode: str, encoder: EncoderHandle,
@@ -176,4 +186,4 @@ def encode_clip(clip: "ClipRecord", mode: str, encoder: EncoderHandle,
         return segment_clip(clip, snippet_len, stride, encoder)
     n_frames, feats, what = _frames(clip)
     rows = _encode(feats, [0], n_frames, [f"{clip.clip_id}:clip"], encoder, what)
-    return Bag(clip.clip_id, rows, [0.0], clip.label)
+    return _bag(clip, rows, np.zeros(1))

@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import csv
 import errno
 import io
 import json
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import make_clip, run_trace
 from oracles import per_clip_trace_rows, read_embedding_cache_whole
 import vlaad
-from vlaad import embeddings
+from vlaad import embeddings, evalkit
 from vlaad.cli import build_parser, run
 from vlaad.datakit import ClipRecord, read_manifest, write_manifest
 from vlaad.embeddings import StubEncoder, write_embedding_cache
@@ -30,7 +31,7 @@ from vlaad.errors import ValidationError
 from vlaad.mil import segment_clip, segment_lse_pool
 from vlaad.model import init_checkpoint, load_checkpoint, save_checkpoint
 from vlaad.numerics import sigmoid
-from vlaad.plotting import emit_trace_plot, parse_trace_csv
+from vlaad.plotting import TRACE_HEADER, emit_trace_plot, parse_trace_csv
 from vlaad.trainer import (TrainConfig, forward_stack, prepare_examples,
                            scores_for)
 
@@ -1092,6 +1093,20 @@ class TestTraceKernel:
         np.testing.assert_allclose([r[3:] for r in rows],
                                    [e[3:] for e in expected], rtol=0, atol=1e-12)
 
+    def test_rows_are_csv_writers(self, tmp_path, trace_ckpt):
+        """The trace CSV is byte for byte what ``csv.writer`` writes for its
+        rows, clip ids that need quoting included."""
+        ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rid", " lead", "ü-ß"]
+        clips = [make_clip(cid, n_frames=16 + 8 * i, seed=i)
+                 for i, cid in enumerate(ids)]
+        rows, _ = run_trace(tmp_path, clips, trace_ckpt)
+        assert [r[0] for r in rows if r[1] == 0] == ids
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(TRACE_HEADER)
+        writer.writerows(rows)
+        assert (tmp_path / "trace.csv").read_bytes() == expected.getvalue().encode()
+
     def test_empty_manifest_header_only(self, tmp_path, trace_ckpt):
         assert run_trace(tmp_path, [], trace_ckpt)[0] == []
         assert (tmp_path / "trace.csv").read_bytes() == (
@@ -1151,6 +1166,31 @@ class TestTraceAndPlot:
             parse_trace_csv(bad)
 
 
+@st.composite
+def run_record_objects(draw, version):
+    """A valid run-record object: any route id, int or float distances and
+    completions (km 0 with no collisions), and the parameters ``version``
+    needs."""
+    kinds = draw(st.lists(st.sampled_from(
+        ["pedestrian", "vehicle", "layout", "static", "red_light"]),
+        unique=True, max_size=4))
+    km = draw(st.one_of(st.just(0), st.just(0.0), st.integers(1, 500),
+                        st.floats(1e-3, 1e4)))
+    counts = {k: 0 if km == 0 and k in evalkit.COLLISION_TYPES
+              else draw(st.integers(0, 4)) for k in kinds}
+    row = {"route_id": draw(st.text(max_size=10)), "km": km,
+           "route_completion": draw(st.one_of(st.integers(0, 100),
+                                              st.floats(0, 100))),
+           "infractions": counts}
+    if version == "v20":
+        row["penalty_weights"] = {k: draw(st.one_of(st.just(1), st.floats(0.05, 1)))
+                                  for k in kinds}
+    elif "red_light" in kinds or draw(st.booleans()):
+        row["coefficients"] = {k: draw(st.one_of(st.integers(0, 3), st.floats(0, 3)))
+                               for k in kinds}
+    return row
+
+
 class TestScoreWilcoxon:
     def test_score_runs(self, tmp_path, capsys):
         runs = tmp_path / "runs.jsonl"
@@ -1167,6 +1207,35 @@ class TestScoreWilcoxon:
         agg = lines[-1]["aggregate"]
         assert agg["routes"] == 2
         assert agg["Col_per_km"] == pytest.approx(1.0 / 15.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), version=st.sampled_from(["v20", "v21"]))
+    def test_score_lines_match_json_dumps(self, tmp_path_factory, data, version):
+        """Each route line is ``json.dumps`` of the route id and its
+        ``summarize_run`` summary, and the aggregate is the sum in record
+        order and ``np.mean`` of each column, whatever the ids and number
+        types."""
+        rows = data.draw(st.lists(run_record_objects(version), min_size=1, max_size=6))
+        path = tmp_path_factory.mktemp("score") / "runs.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["score", "--runs", str(path), "--version", version]) == 0
+        records = [evalkit.DrivingRunRecord(**row) for row in rows]
+        summaries = [evalkit.summarize_run(rec, version) for rec in records]
+        km = collisions = 0.0
+        for rec in records:
+            km += rec.km
+            collisions += sum(c for k, c in rec.infractions.items()
+                              if k in evalkit.COLLISION_TYPES)
+        aggregate = {"routes": len(rows), "km": km,
+                     **{key: float(np.mean([s[key] for s in summaries]))
+                        for key in ("RC", "IS", "DS")},
+                     "Col_per_km": collisions / km if km > 0 else 0.0}
+        assert out.getvalue().splitlines() == [
+            *(json.dumps({"route_id": rec.route_id, **summary})
+              for rec, summary in zip(records, summaries)),
+            json.dumps({"aggregate": aggregate})]
 
     def test_wilcoxon_reference_route_deltas(self, tmp_path, capsys):
         deltas = np.arange(1.0, 21.0)

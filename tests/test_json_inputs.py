@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from vlaad.cli import run
 from vlaad.datakit import ClipRecord, InfractionLog, write_manifest
+from vlaad.errors import ValidationError, json_lines
 from vlaad.model import init_checkpoint, save_checkpoint
 
 
@@ -176,6 +177,11 @@ def test_valid_input_exits_0(root, formats, name):
         assert code == 0 and err == "", err
 
 
+# what each line format calls a line in its errors
+LINE_WHAT = {"manifest": "manifest", "run_records": "run record",
+             "caption_jobs": "caption job", "stream": "stream"}
+
+
 @pytest.mark.parametrize("name", FORMATS)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
@@ -187,6 +193,12 @@ def test_mutated_input_exits_0_or_2(root, formats, name, data):
     assert "Traceback" not in err
     if code == 2:
         assert_exit_2((code, "", err))
+        if name in LINE_WHAT:
+            where = "<stdin>" if name == "stream" else str(root / f"input_{name}")
+            detail = f"{LINE_WHAT[name]} line [0-9]+: "
+            if name == "run_records" and not blob.strip():
+                detail = "no run records found$"  # an empty file has no line to name
+            assert re.match(f"error: {re.escape(where)}: {detail}", err), err
 
 
 @settings(max_examples=200, deadline=None)
@@ -241,6 +253,32 @@ def test_mutated_inline_frames_exit_0_or_2(root, inline_manifest, command, data)
     assert "Traceback" not in err
     if code == 2:
         assert_exit_2((code, "", err))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.text(max_size=3), kids, max_size=3),
+    max_leaves=8)
+SPACES = st.text(" \t\r\n\x0b\x0c\xa0\u3000", max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES, before=SPACES, bom=st.booleans(),
+       after=SPACES | st.sampled_from(["x", " 1", "]", ",{}", "\ufeff", "\n\n{}"]))
+def test_line_value_or_error_is_json_loads(value, before, after, bom):
+    """A line gives the value ``json.loads`` gives, or its error, whatever
+    surrounds the JSON value."""
+    text = ("\ufeff" if bom else "") + before + json.dumps(value) + after
+    try:
+        expected = json.dumps(json.loads(text))
+    except ValueError as exc:
+        expected = f"p: x line 1: {exc}"
+    try:
+        got = json.dumps(next(json_lines([text], "p", "x", lambda obj: obj)))
+    except ValidationError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 class TestMalformedRegressions:
@@ -457,3 +495,89 @@ class TestMalformedRegressions:
                                 "coefficients": {"vehicle": "x"}}))
         assert_exit_2(run_cli(["score", "--runs", path]), re.escape(
             f"{path}: run record line 1: coefficients must map"))
+
+
+class TestRunRecordChecks:
+    """Every ``score`` error names the file and the line, and a value of the
+    wrong type is refused, not converted."""
+
+    GOOD = {"route_id": "r0", "km": 1.0, "route_completion": 50.0,
+            "infractions": {}, "penalty_weights": {}}
+
+    def score(self, tmp_path, edits, *flags):
+        """``score`` on a valid line 1 and on line 2, the valid record with
+        ``edits`` merged in (a value of None drops the key)."""
+        record = {**self.GOOD, **edits}
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes(jsonl(self.GOOD, {k: v for k, v in record.items()
+                                           if v is not None}))
+        return path, run_cli(["score", "--runs", path, *flags])
+
+    @pytest.mark.parametrize("edits, flags, message", [
+        ({"infractions": {"foo": 1}}, (),
+         "no v21 parameter supplied for infraction type 'foo'"),
+        ({"km": 0, "infractions": {"vehicle": 1}}, (),
+         "km = 0 with nonzero collision counts"),
+        ({"penalty_weights": None}, ("--version", "v20"),
+         "v2.0 scoring requires explicit penalty weights"),
+        ({"infractions": {"vehicle": 1}, "penalty_weights": {"vehicle": 1.5}},
+         ("--version", "v20"), "v2.0 weight for 'vehicle' must be in (0, 1]"),
+        ({"infractions": {"vehicle": 1}, "coefficients": {"vehicle": -0.5}}, (),
+         "v2.1 coefficient for 'vehicle' must be >= 0"),
+        ({"km": 1e-320, "infractions": {"vehicle": 1}}, (),
+         "Col_per_km = 1 collisions / 1e-320 km is not finite"),
+    ], ids=["unknown_type", "km_zero", "v20_no_weights", "v20_weight",
+            "v21_coefficient", "col_per_km_inf"])
+    def test_summary_error_names_line(self, tmp_path, edits, flags, message):
+        path, result = self.score(tmp_path, edits, *flags)
+        assert_exit_2(result, "^" + re.escape(
+            f"error: {path}: run record line 2: {message}") + "$")
+        assert result[1] == ""
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"infractions": {"vehicle": 2.7}},
+         "count for infraction 'vehicle' must be an integer, got 2.7"),
+        ({"infractions": {"vehicle": "3"}},
+         "count for infraction 'vehicle' must be an integer, got '3'"),
+        ({"infractions": {"vehicle": True}},
+         "count for infraction 'vehicle' must be an integer, got True"),
+        ({"infractions": None}, None),  # absent: no infractions, accepted
+        ({"infractions": [1]}, "infractions must map infraction types to counts"),
+        ({"route_completion": True}, "route_completion must be a finite number, got True"),
+        ({"route_completion": "50"}, "route_completion must be a finite number, got '50'"),
+        ({"route_id": 7}, "route_id must be a string, got 7"),
+        ({"km": float("inf")}, "km must be a finite number, got inf"),
+        ({"km": float("nan")}, "km must be a finite number, got nan"),
+        ({"km": False}, "km must be a finite number, got False"),
+        ({"coefficients": {"vehicle": float("nan")}},
+         "coefficients must map infraction types to finite numbers"),
+        ({"coefficients": {"vehicle": True}},
+         "coefficients must map infraction types to finite numbers"),
+        ({"penalty_weights": {"vehicle": float("-inf")}},
+         "penalty_weights must map infraction types to finite numbers"),
+    ], ids=["count_float", "count_string", "count_bool", "no_infractions",
+            "infractions_list", "rc_bool", "rc_string", "route_id_int", "km_inf",
+            "km_nan", "km_bool", "coefficient_nan", "coefficient_bool",
+            "weight_inf"])
+    def test_wrong_type_refused(self, tmp_path, edits, message):
+        path, result = self.score(tmp_path, edits)
+        if message is None:
+            assert result[0] == 0 and result[2] == "", result
+            return
+        assert_exit_2(result, "^" + re.escape(
+            f"error: {path}: run record line 2: {message}") + "$")
+        assert result[1] == ""
+
+    def test_total_km_not_finite(self, tmp_path):
+        """Finite distances can add up to an infinite total, which no
+        aggregate may print."""
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes(jsonl(*({**self.GOOD, "km": 1e308} for _ in range(2))))
+        assert_exit_2(run_cli(["score", "--runs", path]), "^" + re.escape(
+            f"error: {path}: the routes' total km is not finite") + "$")
+
+    def test_empty_file_names_path(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes(b"\n \n")
+        assert_exit_2(run_cli(["score", "--runs", path]), "^" + re.escape(
+            f"error: {path}: no run records found") + "$")

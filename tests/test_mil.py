@@ -11,8 +11,8 @@ from conftest import make_clip
 from oracles import RiskTrace, forward_bag, per_snippet_bag
 from vlaad.embeddings import CachedEncoder, StubEncoder, write_embedding_cache
 from vlaad.errors import DimensionMismatchError, EmptyInputError, ValidationError
-from vlaad.mil import (Bag, lse_pool, pooling_attention, segment_clip,
-                       segment_lse_pool)
+from vlaad.mil import (Bag, encode_clip, lse_pool, pooling_attention,
+                       segment_clip, segment_lse_pool)
 
 finite_logits = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False),
@@ -208,6 +208,33 @@ class TestSegmentClip:
         expected = per_snippet_bag(clip, snippet_len, stride, entries)
         assert np.array_equal(bag.snippets, expected.snippets)
         assert np.array_equal(bag.start_times, expected.start_times)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mode=st.sampled_from(["mil", "clip"]), snippet_len=st.integers(1, 10),
+           stride=st.integers(1, 10), extra=st.integers(0, 30),
+           label=st.integers(0, 1), seed=st.integers(0, 2 ** 16))
+    def test_bags_pass_bag_checks(self, mode, snippet_len, stride, extra,
+                                  label, seed):
+        """``encode_clip`` builds its Bag without re-running ``Bag``'s
+        checks; run here, with the stub and with a cache encoder, they pass
+        and convert nothing."""
+        n_frames = snippet_len + extra
+        clip = make_clip(n_frames=n_frames, label=label, seed=seed,
+                         collision_frame=n_frames - 1 if label else None)
+        rng = np.random.default_rng(seed)
+        entries = {key: rng.standard_normal(16).astype(np.float32)
+                   for key in [f"clip0:{i}" for i in range(n_frames)] + ["clip0:clip"]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.vlec"
+            write_embedding_cache(path, entries, dim=16)
+            with CachedEncoder(path) as cached:
+                for encoder in (StubEncoder(dim=16, seed=7), cached):
+                    bag = encode_clip(clip, mode, encoder, snippet_len, stride)
+                    checked = Bag(bag.clip_id, bag.snippets, bag.start_times,
+                                  bag.label)
+                    assert checked.snippets is bag.snippets
+                    assert checked.start_times is bag.start_times
+                    assert (bag.clip_id, bag.label) == ("clip0", label)
 
     def test_wrong_width_encoder_rejected(self):
         class WideEncoder(StubEncoder):
