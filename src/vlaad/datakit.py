@@ -254,36 +254,20 @@ def assemble_clips(stream: np.ndarray, logs: Sequence[InfractionLog], seed: int 
             source_stream=stream, source_start=start,
         ))
 
-    # Guard zones around infractions; the gaps between them become negatives.
+    # Guard zones around infractions, in order; each stretch of frames before
+    # a zone that no earlier zone covers is tiled into negatives.
     zones = sorted((max(0, l.frame_number - NEGATIVE_GUARD_FRAMES),
                     min(total, l.frame_number + NEGATIVE_GUARD_FRAMES + 1))
                    for l in logs)
-    merged: List[List[int]] = []
-    for a, b in zones:
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    gaps, prev = [], 0
-    for a, b in merged:
-        if a > prev:
-            gaps.append((prev, a))
-        prev = b
-    if prev < total:
-        gaps.append((prev, total))
-
-    neg_idx = 0
-    for a, b in gaps:
-        s = a
-        while s + CLIP_FRAMES <= b:
-            clips.append(ClipRecord(
-                clip_id=f"{stream_id}-neg{neg_idx:04d}",
-                features=stream[s:s + CLIP_FRAMES].copy(),
-                label=0, source="assembled",
-                source_stream=stream, source_start=s,
-            ))
-            neg_idx += 1
-            s += CLIP_FRAMES
+    starts, prev = [], 0
+    for a, b in zones + [(total, total)]:
+        starts.extend(range(prev, a - CLIP_FRAMES + 1, CLIP_FRAMES))
+        prev = max(prev, b)
+    clips.extend(ClipRecord(
+        clip_id=f"{stream_id}-neg{j:04d}",
+        features=stream[s:s + CLIP_FRAMES].copy(),
+        label=0, source="assembled", source_stream=stream, source_start=s,
+    ) for j, s in enumerate(starts))
     return AssemblyResult(clips, skipped)
 
 
@@ -554,16 +538,13 @@ def caption_normal_clip(frame_annotations: Sequence[str], client: SummarizerClie
     caption = _generate_with_retry(client, prompt, _pick_model(rng, models))
     if not paraphrase:
         return CaptionResult(caption, False)
-    out = _generate_with_retry(
-        client, PARAPHRASE_PROMPT.format(input_text=caption),
-        _pick_model(rng, models))
-    if "drive" not in out.lower():
-        out = _generate_with_retry(  # single re-query on constraint violation
+    for _ in range(2):  # one re-query on a constraint violation
+        out = _generate_with_retry(
             client, PARAPHRASE_PROMPT.format(input_text=caption),
             _pick_model(rng, models))
-        if "drive" not in out.lower():
-            return CaptionResult(out, True)
-    return CaptionResult(out, False)
+        if "drive" in out.lower():
+            return CaptionResult(out, False)
+    return CaptionResult(out, True)
 
 
 # --- Manifest serialization (JSON Lines) ----------------------------------

@@ -31,6 +31,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     EmptyInputError,
+    MissingEmbeddingError,
     ValidationError,
     replace_on_success,
 )
@@ -210,13 +211,6 @@ class CachedEncoder:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _index(self, keys: Sequence[str]) -> list:
-        try:
-            return [self._offsets[key] for key in keys]
-        except KeyError as exc:
-            raise ValidationError(
-                f"embedding id {exc.args[0]!r} not present in cache") from None
-
     def _pread(self, at: int, size: int) -> bytes:
         data = os.pread(self._file.fileno(), size, at)
         if len(data) != size:
@@ -230,7 +224,11 @@ class CachedEncoder:
         span from the first to the last record asked for when it is under
         twice the bytes served (a clip's records in file order), else one
         read per key."""
-        offsets = self._index(keys)
+        try:
+            offsets = [self._offsets[key] for key in keys]
+        except KeyError as exc:
+            raise MissingEmbeddingError(f"{self.path}: embedding id {exc.args[0]!r} "
+                                        "not present in cache") from None
         width = 4 * self.dim
         lo = min(offsets)
         span = max(offsets) + width - lo

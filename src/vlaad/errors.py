@@ -31,6 +31,10 @@ class ValidationError(VlaadError, ValueError):
     """A record, config, or argument violates its schema invariants."""
 
 
+class MissingEmbeddingError(ValidationError):
+    """An embedding cache holds no vector for a requested id."""
+
+
 class SummarizerError(VlaadError, RuntimeError):
     """Summarizer endpoint unreachable or returned an unusable response."""
 

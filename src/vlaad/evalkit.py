@@ -3,9 +3,9 @@ significance testing.
 
 AUC uses the Mann-Whitney rank form with midrank tie handling; the tests
 cross-check it against trapezoidal ROC integration (``tests/oracles.py``).
-The Wilcoxon signed-rank p-value is exact (full sign enumeration over all
-2^n assignments) up to n = 20 effective pairs and switches to the normal
-approximation above that.
+The Wilcoxon signed-rank p-value is exact up to n = 20 effective pairs: it
+counts, for every rank sum, how many of the 2^n sign assignments give it.
+Above that it switches to the normal approximation.
 """
 
 from __future__ import annotations
@@ -210,6 +210,9 @@ def infraction_penalty(counts: Mapping[str, int], params: Mapping[str, float],
         total = 0.0
         for kind, count in counts.items():
             c = params[kind]
+            if not math.isfinite(c):
+                raise ValidationError(
+                    f"v2.1 coefficient for {kind!r} must be finite, got {c!r}")
             if c < 0:
                 raise ValidationError(f"v2.1 coefficient for {kind!r} must be >= 0")
             total += c * count
@@ -251,13 +254,6 @@ def summarize_run(record: DrivingRunRecord, version: str = "v21",
     }
 
 
-def iter_run_records(path) -> Iterator[DrivingRunRecord]:
-    """Run records as JSON Lines matching the DrivingRunRecord fields, read
-    and checked one line at a time."""
-    with open(path, "rb", buffering=LINES_BUFFER) as fh:
-        yield from json_lines(fh, path, "run record", _run_record)
-
-
 def iter_run_summaries(path, version: str = "v21") -> Iterator[
         Tuple[DrivingRunRecord, Dict[str, float]]]:
     """``(record, summarize_run(record, version))`` per run record, in file
@@ -271,8 +267,9 @@ def iter_run_summaries(path, version: str = "v21") -> Iterator[
 
 
 def read_run_records(path) -> List[DrivingRunRecord]:
-    """Every record of ``iter_run_records``, in file order."""
-    return list(iter_run_records(path))
+    """Run records, JSON Lines of the DrivingRunRecord fields, in file order."""
+    with open(path, "rb", buffering=LINES_BUFFER) as fh:
+        return list(json_lines(fh, path, "run record", _run_record))
 
 
 def _run_record(obj) -> DrivingRunRecord:
@@ -301,28 +298,16 @@ class WilcoxonResult:
 
 
 def _exact_tail_probability(ranks: np.ndarray, w_observed: float) -> float:
-    """P(W >= w) under the null, by enumerating all 2^n sign assignments.
-
-    Ranks are doubled to integers (midranks are half-integer) and the two
-    half-subsets' sums are combined pairwise, which materializes every
-    assignment's rank sum without a Python-level 2^n loop.
-    """
+    """P(W >= w) under the null, counted over all 2^n sign assignments:
+    ``counts[s]`` is how many give the doubled rank sum ``s`` (doubled, as
+    midranks are half-integer), built up one rank at a time."""
     scaled = np.asarray(np.rint(2.0 * ranks), dtype=np.int64)
-    half = scaled.size // 2
-
-    def subset_sums(values: np.ndarray) -> np.ndarray:
-        sums = np.zeros(1, dtype=np.int64)
-        for v in values:
-            sums = np.concatenate([sums, sums + v])
-        return sums
-
-    left = subset_sums(scaled[:half])
-    right = np.sort(subset_sums(scaled[half:]))
+    counts = np.zeros(int(scaled.sum()) + 1, dtype=np.int64)
+    counts[0] = 1
+    for v in scaled:  # that rank either joins each sum so far or not
+        counts[v:] += counts[:-v].copy()
     target = int(np.rint(2.0 * w_observed))
-    # for each left sum, count right sums with left + right >= target
-    first_ge = np.searchsorted(right, target - left, side="left")
-    count = int((right.size - first_ge).sum())
-    return count / float(2 ** scaled.size)
+    return int(counts[target:].sum()) / 2 ** scaled.size
 
 
 def wilcoxon_signed_rank(deltas, continuity: bool = False) -> WilcoxonResult:
@@ -330,7 +315,7 @@ def wilcoxon_signed_rank(deltas, continuity: bool = False) -> WilcoxonResult:
 
     Zero differences are dropped; absolute values are midranked on ties; the
     statistic W is the rank sum of the positive differences.  The one-sided
-    p-value is P(W_null >= W): exact by full sign enumeration when the
+    p-value is P(W_null >= W): an exact count of the sign assignments when the
     effective sample size is at most 20, otherwise a normal approximation
     with tie-corrected variance (``continuity`` adds the 0.5 correction).
 

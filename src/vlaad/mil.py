@@ -20,7 +20,7 @@ import numpy as np
 
 from .embeddings import EncoderHandle
 from .errors import (DegenerateInputError, DimensionMismatchError, EmptyInputError,
-                     ValidationError)
+                     MissingEmbeddingError, ValidationError)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .datakit import ClipRecord
@@ -32,24 +32,15 @@ DEFAULT_SNIPPET_STRIDE = 8
 
 @dataclass
 class Bag:
-    """Ordered snippet embeddings of one clip; label lives at bag level only."""
+    """Ordered snippet embeddings of one clip; label lives at bag level only.
+
+    Unchecked: ``segment_clip``/``encode_clip`` build it from ``_encode``'s
+    (T >= 1, D) float32 rows, a range of start times and a checked label."""
 
     clip_id: str
     snippets: np.ndarray  # (T, D) float32
     start_times: np.ndarray  # (T,) seconds
     label: int
-
-    def __post_init__(self):
-        self.snippets = np.asarray(self.snippets, dtype=np.float32)
-        self.start_times = np.asarray(self.start_times, dtype=np.float64)
-        if self.snippets.ndim != 2 or self.snippets.shape[0] < 1:
-            raise EmptyInputError("bag must contain at least one snippet")
-        if self.start_times.shape != (self.snippets.shape[0],):
-            raise ValidationError("one start time per snippet required")
-        if np.any(np.diff(self.start_times) <= 0):
-            raise ValidationError("snippet start times must be strictly increasing")
-        if self.label not in (0, 1):
-            raise ValidationError(f"bag label must be 0 or 1, got {self.label}")
 
     @property
     def size(self) -> int:
@@ -131,11 +122,12 @@ def _encode(feats, starts, length: int, keys, encoder: EncoderHandle,
             what: str) -> np.ndarray:
     """The windows ``feats[s:s + length]`` of the clip ``what`` names, in one
     encoder call: a (len(starts), D) float32 block, row t keyed ``keys[t]``.
-    A block of another shape, or a window the encoder cannot normalize, is
-    an error naming the clip."""
+    A block of another shape, or a window the encoder cannot normalize or
+    find, is an error naming the clip; a cache that changed after it was
+    read names its own path and byte instead."""
     try:
         rows = encoder.encode_windows(feats, starts, length, keys)
-    except DegenerateInputError as exc:
+    except (DegenerateInputError, MissingEmbeddingError) as exc:
         raise ValidationError(f"{what}: {exc}") from None
     if rows.shape != (len(starts), encoder.dim):
         raise DimensionMismatchError(
@@ -162,19 +154,8 @@ def segment_clip(clip: "ClipRecord", snippet_len: int, stride: int,
     starts = range(0, n_frames - snippet_len + 1, stride)
     keys = [f"{clip.clip_id}:{i}" for i in range(len(starts))]
     rows = _encode(feats, starts, snippet_len, keys, encoder, what)
-    return _bag(clip, rows, np.arange(starts.start, starts.stop, stride,
-                                      dtype=np.float64) / clip.frame_hz)
-
-
-def _bag(clip: "ClipRecord", rows: np.ndarray, start_times: np.ndarray) -> Bag:
-    """``Bag(clip.clip_id, rows, start_times, clip.label)`` without
-    re-running ``Bag.__post_init__``: ``_encode`` gave a (T >= 1, D) float32
-    block, the start times are one per row and strictly increasing (a range
-    of stride >= 1), and the record checked its label."""
-    bag = object.__new__(Bag)
-    bag.clip_id, bag.snippets = clip.clip_id, rows
-    bag.start_times, bag.label = start_times, clip.label
-    return bag
+    times = np.arange(starts.start, starts.stop, stride, dtype=np.float64)
+    return Bag(clip.clip_id, rows, times / clip.frame_hz, clip.label)
 
 
 def encode_clip(clip: "ClipRecord", mode: str, encoder: EncoderHandle,
@@ -186,4 +167,4 @@ def encode_clip(clip: "ClipRecord", mode: str, encoder: EncoderHandle,
         return segment_clip(clip, snippet_len, stride, encoder)
     n_frames, feats, what = _frames(clip)
     rows = _encode(feats, [0], n_frames, [f"{clip.clip_id}:clip"], encoder, what)
-    return _bag(clip, rows, np.zeros(1))
+    return Bag(clip.clip_id, rows, np.zeros(1), clip.label)

@@ -16,7 +16,8 @@ import struct
 import numpy as np
 
 from vlaad.embeddings import Embedding, FrameWindow, encode_video_snippet
-from vlaad.errors import DegenerateInputError, DimensionMismatchError, ValidationError
+from vlaad.errors import (DegenerateInputError, DimensionMismatchError, EmptyInputError,
+                         ValidationError)
 from vlaad.losses import LossBreakdown
 from vlaad.mil import (Bag, lse_pool, pooling_attention, segment_clip,
                        segment_lse_pool)
@@ -54,6 +55,24 @@ def per_snippet_bag(clip, snippet_len, stride, encoder):
         times.append(s / clip.frame_hz)
     return Bag(clip_id=clip.clip_id, snippets=np.stack(rows),
                start_times=np.asarray(times), label=clip.label)
+
+
+def check_bag(bag):
+    """The invariants every bag the package builds meets (``mil.Bag`` itself
+    checks none): a (T >= 1, D) float32 block of rows, one float64 start time
+    per row, strictly increasing, and a 0/1 label."""
+    rows, times = bag.snippets, bag.start_times
+    if rows.ndim != 2 or rows.shape[0] < 1:
+        raise EmptyInputError("bag must contain at least one snippet")
+    if times.shape != (rows.shape[0],):
+        raise ValidationError("one start time per snippet required")
+    if np.any(np.diff(times) <= 0):
+        raise ValidationError("snippet start times must be strictly increasing")
+    if bag.label not in (0, 1):
+        raise ValidationError(f"bag label must be 0 or 1, got {bag.label}")
+    if rows.dtype != np.float32 or times.dtype != np.float64:
+        raise ValidationError(f"rows are {rows.dtype} and start times "
+                              f"{times.dtype}, not float32 and float64")
 
 
 def stub_text_embedding(caption, seed, buckets, dim):
@@ -138,6 +157,34 @@ def wilcoxon_brute_force_p(deltas):
         if w >= w_obs - 1e-12:
             count += 1
     return w_obs, count / 2.0 ** n
+
+
+def merge_then_tile_negatives(total, frames, guard, clip_frames):
+    """Start frames of the negative clips ``assemble_clips`` tiles: the guard
+    zones [f - guard, f + guard + 1) clamped to the stream are merged where
+    they overlap or touch, the gaps between them listed, and each gap tiled
+    from its start with whole clips."""
+    zones = sorted((max(0, f - guard), min(total, f + guard + 1)) for f in frames)
+    merged = []
+    for a, b in zones:
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    gaps, prev = [], 0
+    for a, b in merged:
+        if a > prev:
+            gaps.append((prev, a))
+        prev = b
+    if prev < total:
+        gaps.append((prev, total))
+    starts = []
+    for a, b in gaps:
+        s = a
+        while s + clip_frames <= b:
+            starts.append(s)
+            s += clip_frames
+    return starts
 
 
 def v20_penalty_product(counts, weights):

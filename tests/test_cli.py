@@ -471,6 +471,21 @@ class TestEmbeddingCacheReader:
         assert code == 2, err
         assert_one_error_line(err, re.escape(f"embedding id {missing!r} not present"))
 
+    def test_clip_mode_on_snippet_cache(self, cache_inputs):
+        """``clip_id:clip`` is not in a cache of snippet ids: one error line
+        names the manifest line, the clip, the cache and the missing id."""
+        root, manifest, good = cache_inputs
+        path = root / "cache.vlec"
+        path.write_bytes(good)
+        code, err = run_quiet(["eval", "--checkpoint", root / "good.bin",
+                               "--manifest", manifest, "--mode", "clip",
+                               "--embedding-cache", path])
+        clip = read_manifest(manifest)[0].clip_id
+        assert code == 2, err
+        assert_one_error_line(err, "^" + re.escape(
+            f"error: {manifest}: manifest line 1: clip {clip}: {path}: "
+            f"embedding id '{clip}:clip' not present in cache") + "$")
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_fuzz_truncate_extend_bitflip(self, cache_inputs, data):

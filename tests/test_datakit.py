@@ -6,12 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from oracles import merge_then_tile_negatives
 from vlaad.cli import run
 from vlaad.datakit import (AUGMENT_MAX_FRAME, AUGMENT_MIN_FRAME, CLIP_FRAMES,
-                           COLLISION_CAPTIONS, NORMAL_CAPTIONS,
-                           SUMMARIZER_URL_ENV, CaptionResult,
+                           COLLISION_CAPTIONS, NEGATIVE_GUARD_FRAMES,
+                           NORMAL_CAPTIONS, SUMMARIZER_URL_ENV, CaptionResult,
                            ClipRecord, InfractionLog, StubSummarizerClient,
                            SynthConfig, assemble_clips,
                            augment_collision_position, caption_collision_clip,
@@ -74,6 +77,27 @@ class TestAssembleClips:
         assert len(ids) == len(set(ids))
         for clip in result.clips:
             validate_record(clip)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 700).flatmap(lambda total: st.tuples(
+        st.just(total), st.lists(st.integers(0, total - 1), max_size=8))),
+        st.integers(0, 2 ** 16))
+    def test_negatives_match_merge_then_tile(self, case, seed):
+        """Negatives are the gaps between merged guard zones, each tiled from
+        its start: ids in order, start frames, the frames they copy."""
+        total, frames = case
+        frames_in = stream(total, dim=2, seed=seed)
+        result = assemble_clips(frames_in, [log_at(f) for f in frames], seed=seed)
+        labels = [c.label for c in result.clips]
+        assert labels == sorted(labels, reverse=True)  # positives first
+        negatives = result.clips[labels.count(1):]
+        starts = merge_then_tile_negatives(total, frames, NEGATIVE_GUARD_FRAMES,
+                                           CLIP_FRAMES)
+        assert [c.clip_id for c in negatives] == [
+            f"stream-neg{j:04d}" for j in range(len(starts))]
+        assert [c.source_start for c in negatives] == starts
+        for clip, s in zip(negatives, starts):
+            assert np.array_equal(clip.features, frames_in[s:s + CLIP_FRAMES])
 
     def test_placement_uniform_chi_square(self):
         """10,000 positives; collision index uniform over {10..30}."""
@@ -297,7 +321,8 @@ class TestHttpClient:
     def test_import_loads_no_http_stack(self):
         """urllib.request (and with it http.client, ssl and email) loads only
         when the HTTP summarizer sends a request."""
-        code = ("import sys, vlaad; print(sorted(m for m in ('urllib.request', "
+        code = ("import sys, vlaad.cli; assert 'vlaad.datakit' in sys.modules; "
+                "print(sorted(m for m in ('urllib.request', "
                 "'http.client', 'ssl', 'email') if m in sys.modules))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clip
-from oracles import RiskTrace, forward_bag, per_snippet_bag
+from oracles import RiskTrace, check_bag, forward_bag, per_snippet_bag
 from vlaad.embeddings import CachedEncoder, StubEncoder, write_embedding_cache
 from vlaad.errors import DimensionMismatchError, EmptyInputError, ValidationError
 from vlaad.mil import (Bag, encode_clip, lse_pool, pooling_attention,
@@ -215,9 +215,9 @@ class TestSegmentClip:
            label=st.integers(0, 1), seed=st.integers(0, 2 ** 16))
     def test_bags_pass_bag_checks(self, mode, snippet_len, stride, extra,
                                   label, seed):
-        """``encode_clip`` builds its Bag without re-running ``Bag``'s
-        checks; run here, with the stub and with a cache encoder, they pass
-        and convert nothing."""
+        """``Bag`` checks nothing; every bag ``encode_clip`` builds
+        (``segment_clip``'s, in MIL mode), with the stub and with a cache
+        encoder, meets the invariants ``check_bag`` holds it to."""
         n_frames = snippet_len + extra
         clip = make_clip(n_frames=n_frames, label=label, seed=seed,
                          collision_frame=n_frames - 1 if label else None)
@@ -230,10 +230,7 @@ class TestSegmentClip:
             with CachedEncoder(path) as cached:
                 for encoder in (StubEncoder(dim=16, seed=7), cached):
                     bag = encode_clip(clip, mode, encoder, snippet_len, stride)
-                    checked = Bag(bag.clip_id, bag.snippets, bag.start_times,
-                                  bag.label)
-                    assert checked.snippets is bag.snippets
-                    assert checked.start_times is bag.start_times
+                    check_bag(bag)
                     assert (bag.clip_id, bag.label) == ("clip0", label)
 
     def test_wrong_width_encoder_rejected(self):
@@ -247,12 +244,17 @@ class TestSegmentClip:
 
 class TestBagAndTrace:
     def test_bag_validation(self, rng):
+        """``check_bag`` rejects the three bags ``Bag`` once rejected."""
         with pytest.raises(EmptyInputError):
-            Bag("c", np.zeros((0, 4)), np.zeros(0), 0)
-        with pytest.raises(ValidationError):
-            Bag("c", rng.standard_normal((2, 4)), np.array([1.0, 1.0]), 0)
-        with pytest.raises(ValidationError):
-            Bag("c", rng.standard_normal((2, 4)), np.array([0.0, 1.0]), 2)
+            check_bag(Bag("c", np.zeros((0, 4)), np.zeros(0), 0))
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            check_bag(Bag("c", rng.standard_normal((2, 4)), np.array([1.0, 1.0]), 0))
+        with pytest.raises(ValidationError, match="label must be 0 or 1"):
+            check_bag(Bag("c", rng.standard_normal((2, 4)), np.array([0.0, 1.0]), 2))
+        rows = rng.standard_normal((2, 4))
+        with pytest.raises(ValidationError, match="not float32 and float64"):
+            check_bag(Bag("c", rows, np.array([0.0, 1.0]), 1))
+        check_bag(Bag("c", rows.astype(np.float32), np.array([0.0, 1.0]), 1))
 
     def test_trace_pool_bounds_invariant(self):
         with pytest.raises(ValidationError):
