@@ -22,9 +22,8 @@ import numpy as np
 
 from . import datakit, evalkit, inference, plotting, trainer
 from .embeddings import CachedEncoder, StubEncoder
-from .errors import (LINES_BUFFER, NonFiniteLossError, SummarizerError,
-                     ValidationError, VlaadError, json_document, json_lines,
-                     replace_on_success)
+from .errors import (LINES_BUFFER, ValidationError, VlaadError, json_document,
+                     json_lines, replace_on_success)
 from .mil import encode_clip, segment_clip
 from .model import load_checkpoint, save_checkpoint
 from .numerics import sigmoid
@@ -397,9 +396,7 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (VlaadError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (SummarizerError, NonFiniteLossError)):
-            return 1  # runtime errors, like OSError
-        return 2 if isinstance(exc, (VlaadError, ValueError)) else 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 def main() -> None:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (LINES_BUFFER, EmptyInputError, SummarizerError,
                      ValidationError, json_lines, replace_on_success)
+from .mil import DEFAULT_SNIPPET_LEN
 
 CLIP_FRAMES = 40
 FRAME_HZ = 4.0
@@ -33,9 +34,17 @@ AUGMENT_MIN_FRAME = 4
 AUGMENT_MAX_FRAME = 36
 # Negative mining keeps a guard band of frames around every infraction.
 NEGATIVE_GUARD_FRAMES = 40
+_SYNTH_SLOTS = CLIP_FRAMES // DEFAULT_SNIPPET_LEN  # one snippet per synthetic slot
 
 SPLITS = ("train", "test")
 SOURCES = ("assembled", "augmented", "synthetic", "external")
+
+
+def _json_int(value, name: str):
+    """An integer field's ``value``, refused if a bool or float (others fail later)."""
+    if isinstance(value, (bool, float)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -56,7 +65,8 @@ class InfractionLog:
 
     @classmethod
     def from_json(cls, obj) -> "InfractionLog":
-        return cls(frame_number=obj["frame_number"], infraction_type=obj["type"],
+        return cls(frame_number=_json_int(obj["frame_number"], "infraction frame_number"),
+                   infraction_type=obj["type"],
                    message=obj["message"], scenario_type=obj["scenario"])
 
 
@@ -211,6 +221,23 @@ def validate_record(rec: ClipRecord) -> None:
             raise ValidationError(f"clip {rec.clip_id}: bad event window {rec.event_window}")
 
 
+def _positive_crop(stream: np.ndarray, frame: int, band_lo: int, band_hi: int,
+                   rng: np.random.Generator, **fields) -> ClipRecord | None:
+    """The positive clip of ``fields`` cropped from ``stream`` so that the
+    collision at stream ``frame`` lands on a clip index drawn uniformly from
+    [band_lo, band_hi], clamped to the crops that fit the stream.  None,
+    drawing nothing, when no index fits."""
+    lo = max(band_lo, frame + CLIP_FRAMES - stream.shape[0])
+    hi = min(band_hi, frame)
+    if lo > hi:
+        return None
+    k = int(rng.integers(lo, hi + 1))
+    start = frame - k
+    return ClipRecord(features=stream[start:start + CLIP_FRAMES].copy(), label=1,
+                      collision_frame=k, source_stream=stream, source_start=start,
+                      **fields)
+
+
 class AssemblyResult(NamedTuple):
     clips: List[ClipRecord]
     skipped: List[str]
@@ -237,22 +264,15 @@ def assemble_clips(stream: np.ndarray, logs: Sequence[InfractionLog], seed: int 
         if log.frame_number >= total:
             raise ValidationError(
                 f"infraction at frame {log.frame_number} beyond stream end {total}")
-        lo = max(ASSEMBLY_MIN_FRAME, log.frame_number + CLIP_FRAMES - total)
-        hi = min(ASSEMBLY_MAX_FRAME, log.frame_number)
-        if lo > hi:
+        clip = _positive_crop(stream, log.frame_number, ASSEMBLY_MIN_FRAME,
+                              ASSEMBLY_MAX_FRAME, rng, clip_id=f"{stream_id}-pos{i:04d}",
+                              infraction=log, source="assembled")
+        if clip is None:
             skipped.append(
                 f"infraction at frame {log.frame_number}: no legal placement "
                 f"inside [{ASSEMBLY_MIN_FRAME}, {ASSEMBLY_MAX_FRAME}]")
             continue
-        k = int(rng.integers(lo, hi + 1))
-        start = log.frame_number - k
-        clips.append(ClipRecord(
-            clip_id=f"{stream_id}-pos{i:04d}",
-            features=stream[start:start + CLIP_FRAMES].copy(),
-            label=1, collision_frame=k, infraction=log,
-            source="assembled",
-            source_stream=stream, source_start=start,
-        ))
+        clips.append(clip)
 
     # Guard zones around infractions, in order; each stretch of frames before
     # a zone that no earlier zone covers is tiled into negatives.
@@ -288,28 +308,20 @@ def augment_collision_position(clip: ClipRecord, copies: int = 5,
     if clip.source_stream is None or clip.source_start is None:
         raise ValidationError(
             f"clip {clip.clip_id} has no re-croppable source stream")
-    stream = clip.source_stream
-    total = stream.shape[0]
-    abs_frame = clip.source_start + clip.collision_frame
-    lo = max(AUGMENT_MIN_FRAME, abs_frame + CLIP_FRAMES - total)
-    hi = min(AUGMENT_MAX_FRAME, abs_frame)
-    if lo > hi:
-        raise ValidationError(
-            f"clip {clip.clip_id}: source stream too short to re-crop")
     id_hash = int.from_bytes(
         hashlib.sha256(clip.clip_id.encode("utf-8")).digest()[:8], "little")
     rng = np.random.default_rng([seed, id_hash])
     out = []
     for j in range(copies):
-        k = int(rng.integers(lo, hi + 1))
-        start = abs_frame - k
-        out.append(ClipRecord(
-            clip_id=f"{clip.clip_id}#aug{j}",
-            features=stream[start:start + CLIP_FRAMES].copy(),
-            caption=clip.caption, label=1, collision_frame=k,
-            infraction=clip.infraction, split=clip.split, source="augmented",
-            source_stream=stream, source_start=start,
-        ))
+        copy = _positive_crop(
+            clip.source_stream, clip.source_start + clip.collision_frame,
+            AUGMENT_MIN_FRAME, AUGMENT_MAX_FRAME, rng,
+            clip_id=f"{clip.clip_id}#aug{j}", caption=clip.caption,
+            infraction=clip.infraction, split=clip.split, source="augmented")
+        if copy is None:
+            raise ValidationError(
+                f"clip {clip.clip_id}: source stream too short to re-crop")
+        out.append(copy)
     return out
 
 
@@ -341,22 +353,16 @@ class SynthConfig:
     separation: float = 4.0  # mean shift of event-window snippet features
     event_len: int = 1  # event window length, in snippets
     seed: int = 0
-    clip_frames: int = CLIP_FRAMES
-    snippet_len: int = 8
 
     def __post_init__(self):
         if self.n_normal < 0 or self.n_collision < 0:
             raise ValidationError("record counts must be >= 0")
         if self.separation < 0:
             raise ValidationError("separation must be >= 0")
-        if self.feature_dim < 1 or self.snippet_len < 1:
-            raise ValidationError("feature_dim and snippet_len must be >= 1")
-        if not (1 <= self.event_len <= self.n_slots):
+        if self.feature_dim < 1:
+            raise ValidationError("feature_dim must be >= 1")
+        if not (1 <= self.event_len <= _SYNTH_SLOTS):
             raise ValidationError("event_len must fit inside the clip")
-
-    @property
-    def n_slots(self) -> int:
-        return self.clip_frames // self.snippet_len
 
 
 def generate_synthetic_dataset(cfg: SynthConfig, split: str = "train") -> List[ClipRecord]:
@@ -374,20 +380,17 @@ def generate_synthetic_dataset(cfg: SynthConfig, split: str = "train") -> List[C
     records: List[ClipRecord] = []
 
     def draw_clip(positive: bool, idx: int) -> ClipRecord:
-        slot_feats = rng.standard_normal((cfg.n_slots, cfg.feature_dim))
+        slot_feats = rng.standard_normal((_SYNTH_SLOTS, cfg.feature_dim))
         window = None
         collision_frame = None
         if positive:
-            start = int(rng.integers(0, cfg.n_slots - cfg.event_len + 1))
+            start = int(rng.integers(0, _SYNTH_SLOTS - cfg.event_len + 1))
             window = (start, start + cfg.event_len)
             slot_feats[start:window[1]] += cfg.separation * direction
-            collision_frame = start * cfg.snippet_len + cfg.snippet_len // 2
+            collision_frame = start * DEFAULT_SNIPPET_LEN + DEFAULT_SNIPPET_LEN // 2
         pool = COLLISION_CAPTIONS if positive else NORMAL_CAPTIONS
         caption = pool[int(rng.integers(0, len(pool)))]
-        frames = np.repeat(slot_feats, cfg.snippet_len, axis=0)
-        pad = cfg.clip_frames - frames.shape[0]
-        if pad > 0:  # clip length not divisible by snippet length
-            frames = np.vstack([frames, np.tile(frames[-1:], (pad, 1))])
+        frames = np.repeat(slot_feats, DEFAULT_SNIPPET_LEN, axis=0)
         tag = "c" if positive else "n"
         return ClipRecord(
             clip_id=f"synth-{split}-{tag}{idx:05d}",
@@ -492,22 +495,22 @@ def _generate_with_retry(client: SummarizerClient, prompt: str, model: str) -> s
         f"summarizer unreachable after {_RETRY_ATTEMPTS} attempts: {last}")
 
 
-def _pick_model(rng: np.random.Generator, models: Sequence[str]) -> str:
+def _pick_model(rng: np.random.Generator) -> str:
+    models = DEFAULT_SUMMARIZER_MODELS
     return models[int(rng.integers(0, len(models)))]
 
 
 def caption_collision_clip(log: InfractionLog, client: SummarizerClient,
-                           rng: np.random.Generator | None = None,
-                           models: Sequence[str] = DEFAULT_SUMMARIZER_MODELS) -> str:
+                           rng: np.random.Generator | None = None) -> str:
     """Summarize one infraction log into a collision caption.
 
-    The generation model is drawn with equal probability from ``models`` for
-    every call.
+    The generation model is drawn with equal probability from
+    ``DEFAULT_SUMMARIZER_MODELS`` for every call.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     input_text = f"{log.message} Scenario type: {log.scenario_type}."
     prompt = SUMMARIZE_PROMPT.format(input_text=input_text)
-    return _generate_with_retry(client, prompt, _pick_model(rng, models))
+    return _generate_with_retry(client, prompt, _pick_model(rng))
 
 
 class CaptionResult(NamedTuple):
@@ -517,7 +520,6 @@ class CaptionResult(NamedTuple):
 
 def caption_normal_clip(frame_annotations: Sequence[str], client: SummarizerClient,
                         rng: np.random.Generator | None = None,
-                        models: Sequence[str] = DEFAULT_SUMMARIZER_MODELS,
                         paraphrase: bool = False) -> CaptionResult:
     """Two-stage summary of per-frame annotations into one clip caption.
 
@@ -533,15 +535,15 @@ def caption_normal_clip(frame_annotations: Sequence[str], client: SummarizerClie
     stage1 = []
     for ann in frame_annotations:
         prompt = SUMMARIZE_PROMPT.format(input_text=ann)
-        stage1.append(_generate_with_retry(client, prompt, _pick_model(rng, models)))
+        stage1.append(_generate_with_retry(client, prompt, _pick_model(rng)))
     prompt = SUMMARIZE_PROMPT.format(input_text="\n".join(stage1))
-    caption = _generate_with_retry(client, prompt, _pick_model(rng, models))
+    caption = _generate_with_retry(client, prompt, _pick_model(rng))
     if not paraphrase:
         return CaptionResult(caption, False)
     for _ in range(2):  # one re-query on a constraint violation
         out = _generate_with_retry(
             client, PARAPHRASE_PROMPT.format(input_text=caption),
-            _pick_model(rng, models))
+            _pick_model(rng))
         if "drive" in out.lower():
             return CaptionResult(out, False)
     return CaptionResult(out, True)
@@ -588,13 +590,15 @@ def record_from_json(obj: dict, where: str | None = None) -> ClipRecord:
         tuple(frames["shape"]), frames["b64"], where)
     inf = obj.get("infraction")
     infraction = None if inf is None else InfractionLog.from_json(inf)
-    window = obj.get("event_window")
+    collision, window = obj.get("collision_frame"), obj.get("event_window")
     return ClipRecord(
         clip_id=obj["clip_id"], frames_path=path, inline=inline,
-        caption=obj.get("caption", ""), label=obj["label"],
-        collision_frame=obj.get("collision_frame"), infraction=infraction,
+        caption=obj.get("caption", ""), label=_json_int(obj["label"], "label"),
+        collision_frame=None if collision is None else _json_int(collision, "collision_frame"),
+        infraction=infraction,
         split=obj.get("split", "train"), source=obj.get("source", "external"),
-        event_window=None if window is None else (window[0], window[1]),
+        event_window=None if window is None else (
+            _json_int(window[0], "event_window"), _json_int(window[1], "event_window")),
     )
 
 

@@ -23,7 +23,7 @@ import os
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Protocol, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .errors import (
 )
 
 DEFAULT_DIM = 768
-DEFAULT_TEXT_BUCKETS = 512
 
 CACHE_MAGIC = b"VLEC"
 CACHE_VERSION = 1
@@ -50,23 +49,11 @@ _VIDEO_STREAM = 101
 _TEXT_STREAM = 202
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """A fixed-dimension float32 vector from a video or text encoder."""
+class Embedding(NamedTuple):
+    """A (D,) float32 vector from a video or text encoder.  Unchecked: it is
+    ``_unit``'s finite unit vector, or a cache vector checked when served."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float32)
-        if vals.ndim != 1:
-            raise ValidationError(f"embedding must be 1-D, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("embedding has non-finite entries")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
 
 
 @dataclass
@@ -124,13 +111,13 @@ class StubEncoder:
     to call concurrently.
     """
 
-    def __init__(self, dim: int = DEFAULT_DIM, seed: int = 0,
-                 text_buckets: int = DEFAULT_TEXT_BUCKETS):
+    text_buckets = 512
+
+    def __init__(self, dim: int = DEFAULT_DIM, seed: int = 0):
         if dim < 1:
             raise ValidationError("encoder dim must be >= 1")
         self.dim = int(dim)
         self.seed = int(seed)
-        self.text_buckets = int(text_buckets)
         self._video_proj: Dict[int, np.ndarray] = {}
         self._text_proj: np.ndarray | None = None
 
@@ -254,22 +241,21 @@ class CachedEncoder:
         return Embedding(self._rows([caption.strip()])[0])
 
 
+def _of_dim(emb: Embedding, encoder) -> Embedding:
+    if emb.values.shape != (encoder.dim,):
+        raise DimensionMismatchError(f"encoder produced shape {emb.values.shape}, "
+                                     f"configured for dim {encoder.dim}")
+    return emb
+
+
 def encode_video_snippet(window: FrameWindow, encoder: StubEncoder) -> Embedding:
     """Encode one frame window into a video embedding of the encoder's dim."""
-    emb = encoder.encode_window(window)
-    if emb.dim != encoder.dim:
-        raise DimensionMismatchError(
-            f"encoder produced dim {emb.dim}, configured for {encoder.dim}")
-    return emb
+    return _of_dim(encoder.encode_window(window), encoder)
 
 
 def encode_text(caption: str, encoder: EncoderHandle) -> Embedding:
     """Encode one caption into a text embedding of the encoder's dim."""
-    emb = encoder.encode_text(caption)
-    if emb.dim != encoder.dim:
-        raise DimensionMismatchError(
-            f"encoder produced dim {emb.dim}, configured for {encoder.dim}")
-    return emb
+    return _of_dim(encoder.encode_text(caption), encoder)
 
 
 def write_embedding_cache(path, entries: Mapping[str, np.ndarray] | Iterable[Tuple[str, np.ndarray]],

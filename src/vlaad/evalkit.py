@@ -220,16 +220,13 @@ def infraction_penalty(counts: Mapping[str, int], params: Mapping[str, float],
     raise ValidationError(f"unknown scoring version {version!r}")
 
 
-def summarize_run(record: DrivingRunRecord, version: str = "v21",
-                  params: Mapping[str, float] | None = None) -> Dict[str, float]:
+def summarize_run(record: DrivingRunRecord, version: str = "v21") -> Dict[str, float]:
     """Route summary {RC, IS, DS, Col_per_km}; DS = RC x penalty.
 
-    Parameter resolution: explicit ``params``, then the record's own
-    coefficients/weights, then (v2.1 only) the default severity table.
+    Parameters: the record's own coefficients/weights, else (v2.1 only) the
+    default severity table.
     """
-    if params is None:
-        params = (record.coefficients if version == "v21"
-                  else record.penalty_weights)
+    params = record.coefficients if version == "v21" else record.penalty_weights
     if params is None:
         if version == "v21":
             params = DEFAULT_V21_COEFFICIENTS

@@ -20,7 +20,6 @@ import numpy as np
 from .datakit import ClipRecord
 from .embeddings import EncoderHandle, encode_text
 from .errors import NonFiniteLossError, ValidationError, replace_on_success
-from .losses import LossBreakdown
 from .mil import encode_clip, segment_lse_pool
 from .model import (ModelCheckpoint, forward_rows, heads_backward,
                     init_checkpoint, param_layout, param_views)
@@ -55,6 +54,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:  # NaN included
             raise ValidationError("learning_rate must be positive")
+        if not self.gamma > 0:
+            raise ValidationError("gamma must be positive")
+        if not self.weight_decay >= 0:
+            raise ValidationError("weight_decay must be >= 0")
         if not (0.0 < self.split_fraction < 1.0):
             raise ValidationError("split_fraction must be in (0, 1)")
         if self.epochs < 0:
@@ -66,6 +69,9 @@ class TrainConfig:
         if self.pos_weight != "auto" and not (
                 isinstance(self.pos_weight, (int, float)) and self.pos_weight > 0):
             raise ValidationError("pos_weight must be positive or 'auto'")
+        for name in ("learning_rate", "gamma", "weight_decay", "pos_weight"):
+            if getattr(self, name) == math.inf:
+                raise ValidationError(f"{name} must be finite")
 
     @classmethod
     def from_dict(cls, data) -> "TrainConfig":
@@ -89,6 +95,39 @@ class TrainConfig:
 
 _JSON_TYPES = {"float": (int, float), "int": int, "str": str, "bool": bool,
                "float | str": (int, float, str)}
+
+
+def uncertainty_weighted_total(l_sim: float, l_cls: float,
+                               s_sim: float, s_cls: float) -> float:
+    """exp(-s)/2-weighted sum of both losses plus the log-variance terms.
+
+    With s = log(variance) this is the standard homoscedastic multi-task
+    weighting; the value may be negative through the s terms.
+    """
+    for name, val in (("l_sim", l_sim), ("l_cls", l_cls),
+                      ("s_sim", s_sim), ("s_cls", s_cls)):
+        if not np.isfinite(val):
+            raise ValidationError(f"{name} must be finite")
+    return float(0.5 * np.exp(-s_sim) * l_sim + 0.5 * np.exp(-s_cls) * l_cls
+                 + s_sim + s_cls)
+
+
+@dataclass
+class LossBreakdown:
+    """One training step's loss components and their weighted total."""
+
+    l_sim: float
+    l_cls: float
+    s_sim: float
+    s_cls: float
+    l_total: float
+
+    @classmethod
+    def compute(cls, l_sim: float, l_cls: float, s_sim: float, s_cls: float):
+        if l_sim < 0 or l_cls < 0:
+            raise ValidationError("component losses must be non-negative")
+        return cls(l_sim, l_cls, s_sim, s_cls,
+                   uncertainty_weighted_total(l_sim, l_cls, s_sim, s_cls))
 
 
 class SplitResult(NamedTuple):

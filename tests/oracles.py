@@ -18,13 +18,13 @@ import numpy as np
 from vlaad.embeddings import Embedding, FrameWindow, encode_video_snippet
 from vlaad.errors import (DegenerateInputError, DimensionMismatchError, EmptyInputError,
                          ValidationError)
-from vlaad.losses import LossBreakdown
 from vlaad.mil import (Bag, lse_pool, pooling_attention, segment_clip,
                        segment_lse_pool)
 from vlaad.model import (adapter_forward, bag_logits, forward_rows,
                          heads_backward, param_layout, param_views)
 from vlaad.numerics import sigmoid, softplus
-from vlaad.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, batch_objective
+from vlaad.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LossBreakdown,
+                           batch_objective)
 
 
 def stub_video_embedding(frames, seed, dim):
@@ -73,6 +73,17 @@ def check_bag(bag):
     if rows.dtype != np.float32 or times.dtype != np.float64:
         raise ValidationError(f"rows are {rows.dtype} and start times "
                               f"{times.dtype}, not float32 and float64")
+
+
+def check_embedding(emb, dim):
+    """The invariants every embedding an encoder returns meets (``Embedding``
+    itself checks none): a (dim,) float32 vector of finite values."""
+    vals = emb.values
+    if vals.dtype != np.float32 or vals.shape != (dim,):
+        raise ValidationError(f"embedding is {vals.dtype} of shape {vals.shape}, "
+                              f"not float32 of shape ({dim},)")
+    if not np.all(np.isfinite(vals)):
+        raise ValidationError("embedding has non-finite entries")
 
 
 def stub_text_embedding(caption, seed, buckets, dim):

@@ -362,24 +362,42 @@ class TestCheckpointReader:
         self.assert_rejected(eval_inputs, eval_inputs[2] + b"\0",
                              r"trailing bytes .* byte 304, .* ends at byte 305$")
 
+    HEADER_FIELDS = {  # strategies for each field of HEADER, in order
+        "magic": st.binary(min_size=4, max_size=4),
+        "version": st.integers(0, 2 ** 32 - 1),
+        "dim": st.one_of(st.just(0), st.integers(1, 16), st.integers(0, 2 ** 32 - 1)),
+        "hidden": st.one_of(st.just(0), st.integers(1, 16), st.integers(0, 2 ** 32 - 1)),
+        "gamma": st.floats(width=64),
+        "seed": st.integers(0, 2 ** 64 - 1),
+        "epoch": st.integers(0, 2 ** 32 - 1),
+    }
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_fuzz_truncate_extend_bitflip(self, eval_inputs, data):
+        """Cut, extended, bit-flipped or header-rewritten checkpoints: eval
+        exits 0, or 2 with one error line naming the path and a byte."""
         root, manifest, good = eval_inputs
-        kind = data.draw(st.sampled_from(["truncate", "extend", "flip"]))
+        kind = data.draw(st.sampled_from(["truncate", "extend", "flip", "header"]))
         if kind == "truncate":
             blob = good[:data.draw(st.integers(0, len(good) - 1))]
         elif kind == "extend":
             blob = good + data.draw(st.binary(min_size=1, max_size=64))
-        else:
+        elif kind == "flip":
             blob = bytearray(good)
             for bit in data.draw(st.lists(st.integers(0, 8 * len(good) - 1),
                                           min_size=1, max_size=3)):
                 blob[bit // 8] ^= 1 << (bit % 8)
-        code, err, _ = eval_bytes(root, manifest, bytes(blob))
+        else:
+            fields = list(self.HEADER.unpack(good[:36]))
+            i = data.draw(st.integers(0, len(fields) - 1))
+            fields[i] = data.draw(list(self.HEADER_FIELDS.values())[i])
+            blob = self.HEADER.pack(*fields) + good[36:]
+        code, err, path = eval_bytes(root, manifest, bytes(blob))
         assert code in (0, 2), err
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(path) in err and re.search(r"\bbyte \d+", err), err
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,6 @@
 import os
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (read_embedding_cache_whole, stub_text_embedding,
-                     stub_video_embedding)
+from oracles import (check_embedding, read_embedding_cache_whole,
+                     stub_text_embedding, stub_video_embedding)
 from vlaad import embeddings
 from vlaad.embeddings import (CachedEncoder, Embedding, FrameWindow,
                               StubEncoder, encode_text, encode_video_snippet,
@@ -100,8 +102,34 @@ class TestStubTextEncoder:
 
 class TestEmbeddingType:
     def test_non_finite_rejected(self):
-        with pytest.raises(ValidationError):
-            Embedding(np.array([1.0, np.nan]))
+        """``check_embedding`` rejects the vector ``Embedding`` once rejected."""
+        with pytest.raises(ValidationError, match="non-finite"):
+            check_embedding(Embedding(np.array([1.0, np.nan], np.float32)), 2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n_frames=st.integers(1, 9),
+           feat=st.integers(1, 9), scale=st.sampled_from([1e-6, 1.0, 1e30]),
+           words=st.lists(st.sampled_from(["a", "car", "Turns", "left", "é"]),
+                          min_size=1, max_size=6))
+    def test_encoders_return_checked_embeddings(self, seed, n_frames, feat,
+                                                 scale, words):
+        """``Embedding`` checks nothing; every vector the stub returns for a
+        window or a caption, and every caption vector the cache encoder
+        serves, meets the invariants ``check_embedding`` holds it to."""
+        rng = np.random.default_rng(seed)
+        stub = StubEncoder(dim=12, seed=seed)
+        frames = scale * rng.standard_normal((n_frames, feat))
+        caption = " ".join(words)
+        check_embedding(encode_video_snippet(window(frames), stub), 12)
+        text = encode_text(caption, stub)
+        check_embedding(text, 12)
+        stored = (scale * rng.standard_normal(12)).astype(np.float32)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.vlec"
+            write_embedding_cache(path, {caption: text.values, "x": stored}, dim=12)
+            with CachedEncoder(path) as cached:
+                for key in (caption, "x"):
+                    check_embedding(encode_text(key, cached), 12)
 
 
 class TestEmbeddingCache:

@@ -10,11 +10,11 @@ from conftest import make_clip, run_trace
 from oracles import (ListRingBuffer, forward_bag, list_ring_push_tick,
                      make_global_state, parse_global_state,
                      serialize_global_state, toy_policy_step)
-from vlaad.embeddings import FrameWindow, StubEncoder, encode_video_snippet
+from vlaad.embeddings import StubEncoder
 from vlaad.errors import ValidationError
 from vlaad.inference import CausalBuffer, push_tick, stream_tokens
-from vlaad.mil import Bag, lse_pool, segment_clip
-from vlaad.model import bag_logits, init_checkpoint
+from vlaad.mil import lse_pool, segment_clip
+from vlaad.model import forward_rows, init_checkpoint
 from vlaad.numerics import scalar_sigmoid, sigmoid
 
 
@@ -94,19 +94,27 @@ class TestPushTick:
         _, modified = run_stream(perturbed, ckpt, small_encoder)
         assert base[:cut + 1] == modified[:cut + 1]
 
-    def test_update_token_equals_offline_bag_logit(self, rng):
-        """Streamed and offline scoring of one window agree exactly."""
-        ckpt = init_checkpoint(dim=768, hidden=16, gamma=10.0, seed=3,
+    @settings(max_examples=200, deadline=None)
+    @given(feat=st.integers(1, 12), dim=st.sampled_from([1, 2, 7, 64, 768]),
+           hidden=st.integers(1, 16), size=st.integers(1, 10),
+           period=st.integers(1, 7), n_ticks=st.integers(1, 60),
+           caching=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+    def test_update_token_equals_offline_bag_logit(self, feat, dim, hidden, size,
+                                                   period, n_ticks, caching, seed):
+        """Every streamed token, on update ticks and between them, is the
+        offline score of the frames held: ``sigmoid`` of ``forward_rows``
+        over the stub's ``encode_windows`` of them, bit for bit."""
+        ckpt = init_checkpoint(dim=dim, hidden=hidden, gamma=10.0, seed=seed,
                                zero_first_layer=False)
-        enc = StubEncoder(dim=768, seed=7)
-        frames = rng.standard_normal((60, 4))
-        buffer, tokens = run_stream(frames, ckpt, enc)
-        for tick in (0, 20, 55):
-            ticks = np.arange(0, tick + 1, buffer.subsample_period)[-buffer.size:]
-            window = FrameWindow(frames=frames[ticks], timestamps=ticks / 20.0)
-            emb = encode_video_snippet(window, enc)
-            bag = Bag(f"tick{tick}", emb.values[None, :], [0.0], 0)
-            assert tokens[tick] == sigmoid(bag_logits(bag, ckpt)[0])
+        enc = StubEncoder(dim=dim, seed=seed)
+        frames = np.random.default_rng(seed).standard_normal((n_ticks, feat))
+        buffer = CausalBuffer(enc, size=size, subsample_period=period)
+        _, tokens = run_stream(frames, ckpt, enc, caching=caching, buffer=buffer)
+        for tick, token in enumerate(tokens):
+            held = np.arange(0, tick + 1, period)[-size:]
+            rows = enc.encode_windows(frames[held], [0], held.size, ["window"])
+            logits = forward_rows(rows.astype(np.float64), ckpt)[2]
+            assert token == sigmoid(logits)[0]
 
     def test_frame_width_change_rejected(self, ckpt, small_encoder, rng):
         buffer = CausalBuffer(small_encoder)

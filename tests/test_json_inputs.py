@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlaad.cli import run
-from vlaad.datakit import ClipRecord, InfractionLog, write_manifest
+from vlaad.datakit import (ClipRecord, InfractionLog, SynthConfig,
+                           generate_synthetic_dataset, write_manifest)
 from vlaad.errors import ValidationError, json_lines
 from vlaad.model import init_checkpoint, save_checkpoint
 
@@ -343,6 +344,28 @@ class TestMalformedRegressions:
         else:
             assert_exit_2(result, "pos_weight must be")
 
+    @pytest.mark.parametrize("item, message", [
+        ("weight_decay=-5", "weight_decay must be >= 0"),
+        ("weight_decay=NaN", "weight_decay must be >= 0"),
+        ("weight_decay=Infinity", "weight_decay must be finite"),
+        ("learning_rate=Infinity", "learning_rate must be finite"),
+        ("gamma=Infinity", "gamma must be finite"),
+        ("pos_weight=Infinity", "pos_weight must be finite"),
+    ])
+    def test_set_out_of_range_refused_before_training(self, tmp_path, item,
+                                                      message):
+        """A config value out of its range is refused by name before any
+        training, not taken (a negative weight decay) or found late as a
+        non-finite loss that names another field or none."""
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(generate_synthetic_dataset(SynthConfig(4, 4, feature_dim=4)),
+                       manifest)
+        result = run_cli(["train", "--manifest", manifest, "-o", tmp_path / "c.bin",
+                          *[arg for kv in ("epochs=2", "embed_dim=8", "hidden_dim=4",
+                                           item) for arg in ("--set", kv)]])
+        assert_exit_2(result, f"^error: {message}$")
+        assert not (tmp_path / "c.bin").exists()
+
     def caption(self, tmp_path, *lines):
         path = tmp_path / "jobs.jsonl"
         good = {"type": "normal", "annotations": ["The car drives."]}
@@ -470,8 +493,7 @@ class TestMalformedRegressions:
         lines[50] = lines[3]
         path.write_bytes(b"".join(lines))
         out.write_bytes(b"old\n")
-        argv = ["ingest", "--manifest", path, *(["-o", out] if output else [])]
-        assert_exit_2(run_cli(argv), re.escape(
+        assert_exit_2(run_cli(["ingest", "--manifest", path, "-o", out]), re.escape(
             f"{path}: manifest line 51: duplicate clip_id 'c3'"))
         assert out.read_bytes() == b"old\n"
         assert sorted(os.listdir(tmp_path)) == ["m.jsonl", "out.jsonl"]
@@ -487,6 +509,32 @@ class TestMalformedRegressions:
             '"collision_frame":3', f'"collision_frame":{value}'))
         assert_exit_2(run_cli(["ingest", "--manifest", path]),
                       re.escape(f"{path}: manifest line 1: "), why)
+
+    @pytest.mark.parametrize("field, value, name", [
+        ('"label":1', '"label":true', "label"),
+        ('"label":1', '"label":1.0', "label"),
+        ('"collision_frame":20', '"collision_frame":20.5', "collision_frame"),
+        ('"collision_frame":20', '"collision_frame":20.0', "collision_frame"),
+        ('"event_window":[2,3]', '"event_window":[0.5,3]', "event_window"),
+        ('"event_window":[2,3]', '"event_window":[2,3.0]', "event_window"),
+        ('"frame_number":20', '"frame_number":20.0', "infraction frame_number"),
+        ('"frame_number":20', '"frame_number":false', "infraction frame_number"),
+    ])
+    def test_manifest_integer_field_not_bool_or_float(self, tmp_path, field,
+                                                      value, name):
+        """Integer fields take JSON integers only; ``ingest -o`` once wrote
+        these back, counting a ``true`` or ``1.0`` label among the positives."""
+        path, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+        write_manifest([ClipRecord(
+            "c0", frames_path="c0.npy", label=1, collision_frame=20,
+            source="external", event_window=(2, 3),
+            infraction=InfractionLog(20, "vehicle", "hit", "ControlLoss"))], path)
+        text = path.read_text()
+        assert text.count(field) == 1
+        path.write_text(text.replace(field, value))
+        assert_exit_2(run_cli(["ingest", "--manifest", path, "-o", out]), re.escape(
+            f"{path}: manifest line 1: {name} must be an integer, got "))
+        assert not out.exists()
 
     def test_run_record_coefficients_not_numbers(self, tmp_path):
         path = tmp_path / "runs.jsonl"

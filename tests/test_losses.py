@@ -9,7 +9,7 @@ from oracles import (binary_cross_entropy_from_logit, cosine_alignment_loss,
                      cosine_similarity, matched_cosine_loss_mean,
                      mil_alignment_loss, naive_bce)
 from vlaad.errors import DegenerateInputError, ValidationError
-from vlaad.losses import LossBreakdown, uncertainty_weighted_total
+from vlaad.trainer import LossBreakdown, uncertainty_weighted_total
 
 
 class TestCosineAlignmentLoss:

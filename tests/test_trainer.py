@@ -12,12 +12,11 @@ from oracles import (binary_cross_entropy_from_logit, gradient_check,
 from vlaad.datakit import SynthConfig, generate_synthetic_dataset
 from vlaad.embeddings import StubEncoder
 from vlaad.errors import NonFiniteLossError, ValidationError
-from vlaad.losses import LossBreakdown
 from vlaad.mil import Bag, lse_pool, pooling_attention
 from vlaad.model import (adapter_forward, bag_logits, heads_backward,
                          init_checkpoint, param_views, save_checkpoint)
 from vlaad.numerics import sigmoid
-from vlaad.trainer import (AdamState, TrainConfig, TrainExample,
+from vlaad.trainer import (AdamState, LossBreakdown, TrainConfig, TrainExample,
                            EpochStats, batch_objective, prepare_examples,
                            scores_for, split_dataset, train, write_history_csv)
 
