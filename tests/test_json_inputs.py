@@ -493,7 +493,8 @@ class TestMalformedRegressions:
         lines[50] = lines[3]
         path.write_bytes(b"".join(lines))
         out.write_bytes(b"old\n")
-        assert_exit_2(run_cli(["ingest", "--manifest", path, "-o", out]), re.escape(
+        argv = ["ingest", "--manifest", path, *(["-o", out] if output else [])]
+        assert_exit_2(run_cli(argv), re.escape(
             f"{path}: manifest line 51: duplicate clip_id 'c3'"))
         assert out.read_bytes() == b"old\n"
         assert sorted(os.listdir(tmp_path)) == ["m.jsonl", "out.jsonl"]
