@@ -385,11 +385,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, once per process: parsing leaves a parser as it
+    was, and no command writes the lists it gets (``--set``'s default)."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
     try:

@@ -597,9 +597,16 @@ def record_from_json(obj: dict, where: str | None = None) -> ClipRecord:
         collision_frame=None if collision is None else _json_int(collision, "collision_frame"),
         infraction=infraction,
         split=obj.get("split", "train"), source=obj.get("source", "external"),
-        event_window=None if window is None else (
-            _json_int(window[0], "event_window"), _json_int(window[1], "event_window")),
+        event_window=None if window is None else _json_window(window),
     )
+
+
+def _json_window(value) -> Tuple[int, int]:
+    """An ``event_window``: a list of exactly two integers."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValidationError(f"event_window must be a list of two integers, "
+                              f"got {value!r}")
+    return _json_int(value[0], "event_window"), _json_int(value[1], "event_window")
 
 
 def write_manifest(records: Iterable[ClipRecord], path) -> int:

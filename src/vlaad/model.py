@@ -16,7 +16,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, Iterator, NamedTuple, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .mil import Bag
 CKPT_MAGIC = b"VLAD"
 CKPT_VERSION = 1
 DEFAULT_HIDDEN = 256
+ROW_BLOCK = 256  # rows per scratch block of a row-wise temporary
 
 _HEADER = struct.Struct("<4sIIIdQI")  # magic, version, D, H, gamma, seed, epoch
 
@@ -151,8 +152,10 @@ def forward_rows(snips: np.ndarray, ckpt: ModelCheckpoint) -> Tuple[np.ndarray, 
 
     The one snippet forward of the package: rows of one bag, of many bags
     stacked back to back, or the single row of a streamed window all go
-    through it, so one window gives the same logit on every path.  Returns
-    (hidden, adapted, logits); the first two feed ``heads_backward``.
+    through it.  A row's logit agrees to rounding across blocks of other
+    row counts, since a matrix product may round a row differently as the
+    count changes.  Returns (hidden, adapted, logits); the backward needs
+    the first two.
     """
     if snips.ndim != 2 or snips.shape[1] != ckpt.dim:
         raise DimensionMismatchError(
@@ -166,30 +169,42 @@ def bag_logits(bag: Bag, ckpt: ModelCheckpoint) -> np.ndarray:
     return forward_rows(np.asarray(bag.snippets, dtype=np.float64), ckpt)[2]
 
 
-def heads_backward(snips: np.ndarray, hidden: np.ndarray, adapted: np.ndarray,
-                   ckpt: ModelCheckpoint, *, dz: np.ndarray,
-                   d_adapted=0.0) -> np.ndarray:
+def row_blocks(n: int, width: int) -> Iterator[Tuple[slice, np.ndarray]]:
+    """``(rows, scratch)`` per run of at most ``ROW_BLOCK`` of ``n`` rows, in
+    order; ``scratch`` is a (len, width) view of one float64 block that
+    every run reuses, for a row-wise temporary no bigger than that."""
+    block = np.empty((min(ROW_BLOCK, n), width))
+    for lo in range(0, n, ROW_BLOCK):
+        rows = slice(lo, min(lo + ROW_BLOCK, n))
+        yield rows, block[:rows.stop - lo]
+
+
+def heads_backward(snips: np.ndarray, hidden: np.ndarray, ckpt: ModelCheckpoint,
+                   *, dz: np.ndarray, g_adapted: np.ndarray,
+                   g_w: np.ndarray) -> np.ndarray:
     """Gradient of any scalar through the heads, as one vector in θ's layout.
 
-    ``dz`` holds dL/dz per snippet; ``d_adapted`` is the direct
-    dL/d(adapted) term that bypasses the detector.  Rows may span several
-    bags: contributions simply add.  The s_sim/s_cls entries are zero.
-    Writes only arrays it allocates itself, never its arguments; the θ-sized
-    result is written slot by slot, the s_sim/s_cls zeros included.
+    The caller, who holds the adapted rows, does the detector's part and
+    may drop those rows before this call's matrix products: ``dz`` holds
+    dL/dz per snippet, ``g_adapted`` the whole (N, D) dL/d(adapted), that is
+    the direct term plus dz wᵀ, and ``g_w`` the detector-weight gradient
+    adaptedᵀ dz.  Rows may span several bags: contributions simply add.
+    The s_sim/s_cls entries are zero.  Reads its arguments and writes only
+    what it allocates: the θ-sized result, slot by slot, one (N, H) block
+    and one ``ROW_BLOCK``-row scratch for 1 - h².
     """
     grad = np.empty_like(ckpt.theta)
     g = param_views(grad, ckpt.dim, ckpt.hidden)
-    g_e = np.multiply(dz[:, None], ckpt.w[None, :])
-    g_e += np.asarray(d_adapted, dtype=np.float64)  # d_adapted + dz w, commuted
-    g_u = g_e @ ckpt.w2.T
-    tanh_grad = np.multiply(hidden, hidden)
-    np.subtract(1.0, tanh_grad, out=tanh_grad)
-    g_u *= tanh_grad
+    g_u = g_adapted @ ckpt.w2.T
+    for r, tanh_grad in row_blocks(*hidden.shape):
+        np.multiply(hidden[r], hidden[r], out=tanh_grad)
+        np.subtract(1.0, tanh_grad, out=tanh_grad)
+        g_u[r] *= tanh_grad
     np.matmul(snips.T, g_u, out=g["w1"])
     np.sum(g_u, axis=0, out=g["b1"])
-    np.matmul(hidden.T, g_e, out=g["w2"])
-    np.sum(g_e, axis=0, out=g["b2"])
-    np.matmul(adapted.T, dz, out=g["w"])
+    np.matmul(hidden.T, g_adapted, out=g["w2"])
+    np.sum(g_adapted, axis=0, out=g["b2"])
+    g["w"][...] = g_w
     g["b"][...] = dz.sum()
     g["s_sim"][...] = 0.0
     g["s_cls"][...] = 0.0

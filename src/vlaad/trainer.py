@@ -22,12 +22,13 @@ from .embeddings import EncoderHandle, encode_text
 from .errors import NonFiniteLossError, ValidationError, replace_on_success
 from .mil import encode_clip, segment_lse_pool
 from .model import (ModelCheckpoint, forward_rows, heads_backward,
-                    init_checkpoint, param_layout, param_views)
+                    init_checkpoint, param_layout, param_views, row_blocks)
 from .numerics import sigmoid, softplus
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 14  # θ entries per block of an Adam step
 DEFAULT_EVAL_BATCH = 64  # clips per forward when scoring or tracing
 
 
@@ -204,14 +205,17 @@ def _cosines_with_grads(adapted: np.ndarray, texts: np.ndarray):
     """Row-wise cos(adapted_t, text_t) and its gradient in each adapted row.
 
     ``texts`` must be a block the caller owns: the gradient is written into
-    it and returned as ``dcos``.
+    it and returned as ``dcos``.  Its (cos / |a|²) a term is formed a few
+    rows at a time (``model.row_blocks``).
     """
     nt = np.sqrt(np.einsum("ij,ij->i", texts, texts))
     na = np.sqrt(np.einsum("ij,ij->i", adapted, adapted))
     cos = np.einsum("ij,ij->i", adapted, texts) / (na * nt)
     dcos = texts
     dcos /= (na * nt)[:, None]
-    dcos -= (cos / (na * na))[:, None] * adapted
+    scale = cos / (na * na)
+    for r, scratch in row_blocks(*dcos.shape):
+        dcos[r] -= np.multiply(scale[r, None], adapted[r], out=scratch)
     return cos, dcos
 
 
@@ -271,7 +275,11 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
     Returns the loss breakdown (batch means) and the gradient as one vector
     in the layout of ``ckpt.theta``.  Scalar loss sums use ``math.fsum``
     (exactly order-independent); the gradient reductions run as single
-    matrix products over the stacked rows in batch order.
+    matrix products over the stacked rows in batch order.  Besides the
+    (N, H) hidden rows, it holds three (N, D) blocks at most: the stacked
+    rows, the adapted rows, and the captions, which become the cosine
+    gradient and then dL/d(adapted); the adapted rows go before the
+    backward's matrix products.
     """
     if mode == "clip" and (unmatched is None or len(unmatched) != len(batch)):
         raise ValidationError("clip mode needs one unmatched caption per example")
@@ -313,11 +321,20 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
         de_sim = np.negative(dcos, out=dcos)
         dc_un *= (c_un > 0)[:, None]
         de_sim += dc_un
+        del dc_un
     de_sim *= ws  # (ws * de_sim) / n: two roundings; ws / n is never folded
     de_sim /= n
 
-    grad = heads_backward(fw.rows, fw.hidden, fw.adapted, ckpt,
-                          dz=(ws * dz_sim + wc * dz_cls) / n, d_adapted=de_sim)
+    dz = (ws * dz_sim + wc * dz_cls) / n
+    g_w = fw.adapted.T @ dz
+    rows, hidden = fw.rows, fw.hidden
+    del fw  # the adapted rows go before the backward's matrix products
+    # g_e = d_adapted + dz wᵀ, built in the caption block: d + fl(dz w) is
+    # fl(dz w) + d, the sum in the order the detector's backward adds it
+    g_e = de_sim
+    for r, scratch in row_blocks(*g_e.shape):
+        g_e[r] += np.multiply(dz[r, None], ckpt.w, out=scratch)
+    grad = heads_backward(rows, hidden, ckpt, dz=dz, g_adapted=g_e, g_w=g_w)
     l_sim = math.fsum(l_sim) / n
     l_cls = math.fsum(l_cls) / n
     if not (np.isfinite(l_sim) and np.isfinite(l_cls)
@@ -333,19 +350,18 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
 class AdamState:
     """Adam moments over θ with decoupled weight decay on weight tensors only.
 
-    Holds the moments and two θ-sized scratch vectors, all allocated here,
-    so a step allocates nothing θ-sized; it writes only these arrays and
-    the ``theta`` it is given.
+    Holds the moments ``m`` and ``v`` and one scratch pair of at most
+    ``ADAM_BLOCK`` entries, all allocated here: a step walks θ slot by slot
+    in blocks of the scratch's size, so it allocates nothing θ-sized and
+    writes only these arrays and the ``theta`` it is given.
     """
 
     def __init__(self, ckpt: ModelCheckpoint):
         self.m = np.zeros_like(ckpt.theta)
         self.v = np.zeros_like(ckpt.theta)
-        self.decay = np.zeros_like(ckpt.theta)  # 1 over the decayed tensors
-        for slot in param_layout(ckpt.dim, ckpt.hidden):
-            self.decay[slot.start:slot.stop] = slot.decayed
-        self._a = np.empty_like(ckpt.theta)
-        self._b = np.empty_like(ckpt.theta)
+        self._layout = param_layout(ckpt.dim, ckpt.hidden)
+        self._a = np.empty(min(ADAM_BLOCK, ckpt.theta.size))
+        self._b = np.empty_like(self._a)
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float,
@@ -354,29 +370,35 @@ class AdamState:
 
         Computes, rounding for rounding, m = β1 m + (1-β1) g,
         v = β2 v + ((1-β2) g) g and θ -= lr ((m/bc1) / (sqrt(v/bc2) + ε)
-        + (wd decay) θ); only the operands of a product or a sum are swapped.
+        + (wd decayed) θ), with ``decayed`` 1 or 0 per slot; only the
+        operands of a product or a sum are swapped.
         """
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        m, v, a, b = self.m, self.v, self._a, self._b
-        m *= ADAM_BETA1
-        np.multiply(grad, 1 - ADAM_BETA1, out=a)
-        m += a
-        v *= ADAM_BETA2
-        np.multiply(grad, 1 - ADAM_BETA2, out=a)
-        a *= grad
-        v += a
-        np.divide(v, bc2, out=a)  # a: the denominator
-        np.sqrt(a, out=a)
-        a += ADAM_EPS
-        np.divide(m, bc1, out=b)  # b: the update
-        b /= a
-        np.multiply(self.decay, weight_decay, out=a)
-        a *= theta
-        b += a
-        b *= lr
-        theta -= b
+        size = self._a.size
+        for slot in self._layout:
+            decay = slot.decayed * weight_decay  # the 0/1 mask times wd
+            for lo in range(slot.start, slot.stop, size):
+                hi = min(lo + size, slot.stop)
+                m, v, g, th = self.m[lo:hi], self.v[lo:hi], grad[lo:hi], theta[lo:hi]
+                a, b = self._a[:hi - lo], self._b[:hi - lo]
+                m *= ADAM_BETA1
+                np.multiply(g, 1 - ADAM_BETA1, out=a)
+                m += a
+                v *= ADAM_BETA2
+                np.multiply(g, 1 - ADAM_BETA2, out=a)
+                a *= g
+                v += a
+                np.divide(v, bc2, out=a)  # a: the denominator
+                np.sqrt(a, out=a)
+                a += ADAM_EPS
+                np.divide(m, bc1, out=b)  # b: the update
+                b /= a
+                np.multiply(th, decay, out=a)
+                b += a
+                b *= lr
+                th -= b
 
 
 @dataclass
@@ -405,7 +427,9 @@ def forward_chunks(ckpt: ModelCheckpoint, examples: Iterable, mode: str,
     """``(chunk, forward_stack(ckpt, chunk, mode))`` per run of ``eval_batch``
     clips of any iterable, such as a generator that encodes one clip at a
     time.  The one scoring loop, so ``scores_for``, ``vlaad eval`` and
-    ``vlaad trace`` share chunks; memory scales with a chunk, not all clips."""
+    ``vlaad trace`` share chunks; memory scales with a chunk, not all clips.
+    A chunk's logits agree to rounding with another chunking's: a matrix
+    product may round a row differently as its row count changes."""
     it = iter(examples)
     while chunk := list(islice(it, eval_batch)):
         yield chunk, forward_stack(ckpt, chunk, mode)
@@ -414,8 +438,8 @@ def forward_chunks(ckpt: ModelCheckpoint, examples: Iterable, mode: str,
 def scores_for(ckpt: ModelCheckpoint, examples: Iterable, mode: str,
                eval_batch: int = DEFAULT_EVAL_BATCH) -> np.ndarray:
     """Bag probabilities (MIL pooled, or the single clip logit in clip mode),
-    one chunk of ``forward_chunks`` at a time; they do not depend on
-    ``eval_batch``."""
+    one chunk of ``forward_chunks`` at a time; other ``eval_batch`` values
+    give the same probabilities to rounding, not always bit for bit."""
     probs = [sigmoid(fw.pooled) for _, fw in
              forward_chunks(ckpt, examples, mode, eval_batch)]
     return np.concatenate(probs) if probs else np.empty(0)

@@ -278,7 +278,7 @@ def per_clip_objective(ckpt, batch, mode="mil", pos_weight=1.0, unmatched=None):
         adapted_blocks.append(adapted)
         dz_blocks.append((ws * dz_sim + wc * dz_cls) / n)
         de_blocks.append(ws * de_sim / n)
-    grad = heads_backward(
+    grad = heads_backward_through_detector(
         np.concatenate(snips_blocks), np.concatenate(hidden_blocks),
         np.concatenate(adapted_blocks), ckpt,
         dz=np.concatenate(dz_blocks), d_adapted=np.concatenate(de_blocks))
@@ -354,8 +354,8 @@ def pooled_logit_with_grad(bag, ckpt):
     """
     snips = np.asarray(bag.snippets, dtype=np.float64)
     h, adapted, z = forward_rows(snips, ckpt)
-    grad = heads_backward(snips, h, adapted, ckpt,
-                          dz=pooling_attention(z, ckpt.gamma))
+    grad = heads_backward_through_detector(snips, h, adapted, ckpt,
+                                           dz=pooling_attention(z, ckpt.gamma))
     return lse_pool(z, ckpt.gamma), grad
 
 
@@ -525,6 +525,17 @@ def adapter_forward_out_of_place(snips, params):
     h = np.tanh(u)
     adapted = snips + h @ params.w2 + params.b2
     return u, h, adapted
+
+
+def heads_backward_through_detector(snips, hidden, adapted, ckpt, *, dz,
+                                   d_adapted=0.0):
+    """``model.heads_backward`` from dL/dz and a direct dL/d(adapted) term,
+    the detector's part written out of place: g_adapted = d_adapted + dz wᵀ
+    (added in the order ``trainer.batch_objective`` adds them) and the
+    detector-weight gradient adaptedᵀ dz."""
+    g_adapted = np.asarray(d_adapted, dtype=np.float64) + dz[:, None] * ckpt.w[None, :]
+    return heads_backward(snips, hidden, ckpt, dz=dz, g_adapted=g_adapted,
+                          g_w=adapted.T @ dz)
 
 
 def heads_backward_out_of_place(snips, hidden, adapted, ckpt, *, dz, d_adapted=0.0):

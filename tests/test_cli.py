@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import make_clip, run_trace
 from oracles import per_clip_trace_rows, read_embedding_cache_whole
 import vlaad
-from vlaad import embeddings, evalkit
+from vlaad import cli, embeddings, evalkit
 from vlaad.cli import build_parser, run
 from vlaad.datakit import ClipRecord, read_manifest, write_manifest
 from vlaad.embeddings import StubEncoder, write_embedding_cache
@@ -78,6 +78,22 @@ class TestParserContract:
     def test_help_exit_0(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
         assert run_cli(capsys, "train", "--help")[0] == 0
+
+    def test_one_parser_serves_every_run(self, capsys, monkeypatch):
+        """``run`` reuses one parser: a ``--set`` list from one call does not
+        reach the next, and help and usage errors print the same bytes as a
+        freshly built parser, every time."""
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "train",
+                            lambda args: seen.append(args.set) or 0)
+        argv = ["train", "--manifest", "m.jsonl", "-o", "c.bin"]
+        assert run_cli(capsys, *argv, "--set", "epochs=3")[0] == 0
+        assert run_cli(capsys, *argv)[0] == 0
+        assert seen == [["epochs=3"], []]
+        helps = [run_cli(capsys, "--help") for _ in range(2)]
+        assert helps[0] == helps[1] == (0, build_parser().format_help(), "")
+        errors = [run_cli(capsys, "frobnicate") for _ in range(2)]
+        assert errors[0] == errors[1] and errors[0][0] == 2
 
 
 class TestSynthIngest:

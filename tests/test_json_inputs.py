@@ -470,6 +470,16 @@ class TestMalformedRegressions:
                                                 b'"event_window":[]'))
         assert_exit_2(result, re.escape(f"{path}: manifest line 2: "))
 
+    @pytest.mark.parametrize("window", ["[1,2,99]", "[1]", "{}", "1"])
+    def test_manifest_event_window_not_a_pair(self, tmp_path, window):
+        """``ingest -o`` once wrote ``[1,2,99]`` back as ``[1,2]``."""
+        path, result = self.manifest(
+            tmp_path, lambda line: line.replace(b'"event_window":[0,1]',
+                                                b'"event_window":' + window.encode()))
+        assert_exit_2(result, re.escape(
+            f"{path}: manifest line 2: event_window must be a list of two "
+            f"integers, got "))
+
     def test_manifest_caption_not_a_string(self, tmp_path):
         path, result = self.manifest(
             tmp_path, lambda line: line.replace(b'"caption":"x"', b'"caption":5'))

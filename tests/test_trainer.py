@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (binary_cross_entropy_from_logit, gradient_check,
-                     per_clip_objective, vector_objective)
+                     heads_backward_through_detector, per_clip_objective,
+                     vector_objective)
 from vlaad.datakit import SynthConfig, generate_synthetic_dataset
 from vlaad.embeddings import StubEncoder
 from vlaad.errors import NonFiniteLossError, ValidationError
 from vlaad.mil import Bag, lse_pool, pooling_attention
-from vlaad.model import (adapter_forward, bag_logits, heads_backward,
-                         init_checkpoint, param_views, save_checkpoint)
+from vlaad.model import (adapter_forward, bag_logits, init_checkpoint,
+                         param_views, save_checkpoint)
 from vlaad.numerics import sigmoid
 from vlaad.trainer import (AdamState, LossBreakdown, TrainConfig, TrainExample,
                            EpochStats, batch_objective, prepare_examples,
@@ -231,7 +232,8 @@ class TestGradientCheck:
             pooled = lse_pool(z, ckpt.gamma)
             loss = binary_cross_entropy_from_logit(pooled, 1, 1.0)
             dz = -sigmoid(-pooled) * pooling_attention(z, ckpt.gamma)
-            return loss, heads_backward(snips, h, adapted, ckpt, dz=dz)
+            return loss, heads_backward_through_detector(snips, h, adapted, ckpt,
+                                                         dz=dz)
 
         assert gradient_check(loss_and_grad, template.theta,
                               n_coords=64) <= 1e-4

@@ -4,10 +4,12 @@ Adapter forward, heads backward, the stacked objective and the Adam step
 work in place, yet must do the same float operations in the same order as
 the out-of-place bodies in ``oracles``: results are compared bit for bit,
 and every array a caller passed in must be unchanged afterwards.  Two
-``tracemalloc`` guards bound what one objective and one Adam step allocate.
+``tracemalloc`` guards bound what one objective and one Adam step allocate,
+and a third guard checks that Adam keeps nothing θ-sized but its moments.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import (AdamOutOfPlace, adapter_forward_out_of_place,
                      batch_objective_out_of_place, heads_backward_out_of_place)
+from vlaad import model, trainer
 from vlaad.datakit import SynthConfig, generate_synthetic_dataset
 from vlaad.embeddings import StubEncoder
 from vlaad.model import adapter_forward, heads_backward, init_checkpoint
@@ -58,6 +61,7 @@ def objective_cases(draw):
                 dim=draw(st.integers(2, 12)), hidden=draw(st.integers(1, 8)),
                 pos_weight=draw(st.floats(0.05, 20.0)),
                 gamma=draw(st.floats(0.5, 20.0)),
+                row_block=draw(st.sampled_from([1, 4, model.ROW_BLOCK])),
                 snippet_dtype=draw(st.sampled_from([np.float32, np.float64])))
 
 
@@ -79,8 +83,9 @@ class TestObjectiveBitForBit:
                   + [ex.text for ex in batch] + (unmatched or []))
         copies = snapshot(*inputs)
 
-        got, g_got = batch_objective(ckpt, batch, case["mode"],
-                                     case["pos_weight"], unmatched)
+        with mock.patch.object(model, "ROW_BLOCK", case["row_block"]):
+            got, g_got = batch_objective(ckpt, batch, case["mode"],
+                                         case["pos_weight"], unmatched)
         assert_unchanged(inputs, copies)
         want, g_want = batch_objective_out_of_place(
             ckpt, batch, case["mode"], case["pos_weight"], unmatched)
@@ -103,37 +108,45 @@ class TestLayersBitForBit:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 12),
-           st.integers(1, 8), st.sampled_from(["default", "scalar", "row", "array"]))
-    def test_heads_backward(self, seed, rows, dim, hidden, d_kind):
+           st.integers(1, 8), st.sampled_from(["default", "scalar", "row", "array"]),
+           st.sampled_from([1, 5, model.ROW_BLOCK]))
+    def test_heads_backward(self, seed, rows, dim, hidden, d_kind, row_block):
+        """The caller's detector part, out of place, then ``heads_backward``
+        (its 1 - h² formed ``row_block`` rows at a time) equals the whole
+        backward written out of place."""
         ckpt = random_ckpt(seed % 1000, dim, hidden)
         rng = np.random.default_rng(seed)
         snips = rng.standard_normal((rows, dim))
         _, h, adapted = adapter_forward_out_of_place(snips, ckpt)
         dz = rng.standard_normal(rows)
-        kwargs = {"dz": dz}
-        if d_kind == "scalar":
-            kwargs["d_adapted"] = float(rng.standard_normal())
-        elif d_kind == "row":
-            kwargs["d_adapted"] = rng.standard_normal(dim)
-        elif d_kind == "array":
-            kwargs["d_adapted"] = rng.standard_normal((rows, dim))
-        inputs = [snips, h, adapted, ckpt.theta, dz] + (
-            [kwargs["d_adapted"]] if d_kind in ("row", "array") else [])
+        d_adapted = {"default": 0.0, "scalar": float(rng.standard_normal()),
+                     "row": rng.standard_normal(dim),
+                     "array": rng.standard_normal((rows, dim))}[d_kind]
+        g_adapted = d_adapted + dz[:, None] * ckpt.w[None, :]
+        g_w = adapted.T @ dz
+        inputs = [snips, h, ckpt.theta, dz, g_adapted, g_w]
         copies = snapshot(*inputs)
-        got = heads_backward(snips, h, adapted, ckpt, **kwargs)
+        with mock.patch.object(model, "ROW_BLOCK", row_block):
+            got = heads_backward(snips, h, ckpt, dz=dz, g_adapted=g_adapted, g_w=g_w)
         assert_unchanged(inputs, copies)
-        assert_same_bits(got, heads_backward_out_of_place(snips, h, adapted, ckpt,
-                                                          **kwargs))
+        assert_same_bits(got, heads_backward_out_of_place(
+            snips, h, adapted, ckpt, dz=dz, d_adapted=d_adapted))
 
 
 class TestAdamBitForBit:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(5, 8),
-           st.floats(1e-5, 0.5), st.floats(1e-6, 0.5))
-    def test_consecutive_steps(self, seed, steps, lr, weight_decay):
+           st.floats(1e-5, 0.5), st.floats(1e-6, 0.5),
+           st.sampled_from([7, trainer.ADAM_BLOCK]))
+    def test_consecutive_steps(self, seed, steps, lr, weight_decay, block):
+        """θ has 46 entries: a 7-entry block splits the w1, w2 and w slots
+        and ends short at each slot's end; the default block holds a slot
+        whole."""
         ckpt = random_ckpt(seed % 1000, 5, 3)
         theta_ref = ckpt.theta.copy()
-        adam, ref = AdamState(ckpt), AdamOutOfPlace(ckpt)
+        with mock.patch.object(trainer, "ADAM_BLOCK", block):
+            adam = AdamState(ckpt)
+        ref = AdamOutOfPlace(ckpt)
         rng = np.random.default_rng(seed)
         for _ in range(steps):
             grad = rng.standard_normal(ckpt.theta.size)
@@ -160,9 +173,11 @@ def traced_peak(fn):
 class TestAllocations:
     def test_objective_at_acceptance_shape(self):
         """One objective over N=1000 rows at D=768, H=256 peaks at no more
-        than six (N, D) float64 blocks: the stacked rows, the adapted rows,
-        the gathered captions (which become the cosine gradient), one
-        temporary and the backward's row gradient, plus θ-sized vectors."""
+        than 3.75 (N, D) float64 blocks: the stacked rows, the adapted rows,
+        the gathered captions (which become the cosine gradient, then the
+        adapter-output gradient), the (N, H) hidden rows and a 256-row
+        scratch.  The adapted rows go before the backward allocates θ and
+        its (N, H) gradient."""
         n_rows, dim, hidden = 1000, 768, 256
         ckpt = init_checkpoint(dim=dim, hidden=hidden, seed=0,
                                zero_first_layer=False)
@@ -172,7 +187,7 @@ class TestAllocations:
                  for i in range(n_rows // 5)]
         batch_objective(ckpt, batch, "mil", 1.0)  # lazy numpy set-up first
         peak = traced_peak(lambda: batch_objective(ckpt, batch, "mil", 1.0))
-        assert peak / (n_rows * dim * 8) <= 6.0
+        assert peak / (n_rows * dim * 8) <= 3.75
 
     def test_adam_step_allocates_nothing_theta_sized(self):
         ckpt = init_checkpoint(dim=768, hidden=256, seed=0, zero_first_layer=False)
@@ -181,6 +196,14 @@ class TestAllocations:
         adam.step(ckpt.theta, grad, 1e-3, 1e-4)
         peak = traced_peak(lambda: adam.step(ckpt.theta, grad, 1e-3, 1e-4))
         assert peak < ckpt.theta.nbytes
+
+    def test_adam_holds_only_the_moments_theta_sized(self):
+        ckpt = init_checkpoint(dim=768, hidden=256, seed=0)
+        adam = AdamState(ckpt)
+        adam.step(ckpt.theta, np.ones_like(ckpt.theta), 1e-3, 1e-4)
+        held = [name for name, value in vars(adam).items()
+                if isinstance(value, np.ndarray) and value.size >= ckpt.theta.size]
+        assert held == ["m", "v"]
 
 
 class CountingTextEncoder(StubEncoder):
