@@ -23,7 +23,7 @@ import numpy as np
 from . import datakit, evalkit, inference, plotting, trainer
 from .embeddings import CachedEncoder, StubEncoder
 from .errors import (LINES_BUFFER, ValidationError, VlaadError, json_document,
-                     json_lines, replace_on_success)
+                     json_lines, json_numbers, replace_on_success)
 from .mil import encode_clip, segment_clip
 from .model import load_checkpoint, save_checkpoint
 from .numerics import sigmoid
@@ -128,22 +128,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    records, ids = [], set()
-
-    def unique_record(obj, where):
-        rec = datakit.record_from_json(obj, where)
-        if rec.clip_id in ids:
-            raise ValidationError(f"duplicate clip_id {rec.clip_id!r}")
-        ids.add(rec.clip_id)
-        return rec
-
-    with open(args.manifest, "rb", buffering=LINES_BUFFER) as fh:
-        # validates every record and, line by line, decodes inline frames
-        for rec in json_lines(fh, args.manifest, "manifest", unique_record,
-                              located=True):
-            if rec.frames_path is None:
-                rec.feature_matrix()
-            records.append(rec)
+    records = []
+    for rec in datakit.iter_manifest(args.manifest):
+        if rec.frames_path is None:  # inline frames are decoded line by line
+            rec.feature_matrix()
+        records.append(rec)
     summary = {
         "records": len(records),
         "positives": sum(r.label for r in records),
@@ -171,9 +160,11 @@ def _caption_job(obj):
             raise ValidationError("annotations must be a list of strings")
         if not annotations:
             raise ValidationError("annotations must hold at least one frame annotation")
-        return obj, functools.partial(
-            datakit.caption_normal_clip, annotations,
-            paraphrase=bool(obj.get("paraphrase", False)))
+        paraphrase = obj.get("paraphrase", False)
+        if type(paraphrase) is not bool:
+            raise ValidationError(f"paraphrase must be true or false, got {paraphrase!r}")
+        return obj, functools.partial(datakit.caption_normal_clip, annotations,
+                                      paraphrase=paraphrase)
     raise ValidationError(f"unknown type {kind!r}")
 
 
@@ -292,8 +283,7 @@ def _cmd_trace(args) -> int:
     if args.from_csv:
         if not args.plot:
             raise ValidationError("trace --from-csv requires --plot")
-        with replace_on_success(args.plot) as tmp:
-            n = plotting.emit_trace_plot(args.from_csv, tmp)
+        n = plotting.emit_trace_plot(args.from_csv, args.plot)
         print(f"plotted {n} series to {args.plot}")
         return 0
     if not (args.checkpoint and args.manifest and args.output):
@@ -325,8 +315,7 @@ def _cmd_trace(args) -> int:
         if args.clip_id and not n:
             raise ValidationError(f"clip {args.clip_id!r} not in manifest")
     if args.plot:
-        with replace_on_success(args.plot) as tmp:
-            plotting.emit_trace_plot(args.output, tmp)
+        plotting.emit_trace_plot(args.output, args.plot)
     print(f"traced {n} clips to {args.output}")
     return 0
 
@@ -364,7 +353,8 @@ def _cmd_wilcoxon(args) -> int:
         deltas = payload["deltas"] if isinstance(payload, dict) else payload
         if not isinstance(deltas, list):
             raise ValidationError("expected a list, or an object with a 'deltas' list")
-        return evalkit.wilcoxon_signed_rank(deltas, continuity=args.continuity)
+        return evalkit.wilcoxon_signed_rank(json_numbers(deltas, "deltas"),
+                                            continuity=args.continuity)
 
     result = json_document(args.deltas, "deltas", parse)
     print(json.dumps({"W": result.statistic, "n": result.n_effective,

@@ -40,9 +40,9 @@ SPLITS = ("train", "test")
 SOURCES = ("assembled", "augmented", "synthetic", "external")
 
 
-def _json_int(value, name: str):
-    """An integer field's ``value``, refused if a bool or float (others fail later)."""
-    if isinstance(value, (bool, float)):
+def _json_int(value, name: str) -> int:
+    """An integer field's ``value``: a JSON integer, not a bool, float or string."""
+    if type(value) is not int:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return value
 
@@ -79,16 +79,6 @@ class InlineFrames(NamedTuple):
     b64: str
     where: str | None  # "{path}: manifest line N", for a deferred error
 
-    def decode(self, clip_id: str) -> np.ndarray:
-        what = f"clip {clip_id}" if self.where is None else f"{self.where}: clip {clip_id}"
-        try:
-            raw = base64.b64decode(self.b64)
-            feats = np.frombuffer(raw, dtype="<f4").reshape(self.shape).copy()
-        except ValueError as exc:  # binascii.Error included
-            raise ValidationError(f"{what}: {exc}") from None
-        _check_frames(feats, what)
-        return feats.astype(np.float32, copy=False)
-
 
 @dataclass
 class ClipRecord:
@@ -121,16 +111,41 @@ class ClipRecord:
             self.features = np.asarray(self.features, dtype=np.float32)
         validate_record(self)
 
+    @property
+    def name(self) -> str:
+        """The words that name the clip in an error about its frames: with
+        its manifest line while they are inline, else with its frames file
+        if it has one."""
+        if self.inline is not None and self.inline.where is not None:
+            return f"{self.inline.where}: clip {self.clip_id}"
+        if self.frames_path is not None:
+            return f"clip {self.clip_id}: frames file {self.frames_path}"
+        return f"clip {self.clip_id}"
+
     def feature_matrix(self) -> np.ndarray:
         """The (F, feat) frames.  Inline frames are decoded and checked on the
-        first call and kept; a frames file is loaded on every call."""
-        if self.inline is not None:
-            self.features, self.inline = self.inline.decode(self.clip_id), None
+        first call and kept; a frames file is loaded and checked on every
+        call.  Errors start with the clip's ``name``."""
         if self.features is not None:
             return self.features
-        if self.frames_path is not None:
-            return _load_frames(self.clip_id, self.frames_path)
-        raise ValidationError(f"clip {self.clip_id} carries no frame features")
+        if self.inline is None and self.frames_path is None:
+            raise ValidationError(f"clip {self.clip_id} carries no frame features")
+        try:
+            if self.inline is not None:
+                shape, raw = self.inline.shape, base64.b64decode(self.inline.b64)
+                feats = np.frombuffer(raw, "<f4").reshape(shape).astype(np.float32)
+            else:
+                loaded = np.load(self.frames_path)
+                if not isinstance(loaded, np.ndarray):
+                    loaded.close()
+                    raise TypeError("an .npz archive, not one .npy array")
+                feats = np.asarray(loaded, dtype=np.float32)
+        except (TypeError, ValueError, EOFError, OSError) as exc:  # binascii.Error too
+            raise ValidationError(f"{self.name}: {exc}") from None
+        _check_frames(feats, self.name)
+        if self.inline is not None:
+            self.features, self.inline = feats, None
+        return feats
 
 
 def _check_frames(feats: np.ndarray, what: str) -> None:
@@ -157,21 +172,6 @@ def _check_inline(inline: InlineFrames, what: str) -> None:
     if need > most:
         raise ValidationError(f"{what}: inline frames of shape {list(shape)} need "
                               f"{need} bytes, but their b64 holds at most {most}")
-
-
-def _load_frames(clip_id: str, path: str) -> np.ndarray:
-    """A clip's ``.npy`` frame matrix; errors name the clip and the file."""
-    what = f"clip {clip_id}: frames file {path}"
-    try:
-        loaded = np.load(path)
-        if not isinstance(loaded, np.ndarray):
-            loaded.close()
-            raise TypeError("an .npz archive, not one .npy array")
-        feats = np.asarray(loaded, dtype=np.float32)
-    except (TypeError, ValueError, EOFError, OSError) as exc:
-        raise ValidationError(f"{what}: {exc}") from None
-    _check_frames(feats, what)
-    return feats
 
 
 def validate_record(rec: ClipRecord) -> None:
@@ -627,9 +627,19 @@ def write_manifest(records: Iterable[ClipRecord], path) -> int:
 
 def iter_manifest(path) -> Iterator[ClipRecord]:
     """The manifest's clips, one line read per clip; every field is checked
-    as its line is read, inline frames when first used."""
+    as its line is read, inline frames when first used.  A ``clip_id`` that
+    an earlier line holds is an error naming the later line."""
+    ids = set()
+
+    def unique_record(obj, where):
+        rec = record_from_json(obj, where)
+        if rec.clip_id in ids:
+            raise ValidationError(f"duplicate clip_id {rec.clip_id!r}")
+        ids.add(rec.clip_id)
+        return rec
+
     with open(path, "rb", buffering=LINES_BUFFER) as fh:
-        yield from json_lines(fh, path, "manifest", record_from_json, located=True)
+        yield from json_lines(fh, path, "manifest", unique_record, located=True)
 
 
 def read_manifest(path) -> List[ClipRecord]:

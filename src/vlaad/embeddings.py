@@ -118,30 +118,23 @@ class StubEncoder:
             raise ValidationError("encoder dim must be >= 1")
         self.dim = int(dim)
         self.seed = int(seed)
-        self._video_proj: Dict[int, np.ndarray] = {}
-        self._text_proj: np.ndarray | None = None
+        self._projections: Dict[Tuple[int, int], np.ndarray] = {}
 
-    def _projection(self, in_dim: int) -> np.ndarray:
-        mat = self._video_proj.get(in_dim)
+    def _projection(self, stream: int, rows: int) -> np.ndarray:
+        """The seeded (rows, dim) projection of ``stream``, made on first use."""
+        mat = self._projections.get((stream, rows))
         if mat is None:
-            rng = np.random.default_rng([self.seed, _VIDEO_STREAM, in_dim, self.dim])
-            mat = rng.standard_normal((in_dim, self.dim)) / np.sqrt(in_dim)
-            self._video_proj[in_dim] = mat
+            rng = np.random.default_rng([self.seed, stream, rows, self.dim])
+            mat = rng.standard_normal((rows, self.dim)) / np.sqrt(rows)
+            self._projections[stream, rows] = mat
         return mat
-
-    def _text_projection(self) -> np.ndarray:
-        if self._text_proj is None:
-            rng = np.random.default_rng(
-                [self.seed, _TEXT_STREAM, self.text_buckets, self.dim])
-            self._text_proj = (rng.standard_normal((self.text_buckets, self.dim))
-                               / np.sqrt(self.text_buckets))
-        return self._text_proj
 
     def _window_vector(self, frames: np.ndarray) -> np.ndarray:
         # one window at a time, so every row is bit for bit encode_window's;
         # a (T, F) @ (F, D) product over many windows may round differently
         pooled = np.asarray(frames, dtype=np.float64).mean(axis=0)
-        return _unit(pooled @ self._projection(pooled.shape[0]), "projected window")
+        return _unit(pooled @ self._projection(_VIDEO_STREAM, pooled.shape[0]),
+                     "projected window")
 
     def encode_window(self, window: FrameWindow) -> Embedding:
         return Embedding(self._window_vector(window.frames))
@@ -164,7 +157,7 @@ class StubEncoder:
         for token in text.lower().split():
             digest = hashlib.sha256(token.encode("utf-8")).digest()
             counts[int.from_bytes(digest[:8], "little") % self.text_buckets] += 1.0
-        projected = counts @ self._text_projection()
+        projected = counts @ self._projection(_TEXT_STREAM, self.text_buckets)
         return Embedding(_unit(projected, "projected caption"))
 
 

@@ -47,6 +47,7 @@ class NonFiniteLossError(VlaadError, RuntimeError):
 # (JSONDecodeError and ValidationError are ValueErrors).
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError,
               OverflowError)
+_NUMBER_TYPES = frozenset((int, float))  # of a JSON number: no bool
 LINES_BUFFER = 1 << 16  # bytes; the default 8 KB reads 7 KB lines 5x slower
 
 
@@ -91,6 +92,14 @@ def json_lines(lines: Iterable, where, what: str, parse: Callable,
             except _MALFORMED as exc:
                 raise _malformed(f"{where}: {what} line {lineno}", exc) from exc
             yield item
+
+
+def json_numbers(value, name: str) -> list:
+    """``value`` if it is a JSON list of numbers; a bool or a numeric string,
+    which numpy would convert, is refused."""
+    if not (type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))):
+        raise ValidationError(f"{name} must be a list of numbers, not bools or strings")
+    return value
 
 
 def json_document(path, what: str, parse: Callable):

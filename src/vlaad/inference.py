@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .embeddings import FrameWindow, StubEncoder, encode_video_snippet
-from .errors import ValidationError, json_lines
+from .errors import ValidationError, json_lines, json_numbers
 from .model import ModelCheckpoint, forward_rows
 from .numerics import scalar_sigmoid
 
@@ -150,6 +150,7 @@ def stream_tokens(lines: Iterable[str], ckpt: ModelCheckpoint,
         tick = obj["tick"]
         if type(tick) is not int:  # a JSON integer: no float, string or bool
             raise ValidationError("tick must be an integer")
-        return push_tick(buffer, obj["features"], tick, ckpt, caching)
+        return push_tick(buffer, json_numbers(obj["features"], "features"), tick,
+                         ckpt, caching)
 
     yield from json_lines(lines, getattr(lines, "name", "<stdin>"), "stream", parse)

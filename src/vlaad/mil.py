@@ -26,6 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .datakit import ClipRecord
 
 DEFAULT_GAMMA = 10.0
+# The pool's rounding error is about ulp(log T) / gamma: under 1e-9 from
+# here up, while near gamma = 1e-16 the pool reads the max, not the mean.
+MIN_GAMMA = 1e-6
 DEFAULT_SNIPPET_LEN = 8
 DEFAULT_SNIPPET_STRIDE = 8
 
@@ -53,8 +56,8 @@ def _check_pool_args(logits, gamma) -> np.ndarray:
         raise EmptyInputError("logit sequence must be non-empty and 1-D")
     if not np.all(np.isfinite(z)):
         raise ValidationError("logits must be finite")
-    if not (gamma > 0):
-        raise ValidationError(f"gamma must be positive, got {gamma}")
+    if not gamma >= MIN_GAMMA:  # NaN included
+        raise ValidationError(f"gamma must be >= {MIN_GAMMA}, got {gamma}")
     return z
 
 
@@ -103,19 +106,13 @@ def segment_lse_pool(logits, starts, gamma: float = DEFAULT_GAMMA):
 
 
 def _frames(clip: "ClipRecord"):
-    """The clip's frame count, its frames for the encoder, and the words that
-    name the clip in an error.  Inline frames not yet decoded are passed as a
-    callable that decodes them, so an encoder that reads no frames never
-    decodes them."""
-    what = f"clip {clip.clip_id}"
+    """The clip's frame count and its frames for the encoder.  Inline frames
+    not yet decoded are passed as a callable that decodes them, so an
+    encoder that reads no frames never decodes them."""
     if clip.inline is not None:
-        where = clip.inline.where
-        return (clip.inline.shape[0], clip.feature_matrix,
-                what if where is None else f"{where}: {what}")
+        return clip.inline.shape[0], clip.feature_matrix
     feats = clip.feature_matrix()
-    if clip.frames_path is not None:
-        what += f": frames file {clip.frames_path}"
-    return feats.shape[0], feats, what
+    return feats.shape[0], feats
 
 
 def _encode(feats, starts, length: int, keys, encoder: EncoderHandle,
@@ -146,14 +143,14 @@ def segment_clip(clip: "ClipRecord", snippet_len: int, stride: int,
     """
     if snippet_len < 1 or stride < 1:
         raise ValidationError("snippet_len and stride must be >= 1")
-    n_frames, feats, what = _frames(clip)
+    n_frames, feats = _frames(clip)
     if n_frames < snippet_len:
         raise ValidationError(
             f"clip {clip.clip_id} has {n_frames} frames, fewer than "
             f"snippet_len {snippet_len}")
     starts = range(0, n_frames - snippet_len + 1, stride)
     keys = [f"{clip.clip_id}:{i}" for i in range(len(starts))]
-    rows = _encode(feats, starts, snippet_len, keys, encoder, what)
+    rows = _encode(feats, starts, snippet_len, keys, encoder, clip.name)
     times = np.arange(starts.start, starts.stop, stride, dtype=np.float64)
     return Bag(clip.clip_id, rows, times / clip.frame_hz, clip.label)
 
@@ -165,6 +162,6 @@ def encode_clip(clip: "ClipRecord", mode: str, encoder: EncoderHandle,
     mode; in clip mode one window of every frame, keyed ``clip_id:clip``."""
     if mode == "mil":
         return segment_clip(clip, snippet_len, stride, encoder)
-    n_frames, feats, what = _frames(clip)
-    rows = _encode(feats, [0], n_frames, [f"{clip.clip_id}:clip"], encoder, what)
+    n_frames, feats = _frames(clip)
+    rows = _encode(feats, [0], n_frames, [f"{clip.clip_id}:clip"], encoder, clip.name)
     return Bag(clip.clip_id, rows, np.zeros(1), clip.label)

@@ -21,7 +21,7 @@ from typing import Dict, Iterator, NamedTuple, Tuple
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError, replace_on_success
-from .mil import Bag
+from .mil import MIN_GAMMA, Bag
 
 CKPT_MAGIC = b"VLAD"
 CKPT_VERSION = 1
@@ -240,9 +240,9 @@ def load_checkpoint(path) -> ModelCheckpoint:
                 f"{path}: unsupported checkpoint version {version} at byte 4")
         if dim < 1:
             raise ValidationError(f"{path}: checkpoint dim D=0 at byte 8 must be >= 1")
-        if not (math.isfinite(gamma) and gamma > 0):
+        if not (math.isfinite(gamma) and gamma >= MIN_GAMMA):
             raise ValidationError(f"{path}: checkpoint gamma {gamma} at byte 16 "
-                                  f"must be finite and positive")
+                                  f"must be finite and >= {MIN_GAMMA}")
         layout = param_layout(dim, hidden)
         end = _HEADER.size + 4 * layout[-1].stop
         size = os.fstat(fh.fileno()).st_size

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from typing import Dict, List, Tuple
 
-from .errors import ValidationError
+from .errors import ValidationError, replace_on_success
 
 TRACE_HEADER = ["clip_id", "snippet_index", "t_start_s", "logit", "prob",
                 "attention"]
@@ -113,11 +113,11 @@ def render_series_svg(series: Series) -> str:
 def emit_trace_plot(csv_path, out_path) -> int:
     """Validate and plot a trace CSV; returns the number of series.
 
-    Parsing errors happen before the output file is touched, so a bad input
+    The image replaces ``out_path`` only once it is whole, so a bad input
     never leaves a partial image behind.  The input CSV is read only.
     """
     series = parse_trace_csv(csv_path)
     svg = render_series_svg(series)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with replace_on_success(out_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return len(series)

@@ -20,7 +20,8 @@ import numpy as np
 from .datakit import ClipRecord
 from .embeddings import EncoderHandle, encode_text
 from .errors import NonFiniteLossError, ValidationError, replace_on_success
-from .mil import encode_clip, segment_lse_pool
+from .evalkit import ScoredSet, roc_auc
+from .mil import MIN_GAMMA, encode_clip, segment_lse_pool
 from .model import (ModelCheckpoint, forward_rows, heads_backward,
                     init_checkpoint, param_layout, param_views, row_blocks)
 from .numerics import sigmoid, softplus
@@ -55,18 +56,15 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:  # NaN included
             raise ValidationError("learning_rate must be positive")
-        if not self.gamma > 0:
-            raise ValidationError("gamma must be positive")
-        if not self.weight_decay >= 0:
-            raise ValidationError("weight_decay must be >= 0")
+        for name, least in (("gamma", MIN_GAMMA), ("weight_decay", 0), ("epochs", 0),
+                            ("train_batch", 1), ("eval_batch", 1), ("embed_dim", 1),
+                            ("hidden_dim", 0), ("snippet_len", 1), ("snippet_stride", 1)):
+            if not getattr(self, name) >= least:  # NaN included
+                raise ValidationError(f"{name} must be >= {least}")
         if not (0.0 < self.split_fraction < 1.0):
             raise ValidationError("split_fraction must be in (0, 1)")
-        if self.epochs < 0:
-            raise ValidationError("epochs must be >= 0")
         if self.mode not in ("mil", "clip"):
             raise ValidationError(f"mode must be 'mil' or 'clip', got {self.mode!r}")
-        if self.train_batch < 1 or self.eval_batch < 1:
-            raise ValidationError("batch sizes must be >= 1")
         if self.pos_weight != "auto" and not (
                 isinstance(self.pos_weight, (int, float)) and self.pos_weight > 0):
             raise ValidationError("pos_weight must be positive or 'auto'")
@@ -454,8 +452,6 @@ def train(config: TrainConfig, records: Sequence[ClipRecord],
     the configured number of epochs, and records one loss breakdown plus
     validation AUC per epoch.
     """
-    from .evalkit import ScoredSet, roc_auc  # local import, no module cycle
-
     if not records:
         raise ValidationError("empty dataset")
     warnings: List[str] = []
@@ -492,9 +488,8 @@ def train(config: TrainConfig, records: Sequence[ClipRecord],
             batch = [examples[j] for j in idx]
             unmatched = None
             if config.mode == "clip":
-                # one caption per example, drawn uniformly from the others
+                # one caption per example, drawn uniformly from the n - 1 others (n >= 2)
                 unmatched = [examples[(j + 1 + int(rng.integers(0, n - 1))) % n].text
-                             if n > 1 else examples[j].text
                              for j in idx]
             try:
                 breakdown, grad = batch_objective(ckpt, batch, config.mode,

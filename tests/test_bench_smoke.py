@@ -1,10 +1,12 @@
-"""One pass of the benchmark's stream and offline workloads.
+"""One pass of each of the benchmark's workloads.
 
 ``perfbench/workloads.py`` calls package names that no other test pins
 (``FrameWindow``, ``StubEncoder.encode_window``, ``mil.Bag``,
-``model.bag_logits``, the cache writer) and counts one ``encode_window``
-call per streaming update tick.  Running each workload once here catches a
-package change that breaks either before a benchmark run does.
+``model.bag_logits``, the cache writer), counts one ``encode_window`` call
+per streaming update tick, and trains on the acceptance configuration,
+whose fields the train config must keep accepting.  Running each workload
+once here catches a package change that breaks any of these before a
+benchmark run does.
 """
 
 import importlib.util
@@ -23,7 +25,7 @@ def workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["stream_replay", "offline_eval"])
+@pytest.mark.parametrize("name", ["train_acceptance", "stream_replay", "offline_eval"])
 def test_one_pass_without_failures(workloads, name, tmp_path):
     workload = workloads.WORKLOADS[name](tmp_path, seed=1)
     workload.setup()

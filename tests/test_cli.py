@@ -179,6 +179,17 @@ class TestTrainEval:
         for key in ("auc", "f1", "accuracy", "tau", "tpr", "fpr"):
             assert key in evals[0]
 
+    def test_hidden_dim_zero_trains_and_evals(self, manifest, tmp_path, capsys):
+        """H = 0 is in range: the adapter is the identity plus its bias."""
+        ckpt = tmp_path / "c.bin"
+        code, _, err = run_cli(capsys, *self.train_args(manifest, ckpt),
+                               "--set", "hidden_dim=0")
+        assert code == 0, err
+        assert load_checkpoint(ckpt).hidden == 0
+        code, out, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
+                                 "--manifest", str(manifest))
+        assert code == 0 and json.loads(out)["n"] == 24, err
+
     def test_history_csv(self, manifest, tmp_path, capsys):
         ckpt = tmp_path / "c.bin"
         hist = tmp_path / "h.csv"
@@ -369,6 +380,14 @@ class TestCheckpointReader:
     def test_zero_dim(self, eval_inputs):
         header = self.HEADER.pack(b"VLAD", 1, 0, 4, 7.5, 42, 13)
         self.assert_rejected(eval_inputs, header + bytes(4 * 7), r"D=0 at byte 8")
+
+    @pytest.mark.parametrize("gamma", [9.9e-7, 1e-300])
+    def test_gamma_below_bound(self, eval_inputs, gamma):
+        """A header gamma this small would pool every clip to its max."""
+        header = self.HEADER.pack(b"VLAD", 1, 6, 4, gamma, 42, 13)
+        self.assert_rejected(eval_inputs, header + eval_inputs[2][36:],
+                             re.escape(f"gamma {gamma} at byte 16 must be finite "
+                                       f"and >= 1e-06") + "$")
 
     def test_body_cut_mid_float(self, eval_inputs):
         self.assert_rejected(eval_inputs, eval_inputs[2][:-2],
@@ -1198,6 +1217,17 @@ class TestTraceAndPlot:
         assert svg.count("<polyline") == 2
         assert svg.count('class="marker"') == 6
         assert ">mil</text>" in svg and ">no_mil</text>" in svg
+
+    def test_failed_write_leaves_previous_plot(self, tmp_path):
+        """The plot writer replaces its own output only once it is whole."""
+        csv_path, out = tmp_path / "wide.csv", tmp_path / "wide.svg"
+        csv_path.write_text("t_start_s,mil\n0,0.1\n2,0.2\n")
+        out.write_bytes(b"previous plot\n")
+        with mock.patch("vlaad.plotting.render_series_svg", return_value=None):
+            with pytest.raises(TypeError):  # writing None fails mid-file
+                emit_trace_plot(csv_path, out)
+        assert out.read_bytes() == b"previous plot\n"
+        assert sorted(os.listdir(tmp_path)) == ["wide.csv", "wide.svg"]
 
     def test_empty_trace_no_file_written(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

@@ -433,6 +433,22 @@ class TestClipRecordInvariants:
             ClipRecord("a", features=np.zeros((30, 2), np.float32), label=0,
                        source="assembled")
 
+    def test_name_follows_the_frames(self, tmp_path):
+        """Inline frames name their manifest line until decoded; a frames
+        file names itself; frames in memory name only the clip."""
+        path = tmp_path / "m.jsonl"
+        feats = np.zeros((40, 2), np.float32)
+        write_manifest([ClipRecord("a", features=feats),
+                        ClipRecord("b", frames_path="b.npy")], path)
+        inline, in_file = read_manifest(path)
+        assert inline.name == f"{path}: manifest line 1: clip a"
+        inline.feature_matrix()
+        assert inline.name == "clip a"
+        assert in_file.name == "clip b: frames file b.npy"
+        with pytest.raises(ValidationError, match="^clip b: frames file b.npy: "):
+            in_file.feature_matrix()
+        assert ClipRecord("c", features=feats).name == "clip c"
+
     def test_infraction_type_enum(self):
         with pytest.raises(ValidationError):
             InfractionLog(1, "bicycle", "msg", "scen")

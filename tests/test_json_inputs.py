@@ -202,6 +202,47 @@ def test_mutated_input_exits_0_or_2(root, formats, name, data):
             assert re.match(f"error: {re.escape(where)}: {detail}", err), err
 
 
+FREE_FORM = {"id"}  # a caption job's id is echoed back, whatever it holds
+DOCUMENT_WHAT = {"config": "train config", "deltas": "deltas"}
+
+
+def typed_leaves(value):
+    """(path, leaf) of every number and bool in ``value``, free-form keys aside."""
+    leaves = []
+    for path in value_paths(value):
+        leaf = value
+        for key in path:
+            leaf = leaf[key]
+        if isinstance(leaf, (int, float)) and not FREE_FORM & set(path):
+            leaves.append((path, leaf))
+    return leaves
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_look_alike_swap_exits_2(root, formats, name, data):
+    """A number swapped for its numeric string or a bool, or a bool for a
+    string, is refused, not converted: exit 2 with one error line naming
+    the file, the line swapped (in a line format) and a key on the path to
+    the value."""
+    text = formats[name][0].decode()
+    texts = [text] if name in DOCUMENT_WHAT else text.splitlines()
+    i = data.draw(st.sampled_from(
+        [i for i, t in enumerate(texts) if typed_leaves(json.loads(t))]))
+    value = json.loads(texts[i])
+    path, leaf = data.draw(st.sampled_from(typed_leaves(value)))
+    look_alikes = [json.dumps(leaf)] + (["no"] if isinstance(leaf, bool)
+                                        else [True, False])
+    texts[i] = json.dumps(swapped(value, path, data.draw(st.sampled_from(look_alikes))))
+    code, _, err = run_format(root, formats, name,
+                              "".join(t + "\n" for t in texts).encode())
+    where = "<stdin>" if name == "stream" else str(root / f"input_{name}")
+    detail = DOCUMENT_WHAT.get(name) or f"{LINE_WHAT[name]} line {i + 1}"
+    assert_exit_2((code, "", err), "^" + re.escape(f"error: {where}: {detail}: "))
+    assert any(key in err for key in path if isinstance(key, str)), err
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_mutated_manifest_ingest_output(root, formats, data):
@@ -292,6 +333,16 @@ class TestMalformedRegressions:
         assert_exit_2(run_cli(["wilcoxon", "--deltas", path]),
                       re.escape(f"{path}: deltas: missing key 'deltas'"))
 
+    @pytest.mark.parametrize("deltas", ['["1","2","-3","4"]', "[true,true,false,2.5]",
+                                        '{"deltas":[1,"2"]}'])
+    def test_deltas_not_numbers(self, tmp_path, deltas):
+        """numpy turned these into floats, and ``W 7.0`` was printed."""
+        path = tmp_path / "d.json"
+        path.write_text(deltas)
+        assert_exit_2(run_cli(["wilcoxon", "--deltas", path]), "^" + re.escape(
+            f"error: {path}: deltas: deltas must be a list of numbers, not bools "
+            f"or strings") + "$")
+
     def test_deltas_not_a_list(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text('{"deltas": {"a": 1}}')
@@ -351,12 +402,18 @@ class TestMalformedRegressions:
         ("learning_rate=Infinity", "learning_rate must be finite"),
         ("gamma=Infinity", "gamma must be finite"),
         ("pos_weight=Infinity", "pos_weight must be finite"),
+        ("gamma=1e-300", "gamma must be >= 1e-06"),
+        ("hidden_dim=-1", "hidden_dim must be >= 0"),
+        ("embed_dim=0", "embed_dim must be >= 1"),
+        ("snippet_len=0", "snippet_len must be >= 1"),
+        ("snippet_stride=0", "snippet_stride must be >= 1"),
     ])
     def test_set_out_of_range_refused_before_training(self, tmp_path, item,
                                                       message):
         """A config value out of its range is refused by name before any
-        training, not taken (a negative weight decay) or found late as a
-        non-finite loss that names another field or none."""
+        training, not taken (a negative weight decay, a gamma that pools to
+        the max) or found late, at the first clip or as a non-finite loss,
+        with a message that names another field or none."""
         manifest = tmp_path / "m.jsonl"
         write_manifest(generate_synthetic_dataset(SynthConfig(4, 4, feature_dim=4)),
                        manifest)
@@ -401,6 +458,14 @@ class TestMalformedRegressions:
         assert_exit_2(result, re.escape(
             f"{path}: caption job line 3: annotations must hold at least one"))
 
+    @pytest.mark.parametrize("value", ['"no"', "0", "null"])
+    def test_caption_paraphrase_not_a_bool(self, tmp_path, value):
+        """``"no"`` was truthy, so the paraphrase ran."""
+        path, result = self.caption(
+            tmp_path, '{"type":"normal","annotations":["a"],"paraphrase":%s}' % value)
+        assert_exit_2(result, re.escape(
+            f"{path}: caption job line 3: paraphrase must be true or false, got "))
+
     def test_caption_job_not_json(self, tmp_path):
         path, result = self.caption(tmp_path, "{oops")
         assert_exit_2(result, re.escape(f"{path}: caption job line 3: "),
@@ -437,6 +502,15 @@ class TestMalformedRegressions:
         result = run_cli(["infer", "--checkpoint", root / "ckpt.bin"], stdin=stdin)
         assert_exit_2(result, re.escape("<stdin>: stream line 1: tick must be an integer"))
         assert result[1] == ""
+
+    @pytest.mark.parametrize("features", ["[true,false,1.5]", '["1","2","3e0"]',
+                                          '[1,2,"3"]'])
+    def test_stream_features_not_numbers(self, root, features):
+        """numpy turned bools and numeric strings into floats."""
+        result = self.infer(root, '{"tick":1,"features":%s}' % features)
+        assert_exit_2(result, re.escape("<stdin>: stream line 2: features must be a "
+                                        "list of numbers, not bools or strings") + "$")
+        assert len(result[1].splitlines()) == 1
 
     def test_stream_features_an_object(self, root):
         assert_exit_2(self.infer(root, '{"tick":1,"features":{"a":1}}'),
@@ -509,8 +583,30 @@ class TestMalformedRegressions:
         assert out.read_bytes() == b"old\n"
         assert sorted(os.listdir(tmp_path)) == ["m.jsonl", "out.jsonl"]
 
-    @pytest.mark.parametrize("value, why", [('"x"', "not supported"),
-                                            ("-1", "out of range$")])
+    @pytest.mark.parametrize("command", ["eval", "trace", "train", "train_val"])
+    def test_every_reader_refuses_a_repeated_clip_id(self, root, tmp_path, command):
+        """README says a clip_id is unique within a manifest, but only
+        ingest checked: eval scored a repeated clip twice (n 9 for 8 clips)."""
+        good, path = tmp_path / "good.jsonl", tmp_path / "m.jsonl"
+        write_manifest(generate_synthetic_dataset(SynthConfig(4, 4, feature_dim=3)),
+                       good)
+        lines = good.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines + [lines[2]]))
+        train = ["-o", tmp_path / "c.bin", "--set", "embed_dim=8", "--set", "epochs=1"]
+        argv = {"eval": ["eval", "--checkpoint", root / "ckpt.bin", "--manifest", path],
+                "trace": ["trace", "--checkpoint", root / "ckpt.bin", "--manifest", path,
+                          "-o", tmp_path / "t.csv"],
+                "train": ["train", "--manifest", path, *train],
+                "train_val": ["train", "--manifest", good, "--val-manifest", path,
+                              *train]}[command]
+        assert_exit_2(run_cli(argv), "^" + re.escape(
+            f"error: {path}: manifest line 9: duplicate clip_id 'synth-train-n00002'")
+            + "$")
+        assert sorted(os.listdir(tmp_path)) == ["good.jsonl", "m.jsonl"]
+
+    @pytest.mark.parametrize("value, why", [
+        pytest.param('"x"', "must be an integer, got 'x'$", id='"x"-not_an_integer'),
+        ("-1", "out of range$")])
     def test_manifest_collision_frame_of_frames_file(self, tmp_path, value, why):
         """Checked even when the frames are in a file the reader does not open."""
         path = tmp_path / "m.jsonl"
@@ -530,11 +626,17 @@ class TestMalformedRegressions:
         ('"event_window":[2,3]', '"event_window":[2,3.0]', "event_window"),
         ('"frame_number":20', '"frame_number":20.0', "infraction frame_number"),
         ('"frame_number":20', '"frame_number":false', "infraction frame_number"),
+        ('"label":1', '"label":"1"', "label"),
+        ('"collision_frame":20', '"collision_frame":"20"', "collision_frame"),
+        ('"event_window":[2,3]', '"event_window":[2,"3"]', "event_window"),
+        ('"frame_number":20', '"frame_number":"20"', "infraction frame_number"),
     ])
     def test_manifest_integer_field_not_bool_or_float(self, tmp_path, field,
                                                       value, name):
-        """Integer fields take JSON integers only; ``ingest -o`` once wrote
-        these back, counting a ``true`` or ``1.0`` label among the positives."""
+        """Integer fields take JSON integers only, not bools, floats or
+        strings; ``ingest -o`` once wrote these back, counting a ``true`` or
+        ``1.0`` label among the positives, and a ``"1"`` label was refused
+        as ``label must be 0 or 1, got 1``."""
         path, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
         write_manifest([ClipRecord(
             "c0", frames_path="c0.npy", label=1, collision_frame=20,

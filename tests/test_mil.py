@@ -11,7 +11,7 @@ from conftest import make_clip
 from oracles import RiskTrace, check_bag, forward_bag, per_snippet_bag
 from vlaad.embeddings import CachedEncoder, StubEncoder, write_embedding_cache
 from vlaad.errors import DimensionMismatchError, EmptyInputError, ValidationError
-from vlaad.mil import (Bag, encode_clip, lse_pool, pooling_attention,
+from vlaad.mil import (MIN_GAMMA, Bag, encode_clip, lse_pool, pooling_attention,
                        segment_clip, segment_lse_pool)
 
 finite_logits = st.lists(
@@ -54,6 +54,19 @@ class TestLsePool:
             lse_pool([], 10.0)
         with pytest.raises(ValidationError):
             lse_pool([np.inf, 0.0], 10.0)
+
+    def test_gamma_bound(self):
+        """At MIN_GAMMA the pool is still the small-gamma expansion mean +
+        gamma var / 2 to 1e-9; below it every pool refuses gamma, since
+        near 1e-16 it read the max (0.5 here), not the mean."""
+        z = np.array([0.1, 0.5, -0.2])
+        expansion = z.mean() + MIN_GAMMA * z.var() / 2
+        assert abs(lse_pool(z, MIN_GAMMA) - expansion) < 1e-9
+        for gamma in (1e-7, 1e-16, 1e-300, float("nan")):
+            for pool in (lse_pool, pooling_attention,
+                         lambda z, g: segment_lse_pool(z, [0], g)):
+                with pytest.raises(ValidationError, match="gamma must be >= 1e-06"):
+                    pool(z, gamma)
 
     @settings(max_examples=200, deadline=None)
     @given(finite_logits, gammas)

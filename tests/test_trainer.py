@@ -11,7 +11,7 @@ from oracles import (binary_cross_entropy_from_logit, gradient_check,
                      heads_backward_through_detector, per_clip_objective,
                      vector_objective)
 from vlaad.datakit import SynthConfig, generate_synthetic_dataset
-from vlaad.embeddings import StubEncoder
+from vlaad.embeddings import _TEXT_STREAM, _VIDEO_STREAM, StubEncoder
 from vlaad.errors import NonFiniteLossError, ValidationError
 from vlaad.mil import Bag, lse_pool, pooling_attention
 from vlaad.model import (adapter_forward, bag_logits, init_checkpoint,
@@ -310,11 +310,12 @@ class TestTrain:
         enc = StubEncoder(dim=24, seed=0)
 
         def projections():  # the frozen weights: 8-wide frames, captions
-            return enc._projection(8).tobytes() + enc._text_projection().tobytes()
+            return (enc._projection(_VIDEO_STREAM, 8).tobytes()
+                    + enc._projection(_TEXT_STREAM, 512).tobytes())
 
         before = projections()
         train(self.small_config(), recs, enc)
-        assert list(enc._video_proj) == [8]
+        assert set(enc._projections) == {(_VIDEO_STREAM, 8), (_TEXT_STREAM, 512)}
         assert projections() == before
 
     def test_non_finite_abort_names_epoch_and_batch(self, monkeypatch):
