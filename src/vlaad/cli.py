@@ -226,19 +226,26 @@ def _cmd_train(args) -> int:
         if encoder.dim != config.embed_dim:
             raise ValidationError(f"{args.embedding_cache}: embedding cache has D="
                                   f"{encoder.dim}, but embed_dim is {config.embed_dim}")
-        result = trainer.train(config, records, encoder, val_records)
+        data = trainer.prepare_training(config, records, encoder, val_records)
+    # the encoded clips are all training reads: the records (and their
+    # decoded frames) and the encoder (and its projections) go before it
+    del records, val_records, encoder
+    result = trainer.fit(config, data)
     save_checkpoint(args.output, result.checkpoint)
     if args.history:
         trainer.write_history_csv(args.history, result.history)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    last_auc = result.history[-1].val_auc if result.history else float("nan")
-    print(json.dumps({"epochs": config.epochs, "val_auc": last_auc,
+    last_auc = result.history[-1].val_auc if result.history else math.nan
+    print(json.dumps({"epochs": config.epochs,  # no AUC: null, strict JSON
+                      "val_auc": None if math.isnan(last_auc) else last_auc,
                       "checkpoint": args.output}))
     return 0
 
 
 def _cmd_eval(args) -> int:
+    if args.tau is not None and not math.isfinite(args.tau):
+        raise ValidationError(f"--tau must be a finite number, got {args.tau}")
     ckpt = load_checkpoint(args.checkpoint)
     labels = []
 

@@ -146,7 +146,7 @@ def segment_clip(clip: "ClipRecord", snippet_len: int, stride: int,
     n_frames, feats = _frames(clip)
     if n_frames < snippet_len:
         raise ValidationError(
-            f"clip {clip.clip_id} has {n_frames} frames, fewer than "
+            f"{clip.name} has {n_frames} frames, fewer than "
             f"snippet_len {snippet_len}")
     starts = range(0, n_frames - snippet_len + 1, stride)
     keys = [f"{clip.clip_id}:{i}" for i in range(len(starts))]

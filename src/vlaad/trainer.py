@@ -19,10 +19,11 @@ import numpy as np
 
 from .datakit import ClipRecord
 from .embeddings import EncoderHandle, encode_text
-from .errors import NonFiniteLossError, ValidationError, replace_on_success
+from .errors import (DimensionMismatchError, NonFiniteLossError, ValidationError,
+                     replace_on_success)
 from .evalkit import ScoredSet, roc_auc
-from .mil import MIN_GAMMA, encode_clip, segment_lse_pool
-from .model import (ModelCheckpoint, forward_rows, heads_backward,
+from .mil import MIN_GAMMA, Bag, encode_clip, segment_lse_pool
+from .model import (ModelCheckpoint, Workspace, forward_rows, heads_backward,
                     init_checkpoint, param_layout, param_views, row_blocks)
 from .numerics import sigmoid, softplus
 
@@ -199,22 +200,20 @@ def prepare_examples(records: Sequence[ClipRecord], encoder: EncoderHandle,
     return out
 
 
-def _cosines_with_grads(adapted: np.ndarray, texts: np.ndarray):
-    """Row-wise cos(adapted_t, text_t) and its gradient in each adapted row.
+def _cosines(adapted: np.ndarray, na: np.ndarray, texts: Sequence[np.ndarray],
+             ws: Workspace) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise cos(adapted_t, texts[t]) and |adapted_t| |texts[t]|.
 
-    ``texts`` must be a block the caller owns: the gradient is written into
-    it and returned as ``dcos``.  Its (cos / |a|²) a term is formed a few
-    rows at a time (``model.row_blocks``).
-    """
-    nt = np.sqrt(np.einsum("ij,ij->i", texts, texts))
-    na = np.sqrt(np.einsum("ij,ij->i", adapted, adapted))
-    cos = np.einsum("ij,ij->i", adapted, texts) / (na * nt)
-    dcos = texts
-    dcos /= (na * nt)[:, None]
-    scale = cos / (na * na)
-    for r, scratch in row_blocks(*dcos.shape):
-        dcos[r] -= np.multiply(scale[r, None], adapted[r], out=scratch)
-    return cos, dcos
+    ``na`` holds the adapted rows' norms; the text rows are stacked a
+    ``ROW_BLOCK`` at a time into the workspace's scratch, so no (N, D)
+    block of them is built."""
+    nt, dot = np.empty(len(texts)), np.empty(len(texts))
+    for r, scratch in row_blocks(ws, *adapted.shape):
+        np.concatenate(texts[r], out=scratch.reshape(-1))  # np.stack, less its views
+        np.einsum("ij,ij->i", scratch, scratch, out=nt[r])
+        np.einsum("ij,ij->i", adapted[r], scratch, out=dot[r])
+    norms = na * np.sqrt(nt, out=nt)
+    return dot / norms, norms
 
 
 class Stack(NamedTuple):
@@ -230,22 +229,30 @@ class Stack(NamedTuple):
     attn: np.ndarray  # (N,) pooling attention within each clip
 
 
-def forward_stack(ckpt: ModelCheckpoint, examples: Sequence, mode: str) -> Stack:
+def forward_stack(ckpt: ModelCheckpoint, examples: Sequence, mode: str,
+                  workspace: Workspace | None = None) -> Stack:
     """One forward over every snippet row of ``examples``, pooled per clip.
 
     The only offline snippet kernel: training and ``forward_chunks`` run
     it.  ``examples`` may be ``TrainExample``s or ``mil.Bag``s; each needs
     ``.snippets`` (T, D) and ``.clip_id``.  A clip-mode example has one row,
     which pools to its own logit with attention 1, so both modes share this
-    path.
+    path.  The stacked rows, hidden rows and adapted rows are views of the
+    workspace's ``a``, ``h`` and ``b`` (a one-off workspace without one).
     """
     counts = np.asarray([ex.snippets.shape[0] for ex in examples], dtype=np.intp)
     if mode == "clip" and np.any(counts != 1):
         raise ValidationError("clip mode needs exactly one snippet row per example")
+    for ex in examples:
+        if ex.snippets.shape[1:] != (ckpt.dim,):
+            raise DimensionMismatchError(f"clip {ex.clip_id}: snippet rows have shape "
+                                         f"{ex.snippets.shape}, checkpoint dim {ckpt.dim}")
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
     seg = np.repeat(np.arange(counts.size), counts)
-    rows = np.concatenate([ex.snippets for ex in examples], dtype=np.float64)
-    hidden, adapted, z = forward_rows(rows, ckpt)
+    ws = workspace or Workspace(seg.size, ckpt.dim, ckpt.hidden)
+    rows = np.concatenate([ex.snippets for ex in examples], casting="safe",
+                          out=ws.buffer("a", (seg.size, ckpt.dim)))
+    hidden, adapted, z = forward_rows(rows, ckpt, ws)
     bad = ~np.isfinite(z)
     if bad.any():
         raise NonFiniteLossError(
@@ -257,6 +264,7 @@ def forward_stack(ckpt: ModelCheckpoint, examples: Sequence, mode: str) -> Stack
 def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
                     mode: str = "mil", pos_weight: float = 1.0,
                     unmatched: Sequence[np.ndarray] | None = None,
+                    workspace: Workspace | None = None,
                     ) -> Tuple[LossBreakdown, np.ndarray]:
     """Uncertainty-weighted objective and its analytic gradient.
 
@@ -273,11 +281,15 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
     Returns the loss breakdown (batch means) and the gradient as one vector
     in the layout of ``ckpt.theta``.  Scalar loss sums use ``math.fsum``
     (exactly order-independent); the gradient reductions run as single
-    matrix products over the stacked rows in batch order.  Besides the
-    (N, H) hidden rows, it holds three (N, D) blocks at most: the stacked
-    rows, the adapted rows, and the captions, which become the cosine
-    gradient and then dL/d(adapted); the adapted rows go before the
-    backward's matrix products.
+    matrix products over the stacked rows in batch order.
+
+    Every (N, D), (N, H) and θ-sized array lives in ``workspace`` (a
+    one-off one without it), which holds rows for at least this batch: the
+    stacked rows in ``a``, the hidden rows in ``h``, the adapted rows in
+    ``b``, which become dL/d(adapted) a ``ROW_BLOCK`` of rows at a time,
+    with the captions stacked into ``scratch`` per block and, in clip mode,
+    the unmatched captions' term into ``a``, whose rows the forward has
+    used.  The returned gradient is the workspace's ``grad``.
     """
     if mode == "clip" and (unmatched is None or len(unmatched) != len(batch)):
         raise ValidationError("clip mode needs one unmatched caption per example")
@@ -289,17 +301,20 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
             raise ValidationError(f"label must be 0 or 1, got {ex.label}")
     if not pos_weight > 0:
         raise ValidationError("pos_weight must be positive")
-    fw = forward_stack(ckpt, batch, mode)
-    seg, attn = fw.seg, fw.attn
+    ws = workspace or Workspace(sum(ex.snippets.shape[0] for ex in batch),
+                                ckpt.dim, ckpt.hidden)
+    fw = forward_stack(ckpt, batch, mode, ws)
+    seg, attn, adapted = fw.seg, fw.attn, fw.adapted
     y = np.asarray([ex.label for ex in batch], dtype=np.float64)
-    ws = 0.5 * math.exp(-ckpt.s_sim)
+    ws_sim = 0.5 * math.exp(-ckpt.s_sim)
     wc = 0.5 * math.exp(-ckpt.s_cls)
 
     l_cls = pos_weight * y * softplus(-fw.pooled) + (1 - y) * softplus(fw.pooled)
     d_pooled = -pos_weight * y * sigmoid(-fw.pooled) + (1 - y) * sigmoid(fw.pooled)
     dz_cls = d_pooled[seg] * attn
-    row_texts = np.stack([ex.text for ex in batch], dtype=np.float64)[seg]
-    cos, dcos = _cosines_with_grads(fw.adapted, row_texts)
+    na = np.sqrt(np.einsum("ij,ij->i", adapted, adapted))
+    texts = [batch[i].text for i in seg]  # each row's caption
+    cos, norms = _cosines(adapted, na, texts, ws)
     if mode == "mil":
         counts = np.diff(fw.starts, append=seg.size)
         positive = y == 1
@@ -309,30 +324,45 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
         row_pos = positive[seg]
         dz_sim = np.where(row_pos,
                           ckpt.gamma * attn * ((1.0 - cos) - l_sim[seg]), 0.0)
-        de_sim = dcos
-        de_sim *= np.where(row_pos, -attn, (cos > 0) / counts[seg])[:, None]
+        factor = np.where(row_pos, -attn, (cos > 0) / counts[seg])
     else:
-        c_un, dc_un = _cosines_with_grads(fw.adapted,
-                                          np.stack(unmatched, dtype=np.float64))
+        c_un, norms_un = _cosines(adapted, na, unmatched, ws)
         l_sim = (1.0 - cos) + np.maximum(0.0, c_un)
         dz_sim = 0.0
-        de_sim = np.negative(dcos, out=dcos)
-        dc_un *= (c_un > 0)[:, None]
-        de_sim += dc_un
-        del dc_un
-    de_sim *= ws  # (ws * de_sim) / n: two roundings; ws / n is never folded
-    de_sim /= n
+        scale_un = c_un / (na * na)
+        d_un = fw.rows  # the forward has read these rows
+    dz = (ws_sim * dz_sim + wc * dz_cls) / n
+    g_w = adapted.T @ dz
+    scale = cos / (na * na)
 
-    dz = (ws * dz_sim + wc * dz_cls) / n
-    g_w = fw.adapted.T @ dz
-    rows, hidden = fw.rows, fw.hidden
-    del fw  # the adapted rows go before the backward's matrix products
-    # g_e = d_adapted + dz wᵀ, built in the caption block: d + fl(dz w) is
-    # fl(dz w) + d, the sum in the order the detector's backward adds it
-    g_e = de_sim
-    for r, scratch in row_blocks(*g_e.shape):
-        g_e[r] += np.multiply(dz[r, None], ckpt.w, out=scratch)
-    grad = heads_backward(rows, hidden, ckpt, dz=dz, g_adapted=g_e, g_w=g_w)
+    # dL/d(adapted) over the adapted rows, one block at a time:
+    # g_e = ws_sim * de_sim / n + dz wᵀ, rounding for rounding as the
+    # cosine gradient's terms were once formed over whole (N, D) blocks
+    g_e = adapted
+    for r, scratch in row_blocks(ws, *adapted.shape):
+        e = g_e[r]
+        if mode == "clip":
+            # dc_un = texts / norms - (c_un / |a|²) a, clamped at c_un <= 0
+            u = d_un[r]
+            np.concatenate(unmatched[r], out=u.reshape(-1))
+            u /= norms_un[r, None]
+            u -= np.multiply(scale_un[r, None], e, out=scratch)
+            u *= (c_un > 0)[r, None]
+        np.concatenate(texts[r], out=scratch.reshape(-1))
+        scratch /= norms[r, None]
+        e *= scale[r, None]  # (cos / |a|²) a: the product commutes exactly
+        np.subtract(scratch, e, out=e)  # d cos / d adapted
+        if mode == "mil":
+            e *= factor[r, None]
+        else:
+            np.negative(e, out=e)
+            e += u
+        e *= ws_sim  # (ws_sim * de_sim) / n: two roundings, never folded
+        e /= n
+        # d + fl(dz w) is fl(dz w) + d, the order the detector's backward adds
+        e += np.multiply(dz[r, None], ckpt.w, out=scratch)
+    grad = heads_backward([ex.snippets for ex in batch], fw.hidden, ckpt, dz=dz,
+                          g_adapted=g_e, g_w=g_w, workspace=ws)
     l_sim = math.fsum(l_sim) / n
     l_cls = math.fsum(l_cls) / n
     if not (np.isfinite(l_sim) and np.isfinite(l_cls)
@@ -340,7 +370,7 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
         raise NonFiniteLossError("non-finite loss or gradient in batch objective")
     breakdown = LossBreakdown.compute(l_sim, l_cls, ckpt.s_sim, ckpt.s_cls)
     g = param_views(grad, ckpt.dim, ckpt.hidden)
-    g["s_sim"][...] = -ws * l_sim + 1.0
+    g["s_sim"][...] = -ws_sim * l_sim + 1.0
     g["s_cls"][...] = -wc * l_cls + 1.0
     return breakdown, grad
 
@@ -421,37 +451,47 @@ def _resolve_pos_weight(config: TrainConfig, records: Sequence[ClipRecord]) -> f
 
 
 def forward_chunks(ckpt: ModelCheckpoint, examples: Iterable, mode: str,
-                   eval_batch: int = DEFAULT_EVAL_BATCH) -> Iterator[Tuple[list, Stack]]:
-    """``(chunk, forward_stack(ckpt, chunk, mode))`` per run of ``eval_batch``
-    clips of any iterable, such as a generator that encodes one clip at a
-    time.  The one scoring loop, so ``scores_for``, ``vlaad eval`` and
-    ``vlaad trace`` share chunks; memory scales with a chunk, not all clips.
-    A chunk's logits agree to rounding with another chunking's: a matrix
-    product may round a row differently as its row count changes."""
+                   eval_batch: int = DEFAULT_EVAL_BATCH,
+                   workspace: Workspace | None = None) -> Iterator[Tuple[list, Stack]]:
+    """``(chunk, forward_stack(ckpt, chunk, mode, workspace))`` per run of
+    ``eval_batch`` clips of any iterable, such as a generator that encodes
+    one clip at a time.  The one scoring loop, so ``scores_for``, ``vlaad
+    eval`` and ``vlaad trace`` share chunks; memory scales with a chunk, not
+    all clips.  With a workspace, a chunk's stack is overwritten by the
+    next.  A chunk's logits agree to rounding with another chunking's: a
+    matrix product may round a row differently as its row count changes."""
     it = iter(examples)
     while chunk := list(islice(it, eval_batch)):
-        yield chunk, forward_stack(ckpt, chunk, mode)
+        yield chunk, forward_stack(ckpt, chunk, mode, workspace)
 
 
 def scores_for(ckpt: ModelCheckpoint, examples: Iterable, mode: str,
-               eval_batch: int = DEFAULT_EVAL_BATCH) -> np.ndarray:
+               eval_batch: int = DEFAULT_EVAL_BATCH,
+               workspace: Workspace | None = None) -> np.ndarray:
     """Bag probabilities (MIL pooled, or the single clip logit in clip mode),
     one chunk of ``forward_chunks`` at a time; other ``eval_batch`` values
     give the same probabilities to rounding, not always bit for bit."""
     probs = [sigmoid(fw.pooled) for _, fw in
-             forward_chunks(ckpt, examples, mode, eval_batch)]
+             forward_chunks(ckpt, examples, mode, eval_batch, workspace)]
     return np.concatenate(probs) if probs else np.empty(0)
 
 
-def train(config: TrainConfig, records: Sequence[ClipRecord],
-          encoder: EncoderHandle,
-          val_records: Sequence[ClipRecord] | None = None) -> TrainResult:
-    """Run the optimization loop; deterministic for a fixed config and data.
+class TrainData(NamedTuple):
+    """What training reads once the clips are encoded: no record, no encoder."""
 
-    Splits off a stratified validation set unless one is supplied, trains for
-    the configured number of epochs, and records one loss breakdown plus
-    validation AUC per epoch.
-    """
+    examples: List[TrainExample]
+    val_bags: List[Bag]  # validation is scored like eval, reading no caption
+    val_labels: np.ndarray
+    pos_weight: float
+    dim: int
+    warnings: List[str]
+
+
+def prepare_training(config: TrainConfig, records: Sequence[ClipRecord],
+                     encoder: EncoderHandle,
+                     val_records: Sequence[ClipRecord] | None = None) -> TrainData:
+    """Split off a stratified validation set unless one is supplied, and
+    encode both sides; the records and the encoder are not needed after."""
     if not records:
         raise ValidationError("empty dataset")
     warnings: List[str] = []
@@ -463,20 +503,34 @@ def train(config: TrainConfig, records: Sequence[ClipRecord],
     labels = {r.label for r in train_recs}
     if labels != {0, 1}:
         raise ValidationError("training split must contain both classes")
+    return TrainData(
+        prepare_examples(train_recs, encoder, config),
+        [encode_clip(r, config.mode, encoder, config.snippet_len,
+                     config.snippet_stride) for r in val_recs],
+        np.asarray([r.label for r in val_recs], dtype=np.int64),
+        _resolve_pos_weight(config, train_recs), encoder.dim, warnings)
 
-    pos_weight = _resolve_pos_weight(config, train_recs)
-    examples = prepare_examples(train_recs, encoder, config)
-    # validation is scored like eval: from the clips' bags, reading no caption
-    val_bags = [encode_clip(r, config.mode, encoder, config.snippet_len,
-                            config.snippet_stride) for r in val_recs]
-    val_labels = np.asarray([r.label for r in val_recs], dtype=np.int64)
 
-    ckpt = init_checkpoint(dim=encoder.dim, hidden=config.hidden_dim,
+def fit(config: TrainConfig, data: TrainData) -> TrainResult:
+    """Run the optimization loop; deterministic for a fixed config and data.
+
+    Trains for the configured number of epochs and records one loss
+    breakdown plus validation AUC per epoch.  Every step and validation
+    chunk runs in one workspace, sized for the largest batch or chunk.
+    """
+    examples, val_bags, val_labels = data.examples, data.val_bags, data.val_labels
+    ckpt = init_checkpoint(dim=data.dim, hidden=config.hidden_dim,
                            gamma=config.gamma, seed=config.seed,
                            zero_first_layer=config.zero_first_layer)
     adam = AdamState(ckpt)
     history: List[EpochStats] = []
     n = len(examples)
+    longest = sorted((ex.snippets.shape[0] for ex in examples), reverse=True)
+    chunks = (val_bags[i:i + config.eval_batch]
+              for i in range(0, len(val_bags), config.eval_batch))
+    ws = Workspace(max([sum(longest[:config.train_batch])]
+                       + [sum(b.size for b in chunk) for chunk in chunks]),
+                   ckpt.dim, ckpt.hidden)
 
     for epoch in range(config.epochs):
         rng = np.random.default_rng([config.seed, 1000 + epoch])
@@ -493,7 +547,7 @@ def train(config: TrainConfig, records: Sequence[ClipRecord],
                              for j in idx]
             try:
                 breakdown, grad = batch_objective(ckpt, batch, config.mode,
-                                                  pos_weight, unmatched)
+                                                  data.pos_weight, unmatched, ws)
             except NonFiniteLossError as exc:
                 raise NonFiniteLossError(
                     f"epoch {epoch}, batch {bi}: {exc}") from exc
@@ -508,11 +562,18 @@ def train(config: TrainConfig, records: Sequence[ClipRecord],
                                       ckpt.s_sim, ckpt.s_cls)
         val_auc = float("nan")
         if val_bags and {0, 1} == set(val_labels.tolist()):
-            probs = scores_for(ckpt, val_bags, config.mode, config.eval_batch)
+            probs = scores_for(ckpt, val_bags, config.mode, config.eval_batch, ws)
             val_auc = roc_auc(ScoredSet(probs, val_labels))
         history.append(EpochStats(epoch + 1, stats, val_auc))
 
-    return TrainResult(ckpt, history, warnings)
+    return TrainResult(ckpt, history, data.warnings)
+
+
+def train(config: TrainConfig, records: Sequence[ClipRecord],
+          encoder: EncoderHandle,
+          val_records: Sequence[ClipRecord] | None = None) -> TrainResult:
+    """``fit`` on ``prepare_training``'s data."""
+    return fit(config, prepare_training(config, records, encoder, val_records))
 
 
 def write_history_csv(path, history: Sequence[EpochStats]) -> None:

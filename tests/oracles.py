@@ -242,7 +242,7 @@ def per_clip_objective(ckpt, batch, mode="mil", pos_weight=1.0, unmatched=None):
     dz_blocks, de_blocks = [], []
     for i, ex in enumerate(batch):
         snips = np.asarray(ex.snippets, dtype=np.float64)
-        _, h, adapted = adapter_forward(snips, ckpt)
+        h, adapted = adapter_forward(snips, ckpt)
         z = adapted @ ckpt.w + ckpt.b
         t_count = z.shape[0]
         cos, dcos = _cosines_with_grads(adapted, ex.text)
@@ -534,7 +534,7 @@ def heads_backward_through_detector(snips, hidden, adapted, ckpt, *, dz,
     (added in the order ``trainer.batch_objective`` adds them) and the
     detector-weight gradient adaptedᵀ dz."""
     g_adapted = np.asarray(d_adapted, dtype=np.float64) + dz[:, None] * ckpt.w[None, :]
-    return heads_backward(snips, hidden, ckpt, dz=dz, g_adapted=g_adapted,
+    return heads_backward([snips], hidden, ckpt, dz=dz, g_adapted=g_adapted,
                           g_w=adapted.T @ dz)
 
 

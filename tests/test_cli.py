@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from conftest import make_clip, run_trace
 from oracles import per_clip_trace_rows, read_embedding_cache_whole
 import vlaad
-from vlaad import cli, embeddings, evalkit
+from vlaad import cli, datakit, embeddings, evalkit, trainer
 from vlaad.cli import build_parser, run
 from vlaad.datakit import ClipRecord, read_manifest, write_manifest
 from vlaad.embeddings import StubEncoder, write_embedding_cache
@@ -284,6 +285,78 @@ class TestTrainEval:
         """eval streams the manifest and holds one chunk of snippet rows, not
         every clip's (about 20 MB more at 1,280 clips)."""
         assert_peak_flat_in_clips(tmp_path, "eval")
+
+    @pytest.mark.parametrize("case", ["epochs_0", "one_class_validation", "both"])
+    def test_train_stdout_is_strict_json(self, manifest, tmp_path, capsys, case):
+        """A run with no validation AUC prints ``"val_auc": null``, not NaN."""
+        argv = self.train_args(manifest, tmp_path / "c.bin")
+        if case == "epochs_0":
+            argv += ["--set", "epochs=0"]
+        elif case == "one_class_validation":
+            val = tmp_path / "val.jsonl"
+            write_manifest([r for r in read_manifest(manifest) if r.label == 0], val)
+            argv += ["--val-manifest", str(val)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        summary = json.loads(out, parse_constant=reject_constant)
+        assert (summary["val_auc"] is None) == (case != "both")
+        if case == "both":
+            assert 0.0 <= summary["val_auc"] <= 1.0
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "NaN"])
+    def test_eval_refuses_a_tau_not_finite(self, manifest, tmp_path, tau):
+        ckpt = tmp_path / "c.bin"
+        save_checkpoint(ckpt, init_checkpoint(dim=768, hidden=8, seed=0))
+        code, err = run_quiet(["eval", "--checkpoint", ckpt, "--manifest", manifest,
+                               f"--tau={tau}"])
+        assert code == 2, err
+        assert_one_error_line(err, "--tau must be a finite number")
+
+    def test_eval_stdout_is_strict_json(self, manifest, tmp_path, capsys):
+        ckpt = tmp_path / "c.bin"
+        save_checkpoint(ckpt, init_checkpoint(dim=768, hidden=8, seed=0))
+        for tau in ([], ["--tau", "0.5"]):
+            code, out, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
+                                     "--manifest", str(manifest), *tau)
+            assert code == 0, err
+            json.loads(out, parse_constant=reject_constant)
+
+    def test_records_and_encoder_released_before_training(
+            self, manifest, tmp_path, monkeypatch):
+        """By the first step, training holds the encoded clips only: no
+        manifest record (train or validation) and no encoder is alive."""
+        alive = []  # weak references to every record and encoder made
+
+        class TrackedEncoder(StubEncoder):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                alive.append(weakref.ref(self))
+
+        def tracked_read(path, _read=datakit.read_manifest):
+            records = _read(path)
+            alive.extend(weakref.ref(r) for r in records)
+            return records
+
+        steps = []
+
+        def checked_objective(*args, _objective=trainer.batch_objective, **kwargs):
+            if not steps:
+                steps.append([ref() for ref in alive if ref() is not None])
+            return _objective(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "StubEncoder", TrackedEncoder)
+        monkeypatch.setattr(datakit, "read_manifest", tracked_read)
+        monkeypatch.setattr(trainer, "batch_objective", checked_objective)
+        code, err = run_quiet([*self.train_args(manifest, tmp_path / "c.bin"),
+                               "--val-manifest", manifest])
+        assert code == 0, err
+        assert len(alive) == 1 + 2 * 24  # the encoder and both manifests' records
+        assert steps == [[]]
+
+
+def reject_constant(name):
+    """``json.loads``'s ``parse_constant``: NaN and Infinity are not JSON."""
+    raise ValueError(f"stdout holds {name}, which strict JSON has no value for")
 
 
 def assert_peak_flat_in_clips(tmp_path, *command):
@@ -886,6 +959,14 @@ class TestFramesPathReader:
         assert code == 0, err
         assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 5
 
+    def test_snippet_longer_than_the_clip_names_the_file(self, eval_inputs, tmp_path):
+        code, err, frames = self.run_on(eval_inputs, tmp_path, "valid", "trace",
+                                        "--snippet-len", "100")
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(
+            f"clip ext0: frames file {frames} has 40 frames, fewer than "
+            "snippet_len 100") + "$")
+
 
 def inline_manifest(path, n, edits=()):
     """``n`` inline external clips ``c0``..., 40 frames of width 3, labels
@@ -956,6 +1037,16 @@ class TestInlineFrames:
         assert code == 2, err
         assert_one_error_line(err, re.escape(
             f"{manifest}: manifest line 3: clip c2: non-finite features") + "$")
+
+    def test_snippet_longer_than_the_clip_names_file_line_clip(
+            self, tmp_path, inline_ckpt):
+        manifest = inline_manifest(tmp_path / "m.jsonl", 3)
+        code, err = run_quiet(["trace", "--checkpoint", inline_ckpt, "--manifest",
+                               manifest, "-o", tmp_path / "t.csv", "--snippet-len", "100"])
+        assert code == 2, err
+        assert_one_error_line(err, re.escape(
+            f"{manifest}: manifest line 1: clip c0 has 40 frames, fewer than "
+            "snippet_len 100") + "$")
 
     @pytest.mark.parametrize("edit, message", [
         (set_in(["frames", "b64"], "AAAA"),

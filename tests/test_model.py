@@ -24,7 +24,7 @@ def tiny_adapter(rng, dim=6, hidden=4, scale=0.1):
 
 def adapt(e, ckpt):
     """The adapted embedding of one vector, through the shared row forward."""
-    return adapter_forward(np.asarray(e, dtype=np.float64)[None, :], ckpt)[2][0]
+    return adapter_forward(np.asarray(e, dtype=np.float64)[None, :], ckpt)[1][0]
 
 
 def identity_adapter(w, b):

@@ -87,7 +87,7 @@ class TestBatchObjective:
         breakdown, _ = batch_objective(ckpt, batch, "mil", pos_weight=2.0)
         sims, clses = [], []
         for ex in batch:
-            _, _, adapted = adapter_forward(ex.snippets, ckpt)
+            _, adapted = adapter_forward(ex.snippets, ckpt)
             z = adapted @ ckpt.w + ckpt.b
             attn = pooling_attention(z, ckpt.gamma)
             clses.append(binary_cross_entropy_from_logit(
@@ -227,7 +227,7 @@ class TestGradientCheck:
 
         def loss_and_grad(vec):
             ckpt = dataclasses.replace(template, theta=vec)
-            _, h, adapted = adapter_forward(snips, ckpt)
+            h, adapted = adapter_forward(snips, ckpt)
             z = adapted @ ckpt.w + ckpt.b
             pooled = lse_pool(z, ckpt.gamma)
             loss = binary_cross_entropy_from_logit(pooled, 1, 1.0)
