@@ -135,11 +135,13 @@ class ClipRecord:
                 shape, raw = self.inline.shape, base64.b64decode(self.inline.b64)
                 feats = np.frombuffer(raw, "<f4").reshape(shape).astype(np.float32)
             else:
-                loaded = np.load(self.frames_path)
+                # mapped, not read: a header that claims more data than the
+                # file holds is a ValueError, not an allocation of that size
+                loaded = np.load(self.frames_path, mmap_mode="r")
                 if not isinstance(loaded, np.ndarray):
                     loaded.close()
                     raise TypeError("an .npz archive, not one .npy array")
-                feats = np.asarray(loaded, dtype=np.float32)
+                feats = np.array(loaded, dtype=np.float32)
         except (TypeError, ValueError, EOFError, OSError) as exc:  # binascii.Error too
             raise ValidationError(f"{self.name}: {exc}") from None
         _check_frames(feats, self.name)

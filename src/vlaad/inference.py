@@ -16,7 +16,7 @@ import numpy as np
 
 from .embeddings import FrameWindow, StubEncoder, encode_video_snippet
 from .errors import ValidationError, json_lines, json_numbers
-from .model import ModelCheckpoint, forward_rows
+from .model import ModelCheckpoint, Workspace, forward_rows
 from .numerics import scalar_sigmoid
 
 DEFAULT_BUFFER_FRAMES = 8
@@ -37,6 +37,7 @@ class CausalBuffer:
     (2K,) ring, both allocated at the first update tick, when F is known.
     Each frame is written at slot i and at slot i + K, so the held frames,
     oldest first, are always the one contiguous block ``ring[lo:lo + n]``.
+    Every token's forward runs in the buffer's one workspace.
     """
 
     encoder: StubEncoder
@@ -50,6 +51,7 @@ class CausalBuffer:
     _times: np.ndarray | None = field(default=None, init=False, repr=False)
     _next: int = field(default=0, init=False, repr=False)  # next frame's slot
     _last_tick: int | None = field(default=None, init=False, repr=False)
+    _workspace: Workspace = field(default_factory=Workspace, init=False, repr=False)
 
     def __post_init__(self):
         if self.size < 1 or self.subsample_period < 1:
@@ -97,7 +99,8 @@ class CausalBuffer:
         emb = encode_video_snippet(window, self.encoder)
         self.encoder_calls += 1
         # the offline forward of a one-row bag, so both paths agree exactly
-        logit = forward_rows(emb.values.astype(np.float64)[None, :], ckpt)[2][0]
+        logit = forward_rows(emb.values.astype(np.float64)[None, :], ckpt,
+                             self._workspace)[2][0]
         if not math.isfinite(logit):
             raise ValidationError("detector produced a non-finite logit")
         return scalar_sigmoid(logit)

@@ -133,48 +133,36 @@ def init_checkpoint(dim: int, hidden: int = DEFAULT_HIDDEN, gamma: float = 10.0,
 
 
 class Workspace:
-    """Float64 buffers that passes over up to ``rows`` stacked snippet rows
-    write into, so a training run allocates them once, not once per step.
+    """Named float64 buffers that row passes write into, so a run allocates
+    them once, not once per pass.
 
-    Each named buffer is allocated on first use and then reused: ``a`` and
-    ``b`` hold ``rows`` rows of max(D, H) entries, ``h`` the (rows, H)
-    hidden rows, ``scratch`` a ``ROW_BLOCK``-row temporary, and any other
-    name (``grad``) the size it is first asked for.  A pass's results are
-    views into these buffers, valid until the next pass over the workspace.
+    ``buffer`` allocates a buffer the first time a pass asks for it and
+    replaces it with a larger one only when a pass needs more than it holds;
+    none ever shrinks.  A pass's results are views into these buffers, valid
+    until the next pass over the workspace.
     """
 
-    def __init__(self, rows: int, dim: int, hidden: int):
-        width = max(dim, hidden)
-        self._sizes = {"a": rows * width, "b": rows * width, "h": rows * hidden,
-                       "scratch": min(ROW_BLOCK, rows) * width}
+    def __init__(self):
         self._buffers: Dict[str, np.ndarray] = {}
 
     def buffer(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
         """A C-contiguous view of ``shape`` at the start of buffer ``name``."""
         size = math.prod(shape)
         buf = self._buffers.get(name)
-        if buf is None:
-            buf = self._buffers[name] = np.empty(self._sizes.get(name, size))
-        if size > buf.size:
-            raise DimensionMismatchError(f"workspace buffer {name!r} holds {buf.size} "
-                                         f"entries, {shape} needs {size}")
+        if buf is None or size > buf.size:
+            buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
 
 def adapter_forward(snips: np.ndarray, params: ModelCheckpoint,
-                    workspace: Workspace | None = None) -> Tuple[np.ndarray, np.ndarray]:
+                    workspace: Workspace) -> Tuple[np.ndarray, np.ndarray]:
     """Forward pass over a (T, D) block; returns (hidden, adapted).
 
-    Both are formed in place in the workspace's ``h`` and ``b`` buffers, or
-    in two arrays allocated for the call without one; ``snips`` is never
-    written.
+    Both are formed in place in the workspace's ``h`` and ``b`` buffers;
+    ``snips`` is never written.
     """
-    n = snips.shape[0]
-    if workspace is None:  # a streamed tick's 1 row: a Workspace adds ~6 µs (2-vCPU Xeon)
-        h, adapted = np.empty((n, params.hidden)), np.empty(snips.shape)
-    else:
-        h = workspace.buffer("h", (n, params.hidden))
-        adapted = workspace.buffer("b", snips.shape)
+    h = workspace.buffer("h", (snips.shape[0], params.hidden))
+    adapted = workspace.buffer("b", snips.shape)
     np.matmul(snips, params.w1, out=h)
     h += params.b1
     np.tanh(h, out=h)
@@ -185,7 +173,7 @@ def adapter_forward(snips: np.ndarray, params: ModelCheckpoint,
 
 
 def forward_rows(snips: np.ndarray, ckpt: ModelCheckpoint,
-                 workspace: Workspace | None = None) -> Tuple[np.ndarray, ...]:
+                 workspace: Workspace) -> Tuple[np.ndarray, ...]:
     """Adapter then detector over a float64 (N, D) block of snippet rows.
 
     The one snippet forward of the package: rows of one bag, of many bags
@@ -193,7 +181,7 @@ def forward_rows(snips: np.ndarray, ckpt: ModelCheckpoint,
     through it.  A row's logit agrees to rounding across blocks of other
     row counts, since a matrix product may round a row differently as the
     count changes.  Returns (hidden, adapted, logits); the backward needs
-    the first two, which live in ``workspace`` when one is given.
+    the first two, which live in ``workspace``.
     """
     if snips.ndim != 2 or snips.shape[1] != ckpt.dim:
         raise DimensionMismatchError(
@@ -204,7 +192,8 @@ def forward_rows(snips: np.ndarray, ckpt: ModelCheckpoint,
 
 def bag_logits(bag: Bag, ckpt: ModelCheckpoint) -> np.ndarray:
     """Per-snippet logits with parameters shared across snippets."""
-    return forward_rows(np.asarray(bag.snippets, dtype=np.float64), ckpt)[2]
+    return forward_rows(np.asarray(bag.snippets, dtype=np.float64), ckpt,
+                        Workspace())[2]
 
 
 def row_blocks(ws: Workspace, n: int, width: int) -> Iterator[Tuple[slice, np.ndarray]]:
@@ -219,7 +208,7 @@ def row_blocks(ws: Workspace, n: int, width: int) -> Iterator[Tuple[slice, np.nd
 
 def heads_backward(snips: Sequence[np.ndarray], hidden: np.ndarray,
                    ckpt: ModelCheckpoint, *, dz: np.ndarray, g_adapted: np.ndarray,
-                   g_w: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+                   g_w: np.ndarray, workspace: Workspace) -> np.ndarray:
     """Gradient of any scalar through the heads, as one vector in θ's layout.
 
     The caller, who holds the adapted rows, does the detector's part and
@@ -230,25 +219,24 @@ def heads_backward(snips: Sequence[np.ndarray], hidden: np.ndarray,
     from (a single (N, D) block is one).  Rows may span several bags:
     contributions simply add.  The s_sim/s_cls entries are zero.
 
-    Reads its arguments and writes only the workspace (a one-off one
-    without it): the θ-sized result into ``grad``, dL/d(pre-activation)
-    into ``a`` and 1 - h² a ``ROW_BLOCK`` of rows at a time into
-    ``scratch``.  ``g_adapted`` may be a view of ``b``: the rows are
-    stacked there for the w1 product only once it has been read.  They come
-    as blocks, not as the forward's stacked rows, since ``a`` is overwritten.
+    Reads its arguments and writes only the workspace: the θ-sized result
+    into ``grad``, dL/d(pre-activation) into ``a`` and 1 - h² a
+    ``ROW_BLOCK`` of rows at a time into ``scratch``.  ``g_adapted`` may be
+    a view of ``b``: the rows are stacked there for the w1 product only once
+    it has been read.  They come as blocks, not as the forward's stacked
+    rows, since ``a`` is overwritten.
     """
     n, dim, hidden_dim = hidden.shape[0], ckpt.dim, ckpt.hidden
-    ws = workspace or Workspace(n, dim, hidden_dim)
-    grad = ws.buffer("grad", ckpt.theta.shape)
+    grad = workspace.buffer("grad", ckpt.theta.shape)
     g = param_views(grad, dim, hidden_dim)
     np.matmul(hidden.T, g_adapted, out=g["w2"])
     np.sum(g_adapted, axis=0, out=g["b2"])
-    g_u = np.matmul(g_adapted, ckpt.w2.T, out=ws.buffer("a", (n, hidden_dim)))
-    for r, tanh_grad in row_blocks(ws, n, hidden_dim):
+    g_u = np.matmul(g_adapted, ckpt.w2.T, out=workspace.buffer("a", (n, hidden_dim)))
+    for r, tanh_grad in row_blocks(workspace, n, hidden_dim):
         np.multiply(hidden[r], hidden[r], out=tanh_grad)
         np.subtract(1.0, tanh_grad, out=tanh_grad)
         g_u[r] *= tanh_grad
-    rows = np.concatenate(snips, out=ws.buffer("b", (n, dim)), casting="safe")
+    rows = np.concatenate(snips, out=workspace.buffer("b", (n, dim)), casting="safe")
     np.matmul(rows.T, g_u, out=g["w1"])
     np.sum(g_u, axis=0, out=g["b1"])
     g["w"][...] = g_w

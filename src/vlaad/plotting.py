@@ -9,7 +9,8 @@ column is the time axis and every remaining column is one model variant.
 from __future__ import annotations
 
 import csv
-from typing import Dict, List, Tuple
+import math
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import ValidationError, replace_on_success
 
@@ -23,15 +24,32 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 Series = Dict[str, Tuple[List[float], List[float]]]
 
 
-def parse_trace_csv(path) -> Series:
-    """Read either CSV shape into {series label: (times, values)}."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+def _utf8_lines(lines, path) -> Iterator[str]:
+    for lineno, line in enumerate(lines, start=1):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty trace CSV") from None
-        rows = [(i, row) for i, row in enumerate(reader, start=2) if row]
+            yield line.decode()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: line {lineno} is not UTF-8: {exc.reason} "
+                                  f"at byte {exc.start} of the line") from None
+
+
+def parse_trace_csv(path) -> Series:
+    """Read either CSV shape into {series label: (times, values)}.
+
+    The file is UTF-8, every time and value is a finite number and a wide
+    header names each series once; an error names the file and the line
+    (a file line, not a CSV record: a quoted cell may span lines).
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)  # as newline="" text splits
+    reader = csv.reader(_utf8_lines(lines, path))
+    try:
+        header, header_line = next(reader, None), reader.line_num
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise ValidationError(f"{path}: empty trace CSV")
     if not rows:
         raise ValidationError(f"{path}: trace CSV has a header but no data rows")
 
@@ -39,6 +57,10 @@ def parse_trace_csv(path) -> Series:
     if not trace and len(header) < 2:
         raise ValidationError(f"{path}: need a time column plus one series")
     series: Series = {} if trace else {name: ([], []) for name in header[1:]}
+    if not trace and len(series) < len(header) - 1:
+        repeated = next(n for n in header[1:] if header[1:].count(n) > 1)
+        raise ValidationError(
+            f"{path}: series {repeated!r} repeated in the header at line {header_line}")
     for lineno, row in rows:
         if len(row) != len(header):
             raise ValidationError(f"{path}: malformed row at line {lineno}")
@@ -50,6 +72,8 @@ def parse_trace_csv(path) -> Series:
             raise ValidationError(
                 f"{path}: non-numeric value at line {lineno}") from None
         for name, t, value in points:
+            if not (math.isfinite(t) and math.isfinite(value)):
+                raise ValidationError(f"{path}: non-finite value at line {lineno}")
             xs, ys = series.setdefault(name, ([], []))
             xs.append(t)
             ys.append(value)

@@ -230,7 +230,7 @@ class Stack(NamedTuple):
 
 
 def forward_stack(ckpt: ModelCheckpoint, examples: Sequence, mode: str,
-                  workspace: Workspace | None = None) -> Stack:
+                  workspace: Workspace) -> Stack:
     """One forward over every snippet row of ``examples``, pooled per clip.
 
     The only offline snippet kernel: training and ``forward_chunks`` run
@@ -238,7 +238,7 @@ def forward_stack(ckpt: ModelCheckpoint, examples: Sequence, mode: str,
     ``.snippets`` (T, D) and ``.clip_id``.  A clip-mode example has one row,
     which pools to its own logit with attention 1, so both modes share this
     path.  The stacked rows, hidden rows and adapted rows are views of the
-    workspace's ``a``, ``h`` and ``b`` (a one-off workspace without one).
+    workspace's ``a``, ``h`` and ``b``.
     """
     counts = np.asarray([ex.snippets.shape[0] for ex in examples], dtype=np.intp)
     if mode == "clip" and np.any(counts != 1):
@@ -249,10 +249,9 @@ def forward_stack(ckpt: ModelCheckpoint, examples: Sequence, mode: str,
                                          f"{ex.snippets.shape}, checkpoint dim {ckpt.dim}")
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
     seg = np.repeat(np.arange(counts.size), counts)
-    ws = workspace or Workspace(seg.size, ckpt.dim, ckpt.hidden)
     rows = np.concatenate([ex.snippets for ex in examples], casting="safe",
-                          out=ws.buffer("a", (seg.size, ckpt.dim)))
-    hidden, adapted, z = forward_rows(rows, ckpt, ws)
+                          out=workspace.buffer("a", (seg.size, ckpt.dim)))
+    hidden, adapted, z = forward_rows(rows, ckpt, workspace)
     bad = ~np.isfinite(z)
     if bad.any():
         raise NonFiniteLossError(
@@ -263,9 +262,8 @@ def forward_stack(ckpt: ModelCheckpoint, examples: Sequence, mode: str,
 
 def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
                     mode: str = "mil", pos_weight: float = 1.0,
-                    unmatched: Sequence[np.ndarray] | None = None,
-                    workspace: Workspace | None = None,
-                    ) -> Tuple[LossBreakdown, np.ndarray]:
+                    unmatched: Sequence[np.ndarray] | None = None, *,
+                    workspace: Workspace) -> Tuple[LossBreakdown, np.ndarray]:
     """Uncertainty-weighted objective and its analytic gradient.
 
     The whole batch runs as one stacked, ragged kernel: every clip's snippet
@@ -283,8 +281,7 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
     (exactly order-independent); the gradient reductions run as single
     matrix products over the stacked rows in batch order.
 
-    Every (N, D), (N, H) and θ-sized array lives in ``workspace`` (a
-    one-off one without it), which holds rows for at least this batch: the
+    Every (N, D), (N, H) and θ-sized array lives in ``workspace``: the
     stacked rows in ``a``, the hidden rows in ``h``, the adapted rows in
     ``b``, which become dL/d(adapted) a ``ROW_BLOCK`` of rows at a time,
     with the captions stacked into ``scratch`` per block and, in clip mode,
@@ -301,9 +298,7 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
             raise ValidationError(f"label must be 0 or 1, got {ex.label}")
     if not pos_weight > 0:
         raise ValidationError("pos_weight must be positive")
-    ws = workspace or Workspace(sum(ex.snippets.shape[0] for ex in batch),
-                                ckpt.dim, ckpt.hidden)
-    fw = forward_stack(ckpt, batch, mode, ws)
+    fw = forward_stack(ckpt, batch, mode, workspace)
     seg, attn, adapted = fw.seg, fw.attn, fw.adapted
     y = np.asarray([ex.label for ex in batch], dtype=np.float64)
     ws_sim = 0.5 * math.exp(-ckpt.s_sim)
@@ -314,7 +309,7 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
     dz_cls = d_pooled[seg] * attn
     na = np.sqrt(np.einsum("ij,ij->i", adapted, adapted))
     texts = [batch[i].text for i in seg]  # each row's caption
-    cos, norms = _cosines(adapted, na, texts, ws)
+    cos, norms = _cosines(adapted, na, texts, workspace)
     if mode == "mil":
         counts = np.diff(fw.starts, append=seg.size)
         positive = y == 1
@@ -326,7 +321,7 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
                           ckpt.gamma * attn * ((1.0 - cos) - l_sim[seg]), 0.0)
         factor = np.where(row_pos, -attn, (cos > 0) / counts[seg])
     else:
-        c_un, norms_un = _cosines(adapted, na, unmatched, ws)
+        c_un, norms_un = _cosines(adapted, na, unmatched, workspace)
         l_sim = (1.0 - cos) + np.maximum(0.0, c_un)
         dz_sim = 0.0
         scale_un = c_un / (na * na)
@@ -339,7 +334,7 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
     # g_e = ws_sim * de_sim / n + dz wᵀ, rounding for rounding as the
     # cosine gradient's terms were once formed over whole (N, D) blocks
     g_e = adapted
-    for r, scratch in row_blocks(ws, *adapted.shape):
+    for r, scratch in row_blocks(workspace, *adapted.shape):
         e = g_e[r]
         if mode == "clip":
             # dc_un = texts / norms - (c_un / |a|²) a, clamped at c_un <= 0
@@ -362,7 +357,7 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
         # d + fl(dz w) is fl(dz w) + d, the order the detector's backward adds
         e += np.multiply(dz[r, None], ckpt.w, out=scratch)
     grad = heads_backward([ex.snippets for ex in batch], fw.hidden, ckpt, dz=dz,
-                          g_adapted=g_e, g_w=g_w, workspace=ws)
+                          g_adapted=g_e, g_w=g_w, workspace=workspace)
     l_sim = math.fsum(l_sim) / n
     l_cls = math.fsum(l_cls) / n
     if not (np.isfinite(l_sim) and np.isfinite(l_cls)
@@ -457,12 +452,13 @@ def forward_chunks(ckpt: ModelCheckpoint, examples: Iterable, mode: str,
     ``eval_batch`` clips of any iterable, such as a generator that encodes
     one clip at a time.  The one scoring loop, so ``scores_for``, ``vlaad
     eval`` and ``vlaad trace`` share chunks; memory scales with a chunk, not
-    all clips.  With a workspace, a chunk's stack is overwritten by the
-    next.  A chunk's logits agree to rounding with another chunking's: a
-    matrix product may round a row differently as its row count changes."""
-    it = iter(examples)
+    all clips.  Every chunk runs in ``workspace`` (one made here without
+    it), so a chunk's stack is overwritten by the next.  A chunk's logits
+    agree to rounding with another chunking's: a matrix product may round a
+    row differently as its row count changes."""
+    it, ws = iter(examples), workspace or Workspace()
     while chunk := list(islice(it, eval_batch)):
-        yield chunk, forward_stack(ckpt, chunk, mode, workspace)
+        yield chunk, forward_stack(ckpt, chunk, mode, ws)
 
 
 def scores_for(ckpt: ModelCheckpoint, examples: Iterable, mode: str,
@@ -516,7 +512,8 @@ def fit(config: TrainConfig, data: TrainData) -> TrainResult:
 
     Trains for the configured number of epochs and records one loss
     breakdown plus validation AUC per epoch.  Every step and validation
-    chunk runs in one workspace, sized for the largest batch or chunk.
+    chunk runs in one workspace, which grows only for a batch or chunk
+    larger than every earlier one.
     """
     examples, val_bags, val_labels = data.examples, data.val_bags, data.val_labels
     ckpt = init_checkpoint(dim=data.dim, hidden=config.hidden_dim,
@@ -525,12 +522,7 @@ def fit(config: TrainConfig, data: TrainData) -> TrainResult:
     adam = AdamState(ckpt)
     history: List[EpochStats] = []
     n = len(examples)
-    longest = sorted((ex.snippets.shape[0] for ex in examples), reverse=True)
-    chunks = (val_bags[i:i + config.eval_batch]
-              for i in range(0, len(val_bags), config.eval_batch))
-    ws = Workspace(max([sum(longest[:config.train_batch])]
-                       + [sum(b.size for b in chunk) for chunk in chunks]),
-                   ckpt.dim, ckpt.hidden)
+    ws = Workspace()
 
     for epoch in range(config.epochs):
         rng = np.random.default_rng([config.seed, 1000 + epoch])
@@ -547,7 +539,8 @@ def fit(config: TrainConfig, data: TrainData) -> TrainResult:
                              for j in idx]
             try:
                 breakdown, grad = batch_objective(ckpt, batch, config.mode,
-                                                  data.pos_weight, unmatched, ws)
+                                                  data.pos_weight, unmatched,
+                                                  workspace=ws)
             except NonFiniteLossError as exc:
                 raise NonFiniteLossError(
                     f"epoch {epoch}, batch {bi}: {exc}") from exc

@@ -20,7 +20,7 @@ from vlaad.errors import (DegenerateInputError, DimensionMismatchError, EmptyInp
                          ValidationError)
 from vlaad.mil import (Bag, lse_pool, pooling_attention, segment_clip,
                        segment_lse_pool)
-from vlaad.model import (adapter_forward, bag_logits, forward_rows,
+from vlaad.model import (Workspace, adapter_forward, bag_logits, forward_rows,
                          heads_backward, param_layout, param_views)
 from vlaad.numerics import sigmoid, softplus
 from vlaad.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LossBreakdown,
@@ -242,7 +242,7 @@ def per_clip_objective(ckpt, batch, mode="mil", pos_weight=1.0, unmatched=None):
     dz_blocks, de_blocks = [], []
     for i, ex in enumerate(batch):
         snips = np.asarray(ex.snippets, dtype=np.float64)
-        h, adapted = adapter_forward(snips, ckpt)
+        h, adapted = adapter_forward(snips, ckpt, Workspace())
         z = adapted @ ckpt.w + ckpt.b
         t_count = z.shape[0]
         cos, dcos = _cosines_with_grads(adapted, ex.text)
@@ -353,7 +353,7 @@ def pooled_logit_with_grad(bag, ckpt):
     pooling-induced attention, so the chain is attention-weighted.
     """
     snips = np.asarray(bag.snippets, dtype=np.float64)
-    h, adapted, z = forward_rows(snips, ckpt)
+    h, adapted, z = forward_rows(snips, ckpt, Workspace())
     grad = heads_backward_through_detector(snips, h, adapted, ckpt,
                                            dz=pooling_attention(z, ckpt.gamma))
     return lse_pool(z, ckpt.gamma), grad
@@ -435,7 +435,7 @@ def vector_objective(template, batch, mode="mil", pos_weight=1.0, unmatched=None
     def fn(vec):
         breakdown, grad = batch_objective(
             dataclasses.replace(template, theta=vec), batch, mode, pos_weight,
-            unmatched)
+            unmatched, workspace=Workspace())
         return breakdown.l_total, grad
 
     return fn
@@ -535,7 +535,7 @@ def heads_backward_through_detector(snips, hidden, adapted, ckpt, *, dz,
     detector-weight gradient adaptedᵀ dz."""
     g_adapted = np.asarray(d_adapted, dtype=np.float64) + dz[:, None] * ckpt.w[None, :]
     return heads_backward([snips], hidden, ckpt, dz=dz, g_adapted=g_adapted,
-                          g_w=adapted.T @ dz)
+                          g_w=adapted.T @ dz, workspace=Workspace())
 
 
 def heads_backward_out_of_place(snips, hidden, adapted, ckpt, *, dz, d_adapted=0.0):
@@ -659,7 +659,8 @@ class ListRingBuffer:
             return 0.5
         emb = encode_video_snippet(window, self.encoder)
         self.encoder_calls += 1
-        logit = forward_rows(emb.values.astype(np.float64)[None, :], ckpt)[2][0]
+        logit = forward_rows(emb.values.astype(np.float64)[None, :], ckpt,
+                             Workspace())[2][0]
         if not np.isfinite(logit):
             raise ValidationError("detector produced a non-finite logit")
         return float(sigmoid(logit))

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import resource
 import select
 import struct
 import subprocess
@@ -30,7 +31,7 @@ from vlaad.datakit import ClipRecord, read_manifest, write_manifest
 from vlaad.embeddings import StubEncoder, write_embedding_cache
 from vlaad.errors import ValidationError
 from vlaad.mil import segment_clip, segment_lse_pool
-from vlaad.model import init_checkpoint, load_checkpoint, save_checkpoint
+from vlaad.model import Workspace, init_checkpoint, load_checkpoint, save_checkpoint
 from vlaad.numerics import sigmoid
 from vlaad.plotting import TRACE_HEADER, emit_trace_plot, parse_trace_csv
 from vlaad.trainer import (TrainConfig, forward_stack, prepare_examples,
@@ -918,7 +919,7 @@ class TestFramesPathReader:
         "one_dim": r"must be \(F, dim\) with F >= 1, got shape \(8,\)$",
         "three_dim": r"must be \(F, dim\) with F >= 1, got shape \(1, 40, 8\)$",
         "header_cut": r"EOF: reading array header",
-        "body_cut": r"Failed to read all data",
+        "body_cut": r"mmap length is greater than file size$",
         "empty": r"No data left in file$",
         "npz": r"an \.npz archive, not one \.npy array$",
         "missing": r"\[Errno 2\] No such file or directory",
@@ -958,6 +959,30 @@ class TestFramesPathReader:
         code, err, _ = self.run_on(eval_inputs, tmp_path, "valid", "trace")
         assert code == 0, err
         assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 5
+
+    def test_header_claiming_more_than_the_file_holds(self, eval_inputs, tmp_path):
+        """A header that claims 512 GiB of frames: the frames file is mapped,
+        not read, so ``eval`` in a child process held to 3 GiB of address
+        space exits 2 naming the clip and the file, not with a MemoryError."""
+        frames = tmp_path / "huge.npy"
+        with open(frames, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f4", "fortran_order": False, "shape": (1 << 30, 128)})
+            fh.write(bytes(64))
+        manifest = tmp_path / "m.jsonl"
+        write_manifest([ClipRecord("ext0", frames_path=str(frames), label=0)], manifest)
+        limit = 3 << 30
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(vlaad.__file__).resolve().parents[1])]
+            + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vlaad.cli", "eval", "--checkpoint",
+             str(eval_inputs[0] / "good.bin"), "--manifest", str(manifest)],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 2, proc.stderr
+        assert_one_error_line(proc.stderr, re.escape(f"clip ext0: frames file {frames}: "),
+                              r"mmap length is greater than file size$")
 
     def test_snippet_longer_than_the_clip_names_the_file(self, eval_inputs, tmp_path):
         code, err, frames = self.run_on(eval_inputs, tmp_path, "valid", "trace",
@@ -1219,7 +1244,8 @@ class TestTraceKernel:
                           gamma=ckpt.gamma, seed=ckpt.seed)
         examples = prepare_examples(
             clips, StubEncoder(dim=ckpt.dim, seed=ckpt.seed), cfg)
-        kernel = np.concatenate([forward_stack(ckpt, examples[s:s + 64], "mil").logits
+        kernel = np.concatenate([forward_stack(ckpt, examples[s:s + 64], "mil",
+                                               Workspace()).logits
                                  for s in range(0, len(examples), 64)])
         logits = np.array([r[3] for r in rows])
         assert np.array_equal(logits, kernel)
@@ -1334,6 +1360,44 @@ class TestTraceAndPlot:
         bad.write_text("t,mil\n0,0.1\n1,not_a_number\n")
         with pytest.raises(Exception, match="line 3"):
             parse_trace_csv(bad)
+
+    TRACE_LINE = "clip_id,snippet_index,t_start_s,logit,prob,attention\r\n"
+
+    @pytest.mark.parametrize("data, message", [
+        # a trace row's prob, then its t_start_s; a wide row's time, then a value
+        (TRACE_LINE + "c,0,0.0,0.1,0.5,1.0\r\nc,1,2.0,0.2,nan,1.0\r\n",
+         r"non-finite value at line 3$"),
+        (TRACE_LINE + "c,0,inf,0.1,0.5,1.0\r\n", r"non-finite value at line 2$"),
+        ("t,mil\n0,0.1\n-inf,0.2\n", r"non-finite value at line 3$"),
+        ("t,mil\n0,0.1\n1,Infinity\n", r"non-finite value at line 3$"),
+        # a quoted clip id that holds a newline: the bad value is on file line 4
+        (TRACE_LINE + '"c\nd",0,0.0,0.1,0.5,1.0\r\nc,1,2.0,0.2,high,1.0\r\n',
+         r"non-numeric value at line 4$"),
+        (b"t,mil\n0,0.1\n1,\xff0.2\n", r"line 3 is not UTF-8: invalid start byte at byte 2 "
+         r"of the line$"),
+        ("t,a,a\n0,0.1,0.2\n", r"series 'a' repeated in the header at line 1$"),
+        ("t,a\n0,0.1\n1," + "2" * 200_000 + "\n",
+         r"line 3: field larger than field limit \(131072\)$"),
+    ], ids=["trace_prob_nan", "trace_time_inf", "wide_time_minus_inf",
+            "wide_value_infinity", "quoted_newline", "not_utf8", "repeated_series",
+            "field_too_large"])
+    def test_from_csv_refuses_bad_input(self, tmp_path, capsys, data, message):
+        """Each cell is UTF-8 and finite and each wide series is named once;
+        else ``trace --from-csv`` exits 2 naming the file and its line, and
+        writes no plot."""
+        bad, out = tmp_path / "bad.csv", tmp_path / "out.svg"
+        bad.write_bytes(data if isinstance(data, bytes) else data.encode())
+        code, _, err = run_cli(capsys, "trace", "--from-csv", str(bad), "--plot", str(out))
+        assert code == 2
+        assert_one_error_line(err, "^" + re.escape(f"error: {bad}: "), message)
+        assert not out.exists()
+
+    def test_from_csv_splits_lines_as_text_does(self, tmp_path):
+        """\\r\\n, \\n and a lone \\r all end a line, as in a file opened as text
+        with newline=""; a quoted cell keeps its line break."""
+        csv_path = tmp_path / "mixed.csv"
+        csv_path.write_bytes(b't,"a\r\nb"\r\n0,0.1\n1,0.2\r2,0.3\r\n')
+        assert parse_trace_csv(csv_path) == {"a\r\nb": ([0.0, 1.0, 2.0], [0.1, 0.2, 0.3])}
 
 
 @st.composite

@@ -14,7 +14,7 @@ from vlaad.embeddings import StubEncoder
 from vlaad.errors import ValidationError
 from vlaad.inference import CausalBuffer, push_tick, stream_tokens
 from vlaad.mil import lse_pool, segment_clip
-from vlaad.model import forward_rows, init_checkpoint
+from vlaad.model import Workspace, forward_rows, init_checkpoint
 from vlaad.numerics import scalar_sigmoid, sigmoid
 
 
@@ -113,8 +113,24 @@ class TestPushTick:
         for tick, token in enumerate(tokens):
             held = np.arange(0, tick + 1, period)[-size:]
             rows = enc.encode_windows(frames[held], [0], held.size, ["window"])
-            logits = forward_rows(rows.astype(np.float64), ckpt)[2]
+            logits = forward_rows(rows.astype(np.float64), ckpt, Workspace())[2]
             assert token == sigmoid(logits)[0]
+
+    @pytest.mark.parametrize("caching", [True, False])
+    def test_update_ticks_reuse_one_workspace(self, ckpt, small_encoder, rng, caching):
+        """Every token's forward runs in the buffer's one workspace, whose
+        buffers stay the same arrays from the first update tick on."""
+        buffer = CausalBuffer(small_encoder)
+        workspace = buffer._workspace
+        push_tick(buffer, rng.standard_normal(4), 0, ckpt, caching)
+        first = dict(workspace._buffers)
+        assert first.keys() == {"h", "b"}
+        run_stream(rng.standard_normal((23, 4)), ckpt, small_encoder, caching,
+                   start_tick=1, buffer=buffer)
+        assert buffer.encoder_calls == (5 if caching else 24)
+        assert buffer._workspace is workspace
+        assert workspace._buffers.keys() == first.keys()
+        assert all(workspace._buffers[name] is first[name] for name in first)
 
     def test_frame_width_change_rejected(self, ckpt, small_encoder, rng):
         buffer = CausalBuffer(small_encoder)

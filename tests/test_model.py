@@ -10,7 +10,7 @@ import pytest
 from oracles import forward_bag, pooled_logit_with_grad
 from vlaad.errors import DimensionMismatchError, ValidationError
 from vlaad.mil import Bag, lse_pool
-from vlaad.model import (ModelCheckpoint, adapter_forward, bag_logits,
+from vlaad.model import (ModelCheckpoint, Workspace, adapter_forward, bag_logits,
                          forward_rows, init_checkpoint, load_checkpoint,
                          param_layout, save_checkpoint)
 
@@ -24,7 +24,8 @@ def tiny_adapter(rng, dim=6, hidden=4, scale=0.1):
 
 def adapt(e, ckpt):
     """The adapted embedding of one vector, through the shared row forward."""
-    return adapter_forward(np.asarray(e, dtype=np.float64)[None, :], ckpt)[1][0]
+    return adapter_forward(np.asarray(e, dtype=np.float64)[None, :], ckpt,
+                           Workspace())[1][0]
 
 
 def identity_adapter(w, b):
@@ -36,7 +37,8 @@ def identity_adapter(w, b):
 
 
 def detect_logit(e, ckpt):
-    return float(forward_rows(np.asarray(e, dtype=np.float64)[None, :], ckpt)[2][0])
+    return float(forward_rows(np.asarray(e, dtype=np.float64)[None, :], ckpt,
+                              Workspace())[2][0])
 
 
 def make_bag(rng, t=3, dim=6):
@@ -65,7 +67,7 @@ class TestAdapt:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
-            forward_rows(rng.standard_normal((1, 5)), tiny_adapter(rng))
+            forward_rows(rng.standard_normal((1, 5)), tiny_adapter(rng), Workspace())
 
 
 class TestDetectLogit:

@@ -14,7 +14,7 @@ from vlaad.datakit import SynthConfig, generate_synthetic_dataset
 from vlaad.embeddings import _TEXT_STREAM, _VIDEO_STREAM, StubEncoder
 from vlaad.errors import NonFiniteLossError, ValidationError
 from vlaad.mil import Bag, lse_pool, pooling_attention
-from vlaad.model import (adapter_forward, bag_logits, init_checkpoint,
+from vlaad.model import (Workspace, adapter_forward, bag_logits, init_checkpoint,
                          param_views, save_checkpoint)
 from vlaad.numerics import sigmoid
 from vlaad.trainer import (AdamState, LossBreakdown, TrainConfig, TrainExample,
@@ -84,10 +84,11 @@ class TestBatchObjective:
         ckpt = init_checkpoint(dim=6, hidden=4, gamma=10.0, seed=1,
                                zero_first_layer=False)
         batch = random_examples(rng)
-        breakdown, _ = batch_objective(ckpt, batch, "mil", pos_weight=2.0)
+        breakdown, _ = batch_objective(ckpt, batch, "mil", pos_weight=2.0,
+                                       workspace=Workspace())
         sims, clses = [], []
         for ex in batch:
-            _, adapted = adapter_forward(ex.snippets, ckpt)
+            _, adapted = adapter_forward(ex.snippets, ckpt, Workspace())
             z = adapted @ ckpt.w + ckpt.b
             attn = pooling_attention(z, ckpt.gamma)
             clses.append(binary_cross_entropy_from_logit(
@@ -105,9 +106,9 @@ class TestBatchObjective:
     def test_order_independence_within_1e10(self, rng):
         ckpt = init_checkpoint(dim=6, hidden=4, seed=2, zero_first_layer=False)
         batch = random_examples(rng, n=8)
-        _, g1 = batch_objective(ckpt, batch, "mil")
+        _, g1 = batch_objective(ckpt, batch, "mil", workspace=Workspace())
         perm = list(reversed(batch))
-        _, g2 = batch_objective(ckpt, perm, "mil")
+        _, g2 = batch_objective(ckpt, perm, "mil", workspace=Workspace())
         np.testing.assert_allclose(g1, g2, rtol=0, atol=1e-10)
 
     def test_non_finite_raises(self, rng):
@@ -118,28 +119,29 @@ class TestBatchObjective:
                 ex.snippets = ex.snippets * 1e308
             # the first offending clip of the stacked block is named
             with pytest.raises(NonFiniteLossError, match="clip e1$"):
-                batch_objective(ckpt, huge, "mil")
+                batch_objective(ckpt, huge, "mil", workspace=Workspace())
 
     def test_clip_mode_needs_unmatched(self, rng):
         ckpt = init_checkpoint(dim=6, hidden=4, seed=2)
         with pytest.raises(ValidationError):
-            batch_objective(ckpt, random_examples(rng, t=1), "clip")
+            batch_objective(ckpt, random_examples(rng, t=1), "clip",
+                            workspace=Workspace())
 
     def test_clip_mode_needs_one_row_per_example(self, rng):
         ckpt = init_checkpoint(dim=6, hidden=4, seed=2)
         batch = random_examples(rng, t=2)
         with pytest.raises(ValidationError, match="one snippet row"):
             batch_objective(ckpt, batch, "clip",
-                            unmatched=[ex.text for ex in batch])
+                            unmatched=[ex.text for ex in batch], workspace=Workspace())
 
     def test_label_and_pos_weight_checked(self, rng):
         ckpt = init_checkpoint(dim=6, hidden=4, seed=2)
         batch = random_examples(rng)
         with pytest.raises(ValidationError, match="pos_weight"):
-            batch_objective(ckpt, batch, "mil", pos_weight=0.0)
+            batch_objective(ckpt, batch, "mil", pos_weight=0.0, workspace=Workspace())
         batch[2].label = 2
         with pytest.raises(ValidationError, match="label"):
-            batch_objective(ckpt, batch, "mil")
+            batch_objective(ckpt, batch, "mil", workspace=Workspace())
 
 
 def ragged_batch(seed, lengths, labels, dim=6):
@@ -176,7 +178,8 @@ class TestStackedKernel:
         if mode == "clip":
             unmatched = list(np.random.default_rng([seed, 1]).standard_normal(
                 (len(batch), 6)))
-        got, g_got = batch_objective(ckpt, batch, mode, pos_weight, unmatched)
+        got, g_got = batch_objective(ckpt, batch, mode, pos_weight, unmatched,
+                                     workspace=Workspace())
         want, g_want = per_clip_objective(ckpt, batch, mode, pos_weight,
                                           unmatched)
         for field in ("l_sim", "l_cls", "s_sim", "s_cls", "l_total"):
@@ -227,7 +230,7 @@ class TestGradientCheck:
 
         def loss_and_grad(vec):
             ckpt = dataclasses.replace(template, theta=vec)
-            h, adapted = adapter_forward(snips, ckpt)
+            h, adapted = adapter_forward(snips, ckpt, Workspace())
             z = adapted @ ckpt.w + ckpt.b
             pooled = lse_pool(z, ckpt.gamma)
             loss = binary_cross_entropy_from_logit(pooled, 1, 1.0)

@@ -4,17 +4,19 @@ Adapter forward, heads backward, the stacked objective and the Adam step
 work in place, yet must do the same float operations in the same order as
 the out-of-place bodies in ``oracles``: results are compared bit for bit,
 and every array a caller passed in must be unchanged afterwards.  The
-layers and the objective run with and without a ``model.Workspace``, one
-that holds just the rows or more, and one that an earlier call has left
-dirty.  ``tracemalloc`` guards bound what one objective and one Adam step
-allocate, with a workspace and without one, and a third guard checks that
-Adam keeps nothing θ-sized but its moments.
+layers and the objective run in a fresh ``model.Workspace`` or in one that
+an earlier, larger call grew and left dirty; one workspace serves a small,
+a larger and a small objective, growing once.  ``tracemalloc`` guards bound
+what one objective and one Adam step allocate, in a fresh workspace and in
+a written one, and a third guard checks that Adam keeps nothing θ-sized
+but its moments.
 """
 
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,13 +54,18 @@ def assert_unchanged(arrays, copies):
         assert_same_bits(a, c)
 
 
-# None: no workspace (each call makes a one-off one); else the rows a
-# workspace holds beyond the call's own
-spare_rows = st.sampled_from([None, 0, 1, 9])
+# None: a fresh workspace; else the rows that a decoy call, run first in
+# the workspace to grow it and leave it written, has beyond the call's own
+extra_rows = st.sampled_from([None, 1, 9])
 
 
-def workspace_for(rows, dim, hidden, spare):
-    return None if spare is None else Workspace(rows + spare, dim, hidden)
+def decoy_examples(batch, extra):
+    """``batch`` with other snippets, captions and labels, plus ``extra``
+    one-row clips: an objective over more rows than ``batch``'s."""
+    return ([TrainExample(ex.clip_id, ex.snippets * 3, -ex.text, 1 - ex.label)
+             for ex in batch]
+            + [TrainExample(f"x{i}", batch[0].snippets[:1] * 2, batch[0].text, i % 2)
+               for i in range(extra)])
 
 
 @st.composite
@@ -75,7 +82,7 @@ def objective_cases(draw):
                 gamma=draw(st.floats(0.5, 20.0)),
                 row_block=draw(st.sampled_from([1, 4, model.ROW_BLOCK])),
                 snippet_dtype=draw(st.sampled_from([np.float32, np.float64])),
-                spare=draw(spare_rows))
+                extra=draw(extra_rows))
 
 
 class TestObjectiveBitForBit:
@@ -97,32 +104,65 @@ class TestObjectiveBitForBit:
         copies = snapshot(*inputs)
 
         with mock.patch.object(model, "ROW_BLOCK", case["row_block"]):
-            ws = workspace_for(sum(case["lengths"]), dim, case["hidden"], case["spare"])
-            if ws is not None:  # an earlier step leaves every buffer written
-                decoy = [TrainExample(ex.clip_id, ex.snippets * 3, -ex.text, 1 - ex.label)
-                         for ex in batch]
+            ws = Workspace()
+            if case["extra"] is not None:  # a larger step grows and writes the rows
+                decoy = decoy_examples(batch, case["extra"])
                 batch_objective(ckpt, decoy, case["mode"], 1.0,
-                                unmatched and unmatched[::-1], ws)
+                                unmatched and [ex.text for ex in decoy[::-1]],
+                                workspace=ws)
             got, g_got = batch_objective(ckpt, batch, case["mode"],
-                                         case["pos_weight"], unmatched, ws)
+                                         case["pos_weight"], unmatched, workspace=ws)
         assert_unchanged(inputs, copies)
         want, g_want = batch_objective_out_of_place(
             ckpt, batch, case["mode"], case["pos_weight"], unmatched)
         assert got == want
         assert_same_bits(g_got, g_want)
 
+    @pytest.mark.parametrize("mode", ["mil", "clip"])
+    def test_one_workspace_small_large_small(self, mode):
+        """One workspace serves a small, a larger and a small objective with
+        the bits of a fresh workspace for each; only the larger one grows
+        its buffers, and the small one after it reuses them."""
+        ckpt = random_ckpt(7, 6, 4)
+        rng = np.random.default_rng(7)
+        sizes = ([[2, 3, 1], [4, 5, 3, 6, 2], [3, 1]] if mode == "mil"
+                 else [[1] * 3, [1] * 8, [1] * 2])
+        ws, held = Workspace(), []
+        for i, lengths in enumerate(sizes):
+            batch = [TrainExample(f"e{i}.{j}", rng.standard_normal((t, 6)),
+                                  rng.standard_normal(6), j % 2)
+                     for j, t in enumerate(lengths)]
+            unmatched = ([ex.text for ex in batch[1:] + batch[:1]]
+                         if mode == "clip" else None)
+            got, g_got = batch_objective(ckpt, batch, mode, 1.5, unmatched,
+                                         workspace=ws)
+            held.append(dict(ws._buffers))
+            want, g_want = batch_objective(ckpt, batch, mode, 1.5, unmatched,
+                                           workspace=Workspace())
+            assert got == want
+            assert_same_bits(g_got, g_want)
+        small, large, again = held
+        assert small.keys() == large.keys() == again.keys()
+        assert {name for name in large if large[name] is not small[name]} == {
+            "a", "b", "h", "scratch"}
+        assert all(again[name] is large[name] for name in large)
+
 
 class TestLayersBitForBit:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 12),
-           st.integers(1, 8), st.sampled_from([np.float32, np.float64]), spare_rows)
-    def test_adapter_forward(self, seed, rows, dim, hidden, dtype, spare):
+           st.integers(1, 8), st.sampled_from([np.float32, np.float64]), extra_rows)
+    def test_adapter_forward(self, seed, rows, dim, hidden, dtype, extra):
         """(hidden, adapted) equal the oracle's; the pre-activation becomes
         the hidden rows in place."""
         ckpt = random_ckpt(seed % 1000, dim, hidden)
-        snips = np.random.default_rng(seed).standard_normal((rows, dim)).astype(dtype)
+        rng = np.random.default_rng(seed)
+        snips = rng.standard_normal((rows, dim)).astype(dtype)
         copies = snapshot(snips, ckpt.theta)
-        got = adapter_forward(snips, ckpt, workspace_for(rows, dim, hidden, spare))
+        ws = Workspace()
+        if extra is not None:
+            adapter_forward(rng.standard_normal((rows + extra, dim)), ckpt, ws)
+        got = adapter_forward(snips, ckpt, ws)
         assert_unchanged([snips, ckpt.theta], copies)
         _, *want = adapter_forward_out_of_place(snips, ckpt)
         assert len(got) == len(want)
@@ -132,9 +172,9 @@ class TestLayersBitForBit:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 12),
            st.integers(1, 8), st.sampled_from(["default", "scalar", "row", "array"]),
-           st.sampled_from([1, 5, model.ROW_BLOCK]), spare_rows, st.integers(0, 12))
+           st.sampled_from([1, 5, model.ROW_BLOCK]), extra_rows, st.integers(0, 12))
     def test_heads_backward(self, seed, rows, dim, hidden, d_kind, row_block,
-                            spare, cut):
+                            extra, cut):
         """The caller's detector part, out of place, then ``heads_backward``
         (its 1 - h² formed ``row_block`` rows at a time, the rows passed as
         two blocks cut at ``cut``) equals the whole backward written out of
@@ -152,7 +192,14 @@ class TestLayersBitForBit:
         inputs = [snips, h, ckpt.theta, dz, g_adapted, g_w]
         copies = snapshot(*inputs)
         with mock.patch.object(model, "ROW_BLOCK", row_block):
-            ws = workspace_for(rows, dim, hidden, spare)
+            ws = Workspace()
+            if extra is not None:
+                big = rows + extra
+                heads_backward([rng.standard_normal((big, dim))],
+                               rng.standard_normal((big, hidden)), ckpt,
+                               dz=rng.standard_normal(big),
+                               g_adapted=rng.standard_normal((big, dim)),
+                               g_w=rng.standard_normal(dim), workspace=ws)
             got = heads_backward([snips[:cut], snips[cut:]], h, ckpt, dz=dz,
                                  g_adapted=g_adapted, g_w=g_w, workspace=ws)
         assert_unchanged(inputs, copies)
@@ -199,7 +246,7 @@ def traced_peak(fn):
 
 ACCEPTANCE_ROWS, ACCEPTANCE_DIM, ACCEPTANCE_HIDDEN = 1000, 768, 256
 ONE_BLOCK = ACCEPTANCE_ROWS * ACCEPTANCE_DIM * 8  # one (N, D) float64 block
-# A one-off workspace is 3.10 blocks: the stacked rows (``a``), the adapted
+# A fresh workspace grows to 3.10 blocks: the stacked rows (``a``), the adapted
 # rows (``b``), the (N, H) hidden rows, a 256-row scratch and the θ-sized
 # gradient.  Per-row vectors bring the measured peak to 3.19.
 OBJECTIVE_BLOCKS = 3.25
@@ -218,13 +265,15 @@ def acceptance_ckpt():
 
 class TestAllocations:
     def test_objective_at_acceptance_shape(self):
-        """One objective over N=1000 rows at D=768, H=256, without a
-        workspace, peaks at no more than its one-off workspace: no
+        """One objective over N=1000 rows at D=768, H=256, in a fresh
+        workspace, peaks at no more than the workspace it grows: no
         caption block, no (N, H) gradient, no second θ."""
         ckpt = acceptance_ckpt()
         batch = acceptance_examples(np.random.default_rng(0), ACCEPTANCE_ROWS // 5, 5)
-        batch_objective(ckpt, batch, "mil", 1.0)  # lazy numpy set-up first
-        peak = traced_peak(lambda: batch_objective(ckpt, batch, "mil", 1.0))
+        # lazy numpy set-up first
+        batch_objective(ckpt, batch, "mil", 1.0, workspace=Workspace())
+        peak = traced_peak(lambda: batch_objective(ckpt, batch, "mil", 1.0,
+                                                   workspace=Workspace()))
         assert peak / ONE_BLOCK <= OBJECTIVE_BLOCKS
 
     def test_clip_mode_within_the_mil_bound(self):
@@ -233,8 +282,9 @@ class TestAllocations:
         ckpt = acceptance_ckpt()
         batch = acceptance_examples(np.random.default_rng(0), ACCEPTANCE_ROWS, 1)
         unmatched = [ex.text for ex in batch[1:] + batch[:1]]
-        batch_objective(ckpt, batch, "clip", 1.0, unmatched)
-        peak = traced_peak(lambda: batch_objective(ckpt, batch, "clip", 1.0, unmatched))
+        batch_objective(ckpt, batch, "clip", 1.0, unmatched, workspace=Workspace())
+        peak = traced_peak(lambda: batch_objective(ckpt, batch, "clip", 1.0, unmatched,
+                                                   workspace=Workspace()))
         assert peak / ONE_BLOCK <= OBJECTIVE_BLOCKS
 
     def test_step_in_a_workspace_allocates_little(self):
@@ -245,11 +295,11 @@ class TestAllocations:
         rng = np.random.default_rng(0)
         batch = acceptance_examples(rng, ACCEPTANCE_ROWS // 5, 5)
         val = acceptance_examples(rng, 100, 5)
-        ws = Workspace(ACCEPTANCE_ROWS, ACCEPTANCE_DIM, ACCEPTANCE_HIDDEN)
+        ws = Workspace()
         adam = AdamState(ckpt)
 
         def step():
-            _, grad = batch_objective(ckpt, batch, "mil", 1.0, None, ws)
+            _, grad = batch_objective(ckpt, batch, "mil", 1.0, None, workspace=ws)
             adam.step(ckpt.theta, grad, 1e-3, 1e-4)
             scores_for(ckpt, val, "mil", 64, ws)
 
