@@ -24,7 +24,8 @@ from . import datakit, evalkit, inference, plotting, trainer
 from .embeddings import CachedEncoder, StubEncoder
 from .errors import (LINES_BUFFER, ValidationError, VlaadError, json_document,
                      json_lines, json_numbers, replace_on_success)
-from .mil import encode_clip, segment_clip
+from .mil import (DEFAULT_SNIPPET_LEN, DEFAULT_SNIPPET_STRIDE, encode_clip,
+                  segment_clip)
 from .model import load_checkpoint, save_checkpoint
 from .numerics import sigmoid
 
@@ -91,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-csv", help="plot an existing trace CSV instead")
     p.add_argument("-o", "--output", help="trace CSV path")
     p.add_argument("--plot", help="SVG output path")
-    p.add_argument("--snippet-len", type=int, default=8)
-    p.add_argument("--stride", type=int, default=8)
+    p.add_argument("--snippet-len", type=int, default=DEFAULT_SNIPPET_LEN)
+    p.add_argument("--stride", type=int, default=DEFAULT_SNIPPET_STRIDE)
     p.add_argument("--embedding-cache")
 
     p = sub.add_parser("score", help="summarize driving-run records")
@@ -108,12 +109,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_encoder(dim: int, seed: int, cache_path):
+def _make_encoder(dim: int, seed: int, cache_path, named: str):
     """A context holding the cache encoder when ``--embedding-cache`` is
-    given, else the stub; leaving it closes the cache file."""
-    if cache_path:
-        return CachedEncoder(cache_path)
-    return contextlib.nullcontext(StubEncoder(dim=dim, seed=seed))
+    given, else the stub; leaving it closes the cache file.  A cache whose
+    D is not ``dim``, the dim that ``named`` names, is refused and closed."""
+    if not cache_path:
+        return contextlib.nullcontext(StubEncoder(dim=dim, seed=seed))
+    encoder = CachedEncoder(cache_path)
+    if encoder.dim != dim:
+        encoder.close()
+        raise ValidationError(f"{cache_path}: embedding cache has D={encoder.dim}, "
+                              f"but {named} is {dim}")
+    return encoder
+
+
+def _require_both_classes(manifest, labels) -> None:
+    present = sorted(set(labels))
+    if present != [0, 1]:
+        raise ValidationError(f"{manifest}: both classes must be present, but its "
+                              f"{len(labels)} clips have labels {present}")
 
 
 def _cmd_synth(args) -> int:
@@ -219,13 +233,11 @@ def _load_train_config(args) -> trainer.TrainConfig:
 def _cmd_train(args) -> int:
     config = _load_train_config(args)
     records = datakit.read_manifest(args.manifest)
+    _require_both_classes(args.manifest, [r.label for r in records])
     val_records = (datakit.read_manifest(args.val_manifest)
                    if args.val_manifest else None)
-    with _make_encoder(config.embed_dim, config.seed,
-                       args.embedding_cache) as encoder:
-        if encoder.dim != config.embed_dim:
-            raise ValidationError(f"{args.embedding_cache}: embedding cache has D="
-                                  f"{encoder.dim}, but embed_dim is {config.embed_dim}")
+    with _make_encoder(config.embed_dim, config.seed, args.embedding_cache,
+                       "embed_dim") as encoder:
         data = trainer.prepare_training(config, records, encoder, val_records)
     # the encoded clips are all training reads: the records (and their
     # decoded frames) and the encoder (and its projections) go before it
@@ -254,8 +266,10 @@ def _cmd_eval(args) -> int:
             labels.append(rec.label)
             yield encode_clip(rec, args.mode, encoder)
 
-    with _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache) as encoder:
+    with _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache,
+                       f"the dim of checkpoint {args.checkpoint}") as encoder:
         scores = trainer.scores_for(ckpt, bags(encoder), args.mode)
+    _require_both_classes(args.manifest, labels)
     scored = evalkit.ScoredSet(scores, np.asarray(labels))
     auc = evalkit.roc_auc(scored)
     tau = evalkit.youden_threshold(scored).threshold if args.tau is None else args.tau
@@ -302,7 +316,8 @@ def _cmd_trace(args) -> int:
     if args.clip_id:
         records = (r for r in records if r.clip_id == args.clip_id)
     n = 0
-    with (_make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache) as encoder,
+    with (_make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache,
+                        f"the dim of checkpoint {args.checkpoint}") as encoder,
           replace_on_success(args.output) as tmp,
           open(tmp, "w", newline="", encoding="utf-8") as fh):
         clips = (segment_clip(rec, args.snippet_len, args.stride, encoder)

@@ -47,6 +47,13 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_str(value, name: str) -> str:
+    """A string field's ``value``: a JSON string, not null, a number or a list."""
+    if type(value) is not str:
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 @dataclass
 class InfractionLog:
     """One simulator infraction entry."""
@@ -66,8 +73,9 @@ class InfractionLog:
     @classmethod
     def from_json(cls, obj) -> "InfractionLog":
         return cls(frame_number=_json_int(obj["frame_number"], "infraction frame_number"),
-                   infraction_type=obj["type"],
-                   message=obj["message"], scenario_type=obj["scenario"])
+                   infraction_type=_json_str(obj["type"], "infraction type"),
+                   message=_json_str(obj["message"], "infraction message"),
+                   scenario_type=_json_str(obj["scenario"], "infraction scenario"))
 
 
 class InlineFrames(NamedTuple):

@@ -92,7 +92,9 @@ class EncoderHandle(Protocol):
 
 def _unit(vec: np.ndarray, what: str) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
-    if not np.isfinite(norm) or norm < 1e-12:
+    if not np.isfinite(norm):
+        raise DegenerateInputError(f"{what} has a norm of {norm}, not finite")
+    if norm < 1e-12:
         raise DegenerateInputError(f"{what} has (near-)zero norm; refusing to emit NaN")
     return (vec / norm).astype(np.float32)
 
@@ -129,24 +131,25 @@ class StubEncoder:
             self._projections[stream, rows] = mat
         return mat
 
-    def _window_vector(self, frames: np.ndarray) -> np.ndarray:
-        # one window at a time, so every row is bit for bit encode_window's;
-        # a (T, F) @ (F, D) product over many windows may round differently
-        pooled = np.asarray(frames, dtype=np.float64).mean(axis=0)
-        return _unit(pooled @ self._projection(_VIDEO_STREAM, pooled.shape[0]),
-                     "projected window")
-
-    def encode_window(self, window: FrameWindow) -> Embedding:
-        return Embedding(self._window_vector(window.frames))
+    def encode_window(self, frames: np.ndarray) -> np.ndarray:
+        """The (D,) float32 vector of one (K, feat) block of frames.  Frames
+        near float64's limit overflow the mean or the norm; ``_unit`` then
+        refuses the norm, and numpy prints no warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            pooled = np.asarray(frames, dtype=np.float64).mean(axis=0)
+            return _unit(pooled @ self._projection(_VIDEO_STREAM, pooled.shape[0]),
+                         "projected window")
 
     def encode_windows(self, frames, starts, length, keys) -> np.ndarray:
         if callable(frames):
             frames = frames()
         out = np.empty((len(starts), self.dim), dtype=np.float32)
-        # each slice goes to float64 on its own: a float64 copy of the whole
-        # clip per call fragments the heap (+1 MB peak RSS in training)
+        # one window at a time, so every row is bit for bit encode_window's
+        # (a (T, F) @ (F, D) product over many windows may round differently),
+        # and each slice goes to float64 on its own: a float64 copy of the
+        # whole clip per call fragments the heap (+1 MB peak RSS in training)
         for row, s in zip(out, starts):
-            row[:] = self._window_vector(frames[s:s + length])
+            row[:] = self.encode_window(frames[s:s + length])
         return out
 
     def encode_text(self, caption: str) -> Embedding:
@@ -243,7 +246,7 @@ def _of_dim(emb: Embedding, encoder) -> Embedding:
 
 def encode_video_snippet(window: FrameWindow, encoder: StubEncoder) -> Embedding:
     """Encode one frame window into a video embedding of the encoder's dim."""
-    return _of_dim(encoder.encode_window(window), encoder)
+    return _of_dim(Embedding(encoder.encode_window(window.frames)), encoder)
 
 
 def encode_text(caption: str, encoder: EncoderHandle) -> Embedding:

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .embeddings import FrameWindow, StubEncoder, encode_video_snippet
+from .embeddings import StubEncoder
 from .errors import ValidationError, json_lines, json_numbers
 from .model import ModelCheckpoint, Workspace, forward_rows
 from .numerics import scalar_sigmoid
@@ -33,10 +33,10 @@ class CausalBuffer:
     ``subsample_period``; frames arriving on other ticks are dropped, so at
     20 Hz ticks with period 5 the buffer tracks an effective 4 Hz stream.
 
-    The frames live in one float64 (2K, F) ring and their timestamps in a
-    (2K,) ring, both allocated at the first update tick, when F is known.
-    Each frame is written at slot i and at slot i + K, so the held frames,
-    oldest first, are always the one contiguous block ``ring[lo:lo + n]``.
+    The frames live in one float64 (2K, F) ring, allocated at the first
+    update tick, when F is known.  Each frame is written at slot i and at
+    slot i + K, so the held frames, oldest first, are always the one
+    contiguous block ``ring[lo:lo + n]``, which the encoder reads in place.
     Every token's forward runs in the buffer's one workspace.
     """
 
@@ -48,7 +48,7 @@ class CausalBuffer:
     encoder_calls: int = field(default=0, init=False)
     held: int = field(default=0, init=False)  # frames in the ring, <= size
     _ring: np.ndarray | None = field(default=None, init=False, repr=False)
-    _times: np.ndarray | None = field(default=None, init=False, repr=False)
+    _stamp: float = field(default=-math.inf, init=False, repr=False)  # newest frame's stamp
     _next: int = field(default=0, init=False, repr=False)  # next frame's slot
     _last_tick: int | None = field(default=None, init=False, repr=False)
     _workspace: Workspace = field(default_factory=Workspace, init=False, repr=False)
@@ -62,44 +62,29 @@ class CausalBuffer:
 
     def _write(self, frame: np.ndarray, tick: int) -> None:
         k = self.size
+        stamp = np.float64(tick) / self.tick_rate_hz
+        # increasing ticks give increasing stamps, except for ticks past
+        # float64 precision; a one-frame ring holds a single stamp
+        if k > 1 and stamp <= self._stamp:
+            raise ValidationError("timestamps must be strictly increasing")
         if self._ring is None:
             self._ring = np.empty((2 * k, frame.shape[0]), dtype=np.float64)
-            self._times = np.empty(2 * k, dtype=np.float64)
-        stamp = np.float64(tick) / self.tick_rate_hz
         i = self._next
         self._ring[i] = frame
         self._ring[i + k] = frame
-        self._times[i] = self._times[i + k] = stamp
+        self._stamp = stamp
         self._next = i + 1 if i + 1 < k else 0
         if self.held < k:
             self.held += 1
-        if self.held > 1 and stamp - self._times[i + k - 1] <= 0:
-            # increasing ticks give increasing stamps, except for ticks past
-            # float64 precision
-            raise ValidationError("timestamps must be strictly increasing")
-
-    def window(self) -> FrameWindow | None:
-        """The held frames and their timestamps, oldest first, as views of
-        the ring (valid until the next update tick); None while empty."""
-        if not self.held:
-            return None
-        hi = self._next + self.size
-        lo = hi - self.held
-        # FrameWindow without __post_init__: the block is 2-D float64 with at
-        # least one row, and _write keeps its timestamps strictly increasing
-        window = object.__new__(FrameWindow)
-        window.frames = self._ring[lo:hi]
-        window.timestamps = self._times[lo:hi]
-        return window
 
     def _compute_token(self, ckpt: ModelCheckpoint) -> float:
-        window = self.window()
-        if window is None:
+        if not self.held:
             return NEUTRAL_TOKEN  # zero-logit convention before any frame
-        emb = encode_video_snippet(window, self.encoder)
+        hi = self._next + self.size
+        row = self.encoder.encode_window(self._ring[hi - self.held:hi])
         self.encoder_calls += 1
         # the offline forward of a one-row bag, so both paths agree exactly
-        logit = forward_rows(emb.values.astype(np.float64)[None, :], ckpt,
+        logit = forward_rows(row.astype(np.float64)[None, :], ckpt,
                              self._workspace)[2][0]
         if not math.isfinite(logit):
             raise ValidationError("detector produced a non-finite logit")

@@ -21,7 +21,7 @@ from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError, replace_on_success
-from .mil import MIN_GAMMA, Bag
+from .mil import DEFAULT_GAMMA, MIN_GAMMA, Bag
 
 CKPT_MAGIC = b"VLAD"
 CKPT_VERSION = 1
@@ -114,8 +114,9 @@ class ModelCheckpoint:
         self._views = param_views(self.theta, self.dim, self.hidden)
 
 
-def init_checkpoint(dim: int, hidden: int = DEFAULT_HIDDEN, gamma: float = 10.0,
-                    seed: int = 0, zero_first_layer: bool = True) -> ModelCheckpoint:
+def init_checkpoint(dim: int, hidden: int = DEFAULT_HIDDEN,
+                    gamma: float = DEFAULT_GAMMA, seed: int = 0,
+                    zero_first_layer: bool = True) -> ModelCheckpoint:
     """Seeded initialization.
 
     Detector and second adapter layer draw uniform +-1/sqrt(fan_in); the

@@ -18,13 +18,15 @@ from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .datakit import ClipRecord
-from .embeddings import EncoderHandle, encode_text
+from .embeddings import DEFAULT_DIM, EncoderHandle, encode_text
 from .errors import (DimensionMismatchError, NonFiniteLossError, ValidationError,
                      replace_on_success)
 from .evalkit import ScoredSet, roc_auc
-from .mil import MIN_GAMMA, Bag, encode_clip, segment_lse_pool
-from .model import (ModelCheckpoint, Workspace, forward_rows, heads_backward,
-                    init_checkpoint, param_layout, param_views, row_blocks)
+from .mil import (DEFAULT_GAMMA, DEFAULT_SNIPPET_LEN, DEFAULT_SNIPPET_STRIDE,
+                  MIN_GAMMA, Bag, encode_clip, segment_lse_pool)
+from .model import (DEFAULT_HIDDEN, ModelCheckpoint, Workspace, forward_rows,
+                    heads_backward, init_checkpoint, param_layout, param_views,
+                    row_blocks)
 from .numerics import sigmoid, softplus
 
 ADAM_BETA1 = 0.9
@@ -44,14 +46,14 @@ class TrainConfig:
     train_batch: int = 256
     eval_batch: int = DEFAULT_EVAL_BATCH
     seed: int = 0
-    gamma: float = 10.0
+    gamma: float = DEFAULT_GAMMA
     mode: str = "mil"  # "mil" | "clip"
     split_fraction: float = 0.8
     pos_weight: float | str = "auto"  # "auto" = n_negative / n_positive
-    embed_dim: int = 768
-    hidden_dim: int = 256
-    snippet_len: int = 8
-    snippet_stride: int = 8
+    embed_dim: int = DEFAULT_DIM
+    hidden_dim: int = DEFAULT_HIDDEN
+    snippet_len: int = DEFAULT_SNIPPET_LEN
+    snippet_stride: int = DEFAULT_SNIPPET_STRIDE
     zero_first_layer: bool = True
 
     def __post_init__(self):

@@ -666,6 +666,17 @@ class ListRingBuffer:
         return float(sigmoid(logit))
 
 
+def held_frames(buffer):
+    """The frames an ``inference.CausalBuffer`` holds, oldest first, gathered
+    slot by slot from the first K rows of its ring; None while it holds
+    none."""
+    if not buffer.held:
+        return None
+    slots = [(buffer._next - buffer.held + j) % buffer.size
+             for j in range(buffer.held)]
+    return buffer._ring[slots]
+
+
 def list_ring_push_tick(buffer, frame, tick, ckpt, caching=True) -> float:
     """``inference.push_tick`` over a ``ListRingBuffer``."""
     if buffer.last_tick is not None and tick <= buffer.last_tick:

@@ -313,6 +313,28 @@ class TestTrainEval:
         assert code == 2, err
         assert_one_error_line(err, "--tau must be a finite number")
 
+    @pytest.mark.parametrize("command, keep, labels", [
+        ("eval", 1, [1]),  # one label
+        ("eval", None, []),  # no clip
+        ("train", 0, [0]),
+    ])
+    def test_one_class_manifest_named(self, manifest, tmp_path, command, keep,
+                                      labels):
+        """A manifest without both classes exits 2 with one error line naming
+        it, its clip count and the labels it holds."""
+        records = [r for r in read_manifest(manifest) if r.label == keep]
+        path = tmp_path / "one.jsonl"
+        write_manifest(records, path)
+        ckpt = tmp_path / "c.bin"
+        save_checkpoint(ckpt, init_checkpoint(dim=768, hidden=8, seed=0))
+        argv = (["eval", "--checkpoint", ckpt, "--manifest", path]
+                if command == "eval" else self.train_args(path, tmp_path / "m.bin"))
+        code, err = run_quiet(argv)
+        assert code == 2, err
+        assert_one_error_line(err, "^" + re.escape(
+            f"error: {path}: both classes must be present, but its "
+            f"{len(records)} clips have labels {labels}") + "$")
+
     def test_eval_stdout_is_strict_json(self, manifest, tmp_path, capsys):
         ckpt = tmp_path / "c.bin"
         save_checkpoint(ckpt, init_checkpoint(dim=768, hidden=8, seed=0))
@@ -879,6 +901,32 @@ class TestCacheIndex:
         code, err = run_quiet(argv)
         assert code == (0 if case in ("eval", "trace", "train") else 2), err
         assert open_fds() == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors in /proc/self/fd")
+    @pytest.mark.parametrize("command", ["eval", "trace", "train"])
+    def test_cache_dim_differs_exit_2(self, cache_inputs, tmp_path, command):
+        """A cache whose D differs from the checkpoint's (or the config's
+        embed_dim) is refused before any clip is scored, naming the cache
+        and both dims, and its file is closed."""
+        root, manifest, _ = cache_inputs
+        cache = tmp_path / "d4.vlec"
+        write_embedding_cache(cache, {"c:0": np.ones(4)}, dim=4)
+        ckpt = root / "good.bin"
+        common = ["--manifest", manifest, "--embedding-cache", cache]
+        argv = {"eval": ["eval", "--checkpoint", ckpt, *common],
+                "trace": ["trace", "--checkpoint", ckpt, *common,
+                          "-o", tmp_path / "t.csv"],
+                "train": ["train", *common, "-o", tmp_path / "m.bin",
+                          "--set", "embed_dim=6"]}[command]
+        named = "embed_dim" if command == "train" else f"the dim of checkpoint {ckpt}"
+        before = open_fds()
+        code, err = run_quiet(argv)
+        assert code == 2
+        assert_one_error_line(err, "^" + re.escape(
+            f"error: {cache}: embedding cache has D=4, but {named} is 6") + "$")
+        assert open_fds() == before
+        assert not (tmp_path / "t.csv").exists()
 
 
 def write_frames(root, case):
@@ -1577,6 +1625,15 @@ class TestInfer:
         save_checkpoint(path, init_checkpoint(dim=16, hidden=4, seed=0))
         return path
 
+    @staticmethod
+    def child_env():
+        """The environment for ``python -m vlaad.cli`` in a child process."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(vlaad.__file__).resolve().parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        return env
+
     def test_stdin_stream(self, manifest, tmp_path, capsys, monkeypatch):
         ckpt = tmp_path / "i.bin"
         code, _, _ = run_cli(capsys, "train", "--manifest", str(manifest),
@@ -1602,14 +1659,10 @@ class TestInfer:
         the client still holds the next frame back."""
         ckpt = tmp_path / "p.bin"
         save_checkpoint(ckpt, init_checkpoint(dim=16, hidden=4, seed=0))
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(vlaad.__file__).resolve().parents[1])]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.Popen(
             [sys.executable, "-m", "vlaad.cli", "infer", "--checkpoint", str(ckpt)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=env)
+            env=self.child_env())
         try:
             proc.stdin.write(json.dumps({"tick": 0, "features": [0.5] * 8})
                              .encode() + b"\n")
@@ -1624,6 +1677,21 @@ class TestInfer:
                 proc.wait()
         assert proc.returncode == 0, err
         assert 0.0 <= token <= 1.0 and rest == b""
+
+    def test_overflowing_frame_one_error_line(self, tmp_path):
+        """A frame whose projected norm overflows float64 exits 2 with one
+        error line naming the stream line: no numpy warning before it."""
+        ckpt = self.checkpoint(tmp_path)
+        stream = (b'{"tick":0,"features":[1,2]}\n'
+                  b'{"tick":5,"features":[1e200,1e200]}\n')
+        proc = subprocess.run(
+            [sys.executable, "-m", "vlaad.cli", "infer", "--checkpoint", str(ckpt)],
+            input=stream, capture_output=True, env=self.child_env(), timeout=60)
+        assert proc.returncode == 2
+        assert len(proc.stdout.splitlines()) == 1
+        assert_one_error_line(proc.stderr.decode(), re.escape(
+            "error: <stdin>: stream line 2: projected window has a norm of inf, "
+            "not finite") + "$")
 
     def test_frame_width_change_exit_2(self, tmp_path, capsys, monkeypatch):
         ckpt = self.checkpoint(tmp_path)

@@ -1,5 +1,6 @@
 import os
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -51,6 +52,19 @@ class TestStubVideoEncoder:
         ob = stub_video_embedding(other, seed=7, dim=8)
         assert abs(cos - float(oa @ ob)) < 1e-6
         np.testing.assert_allclose(a, oa, atol=1e-7)
+
+    @pytest.mark.parametrize("frames", [
+        [[1e200, 1e200]],  # the norm overflows
+        [[1.7e308, 1.0], [1.7e308, 1.0]],  # the mean overflows
+    ])
+    def test_overflow_refused_without_a_warning(self, frames):
+        enc = StubEncoder(dim=8, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails it
+            with pytest.raises(DegenerateInputError,
+                               match=r"^projected window has a norm of (inf|nan), "
+                                     r"not finite$"):
+                enc.encode_window(np.array(frames))
 
     def test_empty_window_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -242,8 +256,8 @@ class TestEncoderContract:
         class BadEncoder:
             dim = 8
 
-            def encode_window(self, w):
-                return Embedding(np.ones(5, np.float32) / np.sqrt(5))
+            def encode_window(self, frames):
+                return np.ones(5, np.float32) / np.sqrt(5)
 
             def encode_text(self, c):
                 return Embedding(np.ones(5, np.float32) / np.sqrt(5))

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clip, run_trace
-from oracles import (ListRingBuffer, forward_bag, list_ring_push_tick,
-                     make_global_state, parse_global_state,
+from oracles import (ListRingBuffer, forward_bag, held_frames,
+                     list_ring_push_tick, make_global_state, parse_global_state,
                      serialize_global_state, toy_policy_step)
 from vlaad.embeddings import StubEncoder
 from vlaad.errors import ValidationError
@@ -80,10 +80,27 @@ class TestPushTick:
         frames = rng.standard_normal((40, 4))
         run_stream(frames, ckpt, enc, buffer=buffer)
         # update ticks 0,5,...,35; last three subsampled frames survive
-        window = buffer.window()
-        np.testing.assert_array_equal(window.frames, frames[[25, 30, 35]])
-        np.testing.assert_array_equal(window.timestamps,
-                                      np.array([25, 30, 35]) / 20.0)
+        np.testing.assert_array_equal(held_frames(buffer), frames[[25, 30, 35]])
+
+    def test_update_tick_encodes_the_ring_in_place(self, ckpt, rng):
+        """Each update tick hands ``encode_window`` the held block as a view
+        of the ring, oldest frame first."""
+        blocks = []
+
+        class RecordingEncoder(StubEncoder):
+            def encode_window(self, frames):
+                blocks.append(frames)
+                return super().encode_window(frames)
+
+        encoder = RecordingEncoder(dim=16, seed=7)
+        buffer = CausalBuffer(encoder, size=3, subsample_period=2)
+        for tick, frame in enumerate(rng.standard_normal((11, 4))):
+            push_tick(buffer, frame, tick, ckpt)
+            assert len(blocks) == tick // 2 + 1
+            block = blocks[-1]
+            assert type(block) is np.ndarray
+            assert np.shares_memory(block, buffer._ring)
+            assert block.tobytes() == held_frames(buffer).tobytes()
 
     def test_causality_future_perturbation(self, ckpt, small_encoder, rng):
         frames = rng.standard_normal((60, 4))
@@ -167,11 +184,10 @@ class TestRingAgainstListRing:
             assert (push_tick(ring, frame, tick, ckpt, caching)
                     == list_ring_push_tick(oracle, frame, tick, ckpt, caching))
             assert ring.encoder_calls == oracle.encoder_calls
-            got, want = ring.window(), oracle.window()
+            got, want = held_frames(ring), oracle.window()
             assert (got is None) == (want is None)
             if want is not None:
-                assert got.frames.tobytes() == want.frames.tobytes()
-                assert got.timestamps.tobytes() == want.timestamps.tobytes()
+                assert got.tobytes() == want.frames.tobytes()
 
     @pytest.mark.parametrize("rate, ticks", [
         (-20.0, (0, 5)),  # negative rate: decreasing stamps
@@ -181,7 +197,8 @@ class TestRingAgainstListRing:
     def test_stamps_not_increasing_rejected_like_list_ring(self, ckpt, rate, ticks):
         """The list ring rejects the second stamp; the ring rejects a rate
         that is not finite and > 0 when it is built, and past float64
-        precision at the same tick as the list ring."""
+        precision at the same tick as the list ring, before it writes the
+        refused frame."""
         encoder = StubEncoder(dim=16, seed=7)
         oracle = ListRingBuffer(encoder, tick_rate_hz=rate)
         list_ring_push_tick(oracle, np.ones(4), ticks[0], ckpt)
@@ -197,7 +214,8 @@ class TestRingAgainstListRing:
         push_tick(ring, np.ones(4), ticks[0], ckpt)
         with pytest.raises(ValidationError,
                            match="^timestamps must be strictly increasing$"):
-            push_tick(ring, np.ones(4), ticks[1], ckpt)
+            push_tick(ring, np.full(4, 2.0), ticks[1], ckpt)
+        assert held_frames(ring).tolist() == [[1.0] * 4]
 
     def test_single_frame_ring_never_compares_stamps(self, ckpt):
         encoder = StubEncoder(dim=16, seed=7)

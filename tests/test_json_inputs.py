@@ -204,16 +204,22 @@ def test_mutated_input_exits_0_or_2(root, formats, name, data):
 
 FREE_FORM = {"id"}  # a caption job's id is echoed back, whatever it holds
 DOCUMENT_WHAT = {"config": "train config", "deltas": "deltas"}
+# the string fields of an infraction, in a manifest line or a caption job
+INFRACTION_STRINGS = {(owner, key) for owner in ("infraction", "log")
+                      for key in ("type", "message", "scenario")}
 
 
 def typed_leaves(value):
-    """(path, leaf) of every number and bool in ``value``, free-form keys aside."""
+    """(path, leaf) of every number and bool in ``value``, free-form keys
+    aside, and of every infraction string field."""
     leaves = []
     for path in value_paths(value):
         leaf = value
         for key in path:
             leaf = leaf[key]
         if isinstance(leaf, (int, float)) and not FREE_FORM & set(path):
+            leaves.append((path, leaf))
+        elif isinstance(leaf, str) and path[-2:] in INFRACTION_STRINGS:
             leaves.append((path, leaf))
     return leaves
 
@@ -222,18 +228,22 @@ def typed_leaves(value):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_look_alike_swap_exits_2(root, formats, name, data):
-    """A number swapped for its numeric string or a bool, or a bool for a
-    string, is refused, not converted: exit 2 with one error line naming
-    the file, the line swapped (in a line format) and a key on the path to
-    the value."""
+    """A number swapped for its numeric string or a bool, a bool for a
+    string, or an infraction string for null, a number, a bool or a list,
+    is refused, not converted: exit 2 with one error line naming the file,
+    the line swapped (in a line format) and a key on the path to the
+    value."""
     text = formats[name][0].decode()
     texts = [text] if name in DOCUMENT_WHAT else text.splitlines()
     i = data.draw(st.sampled_from(
         [i for i, t in enumerate(texts) if typed_leaves(json.loads(t))]))
     value = json.loads(texts[i])
     path, leaf = data.draw(st.sampled_from(typed_leaves(value)))
-    look_alikes = [json.dumps(leaf)] + (["no"] if isinstance(leaf, bool)
-                                        else [True, False])
+    if isinstance(leaf, str):
+        look_alikes = [None, 7, True, [leaf]]
+    else:
+        look_alikes = [json.dumps(leaf)] + (["no"] if isinstance(leaf, bool)
+                                            else [True, False])
     texts[i] = json.dumps(swapped(value, path, data.draw(st.sampled_from(look_alikes))))
     code, _, err = run_format(root, formats, name,
                               "".join(t + "\n" for t in texts).encode())
@@ -241,6 +251,27 @@ def test_look_alike_swap_exits_2(root, formats, name, data):
     detail = DOCUMENT_WHAT.get(name) or f"{LINE_WHAT[name]} line {i + 1}"
     assert_exit_2((code, "", err), "^" + re.escape(f"error: {where}: {detail}: "))
     assert any(key in err for key in path if isinstance(key, str)), err
+
+
+@pytest.mark.parametrize("name, owner", [("manifest", "infraction"),
+                                         ("caption_jobs", "log")])
+@pytest.mark.parametrize("field", ["type", "message", "scenario"])
+@pytest.mark.parametrize("bad", [None, ["a"], 7])
+def test_infraction_string_field_not_a_string(root, formats, name, owner, field,
+                                              bad):
+    """An infraction's ``type``, ``message`` or ``scenario`` that is not a
+    JSON string exits 2 naming the file, the line and the field; it never
+    reaches a caption as ``None`` or ``['a']``."""
+    texts = formats[name][0].decode().splitlines()
+    value = json.loads(texts[0])
+    value[owner][field] = bad
+    texts[0] = json.dumps(value)
+    code, out, err = run_format(root, formats, name,
+                                "".join(t + "\n" for t in texts).encode())
+    where = root / f"input_{name}"
+    assert_exit_2((code, out, err), "^" + re.escape(
+        f"error: {where}: {LINE_WHAT[name]} line 1: ") + ".*" + re.escape(
+        f"infraction {field} must be a string, got {bad!r}") + "$")
 
 
 @settings(max_examples=200, deadline=None)
