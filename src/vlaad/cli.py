@@ -238,7 +238,8 @@ def _cmd_train(args) -> int:
                    if args.val_manifest else None)
     with _make_encoder(config.embed_dim, config.seed, args.embedding_cache,
                        "embed_dim") as encoder:
-        data = trainer.prepare_training(config, records, encoder, val_records)
+        data = trainer.prepare_training(config, records, encoder, val_records,
+                                        args.manifest)
     # the encoded clips are all training reads: the records (and their
     # decoded frames) and the encoder (and its projections) go before it
     del records, val_records, encoder

@@ -26,7 +26,7 @@ from .mil import DEFAULT_GAMMA, MIN_GAMMA, Bag
 CKPT_MAGIC = b"VLAD"
 CKPT_VERSION = 1
 DEFAULT_HIDDEN = 256
-ROW_BLOCK = 256  # rows per scratch block of a row-wise temporary
+ROW_BLOCK = 64  # rows per scratch block of a row-wise temporary
 
 _HEADER = struct.Struct("<4sIIIdQI")  # magic, version, D, H, gamma, seed, epoch
 
@@ -140,7 +140,10 @@ class Workspace:
     ``buffer`` allocates a buffer the first time a pass asks for it and
     replaces it with a larger one only when a pass needs more than it holds;
     none ever shrinks.  A pass's results are views into these buffers, valid
-    until the next pass over the workspace.
+    until the next pass over the workspace.  A training step over N rows
+    holds one (N, D) block, ``b`` (the stacked rows, then the adapted rows,
+    dL/d(adapted) and the stacked rows again), the (N, H) ``h`` and ``g_u``,
+    ``ROW_BLOCK``-row scratch blocks and the θ-sized ``grad``.
     """
 
     def __init__(self):
@@ -155,30 +158,38 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
-def adapter_forward(snips: np.ndarray, params: ModelCheckpoint,
-                    workspace: Workspace) -> Tuple[np.ndarray, np.ndarray]:
-    """Forward pass over a (T, D) block; returns (hidden, adapted).
+def adapter_forward(snips: np.ndarray, params: ModelCheckpoint, workspace: Workspace,
+                    blocks: Sequence[np.ndarray] | None = None
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Forward pass over a float64 (N, D) block; returns (hidden, adapted).
 
-    Both are formed in place in the workspace's ``h`` and ``b`` buffers;
-    ``snips`` is never written.
+    Both are formed in place in the workspace's ``h`` and ``b`` buffers.
+    ``snips`` may itself be a view of ``b``, the rows stacked there from
+    ``blocks``: the product h @ w2 then overwrites them, and the residual
+    is read back from ``blocks``, which stack to ``snips`` exactly (a
+    float32 row widens to float64 exactly) and are never written.
+    ``blocks`` defaults to ``snips`` itself, which is then never written.
     """
     h = workspace.buffer("h", (snips.shape[0], params.hidden))
-    adapted = workspace.buffer("b", snips.shape)
     np.matmul(snips, params.w1, out=h)
     h += params.b1
     np.tanh(h, out=h)
-    np.matmul(h, params.w2, out=adapted)
-    adapted += snips  # == snips + h @ w2: addition commutes exactly
+    adapted = np.matmul(h, params.w2, out=workspace.buffer("b", snips.shape))
+    lo = 0
+    for block in (snips,) if blocks is None else blocks:
+        adapted[lo:lo + len(block)] += block  # == snips + h @ w2: addition commutes
+        lo += len(block)
     adapted += params.b2
     return h, adapted
 
 
-def forward_rows(snips: np.ndarray, ckpt: ModelCheckpoint,
-                 workspace: Workspace) -> Tuple[np.ndarray, ...]:
+def forward_rows(snips: np.ndarray, ckpt: ModelCheckpoint, workspace: Workspace,
+                 blocks: Sequence[np.ndarray] | None = None) -> Tuple[np.ndarray, ...]:
     """Adapter then detector over a float64 (N, D) block of snippet rows.
 
     The one snippet forward of the package: rows of one bag, of many bags
-    stacked back to back, or the single row of a streamed window all go
+    stacked back to back into the workspace's ``b`` from ``blocks`` (see
+    ``adapter_forward``), or the single row of a streamed window all go
     through it.  A row's logit agrees to rounding across blocks of other
     row counts, since a matrix product may round a row differently as the
     count changes.  Returns (hidden, adapted, logits); the backward needs
@@ -187,7 +198,7 @@ def forward_rows(snips: np.ndarray, ckpt: ModelCheckpoint,
     if snips.ndim != 2 or snips.shape[1] != ckpt.dim:
         raise DimensionMismatchError(
             f"snippet rows have shape {snips.shape}, checkpoint dim {ckpt.dim}")
-    h, adapted = adapter_forward(snips, ckpt, workspace)
+    h, adapted = adapter_forward(snips, ckpt, workspace, blocks)
     return h, adapted, adapted @ ckpt.w + ckpt.b
 
 
@@ -197,14 +208,16 @@ def bag_logits(bag: Bag, ckpt: ModelCheckpoint) -> np.ndarray:
                         Workspace())[2]
 
 
-def row_blocks(ws: Workspace, n: int, width: int) -> Iterator[Tuple[slice, np.ndarray]]:
-    """``(rows, scratch)`` per run of at most ``ROW_BLOCK`` of ``n`` rows, in
-    order; ``scratch`` is a (len, width) view of the workspace's scratch,
-    which every run reuses, for a row-wise temporary no bigger than that."""
-    block = ws.buffer("scratch", (min(ROW_BLOCK, n), width))
+def row_blocks(ws: Workspace, n: int, width: int,
+               *names: str) -> Iterator[Tuple[slice, ...]]:
+    """``(rows, *scratch)`` per run of at most ``ROW_BLOCK`` of ``n`` rows,
+    in order: one (len, width) view per named workspace buffer (``scratch``
+    when none is named), which every run reuses, for a row-wise temporary
+    no bigger than that."""
+    bufs = [ws.buffer(name, (min(ROW_BLOCK, n), width)) for name in names or ["scratch"]]
     for lo in range(0, n, ROW_BLOCK):
         rows = slice(lo, min(lo + ROW_BLOCK, n))
-        yield rows, block[:rows.stop - lo]
+        yield (rows, *(buf[:rows.stop - lo] for buf in bufs))
 
 
 def heads_backward(snips: Sequence[np.ndarray], hidden: np.ndarray,
@@ -221,18 +234,17 @@ def heads_backward(snips: Sequence[np.ndarray], hidden: np.ndarray,
     contributions simply add.  The s_sim/s_cls entries are zero.
 
     Reads its arguments and writes only the workspace: the θ-sized result
-    into ``grad``, dL/d(pre-activation) into ``a`` and 1 - h² a
-    ``ROW_BLOCK`` of rows at a time into ``scratch``.  ``g_adapted`` may be
-    a view of ``b``: the rows are stacked there for the w1 product only once
-    it has been read.  They come as blocks, not as the forward's stacked
-    rows, since ``a`` is overwritten.
+    into ``grad``, dL/d(pre-activation) into its own (N, H) ``g_u`` and
+    1 - h² a ``ROW_BLOCK`` of rows at a time into ``scratch``.
+    ``g_adapted`` may be a view of ``b``: the rows are stacked there for
+    the w1 product only once it has been read.
     """
     n, dim, hidden_dim = hidden.shape[0], ckpt.dim, ckpt.hidden
     grad = workspace.buffer("grad", ckpt.theta.shape)
     g = param_views(grad, dim, hidden_dim)
     np.matmul(hidden.T, g_adapted, out=g["w2"])
     np.sum(g_adapted, axis=0, out=g["b2"])
-    g_u = np.matmul(g_adapted, ckpt.w2.T, out=workspace.buffer("a", (n, hidden_dim)))
+    g_u = np.matmul(g_adapted, ckpt.w2.T, out=workspace.buffer("g_u", (n, hidden_dim)))
     for r, tanh_grad in row_blocks(workspace, n, hidden_dim):
         np.multiply(hidden[r], hidden[r], out=tanh_grad)
         np.subtract(1.0, tanh_grad, out=tanh_grad)

@@ -221,7 +221,6 @@ def _cosines(adapted: np.ndarray, na: np.ndarray, texts: Sequence[np.ndarray],
 class Stack(NamedTuple):
     """Forward state of a batch of clips stacked into one block of rows."""
 
-    rows: np.ndarray  # (N, D) float64 snippet rows, clip by clip
     starts: np.ndarray  # (B,) first row of each clip
     seg: np.ndarray  # (N,) clip index of each row
     hidden: np.ndarray  # (N, H)
@@ -239,8 +238,9 @@ def forward_stack(ckpt: ModelCheckpoint, examples: Sequence, mode: str,
     it.  ``examples`` may be ``TrainExample``s or ``mil.Bag``s; each needs
     ``.snippets`` (T, D) and ``.clip_id``.  A clip-mode example has one row,
     which pools to its own logit with attention 1, so both modes share this
-    path.  The stacked rows, hidden rows and adapted rows are views of the
-    workspace's ``a``, ``h`` and ``b``.
+    path.  The rows are stacked into the workspace's ``b``, where the
+    adapter forms the adapted rows over them; the hidden and adapted rows
+    are views of ``h`` and ``b``.
     """
     counts = np.asarray([ex.snippets.shape[0] for ex in examples], dtype=np.intp)
     if mode == "clip" and np.any(counts != 1):
@@ -251,15 +251,16 @@ def forward_stack(ckpt: ModelCheckpoint, examples: Sequence, mode: str,
                                          f"{ex.snippets.shape}, checkpoint dim {ckpt.dim}")
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
     seg = np.repeat(np.arange(counts.size), counts)
-    rows = np.concatenate([ex.snippets for ex in examples], casting="safe",
-                          out=workspace.buffer("a", (seg.size, ckpt.dim)))
-    hidden, adapted, z = forward_rows(rows, ckpt, workspace)
+    blocks = [ex.snippets for ex in examples]
+    rows = np.concatenate(blocks, casting="safe",
+                          out=workspace.buffer("b", (seg.size, ckpt.dim)))
+    hidden, adapted, z = forward_rows(rows, ckpt, workspace, blocks)
     bad = ~np.isfinite(z)
     if bad.any():
         raise NonFiniteLossError(
             f"non-finite snippet logits for clip {examples[seg[bad.argmax()]].clip_id}")
     pooled, attn = segment_lse_pool(z, starts, ckpt.gamma)
-    return Stack(rows, starts, seg, hidden, adapted, z, pooled, attn)
+    return Stack(starts, seg, hidden, adapted, z, pooled, attn)
 
 
 def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
@@ -284,11 +285,12 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
     matrix products over the stacked rows in batch order.
 
     Every (N, D), (N, H) and θ-sized array lives in ``workspace``: the
-    stacked rows in ``a``, the hidden rows in ``h``, the adapted rows in
-    ``b``, which become dL/d(adapted) a ``ROW_BLOCK`` of rows at a time,
-    with the captions stacked into ``scratch`` per block and, in clip mode,
-    the unmatched captions' term into ``a``, whose rows the forward has
-    used.  The returned gradient is the workspace's ``grad``.
+    stacked rows in ``b``, over which the adapter forms the adapted rows,
+    which become dL/d(adapted) a ``ROW_BLOCK`` of rows at a time, with the
+    captions stacked into ``scratch`` per block and, in clip mode, the
+    unmatched captions' term into an ``unmatched`` block of as many rows;
+    the hidden rows in ``h``, and ``heads_backward``'s buffers.  The
+    returned gradient is the workspace's ``grad``.
     """
     if mode == "clip" and (unmatched is None or len(unmatched) != len(batch)):
         raise ValidationError("clip mode needs one unmatched caption per example")
@@ -327,7 +329,6 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
         l_sim = (1.0 - cos) + np.maximum(0.0, c_un)
         dz_sim = 0.0
         scale_un = c_un / (na * na)
-        d_un = fw.rows  # the forward has read these rows
     dz = (ws_sim * dz_sim + wc * dz_cls) / n
     g_w = adapted.T @ dz
     scale = cos / (na * na)
@@ -336,11 +337,12 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
     # g_e = ws_sim * de_sim / n + dz wᵀ, rounding for rounding as the
     # cosine gradient's terms were once formed over whole (N, D) blocks
     g_e = adapted
-    for r, scratch in row_blocks(workspace, *adapted.shape):
+    names = ("scratch", "unmatched") if mode == "clip" else ("scratch",)
+    for r, scratch, *un in row_blocks(workspace, *adapted.shape, *names):
         e = g_e[r]
         if mode == "clip":
             # dc_un = texts / norms - (c_un / |a|²) a, clamped at c_un <= 0
-            u = d_un[r]
+            u = un[0]
             np.concatenate(unmatched[r], out=u.reshape(-1))
             u /= norms_un[r, None]
             u -= np.multiply(scale_un[r, None], e, out=scratch)
@@ -362,8 +364,10 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
                           g_adapted=g_e, g_w=g_w, workspace=workspace)
     l_sim = math.fsum(l_sim) / n
     l_cls = math.fsum(l_cls) / n
+    # max and min carry a NaN through, so both are finite iff every entry is,
+    # and no θ-sized mask is formed
     if not (np.isfinite(l_sim) and np.isfinite(l_cls)
-            and np.all(np.isfinite(grad))):
+            and np.isfinite(grad.max()) and np.isfinite(grad.min())):
         raise NonFiniteLossError("non-finite loss or gradient in batch objective")
     breakdown = LossBreakdown.compute(l_sim, l_cls, ckpt.s_sim, ckpt.s_cls)
     g = param_views(grad, ckpt.dim, ckpt.hidden)
@@ -487,9 +491,12 @@ class TrainData(NamedTuple):
 
 def prepare_training(config: TrainConfig, records: Sequence[ClipRecord],
                      encoder: EncoderHandle,
-                     val_records: Sequence[ClipRecord] | None = None) -> TrainData:
+                     val_records: Sequence[ClipRecord] | None = None,
+                     source: str = "dataset") -> TrainData:
     """Split off a stratified validation set unless one is supplied, and
-    encode both sides; the records and the encoder are not needed after."""
+    encode both sides; the records and the encoder are not needed after.
+    A train side without both classes is refused, naming ``source`` (where
+    the records came from) and each class's count on that side."""
     if not records:
         raise ValidationError("empty dataset")
     warnings: List[str] = []
@@ -498,9 +505,14 @@ def prepare_training(config: TrainConfig, records: Sequence[ClipRecord],
             records, config.split_fraction, config.seed)
     else:
         train_recs, val_recs = list(records), list(val_records)
-    labels = {r.label for r in train_recs}
-    if labels != {0, 1}:
-        raise ValidationError("training split must contain both classes")
+    n_pos = sum(r.label == 1 for r in train_recs)
+    if not 0 < n_pos < len(train_recs):
+        side = (f"split_fraction={config.split_fraction} leaves"
+                if val_records is None else "the records hold")
+        raise ValidationError(
+            f"{source}: training split must contain both classes, but {side} "
+            f"{len(train_recs) - n_pos} clips of class 0 and {n_pos} of class 1 "
+            f"on the train side")
     return TrainData(
         prepare_examples(train_recs, encoder, config),
         [encode_clip(r, config.mode, encoder, config.snippet_len,

@@ -561,15 +561,24 @@ def cosines_with_grads_out_of_place(adapted, texts):
     return cos, dcos
 
 
+def forward_stack_out_of_place(ckpt, examples):
+    """``trainer.forward_stack`` over valid input: (rows, starts, seg,
+    hidden, adapted, logits, pooled, attn), every array a fresh one."""
+    counts = np.asarray([ex.snippets.shape[0] for ex in examples], dtype=np.intp)
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    seg = np.repeat(np.arange(counts.size), counts)
+    rows = np.concatenate([ex.snippets for ex in examples], dtype=np.float64)
+    _, hidden, adapted = adapter_forward_out_of_place(rows, ckpt)
+    z = adapted @ ckpt.w + ckpt.b
+    return (rows, starts, seg, hidden, adapted, z,
+            *segment_lse_pool(z, starts, ckpt.gamma))
+
+
 def batch_objective_out_of_place(ckpt, batch, mode="mil", pos_weight=1.0,
                                  unmatched=None):
     """``trainer.batch_objective`` over valid input, every step out of place."""
-    counts = np.asarray([ex.snippets.shape[0] for ex in batch], dtype=np.intp)
-    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    seg = np.repeat(np.arange(counts.size), counts)
-    rows = np.concatenate([ex.snippets for ex in batch], dtype=np.float64)
-    _, hidden, adapted = adapter_forward_out_of_place(rows, ckpt)
-    pooled, attn = segment_lse_pool(adapted @ ckpt.w + ckpt.b, starts, ckpt.gamma)
+    rows, starts, seg, hidden, adapted, _, pooled, attn = forward_stack_out_of_place(
+        ckpt, batch)
     n = len(batch)
     y = np.asarray([ex.label for ex in batch], dtype=np.float64)
     ws = 0.5 * math.exp(-ckpt.s_sim)

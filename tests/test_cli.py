@@ -335,6 +335,23 @@ class TestTrainEval:
             f"error: {path}: both classes must be present, but its "
             f"{len(records)} clips have labels {labels}") + "$")
 
+    def test_one_class_train_split_named(self, tmp_path):
+        """Both classes in the manifest, but the split leaves the one
+        positive clip out of training (floor(0.3 · 1 + 0.5) = 0): one error
+        line naming the manifest, split_fraction and each class's count on
+        the train side (floor(0.3 · 6 + 0.5) = 2 negatives)."""
+        path = tmp_path / "seven.jsonl"
+        assert run_quiet(["synth", "--n-normal", 6, "--n-collision", 1, "--dim", 8,
+                          "-o", path])[0] == 0
+        code, err = run_quiet([*self.train_args(path, tmp_path / "m.bin"),
+                               "--set", "split_fraction=0.3"])
+        assert code == 2, err
+        assert_one_error_line(err, "^" + re.escape(
+            f"error: {path}: training split must contain both classes, but "
+            f"split_fraction=0.3 leaves 2 clips of class 0 and 0 of class 1 "
+            f"on the train side") + "$")
+        assert not (tmp_path / "m.bin").exists()
+
     def test_eval_stdout_is_strict_json(self, manifest, tmp_path, capsys):
         ckpt = tmp_path / "c.bin"
         save_checkpoint(ckpt, init_checkpoint(dim=768, hidden=8, seed=0))

@@ -121,6 +121,24 @@ class TestBatchObjective:
             with pytest.raises(NonFiniteLossError, match="clip e1$"):
                 batch_objective(ckpt, huge, "mil", workspace=Workspace())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 17, -1])
+    def test_non_finite_gradient_entry_raises(self, rng, monkeypatch, value, where):
+        """One non-finite gradient entry under finite losses is refused."""
+        import vlaad.trainer as trainer_mod
+
+        real = trainer_mod.heads_backward
+
+        def spoiled(*args, **kwargs):
+            grad = real(*args, **kwargs)
+            grad[where] = value
+            return grad
+
+        monkeypatch.setattr(trainer_mod, "heads_backward", spoiled)
+        ckpt = init_checkpoint(dim=6, hidden=4, seed=2, zero_first_layer=False)
+        with pytest.raises(NonFiniteLossError, match="non-finite loss or gradient"):
+            batch_objective(ckpt, random_examples(rng), "mil", workspace=Workspace())
+
     def test_clip_mode_needs_unmatched(self, rng):
         ckpt = init_checkpoint(dim=6, hidden=4, seed=2)
         with pytest.raises(ValidationError):
