@@ -269,7 +269,7 @@ def _cmd_eval(args) -> int:
 
     with _make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache,
                        f"the dim of checkpoint {args.checkpoint}") as encoder:
-        scores = trainer.scores_for(ckpt, bags(encoder), args.mode)
+        scores = trainer.scores_for(ckpt, bags(encoder))
     _require_both_classes(args.manifest, labels)
     scored = evalkit.ScoredSet(scores, np.asarray(labels))
     auc = evalkit.roc_auc(scored)
@@ -324,7 +324,7 @@ def _cmd_trace(args) -> int:
         clips = (segment_clip(rec, args.snippet_len, args.stride, encoder)
                  for rec in records)
         csv.writer(fh).writerow(plotting.TRACE_HEADER)
-        for bags, fw in trainer.forward_chunks(ckpt, clips, "mil"):
+        for bags, fw in trainer.forward_chunks(ckpt, clips):
             n += len(bags)
             cells = [_csv_cell(bag.clip_id) for bag in bags]
             rows = zip([cell for bag, cell in zip(bags, cells) for _ in range(bag.size)],

@@ -136,8 +136,6 @@ class ClipRecord:
         call.  Errors start with the clip's ``name``."""
         if self.features is not None:
             return self.features
-        if self.inline is None and self.frames_path is None:
-            raise ValidationError(f"clip {self.clip_id} carries no frame features")
         try:
             if self.inline is not None:
                 shape, raw = self.inline.shape, base64.b64decode(self.inline.b64)

@@ -8,7 +8,8 @@ that interpolates between the mean (small gamma) and the max (large gamma):
 
 The pooling-induced attention softmax(gamma * z) is exactly the gradient of
 the pooled value with respect to the snippet logits.  ``segment_lse_pool``
-computes both for many bags at once over their stacked snippet logits.
+computes both for many bags at once over their stacked snippet logits;
+``lse_pool`` and ``pooling_attention`` are that kernel on one bag.
 """
 
 from __future__ import annotations
@@ -61,35 +62,14 @@ def _check_pool_args(logits, gamma) -> np.ndarray:
     return z
 
 
-def lse_pool(logits, gamma: float = DEFAULT_GAMMA) -> float:
-    """Temperature-controlled log-sum-exp pooling of snippet logits.
-
-    Computed with the max-shift trick so that exp never overflows even for
-    logits of magnitude 1e4.
-    """
-    z = _check_pool_args(logits, gamma)
-    m = float(z.max())
-    return m + (np.log(np.exp(gamma * (z - m)).sum()) - np.log(z.size)) / gamma
-
-
-def pooling_attention(logits, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
-    """softmax(gamma * z): positive weights summing to 1.
-
-    Equals the gradient of ``lse_pool`` with respect to each logit, so it is
-    the canonical per-snippet contribution weighting induced by the pooling.
-    """
-    z = _check_pool_args(logits, gamma)
-    shifted = np.exp(gamma * (z - z.max()))
-    return shifted / shifted.sum()
-
-
 def segment_lse_pool(logits, starts, gamma: float = DEFAULT_GAMMA):
-    """``lse_pool`` and ``pooling_attention`` of many bags stacked back to back.
+    """The pool and its attention of many bags stacked back to back.
 
     ``logits`` holds the snippet logits of every bag in bag order and
     ``starts`` the row at which each bag begins (0 first, strictly
     increasing, so no bag is empty).  Returns the pooled logit per bag and
-    the attention per row; each bag's max shift is its own.
+    the attention per row.  Each bag is shifted by its own max, so exp
+    never overflows even for logits of magnitude 1e4.
     """
     z = _check_pool_args(logits, gamma)
     starts = np.asarray(starts, dtype=np.intp)
@@ -103,6 +83,16 @@ def segment_lse_pool(logits, starts, gamma: float = DEFAULT_GAMMA):
     sums = np.add.reduceat(shifted, starts)
     pooled = m + (np.log(sums) - np.log(counts)) / gamma
     return pooled, shifted / sums[seg]
+
+
+def lse_pool(logits, gamma: float = DEFAULT_GAMMA) -> float:
+    """Temperature-controlled log-sum-exp pooling of one bag's logits."""
+    return float(segment_lse_pool(logits, [0], gamma)[0][0])
+
+
+def pooling_attention(logits, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
+    """softmax(gamma * z), the gradient of ``lse_pool`` in each logit."""
+    return segment_lse_pool(logits, [0], gamma)[1]
 
 
 def _frames(clip: "ClipRecord"):

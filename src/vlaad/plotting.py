@@ -88,9 +88,8 @@ def _scale(lo: float, hi: float) -> Tuple[float, float]:
 
 
 def render_series_svg(series: Series) -> str:
-    """Self-contained SVG: one polyline plus circle markers per series."""
-    if not series:
-        raise ValidationError("no series to plot")
+    """Self-contained SVG: one polyline plus circle markers per series
+    (``parse_trace_csv`` gives at least one point)."""
     all_x = [x for xs, _ in series.values() for x in xs]
     all_y = [y for _, ys in series.values() for y in ys]
     x0, x1 = _scale(min(all_x), max(all_x))

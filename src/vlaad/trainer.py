@@ -19,8 +19,7 @@ import numpy as np
 
 from .datakit import ClipRecord
 from .embeddings import DEFAULT_DIM, EncoderHandle, encode_text
-from .errors import (DimensionMismatchError, NonFiniteLossError, ValidationError,
-                     replace_on_success)
+from .errors import NonFiniteLossError, ValidationError, replace_on_success
 from .evalkit import ScoredSet, roc_auc
 from .mil import (DEFAULT_GAMMA, DEFAULT_SNIPPET_LEN, DEFAULT_SNIPPET_STRIDE,
                   MIN_GAMMA, Bag, encode_clip, segment_lse_pool)
@@ -106,10 +105,6 @@ def uncertainty_weighted_total(l_sim: float, l_cls: float,
     With s = log(variance) this is the standard homoscedastic multi-task
     weighting; the value may be negative through the s terms.
     """
-    for name, val in (("l_sim", l_sim), ("l_cls", l_cls),
-                      ("s_sim", s_sim), ("s_cls", s_cls)):
-        if not np.isfinite(val):
-            raise ValidationError(f"{name} must be finite")
     return float(0.5 * np.exp(-s_sim) * l_sim + 0.5 * np.exp(-s_cls) * l_cls
                  + s_sim + s_cls)
 
@@ -145,8 +140,6 @@ def split_dataset(records: Sequence[ClipRecord], fraction: float,
     reported as a warning, not an error."""
     if len(records) < 2:
         raise ValidationError("need at least 2 records to split")
-    if not (0.0 < fraction < 1.0):
-        raise ValidationError("fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     train: List[ClipRecord] = []
     val: List[ClipRecord] = []
@@ -189,8 +182,7 @@ def prepare_examples(records: Sequence[ClipRecord], encoder: EncoderHandle,
     texts = {}  # caption -> its text vector
     for rec in records:
         if not rec.caption.strip():
-            raise ValidationError(
-                f"clip {rec.clip_id} has no caption; run captioning first")
+            raise ValidationError(f"{rec.name} has no caption; run captioning first")
         text = texts.get(rec.caption)
         if text is None:
             text = encode_text(rec.caption, encoder).values.astype(np.float64)
@@ -230,25 +222,20 @@ class Stack(NamedTuple):
     attn: np.ndarray  # (N,) pooling attention within each clip
 
 
-def forward_stack(ckpt: ModelCheckpoint, examples: Sequence, mode: str,
+def forward_stack(ckpt: ModelCheckpoint, examples: Sequence,
                   workspace: Workspace) -> Stack:
     """One forward over every snippet row of ``examples``, pooled per clip.
 
     The only offline snippet kernel: training and ``forward_chunks`` run
-    it.  ``examples`` may be ``TrainExample``s or ``mil.Bag``s; each needs
-    ``.snippets`` (T, D) and ``.clip_id``.  A clip-mode example has one row,
-    which pools to its own logit with attention 1, so both modes share this
-    path.  The rows are stacked into the workspace's ``b``, where the
+    it.  ``examples`` may be ``TrainExample``s or ``mil.Bag``s, each with a
+    ``.clip_id`` and, unchecked, ``encode_clip``'s (T >= 1, ckpt.dim)
+    ``.snippets`` from an encoder of the checkpoint's D.  In clip mode T is
+    1, which pools to its own logit with attention 1, so both modes share
+    this path.  The rows are stacked into the workspace's ``b``, where the
     adapter forms the adapted rows over them; the hidden and adapted rows
     are views of ``h`` and ``b``.
     """
     counts = np.asarray([ex.snippets.shape[0] for ex in examples], dtype=np.intp)
-    if mode == "clip" and np.any(counts != 1):
-        raise ValidationError("clip mode needs exactly one snippet row per example")
-    for ex in examples:
-        if ex.snippets.shape[1:] != (ckpt.dim,):
-            raise DimensionMismatchError(f"clip {ex.clip_id}: snippet rows have shape "
-                                         f"{ex.snippets.shape}, checkpoint dim {ckpt.dim}")
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
     seg = np.repeat(np.arange(counts.size), counts)
     blocks = [ex.snippets for ex in examples]
@@ -278,6 +265,8 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
     well) and negative bags average the clamped similarities.  In clip mode
     each example is one row with a matched pair against its own caption plus
     one unmatched pair against ``unmatched`` (one text vector per example).
+    Unchecked, as ``fit``, ``validate_record`` and ``TrainConfig`` ensure: the
+    batch is non-empty, labels are 0 or 1, and ``pos_weight`` is > 0.
 
     Returns the loss breakdown (batch means) and the gradient as one vector
     in the layout of ``ckpt.theta``.  Scalar loss sums use ``math.fsum``
@@ -292,17 +281,8 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
     the hidden rows in ``h``, and ``heads_backward``'s buffers.  The
     returned gradient is the workspace's ``grad``.
     """
-    if mode == "clip" and (unmatched is None or len(unmatched) != len(batch)):
-        raise ValidationError("clip mode needs one unmatched caption per example")
     n = len(batch)
-    if n == 0:
-        raise ValidationError("empty batch")
-    for ex in batch:
-        if ex.label not in (0, 1):
-            raise ValidationError(f"label must be 0 or 1, got {ex.label}")
-    if not pos_weight > 0:
-        raise ValidationError("pos_weight must be positive")
-    fw = forward_stack(ckpt, batch, mode, workspace)
+    fw = forward_stack(ckpt, batch, workspace)
     seg, attn, adapted = fw.seg, fw.attn, fw.adapted
     y = np.asarray([ex.label for ex in batch], dtype=np.float64)
     ws_sim = 0.5 * math.exp(-ckpt.s_sim)
@@ -451,10 +431,10 @@ def _resolve_pos_weight(config: TrainConfig, records: Sequence[ClipRecord]) -> f
     return n_neg / n_pos if n_pos else 1.0
 
 
-def forward_chunks(ckpt: ModelCheckpoint, examples: Iterable, mode: str,
+def forward_chunks(ckpt: ModelCheckpoint, examples: Iterable,
                    eval_batch: int = DEFAULT_EVAL_BATCH,
                    workspace: Workspace | None = None) -> Iterator[Tuple[list, Stack]]:
-    """``(chunk, forward_stack(ckpt, chunk, mode, workspace))`` per run of
+    """``(chunk, forward_stack(ckpt, chunk, workspace))`` per run of
     ``eval_batch`` clips of any iterable, such as a generator that encodes
     one clip at a time.  The one scoring loop, so ``scores_for``, ``vlaad
     eval`` and ``vlaad trace`` share chunks; memory scales with a chunk, not
@@ -464,17 +444,17 @@ def forward_chunks(ckpt: ModelCheckpoint, examples: Iterable, mode: str,
     row differently as its row count changes."""
     it, ws = iter(examples), workspace or Workspace()
     while chunk := list(islice(it, eval_batch)):
-        yield chunk, forward_stack(ckpt, chunk, mode, ws)
+        yield chunk, forward_stack(ckpt, chunk, ws)
 
 
-def scores_for(ckpt: ModelCheckpoint, examples: Iterable, mode: str,
+def scores_for(ckpt: ModelCheckpoint, examples: Iterable,
                eval_batch: int = DEFAULT_EVAL_BATCH,
                workspace: Workspace | None = None) -> np.ndarray:
     """Bag probabilities (MIL pooled, or the single clip logit in clip mode),
     one chunk of ``forward_chunks`` at a time; other ``eval_batch`` values
     give the same probabilities to rounding, not always bit for bit."""
     probs = [sigmoid(fw.pooled) for _, fw in
-             forward_chunks(ckpt, examples, mode, eval_batch, workspace)]
+             forward_chunks(ckpt, examples, eval_batch, workspace)]
     return np.concatenate(probs) if probs else np.empty(0)
 
 
@@ -497,8 +477,6 @@ def prepare_training(config: TrainConfig, records: Sequence[ClipRecord],
     encode both sides; the records and the encoder are not needed after.
     A train side without both classes is refused, naming ``source`` (where
     the records came from) and each class's count on that side."""
-    if not records:
-        raise ValidationError("empty dataset")
     warnings: List[str] = []
     if val_records is None:
         train_recs, val_recs, warnings = split_dataset(
@@ -569,7 +547,7 @@ def fit(config: TrainConfig, data: TrainData) -> TrainResult:
                                       ckpt.s_sim, ckpt.s_cls)
         val_auc = float("nan")
         if val_bags and {0, 1} == set(val_labels.tolist()):
-            probs = scores_for(ckpt, val_bags, config.mode, config.eval_batch, ws)
+            probs = scores_for(ckpt, val_bags, config.eval_batch, ws)
             val_auc = roc_auc(ScoredSet(probs, val_labels))
         history.append(EpochStats(epoch + 1, stats, val_auc))
 

@@ -133,6 +133,30 @@ def exhaustive_youden(scores, labels):
     return best, candidates
 
 
+def lse_pool_max_shift(logits, gamma):
+    """One bag's log-sum-exp pool and its attention, shifted by the bag's
+    max and summed with ``np.sum``: rounding may differ from the package's
+    ``np.add.reduceat`` in the last bits."""
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = np.exp(gamma * (z - z.max()))
+    return (float(z.max()) + (np.log(shifted.sum()) - np.log(z.size)) / gamma,
+            shifted / shifted.sum())
+
+
+def epoch_loss_means(steps, epochs):
+    """Each epoch's (L_sim, L_cls): the mean of its steps' breakdowns weighted
+    by batch size.  ``steps`` holds (batch size, breakdown) per step in call
+    order, with as many steps in every epoch."""
+    per_epoch = len(steps) // epochs
+    means = []
+    for e in range(epochs):
+        chunk = steps[e * per_epoch:(e + 1) * per_epoch]
+        n = sum(size for size, _ in chunk)
+        means.append((math.fsum(size * b.l_sim for size, b in chunk) / n,
+                      math.fsum(size * b.l_cls for size, b in chunk) / n))
+    return means
+
+
 def naive_bce(logit, y, pos_weight=1.0):
     """Textbook -[w y log p + (1-y) log(1-p)]; valid for |logit| <= 30."""
     p = 1.0 / (1.0 + math.exp(-logit))

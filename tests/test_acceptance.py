@@ -326,7 +326,7 @@ def test_criterion_10_external_ingestion_contract(mil_run, tmp_path):
     from vlaad.trainer import prepare_examples
 
     examples = prepare_examples(loaded, encoder, cfg)
-    probs = scores_for(result.checkpoint, examples, "mil")
+    probs = scores_for(result.checkpoint, examples)
     labels = np.asarray([r.label for r in loaded])
     scored = ScoredSet(probs, labels)
     auc = roc_auc(scored)

@@ -4,6 +4,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clip, run_trace
-from oracles import per_clip_trace_rows, read_embedding_cache_whole
+from oracles import epoch_loss_means, per_clip_trace_rows, read_embedding_cache_whole
 import vlaad
 from vlaad import cli, datakit, embeddings, evalkit, trainer
 from vlaad.cli import build_parser, run
@@ -201,6 +202,82 @@ class TestTrainEval:
         lines = hist.read_text().splitlines()
         assert lines[0] == "epoch,L_sim,L_cls,s_sim,s_cls,L_total,val_auc"
         assert len(lines) == 3
+
+    def test_history_losses_are_batch_weighted_means(self, manifest, tmp_path,
+                                                     monkeypatch):
+        """Each epoch's L_sim and L_cls are its batches' losses weighted by
+        batch size (20 train clips in batches of 7, 7 and 6), and L_total
+        is their uncertainty-weighted total at the epoch's s_sim and s_cls."""
+        steps = []
+
+        def spy(ckpt, batch, *args, _objective=trainer.batch_objective, **kwargs):
+            breakdown, grad = _objective(ckpt, batch, *args, **kwargs)
+            steps.append((len(batch), breakdown))
+            return breakdown, grad
+
+        monkeypatch.setattr(trainer, "batch_objective", spy)
+        hist = tmp_path / "h.csv"
+        code, err = run_quiet([*self.train_args(manifest, tmp_path / "c.bin"),
+                               "--set", "epochs=3", "--set", "train_batch=7",
+                               "--history", hist])
+        assert code == 0, err
+        assert [size for size, _ in steps] == [7, 7, 6] * 3
+        with open(hist, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for row, (l_sim, l_cls) in zip(rows, epoch_loss_means(steps, 3)):
+            s_sim, s_cls = float(row["s_sim"]), float(row["s_cls"])
+            total = (0.5 * math.exp(-s_sim) * l_sim + 0.5 * math.exp(-s_cls) * l_cls
+                     + s_sim + s_cls)
+            for key, want in (("L_sim", l_sim), ("L_cls", l_cls), ("L_total", total)):
+                assert float(row[key]) == pytest.approx(want, rel=1e-12, abs=1e-12), key
+
+    def test_blank_caption_names_manifest_line(self, manifest, tmp_path):
+        """A training clip with a blank caption exits 2 naming the manifest
+        line it came from."""
+        lines = manifest.read_text().splitlines()
+        obj = {**json.loads(lines[2]), "caption": " "}
+        blank = tmp_path / "blank.jsonl"
+        blank.write_text("\n".join([*lines[:2], json.dumps(obj), *lines[3:]]) + "\n")
+        code, err = run_quiet([*self.train_args(blank, tmp_path / "c.bin"),
+                               "--val-manifest", manifest])
+        assert code == 2, err
+        assert_one_error_line(err, "^" + re.escape(
+            f"error: {blank}: manifest line 3: clip {obj['clip_id']} has no "
+            f"caption; run captioning first") + "$")
+        assert not (tmp_path / "c.bin").exists()
+
+    def test_set_needs_key_equals_value(self, manifest, tmp_path):
+        code, err = run_quiet([*self.train_args(manifest, tmp_path / "c.bin"),
+                               "--set", "epochs"])
+        assert code == 2, err
+        assert_one_error_line(err, "^" + re.escape(
+            "error: --set expects KEY=VALUE, got 'epochs'") + "$")
+
+    def test_set_bare_string_value(self, manifest, tmp_path):
+        """A --set value that is not JSON is taken as a string: mode=clip
+        trains as mode="clip" does."""
+        blobs = []
+        for value in ("clip", '"clip"'):
+            ckpt = tmp_path / "c.bin"
+            code, err = run_quiet([*self.train_args(manifest, ckpt),
+                                   "--set", f"mode={value}"])
+            assert code == 0 and err == "", err
+            blobs.append(ckpt.read_bytes())
+        code, err = run_quiet(self.train_args(manifest, tmp_path / "mil.bin"))
+        assert code == 0, err
+        assert blobs[0] == blobs[1] != (tmp_path / "mil.bin").read_bytes()
+
+    def test_class_absent_from_validation_warns(self, tmp_path, capsys):
+        """One positive clip goes to the train side (floor(0.8 · 1 + 0.5) = 1):
+        training runs, warns once on stderr and reports no validation AUC."""
+        path = tmp_path / "seven.jsonl"
+        assert run_quiet(["synth", "--n-normal", 6, "--n-collision", 1, "--dim", 8,
+                          "-o", path])[0] == 0
+        code, out, err = run_cli(capsys, *self.train_args(path, tmp_path / "c.bin"))
+        assert code == 0, err
+        assert err == "warning: class 1 absent from the validation split\n"
+        assert json.loads(out, parse_constant=reject_constant)["val_auc"] is None
 
     def test_bad_config_key_exit_2(self, manifest, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "train", "--manifest", str(manifest),
@@ -1309,14 +1386,13 @@ class TestTraceKernel:
                           gamma=ckpt.gamma, seed=ckpt.seed)
         examples = prepare_examples(
             clips, StubEncoder(dim=ckpt.dim, seed=ckpt.seed), cfg)
-        kernel = np.concatenate([forward_stack(ckpt, examples[s:s + 64], "mil",
-                                               Workspace()).logits
-                                 for s in range(0, len(examples), 64)])
+        kernel = np.concatenate([forward_stack(ckpt, examples[s:s + 64], Workspace())
+                                 .logits for s in range(0, len(examples), 64)])
         logits = np.array([r[3] for r in rows])
         assert np.array_equal(logits, kernel)
         starts = np.flatnonzero([r[1] == 0 for r in rows])
         pooled, _ = segment_lse_pool(logits, starts, ckpt.gamma)
-        assert np.array_equal(sigmoid(pooled), scores_for(ckpt, examples, "mil"))
+        assert np.array_equal(sigmoid(pooled), scores_for(ckpt, examples))
 
     @pytest.mark.parametrize("snippet_len, stride", [(8, 8), (5, 3), (8, 2)])
     def test_matches_per_clip_oracle(self, tmp_path, trace_ckpt, snippet_len,
@@ -1443,9 +1519,12 @@ class TestTraceAndPlot:
         ("t,a,a\n0,0.1,0.2\n", r"series 'a' repeated in the header at line 1$"),
         ("t,a\n0,0.1\n1," + "2" * 200_000 + "\n",
          r"line 3: field larger than field limit \(131072\)$"),
+        (TRACE_LINE, r"trace CSV has a header but no data rows$"),
+        ("t\n0\n1\n", r"need a time column plus one series$"),
+        ("t,a,b\n0,0.1,0.2\n1,0.3\n", r"malformed row at line 3$"),
     ], ids=["trace_prob_nan", "trace_time_inf", "wide_time_minus_inf",
             "wide_value_infinity", "quoted_newline", "not_utf8", "repeated_series",
-            "field_too_large"])
+            "field_too_large", "header_only", "one_column", "short_row"])
     def test_from_csv_refuses_bad_input(self, tmp_path, capsys, data, message):
         """Each cell is UTF-8 and finite and each wide series is named once;
         else ``trace --from-csv`` exits 2 naming the file and its line, and
@@ -1455,6 +1534,41 @@ class TestTraceAndPlot:
         code, _, err = run_cli(capsys, "trace", "--from-csv", str(bad), "--plot", str(out))
         assert code == 2
         assert_one_error_line(err, "^" + re.escape(f"error: {bad}: "), message)
+        assert not out.exists()
+
+    def test_one_point_plots_constant_series(self, tmp_path, capsys):
+        """A lone point spans no range on either axis: each axis is widened
+        by 1 either side, so the point sits mid-plot."""
+        one, out = tmp_path / "one.csv", tmp_path / "one.svg"
+        one.write_text(self.TRACE_LINE + "c,0,2.0,0.1,0.5,1.0\r\n")
+        code, stdout, err = run_cli(capsys, "trace", "--from-csv", str(one),
+                                    "--plot", str(out))
+        assert (code, stdout, err) == (0, f"plotted 1 series to {out}\n", "")
+        svg = out.read_text()
+        assert svg.count('class="marker"') == 1
+        assert '<circle class="marker" cx="338.00" cy="192.00"' in svg
+        assert ">1</text>" in svg and ">3</text>" in svg  # the x axis: 2 ± 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--from-csv", "t.csv"], "trace --from-csv requires --plot"),
+        (["--checkpoint", "c.bin", "--manifest", "m.jsonl"],
+         "trace needs --checkpoint, --manifest and -o (or --from-csv)"),
+    ], ids=["from_csv_without_plot", "without_output"])
+    def test_missing_flag_exit_2(self, argv, message):
+        code, err = run_quiet(["trace", *argv])
+        assert code == 2, err
+        assert_one_error_line(err, "^" + re.escape(f"error: {message}") + "$")
+
+    @pytest.mark.parametrize("flag", ["--snippet-len", "--stride"])
+    def test_snippet_len_and_stride_at_least_1(self, eval_inputs, tmp_path, flag):
+        root, manifest, data = eval_inputs
+        ckpt, out = tmp_path / "c.bin", tmp_path / "t.csv"
+        ckpt.write_bytes(data)
+        code, err = run_quiet(["trace", "--checkpoint", ckpt, "--manifest", manifest,
+                               "-o", out, flag, 0])
+        assert code == 2, err
+        assert_one_error_line(err, "^" + re.escape(
+            "error: snippet_len and stride must be >= 1") + "$")
         assert not out.exists()
 
     def test_from_csv_splits_lines_as_text_does(self, tmp_path):
@@ -1506,6 +1620,23 @@ class TestScoreWilcoxon:
         agg = lines[-1]["aggregate"]
         assert agg["routes"] == 2
         assert agg["Col_per_km"] == pytest.approx(1.0 / 15.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("km", -1, "km must be >= 0"),
+        ("route_completion", 101, "route_completion must be in [0, 100]"),
+        ("infractions", {"pedestrian": -1}, "negative count for infraction 'pedestrian'"),
+    ])
+    def test_score_refuses_out_of_range_record(self, tmp_path, field, value,
+                                               message):
+        runs = tmp_path / "runs.jsonl"
+        good = {"route_id": "r0", "km": 1.0, "route_completion": 50.0,
+                "infractions": {}}
+        runs.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value})
+                        + "\n")
+        code, err = run_quiet(["score", "--runs", runs])
+        assert code == 2, err
+        assert_one_error_line(err, "^" + re.escape(
+            f"error: {runs}: run record line 2: {message}") + "$")
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), version=st.sampled_from(["v20", "v21"]))
@@ -1736,6 +1867,17 @@ class TestInfer:
         assert code == 2 and out == ""
         assert_one_error_line(
             err, re.escape(f"tick rate {float(rate)} Hz must be finite and > 0"))
+
+    @pytest.mark.parametrize("flag", ["--buffer-size", "--period"])
+    def test_buffer_size_and_period_at_least_1(self, flag, tmp_path, capsys,
+                                               monkeypatch):
+        ckpt = self.checkpoint(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            json.dumps({"tick": 0, "features": [0.5] * 8}) + "\n"))
+        code, out, err = run_cli(capsys, "infer", "--checkpoint", str(ckpt), flag, "0")
+        assert code == 2 and out == ""
+        assert_one_error_line(err, "^" + re.escape(
+            "error: buffer size and period must be >= 1") + "$")
 
     def test_embedding_cache_flag_rejected(self, tmp_path, capsys):
         """infer always streams through the stub: it has no cache flag."""

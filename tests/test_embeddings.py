@@ -159,6 +159,20 @@ class TestEmbeddingCache:
         for key, vec in entries.items():
             assert np.array_equal(vectors[rows[key]], vec)
 
+    def test_id_length_bound(self, tmp_path, rng):
+        """An id is stored behind a u16 length: 65,535 UTF-8 bytes round-trip,
+        65,536 are refused and leave no file."""
+        vec = rng.standard_normal(4).astype(np.float32)
+        longest, path = "é" * 32767 + "a", tmp_path / "long.vlec"
+        assert len(longest.encode()) == 0xFFFF
+        write_embedding_cache(path, {longest: vec, "x": vec}, dim=4)
+        with CachedEncoder(path) as enc:
+            assert np.array_equal(encode_text(longest, enc).values, vec)
+        too_long, bad = longest + "b", tmp_path / "bad.vlec"
+        with pytest.raises(ValidationError, match="embedding id too long"):
+            write_embedding_cache(bad, {"x": vec, too_long: vec}, dim=4)
+        assert sorted(os.listdir(tmp_path)) == ["long.vlec"]
+
     def test_cached_encoder_serves_vectors_as_is(self, tmp_path, rng):
         path = tmp_path / "emb.bin"
         vec = (3.0 * rng.standard_normal(8)).astype(np.float32)  # not unit

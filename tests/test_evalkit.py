@@ -140,6 +140,13 @@ class TestThresholdMetrics:
         m = threshold_metrics(scored([0.1, 0.2], [0, 1]), 0.5)
         assert m["f1"] == 0.0
 
+    def test_rates_zero_without_their_class(self):
+        """No negatives: fpr is 0 by convention; no positives: tpr is 0."""
+        m = threshold_metrics(scored([0.1, 0.9, 0.7], [1, 1, 1]), 0.5)
+        assert m["fpr"] == 0.0 and m["tpr"] == pytest.approx(2 / 3)
+        m = threshold_metrics(scored([0.1, 0.9, 0.7], [0, 0, 0]), 0.5)
+        assert m["tpr"] == 0.0 and m["fpr"] == pytest.approx(2 / 3)
+
     def test_confusion_example(self):
         m = threshold_metrics(scored([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]),
                               0.375)

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clip
-from oracles import RiskTrace, check_bag, forward_bag, per_snippet_bag
+from oracles import (RiskTrace, check_bag, forward_bag, lse_pool_max_shift,
+                     per_snippet_bag)
 from vlaad.embeddings import CachedEncoder, StubEncoder, write_embedding_cache
 from vlaad.errors import DimensionMismatchError, EmptyInputError, ValidationError
 from vlaad.mil import (MIN_GAMMA, Bag, encode_clip, lse_pool, pooling_attention,
@@ -134,7 +135,9 @@ class TestSegmentLsePool:
     @given(st.lists(st.tuples(finite_logits, st.floats(-1e3, 1e3)),
                     min_size=1, max_size=6), gammas)
     def test_matches_per_bag_pooling(self, shifted_bags, gamma):
-        """Ragged stacked pooling equals lse_pool / pooling_attention per bag.
+        """Ragged stacked pooling equals each bag's own max-shifted pool and
+        attention, and ``lse_pool`` / ``pooling_attention`` of that bag bit
+        for bit.
 
         Bags sit up to 2e3 apart, so one shared max shift would underflow.
         """
@@ -143,10 +146,12 @@ class TestSegmentLsePool:
         pooled, attn = segment_lse_pool(np.concatenate(bags), starts, gamma)
         assert pooled.shape == (len(bags),)
         for k, bag in enumerate(bags):
-            assert abs(pooled[k] - lse_pool(bag, gamma)) <= 1e-12
+            want_pool, want_attn = lse_pool_max_shift(bag, gamma)
+            assert abs(pooled[k] - want_pool) <= 1e-12
+            assert pooled[k] == lse_pool(bag, gamma)
             rows = attn[starts[k]:starts[k] + len(bag)]
-            np.testing.assert_allclose(rows, pooling_attention(bag, gamma),
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rows, want_attn, rtol=0, atol=1e-12)
+            assert np.array_equal(rows, pooling_attention(bag, gamma))
 
     def test_rejects_bad_offsets(self):
         z = np.arange(4.0)

@@ -12,7 +12,7 @@ from vlaad.errors import DimensionMismatchError, ValidationError
 from vlaad.mil import Bag, lse_pool
 from vlaad.model import (ModelCheckpoint, Workspace, adapter_forward, bag_logits,
                          forward_rows, init_checkpoint, load_checkpoint,
-                         param_layout, save_checkpoint)
+                         param_layout, param_views, save_checkpoint)
 
 
 def tiny_adapter(rng, dim=6, hidden=4, scale=0.1):
@@ -231,6 +231,14 @@ class TestCheckpointIO:
         path.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNKJUNK")
         with pytest.raises(ValidationError):
             load_checkpoint(path)
+
+    def test_param_views_names_the_size_it_needs(self):
+        """D=2, H=1: w1 2, b1 1, w2 2, b2 2, w 2, b, s_sim and s_cls 1 each."""
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^parameter vector has shape \(11,\), D=2, H=1 "
+                                 r"need \(12,\)$"):
+            param_views(np.zeros(11), 2, 1)
+        assert param_views(np.zeros(12), 2, 1)["w"].shape == (2,)
 
     def test_dims_header_must_match(self, rng):
         good = init_checkpoint(dim=6, hidden=4, seed=0)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 
@@ -7,19 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_clip
 from oracles import (binary_cross_entropy_from_logit, gradient_check,
                      heads_backward_through_detector, per_clip_objective,
                      vector_objective)
-from vlaad.datakit import SynthConfig, generate_synthetic_dataset
+from vlaad.datakit import (SynthConfig, generate_synthetic_dataset, read_manifest,
+                           write_manifest)
 from vlaad.embeddings import _TEXT_STREAM, _VIDEO_STREAM, StubEncoder
 from vlaad.errors import NonFiniteLossError, ValidationError
-from vlaad.mil import Bag, lse_pool, pooling_attention
+from vlaad.mil import Bag, encode_clip, lse_pool, pooling_attention
 from vlaad.model import (Workspace, adapter_forward, bag_logits, init_checkpoint,
                          param_views, save_checkpoint)
 from vlaad.numerics import sigmoid
-from vlaad.trainer import (AdamState, LossBreakdown, TrainConfig, TrainExample,
-                           EpochStats, batch_objective, prepare_examples,
-                           scores_for, split_dataset, train, write_history_csv)
+from vlaad.trainer import (AdamState, LossBreakdown, TrainConfig, TrainData,
+                           TrainExample, EpochStats, batch_objective, fit,
+                           prepare_examples, scores_for, split_dataset, train,
+                           write_history_csv)
 
 
 def synth_records(n=30, dim=8, delta=4.0, seed=1):
@@ -139,27 +143,49 @@ class TestBatchObjective:
         with pytest.raises(NonFiniteLossError, match="non-finite loss or gradient"):
             batch_objective(ckpt, random_examples(rng), "mil", workspace=Workspace())
 
-    def test_clip_mode_needs_unmatched(self, rng):
-        ckpt = init_checkpoint(dim=6, hidden=4, seed=2)
-        with pytest.raises(ValidationError):
-            batch_objective(ckpt, random_examples(rng, t=1), "clip",
-                            workspace=Workspace())
+    def test_clip_mode_needs_unmatched(self, rng, monkeypatch):
+        """``batch_objective`` takes its unmatched captions from ``fit``:
+        in clip mode exactly one per example, each another example's."""
+        import vlaad.trainer as trainer_mod
 
-    def test_clip_mode_needs_one_row_per_example(self, rng):
-        ckpt = init_checkpoint(dim=6, hidden=4, seed=2)
-        batch = random_examples(rng, t=2)
-        with pytest.raises(ValidationError, match="one snippet row"):
-            batch_objective(ckpt, batch, "clip",
-                            unmatched=[ex.text for ex in batch], workspace=Workspace())
+        examples = random_examples(rng, n=7, t=1)
+        calls = []
 
-    def test_label_and_pos_weight_checked(self, rng):
-        ckpt = init_checkpoint(dim=6, hidden=4, seed=2)
-        batch = random_examples(rng)
-        with pytest.raises(ValidationError, match="pos_weight"):
-            batch_objective(ckpt, batch, "mil", pos_weight=0.0, workspace=Workspace())
-        batch[2].label = 2
-        with pytest.raises(ValidationError, match="label"):
-            batch_objective(ckpt, batch, "mil", workspace=Workspace())
+        def spy(ckpt, batch, mode, pos_weight, unmatched, *, workspace):
+            calls.append((list(batch), list(unmatched)))
+            return batch_objective(ckpt, batch, mode, pos_weight, unmatched,
+                                   workspace=workspace)
+
+        monkeypatch.setattr(trainer_mod, "batch_objective", spy)
+        config = TrainConfig(mode="clip", epochs=3, train_batch=3, embed_dim=6,
+                             hidden_dim=4, seed=2)
+        fit(config, TrainData(examples, [], np.empty(0, dtype=np.int64), 1.0, 6, []))
+        assert len(calls) == 3 * 3
+        for batch, unmatched in calls:
+            assert len(unmatched) == len(batch)
+            for ex, text in zip(batch, unmatched):  # every example's text is its own
+                assert text is not ex.text and any(text is o.text for o in examples)
+
+    @pytest.mark.parametrize("n_frames", [1, 7, 40, 93])
+    def test_clip_mode_needs_one_row_per_example(self, n_frames):
+        """Clip mode's one row per example comes from ``encode_clip``: one
+        (1, D) row whatever the clip's frame count."""
+        bag = encode_clip(make_clip(n_frames=n_frames), "clip", StubEncoder(dim=5))
+        assert bag.snippets.shape == (1, 5) and bag.size == 1
+
+    def test_label_and_pos_weight_checked(self, tmp_path):
+        """``pos_weight`` is checked by ``TrainConfig`` (0 and below refused)
+        and each label by the manifest reader, before any objective runs."""
+        for bad in (0.0, -1, -1e-300):
+            with pytest.raises(ValidationError, match="pos_weight must be positive"):
+                TrainConfig(pos_weight=bad)
+        path = tmp_path / "m.jsonl"
+        write_manifest(synth_records(4), path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "label": 2})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match="line 3: label must be 0 or 1, got 2"):
+            read_manifest(path)
 
 
 def ragged_batch(seed, lengths, labels, dim=6):
@@ -218,9 +244,9 @@ class TestStackedKernel:
             Bag(ex.clip_id, ex.snippets, np.arange(float(len(ex.snippets))),
                 ex.label), ckpt), ckpt.gamma)) for ex in examples]
         for eval_batch in (1, 3, len(examples)):
-            probs = scores_for(ckpt, examples, mode, eval_batch)
+            probs = scores_for(ckpt, examples, eval_batch)
             np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
-        empty = scores_for(ckpt, [], mode, 3)
+        empty = scores_for(ckpt, [], 3)
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 

@@ -192,7 +192,7 @@ class TestRowBlockEdges:
             got, g_got = batch_objective(ckpt, batch, mode, 1.5, unmatched, workspace=ws)
             assert got == want
             assert_same_bits(g_got, g_want)
-            fw = forward_stack(ckpt, batch, mode, ws)
+            fw = forward_stack(ckpt, batch, ws)
             assert len(fw) == len(fw_want)
             for g, w in zip(fw, fw_want):
                 assert_same_bits(g, w)
@@ -362,7 +362,7 @@ class TestAllocations:
         def step():
             _, grad = batch_objective(ckpt, batch, "mil", 1.0, None, workspace=ws)
             adam.step(ckpt.theta, grad, 1e-3, 1e-4)
-            scores_for(ckpt, val, "mil", 64, ws)
+            scores_for(ckpt, val, 64, ws)
 
         step()
         assert traced_peak(step) / ONE_BLOCK < 0.3
