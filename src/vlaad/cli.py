@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -22,12 +20,12 @@ import numpy as np
 
 from . import datakit, evalkit, inference, plotting, trainer
 from .embeddings import CachedEncoder, StubEncoder
-from .errors import (LINES_BUFFER, ValidationError, VlaadError, json_document,
-                     json_lines, json_numbers, replace_on_success)
+from .errors import (LINES_BUFFER, ValidationError, VlaadError, json_bool,
+                     json_document, json_lines, json_numbers, json_strings,
+                     replace_on_success)
 from .mil import (DEFAULT_SNIPPET_LEN, DEFAULT_SNIPPET_STRIDE, encode_clip,
                   segment_clip)
 from .model import load_checkpoint, save_checkpoint
-from .numerics import sigmoid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,17 +166,9 @@ def _caption_job(obj):
         return obj, lambda client, rng: (
             datakit.caption_collision_clip(log, client, rng=rng), False)
     if kind == "normal":
-        annotations = obj["annotations"]
-        if not (isinstance(annotations, list)
-                and all(isinstance(a, str) for a in annotations)):
-            raise ValidationError("annotations must be a list of strings")
-        if not annotations:
-            raise ValidationError("annotations must hold at least one frame annotation")
-        paraphrase = obj.get("paraphrase", False)
-        if type(paraphrase) is not bool:
-            raise ValidationError(f"paraphrase must be true or false, got {paraphrase!r}")
-        return obj, functools.partial(datakit.caption_normal_clip, annotations,
-                                      paraphrase=paraphrase)
+        return obj, functools.partial(
+            datakit.caption_normal_clip, json_strings(obj["annotations"], "annotations"),
+            paraphrase=json_bool(obj.get("paraphrase", False), "paraphrase"))
     raise ValidationError(f"unknown type {kind!r}")
 
 
@@ -291,16 +281,6 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` as one field of a row that ``csv.writer`` writes: quoted by
-    the csv module when it holds a delimiter, a quote or a line break."""
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        buf = io.StringIO()
-        csv.writer(buf).writerow([text, ""])
-        return buf.getvalue()[:-3]  # less the empty field and "\r\n"
-    return text
-
-
 def _cmd_trace(args) -> int:
     if args.from_csv:
         if not args.plot:
@@ -311,30 +291,20 @@ def _cmd_trace(args) -> int:
     if not (args.checkpoint and args.manifest and args.output):
         raise ValidationError(
             "trace needs --checkpoint, --manifest and -o (or --from-csv)")
+    for flag, value in (("--snippet-len", args.snippet_len), ("--stride", args.stride)):
+        if value < 1:
+            raise ValidationError(f"{flag} must be >= 1, got {value}")
     ckpt = load_checkpoint(args.checkpoint)
     # every line is read and checked; only the clips traced are decoded
     records = datakit.iter_manifest(args.manifest)
     if args.clip_id:
         records = (r for r in records if r.clip_id == args.clip_id)
-    n = 0
     with (_make_encoder(ckpt.dim, ckpt.seed, args.embedding_cache,
                         f"the dim of checkpoint {args.checkpoint}") as encoder,
-          replace_on_success(args.output) as tmp,
-          open(tmp, "w", newline="", encoding="utf-8") as fh):
+          replace_on_success(args.output) as tmp):
         clips = (segment_clip(rec, args.snippet_len, args.stride, encoder)
                  for rec in records)
-        csv.writer(fh).writerow(plotting.TRACE_HEADER)
-        for bags, fw in trainer.forward_chunks(ckpt, clips):
-            n += len(bags)
-            cells = [_csv_cell(bag.clip_id) for bag in bags]
-            rows = zip([cell for bag, cell in zip(bags, cells) for _ in range(bag.size)],
-                       [i for bag in bags for i in range(bag.size)],
-                       np.concatenate([bag.start_times for bag in bags]).tolist(),
-                       fw.logits.tolist(), sigmoid(fw.logits).tolist(),
-                       fw.attn.tolist())
-            # the lines csv.writer writes: str() of a float is its repr
-            fh.writelines([f"{c},{i},{t!r},{z!r},{p!r},{a!r}\r\n"
-                           for c, i, t, z, p, a in rows])
+        n = plotting.write_trace_csv(tmp, trainer.forward_chunks(ckpt, clips))
         if args.clip_id and not n:
             raise ValidationError(f"clip {args.clip_id!r} not in manifest")
     if args.plot:
@@ -374,8 +344,6 @@ def _cmd_score(args) -> int:
 def _cmd_wilcoxon(args) -> int:
     def parse(payload) -> evalkit.WilcoxonResult:
         deltas = payload["deltas"] if isinstance(payload, dict) else payload
-        if not isinstance(deltas, list):
-            raise ValidationError("expected a list, or an object with a 'deltas' list")
         return evalkit.wilcoxon_signed_rank(json_numbers(deltas, "deltas"),
                                             continuity=args.continuity)
 

@@ -19,7 +19,8 @@ from typing import Iterable, Iterator, List, NamedTuple, Protocol, Sequence, Tup
 import numpy as np
 
 from .errors import (LINES_BUFFER, EmptyInputError, SummarizerError,
-                     ValidationError, json_lines, replace_on_success)
+                     ValidationError, json_int, json_lines, json_str,
+                     replace_on_success)
 from .mil import DEFAULT_SNIPPET_LEN
 
 CLIP_FRAMES = 40
@@ -40,20 +41,6 @@ SPLITS = ("train", "test")
 SOURCES = ("assembled", "augmented", "synthetic", "external")
 
 
-def _json_int(value, name: str) -> int:
-    """An integer field's ``value``: a JSON integer, not a bool, float or string."""
-    if type(value) is not int:
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _json_str(value, name: str) -> str:
-    """A string field's ``value``: a JSON string, not null, a number or a list."""
-    if type(value) is not str:
-        raise ValidationError(f"{name} must be a string, got {value!r}")
-    return value
-
-
 @dataclass
 class InfractionLog:
     """One simulator infraction entry."""
@@ -72,10 +59,10 @@ class InfractionLog:
 
     @classmethod
     def from_json(cls, obj) -> "InfractionLog":
-        return cls(frame_number=_json_int(obj["frame_number"], "infraction frame_number"),
-                   infraction_type=_json_str(obj["type"], "infraction type"),
-                   message=_json_str(obj["message"], "infraction message"),
-                   scenario_type=_json_str(obj["scenario"], "infraction scenario"))
+        return cls(frame_number=json_int(obj["frame_number"], "infraction frame_number"),
+                   infraction_type=json_str(obj["type"], "infraction type"),
+                   message=json_str(obj["message"], "infraction message"),
+                   scenario_type=json_str(obj["scenario"], "infraction scenario"))
 
 
 class InlineFrames(NamedTuple):
@@ -166,16 +153,14 @@ def _check_frames(feats: np.ndarray, what: str) -> None:
 
 
 def _check_inline(inline: InlineFrames, what: str) -> None:
-    """What an inline matrix meets before it is decoded: a shape of two ints
-    F, dim >= 1, and a base64 string that can hold F·dim floats, so no shape
+    """What an inline matrix meets before it is decoded: a shape of two
+    integers F, dim >= 1, and base64 that can hold F·dim floats, so no shape
     promises more frames than its manifest line carries."""
     shape = inline.shape
-    if not (len(shape) == 2 and type(shape[0]) is int and type(shape[1]) is int
-            and shape[0] >= 1 and shape[1] >= 1):
+    if not (len(shape) == 2 and json_int(shape[0], "inline frames shape") >= 1
+            and json_int(shape[1], "inline frames shape") >= 1):
         raise ValidationError(f"{what}: inline frames shape must be [F, dim] "
                               f"with F, dim >= 1, got {list(shape)}")
-    if not isinstance(inline.b64, str):
-        raise ValidationError(f"{what}: inline frames b64 must be a string")
     need, most = 4 * shape[0] * shape[1], len(inline.b64) // 4 * 3
     if need > most:
         raise ValidationError(f"{what}: inline frames of shape {list(shape)} need "
@@ -184,10 +169,9 @@ def _check_inline(inline: InlineFrames, what: str) -> None:
 
 def validate_record(rec: ClipRecord) -> None:
     """Re-checkable schema invariants; also re-run on every manifest write."""
-    if not isinstance(rec.clip_id, str) or not rec.clip_id:
+    if not json_str(rec.clip_id, "clip_id"):
         raise ValidationError("clip_id must be a non-empty string")
-    if not isinstance(rec.caption, str):
-        raise ValidationError(f"clip {rec.clip_id}: caption must be a string")
+    json_str(rec.caption, "caption")
     if rec.label not in (0, 1):
         raise ValidationError(f"label must be 0 or 1, got {rec.label}")
     if (rec.label == 1) != (rec.collision_frame is not None):
@@ -595,14 +579,14 @@ def record_from_json(obj: dict, where: str | None = None) -> ClipRecord:
     frames = obj["frames"]
     path = frames if isinstance(frames, str) else None
     inline = None if path is not None else InlineFrames(
-        tuple(frames["shape"]), frames["b64"], where)
+        tuple(frames["shape"]), json_str(frames["b64"], "inline frames b64"), where)
     inf = obj.get("infraction")
     infraction = None if inf is None else InfractionLog.from_json(inf)
     collision, window = obj.get("collision_frame"), obj.get("event_window")
     return ClipRecord(
         clip_id=obj["clip_id"], frames_path=path, inline=inline,
-        caption=obj.get("caption", ""), label=_json_int(obj["label"], "label"),
-        collision_frame=None if collision is None else _json_int(collision, "collision_frame"),
+        caption=obj.get("caption", ""), label=json_int(obj["label"], "label"),
+        collision_frame=None if collision is None else json_int(collision, "collision_frame"),
         infraction=infraction,
         split=obj.get("split", "train"), source=obj.get("source", "external"),
         event_window=None if window is None else _json_window(window),
@@ -612,25 +596,27 @@ def record_from_json(obj: dict, where: str | None = None) -> ClipRecord:
 def _json_window(value) -> Tuple[int, int]:
     """An ``event_window``: a list of exactly two integers."""
     if not (isinstance(value, list) and len(value) == 2):
-        raise ValidationError(f"event_window must be a list of two integers, "
-                              f"got {value!r}")
-    return _json_int(value[0], "event_window"), _json_int(value[1], "event_window")
+        raise ValidationError(f"event_window must be a list of two integers, got {value!r}")
+    return json_int(value[0], "event_window"), json_int(value[1], "event_window")
+
+
+def _unique(rec: ClipRecord, ids: set) -> ClipRecord:
+    """``rec``, once its ``clip_id`` joins ``ids``: a manifest holds each once."""
+    if rec.clip_id in ids:
+        raise ValidationError(f"duplicate clip_id {rec.clip_id!r}")
+    ids.add(rec.clip_id)
+    return rec
 
 
 def write_manifest(records: Iterable[ClipRecord], path) -> int:
     """Append-ordered JSONL manifest; every record is re-validated on write.
     The file replaces ``path`` only once every record is written."""
     ids = set()
-    n = 0
     with replace_on_success(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for rec in records:
-            if rec.clip_id in ids:
-                raise ValidationError(f"duplicate clip_id {rec.clip_id!r}")
-            ids.add(rec.clip_id)
-            fh.write(json.dumps(record_to_json(rec), separators=(",", ":")))
-            fh.write("\n")
-            n += 1
-    return n
+            fh.write(json.dumps(record_to_json(_unique(rec, ids)), separators=(",", ":"))
+                     + "\n")
+    return len(ids)
 
 
 def iter_manifest(path) -> Iterator[ClipRecord]:
@@ -638,16 +624,9 @@ def iter_manifest(path) -> Iterator[ClipRecord]:
     as its line is read, inline frames when first used.  A ``clip_id`` that
     an earlier line holds is an error naming the later line."""
     ids = set()
-
-    def unique_record(obj, where):
-        rec = record_from_json(obj, where)
-        if rec.clip_id in ids:
-            raise ValidationError(f"duplicate clip_id {rec.clip_id!r}")
-        ids.add(rec.clip_id)
-        return rec
-
     with open(path, "rb", buffering=LINES_BUFFER) as fh:
-        yield from json_lines(fh, path, "manifest", unique_record, located=True)
+        yield from json_lines(fh, path, "manifest", located=True, parse=lambda obj, where:
+                              _unique(record_from_json(obj, where), ids))
 
 
 def read_manifest(path) -> List[ClipRecord]:

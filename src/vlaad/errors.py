@@ -1,11 +1,12 @@
 """Shared exception types for the toolkit, the one place that decides how a
-malformed JSON input is reported, and the one way an output file is
-replaced."""
+malformed JSON input is reported and what type a JSON value must have, and
+the one way an output file is replaced."""
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import secrets
 from typing import Callable, Iterable, Iterator
@@ -94,11 +95,51 @@ def json_lines(lines: Iterable, where, what: str, parse: Callable,
             yield item
 
 
-def json_numbers(value, name: str) -> list:
-    """``value`` if it is a JSON list of numbers; a bool or a numeric string,
-    which numpy would convert, is refused."""
+def _refused(field: str, key, kind: str, value) -> ValidationError:
+    """The one wording of a wrong JSON value: ``field`` or its entry ``key``."""
+    name = field if key is None else f"{field}[{key!r}]"
+    return ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
+def json_int(value, field: str, key=None) -> int:
+    """``value`` if it is a JSON integer: not a bool, a float or a string."""
+    if type(value) is not int:
+        raise _refused(field, key, "an integer", value)
+    return value
+
+
+def json_str(value, field: str) -> str:
+    """``value`` if it is a JSON string: not null, a number or a list."""
+    if type(value) is not str:
+        raise _refused(field, None, "a string", value)
+    return value
+
+
+def json_bool(value, field: str) -> bool:
+    """``value`` if it is ``true`` or ``false``: not 0, 1 or ``"no"``."""
+    if type(value) is not bool:
+        raise _refused(field, None, "true or false", value)
+    return value
+
+
+def json_number(value, field: str, key=None):
+    """``value`` if it is a finite JSON int or float: not a bool, NaN or inf."""
+    if type(value) not in _NUMBER_TYPES or not math.isfinite(value):
+        raise _refused(field, key, "a finite number", value)
+    return value
+
+
+def json_strings(value, field: str) -> list:
+    """``value`` if it is a non-empty JSON list of strings."""
+    if not (type(value) is list and value and all(type(v) is str for v in value)):
+        raise _refused(field, None, "a non-empty list of strings", value)
+    return value
+
+
+def json_numbers(value, field: str) -> list:
+    """``value`` if it is a JSON list of numbers, not of bools or strings."""
     if not (type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))):
-        raise ValidationError(f"{name} must be a list of numbers, not bools or strings")
+        raise ValidationError(f"{field} must be a list of numbers, not bools or strings")
     return value
 
 

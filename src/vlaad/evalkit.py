@@ -17,7 +17,8 @@ from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import LINES_BUFFER, ValidationError, json_lines
+from .errors import (LINES_BUFFER, ValidationError, json_int, json_lines,
+                     json_number, json_str)
 
 # Severity coefficients of the additive-denominator penalty (v2.1):
 # pedestrian 1.0, vehicle 0.70, static-layout 0.60.
@@ -130,19 +131,11 @@ def threshold_metrics(scored: ScoredSet, tau: float) -> Dict[str, float]:
     }
 
 
-def _finite_number(value, what: str) -> None:
-    """A JSON number (an int or float, not a bool) that is finite."""
-    if type(value) not in (float, int) or not math.isfinite(value):
-        raise ValidationError(f"{what} must be a finite number, got {value!r}")
-
-
 @dataclass
 class DrivingRunRecord:
     """Per-route closed-loop outcome: completion, distance, infractions.
 
-    Checked on construction: ``route_id`` a string, ``km`` and
-    ``route_completion`` finite numbers, counts non-negative integers, and
-    coefficients/weights finite numbers (bools are none of these).
+    Checked on construction: each field's JSON type, then its range.
     ``collisions`` is the sum of the collision-type counts, taken then.
     """
 
@@ -155,33 +148,26 @@ class DrivingRunRecord:
     collisions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.route_id, str):
-            raise ValidationError(f"route_id must be a string, got {self.route_id!r}")
-        _finite_number(self.km, "km")
-        _finite_number(self.route_completion, "route_completion")
-        if self.km < 0:
+        json_str(self.route_id, "route_id")
+        if json_number(self.km, "km") < 0:
             raise ValidationError("km must be >= 0")
-        if not (0.0 <= self.route_completion <= 100.0):
+        if not 0.0 <= json_number(self.route_completion, "route_completion") <= 100.0:
             raise ValidationError("route_completion must be in [0, 100]")
         if not isinstance(self.infractions, Mapping):
             raise ValidationError("infractions must map infraction types to counts")
         collisions = 0
         for kind, count in self.infractions.items():
-            if type(count) is not int:
-                raise ValidationError(
-                    f"count for infraction {kind!r} must be an integer, got {count!r}")
-            if count < 0:
+            if json_int(count, "infractions", kind) < 0:
                 raise ValidationError(f"negative count for infraction {kind!r}")
             if kind in COLLISION_TYPES:
                 collisions += count
         self.collisions = collisions
         for name in ("coefficients", "penalty_weights"):
             params = getattr(self, name)
-            if params is not None and not (isinstance(params, Mapping) and all(
-                    type(v) in (float, int) and math.isfinite(v)
-                    for v in params.values())):
-                raise ValidationError(
-                    f"{name} must map infraction types to finite numbers")
+            if params is not None and not isinstance(params, Mapping):
+                raise ValidationError(f"{name} must map infraction types to numbers")
+            for kind, value in (params or {}).items():
+                json_number(value, name, kind)
 
 
 def infraction_penalty(counts: Mapping[str, int], params: Mapping[str, float],
@@ -331,6 +317,8 @@ def wilcoxon_signed_rank(deltas, continuity: bool = False) -> WilcoxonResult:
     d = np.asarray(deltas, dtype=np.float64)
     if d.ndim != 1:
         raise ValidationError("deltas must be 1-D")
+    if not d.size:
+        raise ValidationError("deltas is empty; no pairs to test")
     if not np.all(np.isfinite(d)):
         raise ValidationError("deltas must be finite")
     d = d[d != 0.0]

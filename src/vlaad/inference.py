@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .embeddings import StubEncoder
-from .errors import ValidationError, json_lines, json_numbers
+from .errors import ValidationError, json_int, json_lines, json_numbers
 from .model import ModelCheckpoint, Workspace, forward_rows
 from .numerics import scalar_sigmoid
 
@@ -134,9 +134,7 @@ def stream_tokens(lines: Iterable[str], ckpt: ModelCheckpoint,
                           tick_rate_hz=tick_rate_hz)
 
     def parse(obj) -> float:
-        tick = obj["tick"]
-        if type(tick) is not int:  # a JSON integer: no float, string or bool
-            raise ValidationError("tick must be an integer")
+        tick = json_int(obj["tick"], "tick")
         return push_tick(buffer, json_numbers(obj["features"], "features"), tick,
                          ckpt, caching)
 

@@ -129,10 +129,8 @@ def segment_clip(clip: "ClipRecord", snippet_len: int, stride: int,
 
     Produces T = floor((F - snippet_len) / stride) + 1 snippets at 4 Hz
     frame timing, all encoded in one encoder call; snippet i is keyed
-    ``clip_id:i``.
+    ``clip_id:i``.  Unchecked, as its callers ensure: ``snippet_len``, ``stride`` >= 1.
     """
-    if snippet_len < 1 or stride < 1:
-        raise ValidationError("snippet_len and stride must be >= 1")
     n_frames, feats = _frames(clip)
     if n_frames < snippet_len:
         raise ValidationError(

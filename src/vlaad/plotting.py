@@ -1,27 +1,56 @@
-"""Static SVG rendering of risk traces.
+"""The trace CSV, written and read, and static SVG rendering of risk traces.
 
 This is a CLI concern only: the math modules never import it.  Two CSV
-shapes are accepted: the trace schema written by the ``trace`` subcommand
-(one series per clip, probability vs. time) and a wide layout whose first
-column is the time axis and every remaining column is one model variant.
+shapes are read: the trace schema that ``write_trace_csv`` writes (one
+series per clip, probability vs. time) and a wide layout whose first column
+is the time axis and every remaining column is one model variant.
 """
 
 from __future__ import annotations
 
 import csv
+import html
 import math
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
+
+import numpy as np
 
 from .errors import ValidationError, replace_on_success
+from .numerics import sigmoid
 
-TRACE_HEADER = ["clip_id", "snippet_index", "t_start_s", "logit", "prob",
-                "attention"]
+TRACE_HEADER = ["clip_id", "snippet_index", "t_start_s", "logit", "prob", "attention"]
 
 _WIDTH, _HEIGHT = 640, 400
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 24, 28, 44
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 Series = Dict[str, Tuple[List[float], List[float]]]
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as one field of a row that ``csv.writer`` writes: quoted, its
+    quotes doubled, when it holds a delimiter, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_trace_csv(path, chunks: Iterable) -> int:
+    """Write ``TRACE_HEADER`` and one row per snippet of ``forward_chunks``'
+    ``(bags, stack)`` chunks to ``path``; returns the number of clips."""
+    n = 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(TRACE_HEADER)
+        for bags, fw in chunks:
+            n += len(bags)
+            rows = zip([c for bag in bags for c in [_csv_cell(bag.clip_id)] * bag.size],
+                       [i for bag in bags for i in range(bag.size)],
+                       np.concatenate([bag.start_times for bag in bags]).tolist(),
+                       fw.logits.tolist(), sigmoid(fw.logits).tolist(), fw.attn.tolist())
+            # csv.writer's bytes at half its cost: str() of a float is its repr
+            fh.writelines([f"{c},{i},{t!r},{z!r},{p!r},{a!r}\r\n"
+                           for c, i, t, z, p, a in rows])
+    return n
 
 
 def _utf8_lines(lines, path) -> Iterator[str]:
@@ -128,7 +157,7 @@ def render_series_svg(series: Series) -> str:
                          f'cy="{py(y):.2f}" r="3" fill="{color}"/>')
         parts.append(f'<text class="legend" x="{_WIDTH - _MARGIN_R - 150}" '
                      f'y="{_MARGIN_T + 16 * (si + 1)}" font-size="12" '
-                     f'fill="{color}">{name}</text>')
+                     f'fill="{color}">{html.escape(name, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 

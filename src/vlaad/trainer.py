@@ -19,7 +19,8 @@ import numpy as np
 
 from .datakit import ClipRecord
 from .embeddings import DEFAULT_DIM, EncoderHandle, encode_text
-from .errors import NonFiniteLossError, ValidationError, replace_on_success
+from .errors import (NonFiniteLossError, ValidationError, json_bool, json_int,
+                     json_number, json_str, replace_on_success)
 from .evalkit import ScoredSet, roc_auc
 from .mil import (DEFAULT_GAMMA, DEFAULT_SNIPPET_LEN, DEFAULT_SNIPPET_STRIDE,
                   MIN_GAMMA, Bag, encode_clip, segment_lse_pool)
@@ -56,23 +57,20 @@ class TrainConfig:
     zero_first_layer: bool = True
 
     def __post_init__(self):
-        if not self.learning_rate > 0:  # NaN included
+        self.check_fields(vars(self))
+        if not self.learning_rate > 0:
             raise ValidationError("learning_rate must be positive")
         for name, least in (("gamma", MIN_GAMMA), ("weight_decay", 0), ("epochs", 0),
                             ("train_batch", 1), ("eval_batch", 1), ("embed_dim", 1),
                             ("hidden_dim", 0), ("snippet_len", 1), ("snippet_stride", 1)):
-            if not getattr(self, name) >= least:  # NaN included
+            if getattr(self, name) < least:
                 raise ValidationError(f"{name} must be >= {least}")
         if not (0.0 < self.split_fraction < 1.0):
             raise ValidationError("split_fraction must be in (0, 1)")
         if self.mode not in ("mil", "clip"):
             raise ValidationError(f"mode must be 'mil' or 'clip', got {self.mode!r}")
-        if self.pos_weight != "auto" and not (
-                isinstance(self.pos_weight, (int, float)) and self.pos_weight > 0):
+        if self.pos_weight != "auto" and not self.pos_weight > 0:
             raise ValidationError("pos_weight must be positive or 'auto'")
-        for name in ("learning_rate", "gamma", "weight_decay", "pos_weight"):
-            if getattr(self, name) == math.inf:
-                raise ValidationError(f"{name} must be finite")
 
     @classmethod
     def from_dict(cls, data) -> "TrainConfig":
@@ -81,21 +79,19 @@ class TrainConfig:
     @classmethod
     def check_fields(cls, data) -> dict:
         """``data`` if it is an object of known fields, each holding a JSON
-        value of its annotated type (an int passes for a float)."""
+        value that the grammar its annotation picks accepts."""
         if not isinstance(data, dict):
             raise ValidationError("config must be a JSON object")
         fields = cls.__dataclass_fields__
         for name, value in data.items():
             if name not in fields:
                 raise ValidationError(f"unknown config key {name!r}")
-            kinds = _JSON_TYPES[fields[name].type]
-            if not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool):
-                raise ValidationError(f"{name} must be {fields[name].type}, got {value!r}")
+            _GRAMMAR[fields[name].type](value, name)
         return data
 
 
-_JSON_TYPES = {"float": (int, float), "int": int, "str": str, "bool": bool,
-               "float | str": (int, float, str)}
+_GRAMMAR = {"float": json_number, "int": json_int, "str": json_str, "bool": json_bool,
+            "float | str": lambda v, name: v if v == "auto" else json_number(v, name)}
 
 
 def uncertainty_weighted_total(l_sim: float, l_cls: float,
@@ -121,10 +117,14 @@ class LossBreakdown:
 
     @classmethod
     def compute(cls, l_sim: float, l_cls: float, s_sim: float, s_cls: float):
+        """The breakdown; a total that a non-finite loss or weight spoils is refused."""
         if l_sim < 0 or l_cls < 0:
             raise ValidationError("component losses must be non-negative")
-        return cls(l_sim, l_cls, s_sim, s_cls,
-                   uncertainty_weighted_total(l_sim, l_cls, s_sim, s_cls))
+        total = uncertainty_weighted_total(l_sim, l_cls, s_sim, s_cls)
+        if not math.isfinite(total):
+            raise NonFiniteLossError(
+                f"non-finite total loss at s_sim={s_sim!r}, s_cls={s_cls!r}")
+        return cls(l_sim, l_cls, s_sim, s_cls, total)
 
 
 class SplitResult(NamedTuple):
@@ -342,17 +342,15 @@ def batch_objective(ckpt: ModelCheckpoint, batch: Sequence[TrainExample],
         e += np.multiply(dz[r, None], ckpt.w, out=scratch)
     grad = heads_backward([ex.snippets for ex in batch], fw.hidden, ckpt, dz=dz,
                           g_adapted=g_e, g_w=g_w, workspace=workspace)
-    l_sim = math.fsum(l_sim) / n
-    l_cls = math.fsum(l_cls) / n
+    breakdown = LossBreakdown.compute(math.fsum(l_sim) / n, math.fsum(l_cls) / n,
+                                      ckpt.s_sim, ckpt.s_cls)
     # max and min carry a NaN through, so both are finite iff every entry is,
     # and no θ-sized mask is formed
-    if not (np.isfinite(l_sim) and np.isfinite(l_cls)
-            and np.isfinite(grad.max()) and np.isfinite(grad.min())):
-        raise NonFiniteLossError("non-finite loss or gradient in batch objective")
-    breakdown = LossBreakdown.compute(l_sim, l_cls, ckpt.s_sim, ckpt.s_cls)
+    if not (np.isfinite(grad.max()) and np.isfinite(grad.min())):
+        raise NonFiniteLossError("non-finite gradient in batch objective")
     g = param_views(grad, ckpt.dim, ckpt.hidden)
-    g["s_sim"][...] = -ws_sim * l_sim + 1.0
-    g["s_cls"][...] = -wc * l_cls + 1.0
+    g["s_sim"][...] = -ws_sim * breakdown.l_sim + 1.0
+    g["s_cls"][...] = -wc * breakdown.l_cls + 1.0
     return breakdown, grad
 
 
@@ -499,13 +497,15 @@ def prepare_training(config: TrainConfig, records: Sequence[ClipRecord],
         _resolve_pos_weight(config, train_recs), encoder.dim, warnings)
 
 
+@np.errstate(all="ignore")  # a run that diverges is refused by the checks, unwarned
 def fit(config: TrainConfig, data: TrainData) -> TrainResult:
     """Run the optimization loop; deterministic for a fixed config and data.
 
     Trains for the configured number of epochs and records one loss
     breakdown plus validation AUC per epoch.  Every step and validation
     chunk runs in one workspace, which grows only for a batch or chunk
-    larger than every earlier one.
+    larger than every earlier one.  A run that diverges raises one
+    ``NonFiniteLossError`` naming the epoch.
     """
     examples, val_bags, val_labels = data.examples, data.val_bags, data.val_labels
     ckpt = init_checkpoint(dim=data.dim, hidden=config.hidden_dim,
@@ -533,22 +533,20 @@ def fit(config: TrainConfig, data: TrainData) -> TrainResult:
                 breakdown, grad = batch_objective(ckpt, batch, config.mode,
                                                   data.pos_weight, unmatched,
                                                   workspace=ws)
-            except NonFiniteLossError as exc:
-                raise NonFiniteLossError(
-                    f"epoch {epoch}, batch {bi}: {exc}") from exc
-            if not np.isfinite(breakdown.l_total):
-                raise NonFiniteLossError(
-                    f"epoch {epoch}, batch {bi}: non-finite total loss")
+            except (NonFiniteLossError, OverflowError) as exc:  # math.exp(-s) overflows
+                raise NonFiniteLossError(f"epoch {epoch}, batch {bi}: {exc}") from exc
             adam.step(ckpt.theta, grad, config.learning_rate, config.weight_decay)
             sim_total += breakdown.l_sim * len(batch)
             cls_total += breakdown.l_cls * len(batch)
         ckpt.epoch = epoch + 1
-        stats = LossBreakdown.compute(sim_total / n, cls_total / n,
-                                      ckpt.s_sim, ckpt.s_cls)
         val_auc = float("nan")
-        if val_bags and {0, 1} == set(val_labels.tolist()):
-            probs = scores_for(ckpt, val_bags, config.eval_batch, ws)
-            val_auc = roc_auc(ScoredSet(probs, val_labels))
+        try:
+            stats = LossBreakdown.compute(sim_total / n, cls_total / n, ckpt.s_sim, ckpt.s_cls)
+            if val_bags and {0, 1} == set(val_labels.tolist()):
+                probs = scores_for(ckpt, val_bags, config.eval_batch, ws)
+                val_auc = roc_auc(ScoredSet(probs, val_labels))
+        except NonFiniteLossError as exc:
+            raise NonFiniteLossError(f"epoch {epoch}, after its last batch: {exc}") from exc
         history.append(EpochStats(epoch + 1, stats, val_auc))
 
     return TrainResult(ckpt, history, data.warnings)

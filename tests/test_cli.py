@@ -15,6 +15,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
@@ -109,6 +110,14 @@ class TestSynthIngest:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 20
+
+    def test_synth_dim_at_least_1(self, tmp_path, capsys):
+        out = tmp_path / "m.jsonl"
+        code, _, err = run_cli(capsys, "synth", "--n-normal", "1", "--n-collision",
+                               "1", "--dim", "0", "-o", str(out))
+        assert code == 2
+        assert_one_error_line(err, "^error: feature_dim must be >= 1$")
+        assert not out.exists()
 
     def test_ingest_summary(self, manifest, capsys):
         code, out, _ = run_cli(capsys, "ingest", "--manifest", str(manifest))
@@ -267,6 +276,32 @@ class TestTrainEval:
         code, err = run_quiet(self.train_args(manifest, tmp_path / "mil.bin"))
         assert code == 0, err
         assert blobs[0] == blobs[1] != (tmp_path / "mil.bin").read_bytes()
+
+    @pytest.mark.parametrize("lr, batch, message", [
+        ("1e5", 256, r"after its last batch: non-finite total loss at s_sim=-9\S+, "
+                     r"s_cls=-9\S+$"),
+        ("1e300", 256, r"after its last batch: non-finite total loss at s_sim=-9\S+, "
+                       r"s_cls=-9\S+$"),
+        ("1e5", 8, r"batch 1: math range error$"),  # math.exp(-s_sim)
+        ("1e300", 8, r"batch 1: non-finite snippet logits for clip synth-train-\w+$"),
+    ], ids=["lr_1e5", "lr_1e300", "lr_1e5_batch_8", "lr_1e300_batch_8"])
+    def test_diverging_run_ends_with_one_error_line(self, tmp_path, lr, batch,
+                                                    message):
+        """A run whose loss goes non-finite exits 1 with one line naming the
+        epoch: once ``math.exp(-s_sim)`` raised ``OverflowError`` with a
+        traceback, and a non-finite validation logit named no epoch after
+        three numpy warnings (which pytest turns into errors here)."""
+        manifest, ckpt = tmp_path / "m.jsonl", tmp_path / "c.bin"
+        assert run_quiet(["synth", "--n-normal", 20, "--n-collision", 20, "--seed", 2,
+                          "-o", manifest])[0] == 0
+        code, err = run_quiet(["train", "--manifest", manifest, "-o", ckpt,
+                               *[arg for kv in ("embed_dim=32", "hidden_dim=8",
+                                                f"learning_rate={lr}",
+                                                f"train_batch={batch}")
+                                 for arg in ("--set", kv)]])
+        assert code == 1, err
+        assert_one_error_line(err, "^error: epoch 0, " + message)
+        assert not ckpt.exists()
 
     def test_class_absent_from_validation_warns(self, tmp_path, capsys):
         """One positive clip goes to the train side (floor(0.8 · 1 + 0.5) = 1):
@@ -687,6 +722,13 @@ class TestEmbeddingCacheReader:
         good = cache_inputs[2]
         self.assert_rejected(cache_inputs, good[:8] + bytes(4) + good[12:],
                              r"D=0 at byte 8")
+
+    def test_bad_magic_and_version(self, cache_inputs):
+        good = cache_inputs[2]
+        self.assert_rejected(cache_inputs, b"VLAD" + good[4:],
+                             r"not an embedding cache file: bad magic b'VLAD' at byte 0$")
+        self.assert_rejected(cache_inputs, good[:4] + struct.pack("<I", 2) + good[8:],
+                             r"unsupported embedding cache version 2 at byte 4$")
 
     def test_id_not_utf8(self, cache_inputs):
         data = bytearray(cache_inputs[2])
@@ -1291,8 +1333,8 @@ class TestInlineFrames:
         (set_in(["frames", "shape"], [40, 0]),
          "clip c2: inline frames shape must be \\[F, dim\\] with F, dim >= 1"),
         (set_in(["frames", "shape"], [40, 3, 1]), "got \\[40, 3, 1\\]$"),
-        (set_in(["frames", "shape"], [40.0, 3]), "got \\[40.0, 3\\]$"),
-        (set_in(["frames", "b64"], 7), "clip c2: inline frames b64 must be a string$"),
+        (set_in(["frames", "shape"], [40.0, 3]), "frames shape must be an integer, got 40.0$"),
+        (set_in(["frames", "b64"], 7), "inline frames b64 must be a string, got 7$"),
         (lambda obj: obj["frames"].pop("b64"), "missing key 'b64'$"),
     ])
     def test_clip_id_still_checks_every_line(self, tmp_path, inline_ckpt,
@@ -1476,6 +1518,27 @@ class TestTraceAndPlot:
         assert svg.count('class="marker"') == 6
         assert ">mil</text>" in svg and ">no_mil</text>" in svg
 
+    @pytest.mark.parametrize("layout", ["trace", "wide"])
+    def test_series_names_escaped_in_svg(self, tmp_path, capsys, small_ckpt, layout):
+        """A clip id or a wide header name holding ``&``, ``<`` or ``>`` is
+        escaped in the legend, so the SVG is well-formed XML."""
+        name, svg_path = "a<b&c>d", tmp_path / "t.svg"
+        if layout == "trace":
+            manifest, ckpt = tmp_path / "m.jsonl", tmp_path / "c.bin"
+            write_manifest([make_clip(name)], manifest)
+            save_checkpoint(ckpt, small_ckpt)
+            argv = ["--checkpoint", ckpt, "--manifest", manifest,
+                    "-o", tmp_path / "t.csv"]
+        else:
+            wide = tmp_path / "wide.csv"
+            wide.write_text(f"time,{name},plain\n0,0.1,0.2\n1,0.3,0.4\n")
+            argv = ["--from-csv", wide]
+        code, _, err = run_cli(capsys, "trace", *map(str, argv), "--plot", str(svg_path))
+        assert code == 0, err
+        legends = [e.text for e in ET.parse(svg_path).getroot()
+                   if e.get("class") == "legend"]
+        assert legends == ([name] if layout == "trace" else [name, "plain"])
+
     def test_failed_write_leaves_previous_plot(self, tmp_path):
         """The plot writer replaces its own output only once it is whole."""
         csv_path, out = tmp_path / "wide.csv", tmp_path / "wide.svg"
@@ -1522,9 +1585,10 @@ class TestTraceAndPlot:
         (TRACE_LINE, r"trace CSV has a header but no data rows$"),
         ("t\n0\n1\n", r"need a time column plus one series$"),
         ("t,a,b\n0,0.1,0.2\n1,0.3\n", r"malformed row at line 3$"),
+        ("", r"empty trace CSV$"),
     ], ids=["trace_prob_nan", "trace_time_inf", "wide_time_minus_inf",
             "wide_value_infinity", "quoted_newline", "not_utf8", "repeated_series",
-            "field_too_large", "header_only", "one_column", "short_row"])
+            "field_too_large", "header_only", "one_column", "short_row", "empty"])
     def test_from_csv_refuses_bad_input(self, tmp_path, capsys, data, message):
         """Each cell is UTF-8 and finite and each wide series is named once;
         else ``trace --from-csv`` exits 2 naming the file and its line, and
@@ -1561,15 +1625,20 @@ class TestTraceAndPlot:
 
     @pytest.mark.parametrize("flag", ["--snippet-len", "--stride"])
     def test_snippet_len_and_stride_at_least_1(self, eval_inputs, tmp_path, flag):
+        """Both flags are checked before the manifest is read: over a manifest
+        with no clip, ``--stride 0`` once printed ``traced 0 clips`` and wrote
+        a header-only CSV."""
         root, manifest, data = eval_inputs
-        ckpt, out = tmp_path / "c.bin", tmp_path / "t.csv"
+        ckpt, out, empty = tmp_path / "c.bin", tmp_path / "t.csv", tmp_path / "e.jsonl"
         ckpt.write_bytes(data)
-        code, err = run_quiet(["trace", "--checkpoint", ckpt, "--manifest", manifest,
-                               "-o", out, flag, 0])
-        assert code == 2, err
-        assert_one_error_line(err, "^" + re.escape(
-            "error: snippet_len and stride must be >= 1") + "$")
-        assert not out.exists()
+        empty.write_bytes(b"")
+        for path in (manifest, empty):
+            code, err = run_quiet(["trace", "--checkpoint", ckpt, "--manifest", path,
+                                   "-o", out, flag, 0])
+            assert code == 2, err
+            assert_one_error_line(err, "^" + re.escape(
+                f"error: {flag} must be >= 1, got 0") + "$")
+            assert not out.exists()
 
     def test_from_csv_splits_lines_as_text_does(self, tmp_path):
         """\\r\\n, \\n and a lone \\r all end a line, as in a file opened as text
@@ -1692,6 +1761,18 @@ class TestScoreWilcoxon:
         path = tmp_path / "z.json"
         path.write_text("[0.0, 0.0]")
         assert run_cli(capsys, "wilcoxon", "--deltas", str(path))[0] == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("[NaN, 1, 2]", "deltas must be finite"),  # json.loads reads NaN
+        ("[]", "deltas is empty; no pairs to test"),
+    ], ids=["nan", "empty"])
+    def test_deltas_refused_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "wilcoxon", "--deltas", str(path))
+        assert code == 2 and out == ""
+        assert_one_error_line(err, "^" + re.escape(
+            f"error: {path}: deltas: {message}") + "$")
 
 
 class TestCachedEncoderSeam:

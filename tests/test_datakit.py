@@ -1,8 +1,10 @@
+import http.server
 import json
 import os
 import socket
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -71,6 +73,11 @@ class TestAssembleClips:
         with pytest.raises(ValidationError):
             assemble_clips(stream(100), [log_at(150)], seed=0)
 
+    def test_stream_must_be_a_matrix(self):
+        with pytest.raises(ValidationError,
+                           match="^stream must be a \\(frames, features\\) matrix$"):
+            assemble_clips(np.zeros(100), [], seed=0)
+
     def test_unique_ids_and_validity(self):
         result = assemble_clips(stream(800), [log_at(200), log_at(600)], seed=2)
         ids = [c.clip_id for c in result.clips]
@@ -129,6 +136,20 @@ class TestAugmentation:
 
     def test_zero_copies(self):
         assert augment_collision_position(self._positive(), copies=0) == []
+
+    def test_negative_copies_rejected(self):
+        with pytest.raises(ValidationError, match="^copies must be >= 0$"):
+            augment_collision_position(self._positive(), copies=-1)
+
+    def test_stream_too_short_to_recrop(self):
+        """A collision at frame 2 of a 40-frame stream has no crop that puts
+        it inside [4, 36]."""
+        clip = ClipRecord("p", features=np.zeros((40, 2), np.float32), label=1,
+                          collision_frame=2, source="external",
+                          source_stream=np.zeros((40, 2), np.float32), source_start=0)
+        with pytest.raises(ValidationError,
+                           match="^clip p: source stream too short to re-crop$"):
+            augment_collision_position(clip, copies=1)
 
     def test_negative_clip_rejected(self):
         neg = ClipRecord("n", features=np.zeros((40, 2), np.float32),
@@ -348,6 +369,70 @@ class TestHttpClient:
                        "Connection refused>\n")
 
 
+class _ReplyHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every POST with the server's ``reply`` object as JSON."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps(self.server.reply).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):  # no request log on stderr
+        pass
+
+
+class TestHttpReply:
+    """``caption --client http`` against a stdlib server on 127.0.0.1."""
+
+    def caption(self, tmp_path, monkeypatch, capsys, reply):
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ReplyHandler)
+        server.reply = reply
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            monkeypatch.setenv(SUMMARIZER_URL_ENV,
+                               f"http://127.0.0.1:{server.server_address[1]}/api")
+            jobs, out = tmp_path / "jobs.jsonl", tmp_path / "out.jsonl"
+            jobs.write_text(json.dumps({"type": "normal", "id": "j0",
+                                        "annotations": ["a car drives on"]}) + "\n")
+            code = run(["caption", "--jobs", str(jobs), "-o", str(out),
+                        "--client", "http"])
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        return code, capsys.readouterr(), out
+
+    def test_reply_with_response(self, tmp_path, monkeypatch, capsys):
+        code, io, out = self.caption(tmp_path, monkeypatch, capsys,
+                                     {"response": " The car drives on. "})
+        assert (code, io.err, io.out) == (0, "", "captioned 1 jobs\n")
+        assert json.loads(out.read_text()) == {
+            "id": "j0", "caption": "The car drives on.", "warning": False}
+
+    def test_reply_without_response_exit_1(self, tmp_path, monkeypatch, capsys):
+        code, io, out = self.caption(tmp_path, monkeypatch, capsys, {"text": "x"})
+        assert code == 1
+        assert io.err == ("error: summarizer unreachable after 3 attempts: "
+                          "summarizer reply missing 'response' field\n")
+        assert not out.exists()
+
+    def test_url_unset_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv(SUMMARIZER_URL_ENV, raising=False)
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(json.dumps({"type": "normal", "annotations": ["a"]}) + "\n")
+        code = run(["caption", "--jobs", str(jobs), "-o", str(tmp_path / "out.jsonl"),
+                    "--client", "http"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: summarizer URL required (set {SUMMARIZER_URL_ENV})\n")
+
+
 class TestManifestIO:
     def test_round_trip(self, tmp_path):
         recs = generate_synthetic_dataset(SynthConfig(3, 3, feature_dim=4, seed=6))
@@ -448,6 +533,19 @@ class TestClipRecordInvariants:
         with pytest.raises(ValidationError, match="^clip b: frames file b.npy: "):
             in_file.feature_matrix()
         assert ClipRecord("c", features=feats).name == "clip c"
+
+    @pytest.mark.parametrize("clip_id, message", [
+        ("", "clip_id must be a non-empty string"),
+        (5, "clip_id must be a string, got 5"),
+    ])
+    def test_clip_id_non_empty_string(self, clip_id, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ClipRecord(clip_id, features=np.zeros((40, 2), np.float32))
+
+    def test_needs_features_or_frames_path(self):
+        with pytest.raises(ValidationError,
+                           match="^clip a needs features or a frames path$"):
+            ClipRecord("a")
 
     def test_infraction_type_enum(self):
         with pytest.raises(ValidationError):

@@ -74,6 +74,14 @@ class TestStubVideoEncoder:
         with pytest.raises(ValidationError):
             FrameWindow(np.ones((2, 3)), np.array([1.0, 1.0]))
 
+    def test_one_timestamp_per_frame(self):
+        with pytest.raises(ValidationError, match="^one timestamp per frame required$"):
+            FrameWindow(np.ones((3, 2)), np.array([0.0, 0.25]))
+
+    def test_dim_at_least_1(self):
+        with pytest.raises(ValidationError, match="^encoder dim must be >= 1$"):
+            StubEncoder(dim=0)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 7), st.integers(2, 9))
     def test_unit_norm(self, seed, n_frames, feat):

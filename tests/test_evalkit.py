@@ -39,6 +39,17 @@ class TestRocAuc:
         with pytest.raises(ValidationError):
             roc_auc(scored([0.1, 0.2], [1, 1]))
 
+    @pytest.mark.parametrize("scores, labels, message", [
+        ([[0.1, 0.2]], [[0, 1]], "scores and labels must be equal-length 1-D"),
+        ([0.1, 0.2], [0, 1, 1], "scores and labels must be equal-length 1-D"),
+        ([], [], "scored set must be non-empty"),
+        ([0.1, np.nan], [0, 1], "scores must be finite"),
+        ([0.1, 0.2], [0, 2], "labels must be 0 or 1"),
+    ], ids=["two_d", "lengths", "empty", "nan", "label_2"])
+    def test_scored_set_refusals(self, scores, labels, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            scored(scores, labels)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 30))
     def test_matches_brute_force_and_trapezoid(self, seed, n):
@@ -290,6 +301,15 @@ class TestWilcoxon:
     def test_all_zero_rejected(self):
         with pytest.raises(ValidationError):
             wilcoxon_signed_rank([0.0, 0.0])
+
+    @pytest.mark.parametrize("deltas, message", [
+        ([], "deltas is empty; no pairs to test"),
+        ([[1.0, 2.0]], "deltas must be 1-D"),
+        ([np.nan, 1.0], "deltas must be finite"),
+    ], ids=["empty", "two_d", "nan"])
+    def test_refusals(self, deltas, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            wilcoxon_signed_rank(deltas)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 11),

@@ -224,6 +224,23 @@ def typed_leaves(value):
     return leaves
 
 
+# fields that take any finite number, an int included; "features" and
+# "deltas" are lists of numbers
+NUMBER_FIELDS = {"km", "route_completion", "coefficients", "learning_rate", "gamma"}
+NUMBER_LISTS = {"features", "deltas"}
+
+
+def grammar_wording(path, leaf, new) -> str:
+    """How ``errors``' JSON grammar refuses ``new`` where ``leaf`` was."""
+    if len(path) > 1 and path[-2] in NUMBER_LISTS:
+        return "must be a list of numbers, not bools or strings"
+    kind = ("true or false" if isinstance(leaf, bool)
+            else "a string" if isinstance(leaf, str)
+            else "a finite number" if isinstance(leaf, float) or NUMBER_FIELDS & set(path)
+            else "an integer")
+    return f"must be {kind}, got {new!r}"
+
+
 @pytest.mark.parametrize("name", FORMATS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -232,7 +249,7 @@ def test_look_alike_swap_exits_2(root, formats, name, data):
     string, or an infraction string for null, a number, a bool or a list,
     is refused, not converted: exit 2 with one error line naming the file,
     the line swapped (in a line format) and a key on the path to the
-    value."""
+    value, and ending with the grammar's wording for that value."""
     text = formats[name][0].decode()
     texts = [text] if name in DOCUMENT_WHAT else text.splitlines()
     i = data.draw(st.sampled_from(
@@ -244,12 +261,14 @@ def test_look_alike_swap_exits_2(root, formats, name, data):
     else:
         look_alikes = [json.dumps(leaf)] + (["no"] if isinstance(leaf, bool)
                                             else [True, False])
-    texts[i] = json.dumps(swapped(value, path, data.draw(st.sampled_from(look_alikes))))
+    new = data.draw(st.sampled_from(look_alikes))
+    texts[i] = json.dumps(swapped(value, path, new))
     code, _, err = run_format(root, formats, name,
                               "".join(t + "\n" for t in texts).encode())
     where = "<stdin>" if name == "stream" else str(root / f"input_{name}")
     detail = DOCUMENT_WHAT.get(name) or f"{LINE_WHAT[name]} line {i + 1}"
-    assert_exit_2((code, "", err), "^" + re.escape(f"error: {where}: {detail}: "))
+    assert_exit_2((code, "", err), "^" + re.escape(f"error: {where}: {detail}: "),
+                  " " + re.escape(grammar_wording(path, leaf, new)) + "$")
     assert any(key in err for key in path if isinstance(key, str)), err
 
 
@@ -377,8 +396,9 @@ class TestMalformedRegressions:
     def test_deltas_not_a_list(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text('{"deltas": {"a": 1}}')
-        assert_exit_2(run_cli(["wilcoxon", "--deltas", path]),
-                      re.escape(f"{path}: deltas: expected a list"))
+        assert_exit_2(run_cli(["wilcoxon", "--deltas", path]), "^" + re.escape(
+            f"error: {path}: deltas: deltas must be a list of numbers, not bools or "
+            f"strings") + "$")
 
     def train_config(self, tmp_path, text, *flags):
         path = tmp_path / "cfg.json"
@@ -395,16 +415,17 @@ class TestMalformedRegressions:
     def test_config_epochs_a_string(self, tmp_path):
         path, result = self.train_config(tmp_path, '{"epochs":"x"}')
         assert_exit_2(result, re.escape(
-            f"{path}: train config: epochs must be int, got 'x'"))
+            f"{path}: train config: epochs must be an integer, got 'x'"))
 
     def test_set_epochs_a_list(self, tmp_path):
         _, result = self.train_config(tmp_path, "{}", "--set", "epochs=[]")
-        assert_exit_2(result, re.escape("--set epochs=[]: epochs must be int, got []"))
+        assert_exit_2(result, re.escape(
+            "--set epochs=[]: epochs must be an integer, got []") + "$")
 
     def test_config_learning_rate_nan(self, tmp_path):
         """Rejected before training, not by a non-finite loss after it."""
         _, result = self.train_config(tmp_path, '{"learning_rate": NaN}')
-        assert_exit_2(result, "learning_rate must be positive$")
+        assert_exit_2(result, "learning_rate must be a finite number, got nan$")
 
     def test_config_syntax_error_names_line(self, tmp_path):
         path, result = self.train_config(tmp_path, '{\n "epochs": 2,\n}')
@@ -428,11 +449,15 @@ class TestMalformedRegressions:
 
     @pytest.mark.parametrize("item, message", [
         ("weight_decay=-5", "weight_decay must be >= 0"),
-        ("weight_decay=NaN", "weight_decay must be >= 0"),
-        ("weight_decay=Infinity", "weight_decay must be finite"),
-        ("learning_rate=Infinity", "learning_rate must be finite"),
-        ("gamma=Infinity", "gamma must be finite"),
-        ("pos_weight=Infinity", "pos_weight must be finite"),
+        ("weight_decay=NaN",
+         "--set weight_decay=NaN: weight_decay must be a finite number, got nan"),
+        ("weight_decay=Infinity",
+         "--set weight_decay=Infinity: weight_decay must be a finite number, got inf"),
+        ("learning_rate=Infinity",
+         "--set learning_rate=Infinity: learning_rate must be a finite number, got inf"),
+        ("gamma=Infinity", "--set gamma=Infinity: gamma must be a finite number, got inf"),
+        ("pos_weight=Infinity",
+         "--set pos_weight=Infinity: pos_weight must be a finite number, got inf"),
         ("gamma=1e-300", "gamma must be >= 1e-06"),
         ("hidden_dim=-1", "hidden_dim must be >= 0"),
         ("embed_dim=0", "embed_dim must be >= 1"),
@@ -473,7 +498,8 @@ class TestMalformedRegressions:
     def test_caption_annotations_a_number(self, tmp_path):
         path, result = self.caption(tmp_path, '{"type":"normal","annotations":5}')
         assert_exit_2(result, re.escape(
-            f"{path}: caption job line 3: annotations must be a list of strings"))
+            f"{path}: caption job line 3: annotations must be a non-empty list of "
+            f"strings, got 5") + "$")
 
     @pytest.mark.parametrize("annotations", ['"abc"', "[1,2]", '["ok",null]'])
     def test_caption_annotations_not_strings(self, tmp_path, annotations):
@@ -482,12 +508,14 @@ class TestMalformedRegressions:
         path, result = self.caption(
             tmp_path, '{"type":"normal","annotations":%s}' % annotations)
         assert_exit_2(result, re.escape(
-            f"{path}: caption job line 3: annotations must be a list of strings"))
+            f"{path}: caption job line 3: annotations must be a non-empty list of "
+            f"strings, got {json.loads(annotations)!r}") + "$")
 
     def test_caption_annotations_empty(self, tmp_path):
         path, result = self.caption(tmp_path, '{"type":"normal","annotations":[]}')
         assert_exit_2(result, re.escape(
-            f"{path}: caption job line 3: annotations must hold at least one"))
+            f"{path}: caption job line 3: annotations must be a non-empty list of "
+            f"strings, got []") + "$")
 
     @pytest.mark.parametrize("value", ['"no"', "0", "null"])
     def test_caption_paraphrase_not_a_bool(self, tmp_path, value):
@@ -525,7 +553,8 @@ class TestMalformedRegressions:
         line = '{"tick":%s,"features":[1,2,3]}' % tick
         result = self.infer(root, line)
         assert_exit_2(result, re.escape(
-            "<stdin>: stream line 2: tick must be an integer") + "$")
+            f"<stdin>: stream line 2: tick must be an integer, got {json.loads(tick)!r}")
+            + "$")
         assert len(result[1].splitlines()) == 1
 
     def test_stream_float_then_string_tick_first_line(self, root):
@@ -569,6 +598,20 @@ class TestMalformedRegressions:
         path.write_bytes(b"".join(lines))
         return path, run_cli(["ingest", "--manifest", path])
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"infraction": {"frame_number": -1, "type": "vehicle", "message": "hit",
+                         "scenario": "ControlLoss"}},
+         "infraction frame_number must be >= 0"),
+        ({"label": 1, "collision_frame": 2, "source": "augmented"},
+         "clip c1: augmented collision frame out of band"),
+        ({"event_window": [3, 1]}, "clip c1: bad event window (3, 1)"),
+    ], ids=["frame_number_negative", "augmented_out_of_band", "window_reversed"])
+    def test_manifest_value_out_of_range(self, tmp_path, fields, message):
+        path, result = self.manifest(
+            tmp_path, lambda line: json.dumps({**json.loads(line), **fields}).encode())
+        assert_exit_2(result, "^" + re.escape(
+            f"error: {path}: manifest line 2: {message}") + "$")
+
     def test_manifest_event_window_empty(self, tmp_path):
         path, result = self.manifest(
             tmp_path, lambda line: line.replace(b'"event_window":[0,1]',
@@ -589,7 +632,7 @@ class TestMalformedRegressions:
         path, result = self.manifest(
             tmp_path, lambda line: line.replace(b'"caption":"x"', b'"caption":5'))
         assert_exit_2(result, re.escape(
-            f"{path}: manifest line 2: clip c1: caption must be a string"))
+            f"{path}: manifest line 2: caption must be a string, got 5") + "$")
 
     def test_manifest_bad_utf8_names_line(self, tmp_path):
         path, result = self.manifest(
@@ -686,7 +729,8 @@ class TestMalformedRegressions:
                                 "infractions": {"vehicle": 1},
                                 "coefficients": {"vehicle": "x"}}))
         assert_exit_2(run_cli(["score", "--runs", path]), re.escape(
-            f"{path}: run record line 1: coefficients must map"))
+            f"{path}: run record line 1: coefficients['vehicle'] must be a finite "
+            f"number, got 'x'") + "$")
 
 
 class TestRunRecordChecks:
@@ -728,11 +772,11 @@ class TestRunRecordChecks:
 
     @pytest.mark.parametrize("edits, message", [
         ({"infractions": {"vehicle": 2.7}},
-         "count for infraction 'vehicle' must be an integer, got 2.7"),
+         "infractions['vehicle'] must be an integer, got 2.7"),
         ({"infractions": {"vehicle": "3"}},
-         "count for infraction 'vehicle' must be an integer, got '3'"),
+         "infractions['vehicle'] must be an integer, got '3'"),
         ({"infractions": {"vehicle": True}},
-         "count for infraction 'vehicle' must be an integer, got True"),
+         "infractions['vehicle'] must be an integer, got True"),
         ({"infractions": None}, None),  # absent: no infractions, accepted
         ({"infractions": [1]}, "infractions must map infraction types to counts"),
         ({"route_completion": True}, "route_completion must be a finite number, got True"),
@@ -742,15 +786,16 @@ class TestRunRecordChecks:
         ({"km": float("nan")}, "km must be a finite number, got nan"),
         ({"km": False}, "km must be a finite number, got False"),
         ({"coefficients": {"vehicle": float("nan")}},
-         "coefficients must map infraction types to finite numbers"),
+         "coefficients['vehicle'] must be a finite number, got nan"),
         ({"coefficients": {"vehicle": True}},
-         "coefficients must map infraction types to finite numbers"),
+         "coefficients['vehicle'] must be a finite number, got True"),
         ({"penalty_weights": {"vehicle": float("-inf")}},
-         "penalty_weights must map infraction types to finite numbers"),
+         "penalty_weights['vehicle'] must be a finite number, got -inf"),
+        ({"coefficients": [0.7]}, "coefficients must map infraction types to numbers"),
     ], ids=["count_float", "count_string", "count_bool", "no_infractions",
             "infractions_list", "rc_bool", "rc_string", "route_id_int", "km_inf",
             "km_nan", "km_bool", "coefficient_nan", "coefficient_bool",
-            "weight_inf"])
+            "weight_inf", "coefficients_list"])
     def test_wrong_type_refused(self, tmp_path, edits, message):
         path, result = self.score(tmp_path, edits)
         if message is None:

@@ -140,7 +140,7 @@ class TestBatchObjective:
 
         monkeypatch.setattr(trainer_mod, "heads_backward", spoiled)
         ckpt = init_checkpoint(dim=6, hidden=4, seed=2, zero_first_layer=False)
-        with pytest.raises(NonFiniteLossError, match="non-finite loss or gradient"):
+        with pytest.raises(NonFiniteLossError, match="^non-finite gradient in batch objective$"):
             batch_objective(ckpt, random_examples(rng), "mil", workspace=Workspace())
 
     def test_clip_mode_needs_unmatched(self, rng, monkeypatch):
@@ -364,6 +364,16 @@ class TestTrain:
         train(self.small_config(), recs, enc)
         assert set(enc._projections) == {(_VIDEO_STREAM, 8), (_TEXT_STREAM, 512)}
         assert projections() == before
+
+    def test_non_finite_validation_names_epoch(self, rng):
+        """A validation logit that is not finite is refused with the epoch."""
+        examples = random_examples(rng, n=4)
+        val = [Bag("v0", np.zeros((2, 6), np.float32), np.zeros(2), 0),
+               Bag("v1", np.full((2, 6), np.nan, np.float32), np.zeros(2), 1)]
+        config = TrainConfig(epochs=2, embed_dim=6, hidden_dim=4, seed=2)
+        with pytest.raises(NonFiniteLossError, match="^epoch 0, after its last batch: "
+                           "non-finite snippet logits for clip v1$"):
+            fit(config, TrainData(examples, val, np.array([0, 1]), 1.0, 6, []))
 
     def test_non_finite_abort_names_epoch_and_batch(self, monkeypatch):
         import vlaad.trainer as trainer_mod
