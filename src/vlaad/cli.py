@@ -307,8 +307,11 @@ def _cmd_trace(args) -> int:
         n = plotting.write_trace_csv(tmp, trainer.forward_chunks(ckpt, clips))
         if args.clip_id and not n:
             raise ValidationError(f"clip {args.clip_id!r} not in manifest")
-    if args.plot:
-        plotting.emit_trace_plot(args.output, args.plot)
+        if args.plot:  # before -o is replaced: a failed plot leaves -o as it was
+            if not n:
+                raise ValidationError(
+                    f"{args.output}: trace CSV has a header but no data rows")
+            plotting.emit_trace_plot(tmp, args.plot)
     print(f"traced {n} clips to {args.output}")
     return 0
 

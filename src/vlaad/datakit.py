@@ -19,8 +19,8 @@ from typing import Iterable, Iterator, List, NamedTuple, Protocol, Sequence, Tup
 import numpy as np
 
 from .errors import (LINES_BUFFER, EmptyInputError, SummarizerError,
-                     ValidationError, json_int, json_lines, json_str,
-                     replace_on_success)
+                     SummarizerReplyError, ValidationError, json_int, json_lines,
+                     json_str, replace_on_success)
 from .mil import DEFAULT_SNIPPET_LEN
 
 CLIP_FRAMES = 40
@@ -459,25 +459,32 @@ class HttpSummarizerClient:
             self.url, data=body, headers={"Content-Type": "application/json"})
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
+                reply = resp.read()
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise SummarizerError(f"summarizer request failed: {exc}") from exc
-        if "response" not in payload:
-            raise SummarizerError("summarizer reply missing 'response' field")
+        try:
+            payload = json.loads(reply)
+        except ValueError as exc:
+            raise SummarizerReplyError(f"summarizer reply is not JSON: {exc}") from None
+        if not isinstance(payload, dict) or "response" not in payload:
+            raise SummarizerReplyError("summarizer reply missing 'response' field")
         return str(payload["response"])
 
 
 def _generate_with_retry(client: SummarizerClient, prompt: str, model: str) -> str:
-    """Call the client, retrying timeouts/transport errors up to 3 attempts.
+    """Call the client, retrying transport failures (timeouts, refused or
+    failed requests) up to 3 attempts.
 
-    An empty response is a hard error, never retried, and nothing partial is
-    returned.
+    A reply the client refuses (``SummarizerReplyError``) and an empty
+    response are hard errors, never retried, and nothing partial is returned.
     """
     last: Exception | None = None
     for _ in range(_RETRY_ATTEMPTS):
         try:
             text = client.generate(prompt, model)
-        except (SummarizerError, TimeoutError, OSError) as exc:
+        except SummarizerReplyError:
+            raise
+        except (SummarizerError, OSError) as exc:  # TimeoutError is an OSError
             last = exc
             continue
         if not text or not text.strip():

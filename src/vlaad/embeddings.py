@@ -127,7 +127,8 @@ class StubEncoder:
         mat = self._projections.get((stream, rows))
         if mat is None:
             rng = np.random.default_rng([self.seed, stream, rows, self.dim])
-            mat = rng.standard_normal((rows, self.dim)) / np.sqrt(rows)
+            mat = rng.standard_normal((rows, self.dim))
+            mat /= np.sqrt(rows)
             self._projections[stream, rows] = mat
         return mat
 

@@ -40,6 +40,11 @@ class SummarizerError(VlaadError, RuntimeError):
     """Summarizer endpoint unreachable or returned an unusable response."""
 
 
+class SummarizerReplyError(SummarizerError):
+    """The summarizer answered, but not with a usable reply: a retry would
+    only ask again for the same answer."""
+
+
 class NonFiniteLossError(VlaadError, RuntimeError):
     """Training produced a non-finite loss; message carries epoch/batch."""
 

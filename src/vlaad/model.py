@@ -27,6 +27,7 @@ CKPT_MAGIC = b"VLAD"
 CKPT_VERSION = 1
 DEFAULT_HIDDEN = 256
 ROW_BLOCK = 64  # rows per scratch block of a row-wise temporary
+CKPT_BLOCK = 65_536  # float32 values per block a checkpoint is written or read in
 
 _HEADER = struct.Struct("<4sIIIdQI")  # magic, version, D, H, gamma, seed, epoch
 
@@ -121,15 +122,20 @@ def init_checkpoint(dim: int, hidden: int = DEFAULT_HIDDEN,
 
     Detector and second adapter layer draw uniform +-1/sqrt(fan_in); the
     first adapter layer starts at zero by default so the adapter is exactly
-    the identity at initialization (residual start).
+    the identity at initialization (residual start).  Each tensor is drawn
+    in place into θ: 2r - 1 is rng.uniform(-1, 1)'s -1 + 2r, bit for bit.
     """
     rng = np.random.default_rng(seed)
     ckpt = ModelCheckpoint(np.zeros(param_layout(dim, hidden)[-1].stop),
                            dim=dim, hidden=hidden, gamma=gamma, seed=seed)
+    draws = [(ckpt.w2, hidden), (ckpt.w, dim)]
     if not zero_first_layer:
-        ckpt.w1 = rng.uniform(-1, 1, size=(dim, hidden)) / np.sqrt(dim)
-    ckpt.w2 = rng.uniform(-1, 1, size=(hidden, dim)) / np.sqrt(hidden)
-    ckpt.w = rng.uniform(-1, 1, size=dim) / np.sqrt(dim)
+        draws.insert(0, (ckpt.w1, dim))
+    for view, fan_in in draws:
+        rng.random(out=view)
+        view *= 2
+        view -= 1
+        view /= np.sqrt(fan_in)
     return ckpt
 
 
@@ -259,13 +265,23 @@ def heads_backward(snips: Sequence[np.ndarray], hidden: np.ndarray,
     return grad
 
 
+def _blocks(theta: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(start, block)`` per run of at most ``CKPT_BLOCK`` values of θ, in
+    order: ``block`` is a view of one reused little-endian float32 buffer."""
+    buf = np.empty(min(CKPT_BLOCK, theta.size), dtype="<f4")
+    for lo in range(0, theta.size, CKPT_BLOCK):
+        yield lo, buf[:min(CKPT_BLOCK, theta.size - lo)]
+
+
 def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
-    """Write the binary checkpoint: header then θ as little-endian float32.
-    The file replaces ``path`` only once it is whole."""
+    """Write the binary checkpoint: header then θ as little-endian float32,
+    a block at a time.  The file replaces ``path`` only once it is whole."""
     with replace_on_success(path) as tmp, open(tmp, "wb") as fh:
         fh.write(_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, ckpt.dim, ckpt.hidden,
                               ckpt.gamma, ckpt.seed, ckpt.epoch))
-        fh.write(ckpt.theta.astype("<f4"))
+        for lo, block in _blocks(ckpt.theta):
+            block[...] = ckpt.theta[lo:lo + block.size]  # rounds as astype("<f4")
+            fh.write(block)
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
@@ -273,7 +289,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
 
     The header's dims fix the payload size, which the file must match
     exactly before anything is read; every value must be finite.  Each
-    error names the path and the byte offset.
+    error names the path and the byte offset.  θ is read a block at a time
+    through one reused float32 buffer.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -300,13 +317,18 @@ def load_checkpoint(path) -> ModelCheckpoint:
                 f"checkpoint: header dims D={dim}, H={hidden} put its end at "
                 f"byte {end}, but the file ends at byte {size}")
         theta = np.empty(layout[-1].stop)
-        for slot in layout:  # one tensor at a time bounds the float32 buffer
-            part = theta[slot.start:slot.stop]
-            part[...] = np.frombuffer(fh.read(4 * part.size), dtype="<f4")
-            finite = np.isfinite(part)
+        for lo, block in _blocks(theta):
+            got = fh.readinto(block)
+            if got != block.nbytes:  # the file shrank after its size was read
+                raise ValidationError(f"{path}: truncated checkpoint: read ended "
+                                      f"at byte {_HEADER.size + 4 * lo + got} of {end}")
+            finite = np.isfinite(block)
             if not finite.all():
+                at = lo + int(finite.argmin())
+                name = next(slot.name for slot in layout if at < slot.stop)
                 raise ValidationError(
-                    f"{path}: checkpoint tensor {slot.name} has a non-finite value "
-                    f"at byte {_HEADER.size + 4 * (slot.start + finite.argmin())}")
+                    f"{path}: checkpoint tensor {name} has a non-finite value "
+                    f"at byte {_HEADER.size + 4 * at}")
+            theta[lo:lo + block.size] = block
     return ModelCheckpoint(theta, dim=int(dim), hidden=int(hidden),
                            gamma=float(gamma), seed=int(seed), epoch=int(epoch))

@@ -20,8 +20,8 @@ from vlaad.errors import (DegenerateInputError, DimensionMismatchError, EmptyInp
                          ValidationError)
 from vlaad.mil import (Bag, lse_pool, pooling_attention, segment_clip,
                        segment_lse_pool)
-from vlaad.model import (Workspace, adapter_forward, bag_logits, forward_rows,
-                         heads_backward, param_layout, param_views)
+from vlaad.model import (ModelCheckpoint, Workspace, adapter_forward, bag_logits,
+                         forward_rows, heads_backward, param_layout, param_views)
 from vlaad.numerics import sigmoid, softplus
 from vlaad.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LossBreakdown,
                            batch_objective)
@@ -535,6 +535,19 @@ def per_clip_trace_rows(records, ckpt, encoder, snippet_len=8, stride=8):
             rows.append((rec.clip_id, i, float(t), float(z),
                          float(sigmoid(z)), float(a)))
     return rows
+
+
+def init_checkpoint_out_of_place(dim, hidden, gamma, seed, zero_first_layer):
+    """``model.init_checkpoint`` as it was written before it drew in place:
+    each tensor drawn as a fresh array, scaled into another, then copied."""
+    rng = np.random.default_rng(seed)
+    ckpt = ModelCheckpoint(np.zeros(param_layout(dim, hidden)[-1].stop),
+                           dim=dim, hidden=hidden, gamma=gamma, seed=seed)
+    if not zero_first_layer:
+        ckpt.w1 = rng.uniform(-1, 1, size=(dim, hidden)) / np.sqrt(dim)
+    ckpt.w2 = rng.uniform(-1, 1, size=(hidden, dim)) / np.sqrt(hidden)
+    ckpt.w = rng.uniform(-1, 1, size=dim) / np.sqrt(dim)
+    return ckpt
 
 
 # --- the training step written out of place --------------------------------

@@ -1559,6 +1559,30 @@ class TestTraceAndPlot:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["empty_manifest", "plot_dir_missing"])
+    def test_failed_plot_leaves_output_csv(self, tmp_path, capsys, small_ckpt, case):
+        """A trace whose plot fails, refused (exit 2, naming -o) or unwritable
+        (exit 1), leaves -o byte for byte and no temporary file."""
+        manifest, ckpt = tmp_path / "m.jsonl", tmp_path / "c.bin"
+        write_manifest([] if case == "empty_manifest" else [make_clip("c0")], manifest)
+        save_checkpoint(ckpt, small_ckpt)
+        out = tmp_path / "t.csv"
+        svg = tmp_path / ("t.svg" if case == "empty_manifest" else "no_dir/t.svg")
+        out.write_bytes(b"previous trace\n")
+        code, stdout, err = run_cli(capsys, "trace", "--checkpoint", str(ckpt),
+                                    "--manifest", str(manifest), "-o", str(out),
+                                    "--plot", str(svg))
+        assert stdout == ""
+        if case == "empty_manifest":
+            assert code == 2
+            assert_one_error_line(err, "^" + re.escape(
+                f"error: {out}: trace CSV has a header but no data rows") + "$")
+        else:
+            assert code == 1
+            assert_one_error_line(err, "No such file or directory")
+        assert out.read_bytes() == b"previous trace\n"
+        assert sorted(os.listdir(tmp_path)) == ["c.bin", "m.jsonl", "t.csv"]
+
     def test_malformed_row_names_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,mil\n0,0.1\n1,not_a_number\n")

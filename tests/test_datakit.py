@@ -370,11 +370,14 @@ class TestHttpClient:
 
 
 class _ReplyHandler(http.server.BaseHTTPRequestHandler):
-    """Answers every POST with the server's ``reply`` object as JSON."""
+    """Answers every POST with the server's ``reply``: bytes as they are,
+    anything else as JSON.  The server counts the requests."""
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
-        body = json.dumps(self.server.reply).encode()
+        self.server.requests += 1
+        reply = self.server.reply
+        body = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -390,7 +393,7 @@ class TestHttpReply:
 
     def caption(self, tmp_path, monkeypatch, capsys, reply):
         server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ReplyHandler)
-        server.reply = reply
+        server.reply, server.requests = reply, 0
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -406,6 +409,7 @@ class TestHttpReply:
             server.server_close()
             thread.join(timeout=10)
         assert not thread.is_alive()
+        self.requests = server.requests
         return code, capsys.readouterr(), out
 
     def test_reply_with_response(self, tmp_path, monkeypatch, capsys):
@@ -416,10 +420,27 @@ class TestHttpReply:
             "id": "j0", "caption": "The car drives on.", "warning": False}
 
     def test_reply_without_response_exit_1(self, tmp_path, monkeypatch, capsys):
+        """The server answered, so its reply is refused at the first attempt."""
         code, io, out = self.caption(tmp_path, monkeypatch, capsys, {"text": "x"})
         assert code == 1
-        assert io.err == ("error: summarizer unreachable after 3 attempts: "
-                          "summarizer reply missing 'response' field\n")
+        assert io.err == "error: summarizer reply missing 'response' field\n"
+        assert self.requests == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reply, message", [
+        (b"<html>busy</html>", "summarizer reply is not JSON: Expecting value: "
+                               "line 1 column 1 (char 0)"),
+        (b"\xff", "summarizer reply is not JSON: 'utf-8' codec can't decode byte "
+                  "0xff in position 0: invalid start byte"),
+        (7, "summarizer reply missing 'response' field"),
+        (["response"], "summarizer reply missing 'response' field"),
+    ], ids=["html", "not_utf8", "number", "list"])
+    def test_malformed_reply_not_retried(self, tmp_path, monkeypatch, capsys, reply,
+                                         message):
+        """A reply that is not a JSON object holding ``response`` exits 1 with
+        one line saying so, after one request."""
+        code, io, out = self.caption(tmp_path, monkeypatch, capsys, reply)
+        assert (code, io.err, self.requests) == (1, f"error: {message}\n", 1)
         assert not out.exists()
 
     def test_url_unset_exit_2(self, tmp_path, monkeypatch, capsys):

@@ -439,11 +439,16 @@ class TestMalformedRegressions:
         assert result[0] == 1, result  # config accepted; the manifest is missing
 
     @pytest.mark.parametrize("value, ok", [(2, True), (2.5, True), ("auto", True),
-                                           ("2.5", False), (True, False)])
+                                           ("2.5", False), (True, False),
+                                           (0, False), (-1, False)])
     def test_pos_weight_number_or_auto(self, tmp_path, value, ok):
+        """A number must be above 0: a weight of 0 would drop every positive
+        clip from the classification loss."""
         _, result = self.train_config(tmp_path, json.dumps({"pos_weight": value}))
         if ok:
             assert result[0] == 1, result
+        elif type(value) is int:
+            assert_exit_2(result, "^error: pos_weight must be positive or 'auto'$")
         else:
             assert_exit_2(result, "pos_weight must be")
 
@@ -458,6 +463,7 @@ class TestMalformedRegressions:
         ("gamma=Infinity", "--set gamma=Infinity: gamma must be a finite number, got inf"),
         ("pos_weight=Infinity",
          "--set pos_weight=Infinity: pos_weight must be a finite number, got inf"),
+        ("pos_weight=0", "pos_weight must be positive or 'auto'"),
         ("gamma=1e-300", "gamma must be >= 1e-06"),
         ("hidden_dim=-1", "hidden_dim must be >= 0"),
         ("embed_dim=0", "embed_dim must be >= 1"),

@@ -1,13 +1,18 @@
 import dataclasses
 import errno
 import hashlib
+import io
 import os
+import re
+import struct
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from oracles import forward_bag, pooled_logit_with_grad
+from oracles import forward_bag, init_checkpoint_out_of_place, pooled_logit_with_grad
+from vlaad import model
 from vlaad.errors import DimensionMismatchError, ValidationError
 from vlaad.mil import Bag, lse_pool
 from vlaad.model import (ModelCheckpoint, Workspace, adapter_forward, bag_logits,
@@ -210,19 +215,25 @@ class TestCheckpointIO:
     def test_failed_save_leaves_previous_file(self, tmp_path):
         """A write that raises after the header leaves the previous
         checkpoint byte for byte, and no temporary file."""
-        class FullDisk:
-            def astype(self, dtype):
-                raise OSError(errno.ENOSPC, "No space left on device")
+        writes = []
+
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                writes.append(bytes(data))
+                if len(writes) > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
 
         good = init_checkpoint(dim=6, hidden=4, gamma=7.5, seed=42,
                                zero_first_layer=False)
         path = tmp_path / "model.bin"
         save_checkpoint(path, good)
         before = path.read_bytes()
-        failing = types.SimpleNamespace(dim=6, hidden=4, gamma=7.5, seed=42,
-                                        epoch=1, theta=FullDisk())
-        with pytest.raises(OSError, match="No space left"):
-            save_checkpoint(path, failing)
+        good.epoch = 1
+        with mock.patch.object(model, "open", create=True, new=FullDisk):
+            with pytest.raises(OSError, match="No space left"):
+                save_checkpoint(path, good)
+        assert writes[0] == before[:36 - 4] + (1).to_bytes(4, "little")
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.bin"]
 
@@ -239,6 +250,51 @@ class TestCheckpointIO:
                                  r"need \(12,\)$"):
             param_views(np.zeros(11), 2, 1)
         assert param_views(np.zeros(12), 2, 1)["w"].shape == (2,)
+
+    @pytest.mark.parametrize("zero_first_layer", [True, False])
+    @pytest.mark.parametrize("dim, hidden", [(768, 256), (32, 8), (5, 0)])
+    def test_init_equals_its_out_of_place_oracle(self, dim, hidden, zero_first_layer):
+        """Drawing each tensor in place into θ gives θ bit for bit."""
+        for seed in range(5):
+            got = init_checkpoint(dim, hidden, 7.5, seed, zero_first_layer)
+            want = init_checkpoint_out_of_place(dim, hidden, 7.5, seed, zero_first_layer)
+            assert got.theta.tobytes() == want.theta.tobytes()
+
+    # D = H = 256: θ holds 131,843 values, three blocks of up to 65,536.  w1
+    # fills the first block; w2 (65,792 to 131,328) spans the second and
+    # third; the third ends with b2, w, b, s_sim and s_cls.
+    @pytest.mark.parametrize("index, name", [
+        (65_792, "w2"), (131_071, "w2"), (131_072, "w2"), (131_327, "w2"),
+        (131_328, "b2"), (131_842, "s_cls")])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_named_across_blocks(self, tmp_path, index, name, value):
+        """A non-finite value in any block is named with its tensor and byte,
+        also in a tensor that spans two blocks and in the last block."""
+        path = tmp_path / "model.bin"
+        ckpt = init_checkpoint(dim=256, hidden=256, seed=0)
+        assert ckpt.theta.size == 131_843 and model.CKPT_BLOCK == 65_536
+        save_checkpoint(path, ckpt)
+        data = bytearray(path.read_bytes())
+        at = 36 + 4 * index
+        data[at:at + 4] = struct.pack("<f", value)
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: checkpoint "
+                           f"tensor {name} has a non-finite value at byte {at}$"):
+            load_checkpoint(path)
+
+    def test_file_cut_while_read(self, tmp_path):
+        """A file that ends short of the size its check saw is refused as
+        truncated, naming the byte where the read ended."""
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, init_checkpoint(dim=6, hidden=4, seed=0))
+        data = path.read_bytes()
+        assert len(data) == 304
+        path.write_bytes(data[:-6])
+        with mock.patch.object(model.os, "fstat",
+                               return_value=types.SimpleNamespace(st_size=304)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: truncated "
+                               "checkpoint: read ended at byte 298 of 304$"):
+                load_checkpoint(path)
 
     def test_dims_header_must_match(self, rng):
         good = init_checkpoint(dim=6, hidden=4, seed=0)

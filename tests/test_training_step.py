@@ -9,8 +9,8 @@ an earlier, larger call grew and left dirty; one workspace serves a small,
 a larger and a small objective, growing once, and ragged batches at a
 ``ROW_BLOCK`` edge, objective and forward in turn.  ``tracemalloc`` guards bound
 what one objective and one Adam step allocate, in a fresh workspace and in
-a written one, and a third guard checks that Adam keeps nothing θ-sized
-but its moments.
+a written one, and what checkpoint init, save and load allocate beside θ;
+a further guard checks that Adam keeps nothing θ-sized but its moments.
 """
 
 import tracemalloc
@@ -27,7 +27,8 @@ from oracles import (AdamOutOfPlace, adapter_forward_out_of_place,
 from vlaad import model, trainer
 from vlaad.datakit import SynthConfig, generate_synthetic_dataset
 from vlaad.embeddings import StubEncoder
-from vlaad.model import Workspace, adapter_forward, heads_backward, init_checkpoint
+from vlaad.model import (Workspace, adapter_forward, heads_backward, init_checkpoint,
+                         load_checkpoint, save_checkpoint)
 from vlaad.trainer import (AdamState, TrainConfig, TrainExample,
                            batch_objective, forward_stack, prepare_examples,
                            scores_for)
@@ -374,6 +375,25 @@ class TestAllocations:
         adam.step(ckpt.theta, grad, 1e-3, 1e-4)
         peak = traced_peak(lambda: adam.step(ckpt.theta, grad, 1e-3, 1e-4))
         assert peak < ckpt.theta.nbytes
+
+    def test_checkpoint_init_save_load_hold_theta_once(self, tmp_path):
+        """At D=H=1024 (θ = 16 MB) init and load allocate θ and at most one
+        block of ``CKPT_BLOCK`` float64 values beside it, and save at most
+        that block: no tensor-sized temporary."""
+        block = 8 * model.CKPT_BLOCK
+        path = tmp_path / "model.bin"
+
+        def init():
+            return init_checkpoint(dim=1024, hidden=1024, seed=0, zero_first_layer=False)
+
+        ckpt = init()
+        save_checkpoint(path, ckpt)  # lazy numpy set-up first
+        load_checkpoint(path)
+        theta = ckpt.theta.nbytes
+        assert theta == 8 * (2 * 1024 * 1024 + 3 * 1024 + 3)
+        assert traced_peak(init) <= theta + block
+        assert traced_peak(lambda: save_checkpoint(path, ckpt)) <= block
+        assert traced_peak(lambda: load_checkpoint(path)) <= theta + block
 
     def test_adam_holds_only_the_moments_theta_sized(self):
         ckpt = init_checkpoint(dim=768, hidden=256, seed=0)
