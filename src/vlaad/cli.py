@@ -14,7 +14,6 @@ import math
 import os
 import sys
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -186,6 +185,7 @@ def _cmd_caption(args) -> int:
         client = datakit.StubSummarizerClient()
     with open(args.jobs, "rb", buffering=LINES_BUFFER) as fh:
         jobs = list(json_lines(fh, args.jobs, "caption job", _caption_job))
+    from concurrent.futures import ThreadPoolExecutor  # here, so no other command loads logging
     with ThreadPoolExecutor(max_workers=max(1, args.parallel)) as pool:
         results = list(pool.map(  # in job order, whatever the thread count
             functools.partial(_caption_one, client=client, seed=args.seed),

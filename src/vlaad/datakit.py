@@ -11,7 +11,6 @@ in the [0.1, 0.9] band (frames 4..36).
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, NamedTuple, Protocol, Sequence, Tuple
@@ -300,6 +299,7 @@ def augment_collision_position(clip: ClipRecord, copies: int = 5,
     if clip.source_stream is None or clip.source_start is None:
         raise ValidationError(
             f"clip {clip.clip_id} has no re-croppable source stream")
+    import hashlib  # here, so only an augmentation loads OpenSSL
     id_hash = int.from_bytes(
         hashlib.sha256(clip.clip_id.encode("utf-8")).digest()[:8], "little")
     rng = np.random.default_rng([seed, id_hash])

@@ -18,7 +18,6 @@ At the CLI, ``--embedding-cache`` selects the cache encoder for ``train``,
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import struct
 from collections.abc import Mapping
@@ -157,6 +156,7 @@ class StubEncoder:
         text = caption.strip()
         if not text:
             raise EmptyInputError("caption is empty after whitespace trim")
+        import hashlib  # here, so only a hashed caption loads OpenSSL
         counts = np.zeros(self.text_buckets, dtype=np.float64)
         for token in text.lower().split():
             digest = hashlib.sha256(token.encode("utf-8")).digest()

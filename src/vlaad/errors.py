@@ -8,7 +8,6 @@ import contextlib
 import json
 import math
 import os
-import secrets
 from typing import Callable, Iterable, Iterator
 
 
@@ -128,10 +127,14 @@ def json_bool(value, field: str) -> bool:
 
 
 def json_number(value, field: str, key=None):
-    """``value`` if it is a finite JSON int or float: not a bool, NaN or inf."""
-    if type(value) not in _NUMBER_TYPES or not math.isfinite(value):
-        raise _refused(field, key, "a finite number", value)
-    return value
+    """``value`` if it is a finite JSON int or float: not a bool, NaN, inf or
+    an int that no float holds."""
+    try:
+        if type(value) in _NUMBER_TYPES and math.isfinite(value):
+            return value
+    except OverflowError:  # isfinite of an int beyond float range
+        pass
+    raise _refused(field, key, "a finite number", value)
 
 
 def json_strings(value, field: str) -> list:
@@ -165,7 +168,7 @@ def replace_on_success(path) -> Iterator[str]:
     exception it is removed, so ``path`` is never left half-written and an
     older file there stays as it was."""
     head, tail = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         yield tmp
         os.replace(tmp, path)

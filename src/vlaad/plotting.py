@@ -9,7 +9,6 @@ is the time axis and every remaining column is one model variant.
 from __future__ import annotations
 
 import csv
-import html
 import math
 from typing import Dict, Iterable, Iterator, List, Tuple
 
@@ -23,6 +22,11 @@ TRACE_HEADER = ["clip_id", "snippet_index", "t_start_s", "logit", "prob", "atten
 _WIDTH, _HEIGHT = 640, 400
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 24, 28, 44
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+# a legend's text: the escapes of html.escape(s, quote=False), and U+FFFD for
+# each character that no XML 1.0 document may hold
+_LEGEND_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", **{
+    chr(c): "\ufffd" for c in (*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF)}})
 
 Series = Dict[str, Tuple[List[float], List[float]]]
 
@@ -157,7 +161,7 @@ def render_series_svg(series: Series) -> str:
                          f'cy="{py(y):.2f}" r="3" fill="{color}"/>')
         parts.append(f'<text class="legend" x="{_WIDTH - _MARGIN_R - 150}" '
                      f'y="{_MARGIN_T + 16 * (si + 1)}" font-size="12" '
-                     f'fill="{color}">{html.escape(name, quote=False)}</text>')
+                     f'fill="{color}">{name.translate(_LEGEND_TEXT)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -31,7 +31,7 @@ from vlaad import cli, datakit, embeddings, evalkit, trainer
 from vlaad.cli import build_parser, run
 from vlaad.datakit import ClipRecord, read_manifest, write_manifest
 from vlaad.embeddings import StubEncoder, write_embedding_cache
-from vlaad.errors import ValidationError
+from vlaad.errors import ValidationError, replace_on_success
 from vlaad.mil import segment_clip, segment_lse_pool
 from vlaad.model import Workspace, init_checkpoint, load_checkpoint, save_checkpoint
 from vlaad.numerics import sigmoid
@@ -1521,23 +1521,28 @@ class TestTraceAndPlot:
     @pytest.mark.parametrize("layout", ["trace", "wide"])
     def test_series_names_escaped_in_svg(self, tmp_path, capsys, small_ckpt, layout):
         """A clip id or a wide header name holding ``&``, ``<`` or ``>`` is
-        escaped in the legend, so the SVG is well-formed XML."""
-        name, svg_path = "a<b&c>d", tmp_path / "t.svg"
-        if layout == "trace":
-            manifest, ckpt = tmp_path / "m.jsonl", tmp_path / "c.bin"
-            write_manifest([make_clip(name)], manifest)
-            save_checkpoint(ckpt, small_ckpt)
-            argv = ["--checkpoint", ckpt, "--manifest", manifest,
-                    "-o", tmp_path / "t.csv"]
-        else:
-            wide = tmp_path / "wide.csv"
-            wide.write_text(f"time,{name},plain\n0,0.1,0.2\n1,0.3,0.4\n")
-            argv = ["--from-csv", wide]
-        code, _, err = run_cli(capsys, "trace", *map(str, argv), "--plot", str(svg_path))
-        assert code == 0, err
-        legends = [e.text for e in ET.parse(svg_path).getroot()
-                   if e.get("class") == "legend"]
-        assert legends == ([name] if layout == "trace" else [name, "plain"])
+        escaped in the legend, and a character no XML may hold (a control
+        character, U+FFFE) is shown as U+FFFD, so the SVG is well-formed XML."""
+        for case, name, legend in [("markup", "a<b&c>d", "a<b&c>d"),
+                                   ("control", "bell\x07\tvt\x0b\ufffe",
+                                    "bell\ufffd\tvt\ufffd\ufffd")]:
+            root = tmp_path / case
+            root.mkdir()
+            if layout == "trace":
+                manifest, ckpt = root / "m.jsonl", root / "c.bin"
+                write_manifest([make_clip(name)], manifest)
+                save_checkpoint(ckpt, small_ckpt)
+                argv = ["--checkpoint", ckpt, "--manifest", manifest, "-o", root / "t.csv"]
+            else:
+                wide = root / "wide.csv"
+                wide.write_text(f"time,{name},plain\n0,0.1,0.2\n1,0.3,0.4\n")
+                argv = ["--from-csv", wide]
+            code, _, err = run_cli(capsys, "trace", *map(str, argv),
+                                   "--plot", str(root / "t.svg"))
+            assert code == 0, err
+            legends = [e.text for e in ET.parse(root / "t.svg").getroot()
+                       if e.get("class") == "legend"]
+            assert legends == ([legend] if layout == "trace" else [legend, "plain"])
 
     def test_failed_write_leaves_previous_plot(self, tmp_path):
         """The plot writer replaces its own output only once it is whole."""
@@ -1549,6 +1554,18 @@ class TestTraceAndPlot:
                 emit_trace_plot(csv_path, out)
         assert out.read_bytes() == b"previous plot\n"
         assert sorted(os.listdir(tmp_path)) == ["wide.csv", "wide.svg"]
+
+    def test_temporary_name_beside_output(self, tmp_path):
+        """An output is written whole to ``.{name}.{pid}.{8 hex digits}.tmp``
+        beside it, then moved over it."""
+        out = tmp_path / "out.svg"
+        with replace_on_success(out) as tmp:
+            assert os.path.dirname(tmp) == str(tmp_path)
+            assert re.fullmatch(rf"\.out\.svg\.{os.getpid()}\.[0-9a-f]{{8}}\.tmp",
+                                os.path.basename(tmp)), tmp
+            Path(tmp).write_bytes(b"plot\n")
+        assert out.read_bytes() == b"plot\n"
+        assert os.listdir(tmp_path) == ["out.svg"]
 
     def test_empty_trace_no_file_written(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -1623,6 +1640,43 @@ class TestTraceAndPlot:
         assert code == 2
         assert_one_error_line(err, "^" + re.escape(f"error: {bad}: "), message)
         assert not out.exists()
+
+    GOOD_CSVS = (TRACE_LINE + 'c0,0,0.0,-0.5,0.37,0.25\r\n"c,1",0,0.0,0.2,0.55,0.5\r\n'
+                 "c0,1,2.0,1.5,0.82,0.75\r\n").encode(), b"t,mil,no_mil\n0,0.1,0.3\n2,0.2,0.5\n"
+    INSERTS = (b"\xff", b"\xc3", b"\x00", b'"', b"\r", b"\n", b",", b"nan", b"1e999")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fuzz_from_csv_plot(self, tmp_path_factory, data):
+        """Flipped, cut, deleted or inserted bytes in either CSV shape:
+        ``trace --from-csv --plot`` writes a well-formed SVG, or exits 2 with
+        one error line naming the CSV and leaves the plot path as it was."""
+        root = tmp_path_factory.getbasetemp() / "fuzz_from_csv"
+        root.mkdir(exist_ok=True)
+        blob = bytearray(data.draw(st.sampled_from(self.GOOD_CSVS)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(["flip", "cut", "delete", "insert"]))
+            at = data.draw(st.integers(0, len(blob)))
+            if kind == "flip" and at < len(blob):
+                blob[at] ^= 1 << data.draw(st.integers(0, 7))
+            elif kind == "cut":
+                del blob[at:]
+            elif kind == "delete":
+                del blob[at:at + data.draw(st.integers(1, 8))]
+            elif kind == "insert":
+                blob[at:at] = data.draw(st.sampled_from(self.INSERTS))
+        bad, out = root / "in.csv", root / "out.svg"
+        bad.write_bytes(bytes(blob))
+        out.write_bytes(b"previous plot\n")
+        code, err = run_quiet(["trace", "--from-csv", bad, "--plot", out])
+        assert code in (0, 2), err
+        if code == 0:
+            assert err == ""
+            assert ET.parse(out).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+        else:
+            assert_one_error_line(err, "^" + re.escape(f"error: {bad}: "))
+            assert out.read_bytes() == b"previous plot\n"
+        assert sorted(os.listdir(root)) == ["in.csv", "out.svg"]
 
     def test_one_point_plots_constant_series(self, tmp_path, capsys):
         """A lone point spans no range on either axis: each axis is widened

@@ -339,16 +339,29 @@ class TestCaptioning:
 
 
 class TestHttpClient:
-    def test_import_loads_no_http_stack(self):
+    def test_import_loads_no_http_stack(self, tmp_path):
         """urllib.request (and with it http.client, ssl and email) loads only
-        when the HTTP summarizer sends a request."""
-        code = ("import sys, vlaad.cli; assert 'vlaad.datakit' in sys.modules; "
-                "print(sorted(m for m in ('urllib.request', "
-                "'http.client', 'ssl', 'email') if m in sys.modules))")
+        when the HTTP summarizer sends a request; the thread pool (and with it
+        logging) only for ``caption``, and hashlib (OpenSSL) only where a
+        caption or an augmentation is hashed.  Each child compares against
+        what numpy loaded itself: numpy 1.x imports numpy.random, and with it
+        secrets and hashlib, eagerly."""
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text(json.dumps({"route_id": "r0", "km": 1.0,
+                                    "route_completion": 50.0}) + "\n")
+        modules = ("urllib.request", "http.client", "ssl", "email",
+                   "concurrent.futures", "logging", "html", "secrets",
+                   "hashlib", "_hashlib")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out == "[]\n"
+        for step in ("import vlaad.cli; assert 'vlaad.datakit' in sys.modules",
+                     f"from vlaad.cli import run; assert run(['score', '--runs', "
+                     f"{str(runs)!r}]) == 0"):
+            code = (f"import sys, numpy; before = set(sys.modules); {step}; "
+                    f"print(sorted(m for m in {modules!r} "
+                    f"if m in sys.modules and m not in before))")
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            assert out.splitlines()[-1] == "[]", step
 
     def test_unreachable_url_exit_1(self, tmp_path, monkeypatch, capsys):
         """``caption --client http`` on a closed local port: three attempts,

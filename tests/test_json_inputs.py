@@ -25,6 +25,9 @@ from vlaad.errors import ValidationError, json_lines
 from vlaad.model import init_checkpoint, save_checkpoint
 
 
+BEYOND_FLOAT = 10 ** 400  # a JSON integer that no float holds
+
+
 def run_cli(argv, stdin=b""):
     """``cli.run`` with ``stdin`` (bytes) on standard input:
     (exit code, stdout, stderr)."""
@@ -427,6 +430,22 @@ class TestMalformedRegressions:
         _, result = self.train_config(tmp_path, '{"learning_rate": NaN}')
         assert_exit_2(result, "learning_rate must be a finite number, got nan$")
 
+    def test_set_int_beyond_float_range(self, tmp_path):
+        """An int no float holds is refused in the grammar's words, not by
+        the OverflowError its finiteness check raises."""
+        _, result = self.train_config(tmp_path, "{}", "--set",
+                                      f"learning_rate={BEYOND_FLOAT}")
+        assert_exit_2(result, "^" + re.escape(
+            f"error: --set learning_rate={BEYOND_FLOAT}: learning_rate must be a "
+            f"finite number, got {BEYOND_FLOAT}") + "$")
+
+    def test_config_int_beyond_float_range(self, tmp_path):
+        path, result = self.train_config(tmp_path,
+                                         f'{{"learning_rate": {BEYOND_FLOAT}}}')
+        assert_exit_2(result, "^" + re.escape(
+            f"error: {path}: train config: learning_rate must be a finite number, "
+            f"got {BEYOND_FLOAT}") + "$")
+
     def test_config_syntax_error_names_line(self, tmp_path):
         path, result = self.train_config(tmp_path, '{\n "epochs": 2,\n}')
         assert_exit_2(result, re.escape(f"{path}: train config: "), "line 3 column 1")
@@ -791,6 +810,7 @@ class TestRunRecordChecks:
         ({"km": float("inf")}, "km must be a finite number, got inf"),
         ({"km": float("nan")}, "km must be a finite number, got nan"),
         ({"km": False}, "km must be a finite number, got False"),
+        ({"km": BEYOND_FLOAT}, f"km must be a finite number, got {BEYOND_FLOAT}"),
         ({"coefficients": {"vehicle": float("nan")}},
          "coefficients['vehicle'] must be a finite number, got nan"),
         ({"coefficients": {"vehicle": True}},
@@ -800,7 +820,7 @@ class TestRunRecordChecks:
         ({"coefficients": [0.7]}, "coefficients must map infraction types to numbers"),
     ], ids=["count_float", "count_string", "count_bool", "no_infractions",
             "infractions_list", "rc_bool", "rc_string", "route_id_int", "km_inf",
-            "km_nan", "km_bool", "coefficient_nan", "coefficient_bool",
+            "km_nan", "km_bool", "km_beyond_float", "coefficient_nan", "coefficient_bool",
             "weight_inf", "coefficients_list"])
     def test_wrong_type_refused(self, tmp_path, edits, message):
         path, result = self.score(tmp_path, edits)
