@@ -20,8 +20,8 @@ import numpy as np
 from . import datakit, evalkit, inference, plotting, trainer
 from .embeddings import CachedEncoder, StubEncoder
 from .errors import (LINES_BUFFER, ValidationError, VlaadError, json_bool,
-                     json_document, json_lines, json_numbers, json_strings,
-                     replace_on_success)
+                     json_document, json_lines, json_loads, json_numbers,
+                     json_strings, replace_on_success)
 from .mil import (DEFAULT_SNIPPET_LEN, DEFAULT_SNIPPET_STRIDE, encode_clip,
                   segment_clip)
 from .model import load_checkpoint, save_checkpoint
@@ -106,18 +106,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
 def _make_encoder(dim: int, seed: int, cache_path, named: str):
     """A context holding the cache encoder when ``--embedding-cache`` is
     given, else the stub; leaving it closes the cache file.  A cache whose
     D is not ``dim``, the dim that ``named`` names, is refused and closed."""
     if not cache_path:
-        return contextlib.nullcontext(StubEncoder(dim=dim, seed=seed))
-    encoder = CachedEncoder(cache_path)
-    if encoder.dim != dim:
-        encoder.close()
-        raise ValidationError(f"{cache_path}: embedding cache has D={encoder.dim}, "
-                              f"but {named} is {dim}")
-    return encoder
+        yield StubEncoder(dim=dim, seed=seed)
+        return
+    with CachedEncoder(cache_path) as encoder:
+        if encoder.dim != dim:
+            raise ValidationError(f"{cache_path}: embedding cache has D={encoder.dim}, "
+                                  f"but {named} is {dim}")
+        yield encoder
 
 
 def _require_both_classes(manifest, labels) -> None:
@@ -208,7 +209,7 @@ def _load_train_config(args) -> trainer.TrainConfig:
             raise ValidationError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json_loads(raw)
         except json.JSONDecodeError:
             value = raw  # bare strings like mode=mil
         try:

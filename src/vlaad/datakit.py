@@ -500,13 +500,12 @@ def _pick_model(rng: np.random.Generator) -> str:
 
 
 def caption_collision_clip(log: InfractionLog, client: SummarizerClient,
-                           rng: np.random.Generator | None = None) -> str:
+                           rng: np.random.Generator) -> str:
     """Summarize one infraction log into a collision caption.
 
-    The generation model is drawn with equal probability from
-    ``DEFAULT_SUMMARIZER_MODELS`` for every call.
+    The generation model is drawn from ``rng``, with equal probability from
+    ``DEFAULT_SUMMARIZER_MODELS``, for every call.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     input_text = f"{log.message} Scenario type: {log.scenario_type}."
     prompt = SUMMARIZE_PROMPT.format(input_text=input_text)
     return _generate_with_retry(client, prompt, _pick_model(rng))
@@ -518,7 +517,7 @@ class CaptionResult(NamedTuple):
 
 
 def caption_normal_clip(frame_annotations: Sequence[str], client: SummarizerClient,
-                        rng: np.random.Generator | None = None,
+                        rng: np.random.Generator,
                         paraphrase: bool = False) -> CaptionResult:
     """Two-stage summary of per-frame annotations into one clip caption.
 
@@ -530,7 +529,6 @@ def caption_normal_clip(frame_annotations: Sequence[str], client: SummarizerClie
     """
     if not frame_annotations:
         raise EmptyInputError("at least one frame annotation required")
-    rng = rng if rng is not None else np.random.default_rng(0)
     stage1 = []
     for ann in frame_annotations:
         prompt = SUMMARIZE_PROMPT.format(input_text=ann)

@@ -17,7 +17,6 @@ At the CLI, ``--embedding-cache`` selects the cache encoder for ``train``,
 
 from __future__ import annotations
 
-import contextlib
 import os
 import struct
 from collections.abc import Mapping
@@ -32,6 +31,7 @@ from .errors import (
     EmptyInputError,
     MissingEmbeddingError,
     ValidationError,
+    binary_header,
     replace_on_success,
 )
 
@@ -289,10 +289,10 @@ def _gather(data: bytes, starts, dim: int) -> np.ndarray:
     return at_every_byte[starts]
 
 
-def read_embedding_cache(path, file=None) -> Tuple[Dict[str, int], int]:
+def read_embedding_cache(path, file) -> Tuple[Dict[str, int], int]:
     """Scan a cache file once: (id -> byte offset of its vector, D).  An id
-    stored twice maps to its last record.  ``file``, when given, is the
-    cache already open for binary reading; it is read by position and stays
+    stored twice maps to its last record.  ``file`` is the cache at
+    ``path``, open for binary reading; it is read by position and stays
     open.
 
     The header's count is checked against the file size before anything
@@ -302,70 +302,55 @@ def read_embedding_cache(path, file=None) -> Tuple[Dict[str, int], int]:
     names the path and the byte offset.  No more than one block of vectors
     is held at any time.
     """
-    with (open(path, "rb", buffering=0) if file is None
-          else contextlib.nullcontext(file)) as fh:
-        fd = fh.fileno()
-        size = os.fstat(fd).st_size
-        header = os.pread(fd, _CACHE_HEADER.size, 0)
-        if len(header) != _CACHE_HEADER.size:
-            raise ValidationError(f"{path}: truncated embedding cache header at "
-                                  f"byte {len(header)} of {_CACHE_HEADER.size}")
-        magic, version, dim, count = _CACHE_HEADER.unpack(header)
-        if magic != CACHE_MAGIC:
-            raise ValidationError(
-                f"{path}: not an embedding cache file: bad magic {magic!r} at byte 0")
-        if version != CACHE_VERSION:
-            raise ValidationError(
-                f"{path}: unsupported embedding cache version {version} at byte 4")
-        if dim < 1:
-            raise ValidationError(
-                f"{path}: embedding cache dim D=0 at byte 8 must be >= 1")
-        least = _CACHE_HEADER.size + count * (2 + 4 * dim)
-        if least > size:
-            raise ValidationError(
-                f"{path}: embedding cache count {count} at byte 12 needs at "
-                f"least {least} bytes at D={dim}, but the file ends at byte {size}")
-        width = 4 * dim
-        # a block holds the longest possible record, so a record that a
-        # block starting at it does not hold whole runs past the file's end
-        block = max(_SCAN_BLOCK_BYTES, 2 + 0xFFFF + width)
-        offsets: Dict[str, int] = {}
-        bad = None  # (index, byte) of the first record with a non-finite value
-        at, i = _CACHE_HEADER.size, 0  # record i starts at byte at
-        while i < count:
-            data = os.pread(fd, block, at)
-            n, p, ends = len(data), 0, []  # ends[j]: where record i + j ends in data
-            for k in range(i, count):
-                if p + 2 + width > n:
-                    break
-                end = p + 2 + (data[p] | data[p + 1] << 8) + width
-                if end > n:
-                    break
-                try:
-                    offsets[data[p + 2:end - width].decode()] = at + end - width
-                except UnicodeDecodeError as exc:
-                    raise ValidationError(
-                        f"{path}: embedding cache record {k} id at byte {at + p + 2} "
-                        f"is not UTF-8: {exc.reason} at byte "
-                        f"{at + p + 2 + exc.start}") from None
-                ends.append(end)
-                p = end
-            if not ends:
+    fd = file.fileno()
+    size = os.fstat(fd).st_size
+    dim, count = binary_header(os.pread(fd, _CACHE_HEADER.size, 0), _CACHE_HEADER,
+                               path, "embedding cache", CACHE_MAGIC, CACHE_VERSION)
+    least = _CACHE_HEADER.size + count * (2 + 4 * dim)
+    if least > size:
+        raise ValidationError(
+            f"{path}: embedding cache count {count} at byte 12 needs at "
+            f"least {least} bytes at D={dim}, but the file ends at byte {size}")
+    width = 4 * dim
+    # a block holds the longest possible record, so a record that a block
+    # starting at it does not hold whole runs past the file's end
+    block = max(_SCAN_BLOCK_BYTES, 2 + 0xFFFF + width)
+    offsets: Dict[str, int] = {}
+    bad = None  # (index, byte) of the first record with a non-finite value
+    at, i = _CACHE_HEADER.size, 0  # record i starts at byte at
+    while i < count:
+        data = os.pread(fd, block, at)
+        n, p, ends = len(data), 0, []  # ends[j]: where record i + j ends in data
+        for k in range(i, count):
+            if p + 2 + width > n:
+                break
+            end = p + 2 + (data[p] | data[p + 1] << 8) + width
+            if end > n:
+                break
+            try:
+                offsets[data[p + 2:end - width].decode()] = at + end - width
+            except UnicodeDecodeError as exc:
                 raise ValidationError(
-                    f"{path}: truncated embedding cache record {i} at byte {at}: "
-                    f"it needs {2 + int.from_bytes(data[:2], 'little') + width} "
-                    f"bytes, but the file ends at byte {size}")
-            finite = np.isfinite(_gather(data, np.subtract(ends, width),
-                                         dim)).all(axis=1)
-            if bad is None and not finite.all():
-                j = int(np.argmin(finite))
-                bad = (i + j, at + (ends[j - 1] if j else 0))
-            at, i = at + p, i + len(ends)
-        if at != size:
+                    f"{path}: embedding cache record {k} id at byte {at + p + 2} "
+                    f"is not UTF-8: {exc.reason} at byte "
+                    f"{at + p + 2 + exc.start}") from None
+            ends.append(end)
+            p = end
+        if not ends:
             raise ValidationError(
-                f"{path}: trailing bytes in embedding cache: its {count} records "
-                f"end at byte {at}, but the file ends at byte {size}")
-        if bad is not None:
-            raise ValidationError(f"{path}: embedding cache record {bad[0]} at byte "
-                                  f"{bad[1]} has a non-finite value")
-        return offsets, int(dim)
+                f"{path}: truncated embedding cache record {i} at byte {at}: "
+                f"it needs {2 + int.from_bytes(data[:2], 'little') + width} "
+                f"bytes, but the file ends at byte {size}")
+        finite = np.isfinite(_gather(data, np.subtract(ends, width), dim)).all(axis=1)
+        if bad is None and not finite.all():
+            j = int(np.argmin(finite))
+            bad = (i + j, at + (ends[j - 1] if j else 0))
+        at, i = at + p, i + len(ends)
+    if at != size:
+        raise ValidationError(
+            f"{path}: trailing bytes in embedding cache: its {count} records "
+            f"end at byte {at}, but the file ends at byte {size}")
+    if bad is not None:
+        raise ValidationError(f"{path}: embedding cache record {bad[0]} at byte "
+                              f"{bad[1]} has a non-finite value")
+    return offsets, int(dim)

@@ -1,6 +1,6 @@
 """Shared exception types for the toolkit, the one place that decides how a
-malformed JSON input is reported and what type a JSON value must have, and
-the one way an output file is replaced."""
+malformed JSON input or binary file header is reported and what type a JSON
+value must have, and the one way an output file is replaced."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import contextlib
 import json
 import math
 import os
+import sys
 from typing import Callable, Iterable, Iterator
 
 
@@ -113,9 +114,15 @@ def json_int(value, field: str, key=None) -> int:
 
 
 def json_str(value, field: str) -> str:
-    """``value`` if it is a JSON string: not null, a number or a list."""
+    """``value`` if it is a JSON string that UTF-8 encodes: not null, a
+    number, a list or a lone surrogate such as ``"\\ud800"``."""
     if type(value) is not str:
         raise _refused(field, None, "a string", value)
+    if not value.isascii():  # O(1); the encode copies the string
+        try:
+            value.encode()
+        except UnicodeEncodeError:
+            raise _refused(field, None, "a string UTF-8 can encode", value) from None
     return value
 
 
@@ -151,14 +158,54 @@ def json_numbers(value, field: str) -> list:
     return value
 
 
+class _LongInt(str):
+    """A JSON integer's digits, too many for ``int``: no grammar accepts it."""
+
+    def __repr__(self):
+        return (f"an integer of {len(self.lstrip('-'))} digits, beyond the "
+                f"{sys.get_int_max_str_digits()}-digit limit")
+
+
+def _int_literal(digits: str):
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return _LongInt(digits)
+
+
+def json_loads(text: str):
+    """``json.loads(text)``, but an integer too long for ``int`` is read as a
+    value the grammar refuses, naming its field, not as a bare ValueError."""
+    return json.loads(text, parse_int=_int_literal)
+
+
 def json_document(path, what: str, parse: Callable):
     """``parse`` of the one JSON value in the file at ``path``.  Errors name
     the path (a syntax error also its line and column)."""
     with open(path, "rb") as fh:
         try:
-            return parse(json.loads(fh.read().decode()))
+            return parse(json_loads(fh.read().decode()))
         except _MALFORMED as exc:
             raise _malformed(f"{path}: {what}", exc) from exc
+
+
+def binary_header(data: bytes, layout, path, what: str, magic: bytes,
+                  version: int) -> list:
+    """The fields after magic and version, D first, of the header ``data``
+    that the ``struct.Struct`` ``layout`` packs.  A short header, another
+    magic or version, or D=0 is refused naming ``path``, ``what``, the byte."""
+    if len(data) != layout.size:
+        raise ValidationError(f"{path}: truncated {what} header at byte "
+                              f"{len(data)} of {layout.size}")
+    found, found_version, *fields = layout.unpack(data)
+    if found != magic:
+        raise ValidationError(f"{path}: bad {what} magic {found!r} at byte 0")
+    if found_version != version:
+        raise ValidationError(f"{path}: unsupported {what} version {found_version} "
+                              "at byte 4")
+    if fields[0] < 1:
+        raise ValidationError(f"{path}: {what} dim D=0 at byte 8 must be >= 1")
+    return fields
 
 
 @contextlib.contextmanager

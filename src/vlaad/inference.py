@@ -17,7 +17,7 @@ import numpy as np
 from .embeddings import StubEncoder
 from .errors import ValidationError, json_int, json_lines, json_numbers
 from .model import ModelCheckpoint, Workspace, forward_rows
-from .numerics import scalar_sigmoid
+from .numerics import sigmoid
 
 DEFAULT_BUFFER_FRAMES = 8
 DEFAULT_SUBSAMPLE_PERIOD = 5
@@ -87,7 +87,7 @@ class CausalBuffer:
         # over a float64 forward cannot overflow), so both paths agree exactly
         logit = forward_rows(row.astype(np.float64)[None, :], ckpt,
                              self._workspace)[2][0]
-        return scalar_sigmoid(logit)
+        return sigmoid(logit)
 
 
 def push_tick(buffer: CausalBuffer, frame, tick: int, ckpt: ModelCheckpoint,

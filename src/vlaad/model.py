@@ -20,14 +20,15 @@ from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError, replace_on_success
+from .errors import (DimensionMismatchError, ValidationError, binary_header,
+                     replace_on_success)
 from .mil import DEFAULT_GAMMA, MIN_GAMMA, Bag
 
 CKPT_MAGIC = b"VLAD"
 CKPT_VERSION = 1
 DEFAULT_HIDDEN = 256
 ROW_BLOCK = 64  # rows per scratch block of a row-wise temporary
-CKPT_BLOCK = 65_536  # float32 values per block a checkpoint is written or read in
+THETA_BLOCK = 1 << 14  # most θ entries per run of a walk over θ: Adam's best size
 
 _HEADER = struct.Struct("<4sIIIdQI")  # magic, version, D, H, gamma, seed, epoch
 
@@ -67,6 +68,14 @@ def param_views(vec: np.ndarray, dim: int, hidden: int) -> Dict[str, np.ndarray]
         raise DimensionMismatchError(f"parameter vector has shape {vec.shape}, "
                                      f"D={dim}, H={hidden} need ({layout[-1].stop},)")
     return {s.name: vec[s.start:s.stop].reshape(s.shape) for s in layout}
+
+
+def param_blocks(layout: Sequence[Slot]) -> Iterator[Tuple[Slot, int, int]]:
+    """``(slot, lo, hi)`` per run θ[lo:hi] of at most ``THETA_BLOCK`` entries,
+    in θ order; no run spans two slots."""
+    for slot in layout:
+        for lo in range(slot.start, slot.stop, THETA_BLOCK):
+            yield slot, lo, min(lo + THETA_BLOCK, slot.stop)
 
 
 class _Tensor:
@@ -265,23 +274,16 @@ def heads_backward(snips: Sequence[np.ndarray], hidden: np.ndarray,
     return grad
 
 
-def _blocks(theta: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """``(start, block)`` per run of at most ``CKPT_BLOCK`` values of θ, in
-    order: ``block`` is a view of one reused little-endian float32 buffer."""
-    buf = np.empty(min(CKPT_BLOCK, theta.size), dtype="<f4")
-    for lo in range(0, theta.size, CKPT_BLOCK):
-        yield lo, buf[:min(CKPT_BLOCK, theta.size - lo)]
-
-
 def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
     """Write the binary checkpoint: header then θ as little-endian float32,
     a block at a time.  The file replaces ``path`` only once it is whole."""
     with replace_on_success(path) as tmp, open(tmp, "wb") as fh:
         fh.write(_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, ckpt.dim, ckpt.hidden,
                               ckpt.gamma, ckpt.seed, ckpt.epoch))
-        for lo, block in _blocks(ckpt.theta):
-            block[...] = ckpt.theta[lo:lo + block.size]  # rounds as astype("<f4")
-            fh.write(block)
+        buf = np.empty(min(THETA_BLOCK, ckpt.theta.size), dtype="<f4")
+        for _, lo, hi in param_blocks(param_layout(ckpt.dim, ckpt.hidden)):
+            buf[:hi - lo] = ckpt.theta[lo:hi]  # rounds as astype("<f4")
+            fh.write(buf[:hi - lo])
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
@@ -293,18 +295,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
     through one reused float32 buffer.
     """
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValidationError(f"{path}: truncated checkpoint header at byte "
-                                  f"{len(header)} of {_HEADER.size}")
-        magic, version, dim, hidden, gamma, seed, epoch = _HEADER.unpack(header)
-        if magic != CKPT_MAGIC:
-            raise ValidationError(f"{path}: bad checkpoint magic {magic!r} at byte 0")
-        if version != CKPT_VERSION:
-            raise ValidationError(
-                f"{path}: unsupported checkpoint version {version} at byte 4")
-        if dim < 1:
-            raise ValidationError(f"{path}: checkpoint dim D=0 at byte 8 must be >= 1")
+        dim, hidden, gamma, seed, epoch = binary_header(
+            fh.read(_HEADER.size), _HEADER, path, "checkpoint", CKPT_MAGIC, CKPT_VERSION)
         if not (math.isfinite(gamma) and gamma >= MIN_GAMMA):
             raise ValidationError(f"{path}: checkpoint gamma {gamma} at byte 16 "
                                   f"must be finite and >= {MIN_GAMMA}")
@@ -317,18 +309,18 @@ def load_checkpoint(path) -> ModelCheckpoint:
                 f"checkpoint: header dims D={dim}, H={hidden} put its end at "
                 f"byte {end}, but the file ends at byte {size}")
         theta = np.empty(layout[-1].stop)
-        for lo, block in _blocks(theta):
+        buf = np.empty(min(THETA_BLOCK, theta.size), dtype="<f4")
+        for slot, lo, hi in param_blocks(layout):
+            block = buf[:hi - lo]
             got = fh.readinto(block)
             if got != block.nbytes:  # the file shrank after its size was read
                 raise ValidationError(f"{path}: truncated checkpoint: read ended "
                                       f"at byte {_HEADER.size + 4 * lo + got} of {end}")
             finite = np.isfinite(block)
             if not finite.all():
-                at = lo + int(finite.argmin())
-                name = next(slot.name for slot in layout if at < slot.stop)
                 raise ValidationError(
-                    f"{path}: checkpoint tensor {name} has a non-finite value "
-                    f"at byte {_HEADER.size + 4 * at}")
-            theta[lo:lo + block.size] = block
+                    f"{path}: checkpoint tensor {slot.name} has a non-finite value "
+                    f"at byte {_HEADER.size + 4 * (lo + int(finite.argmin()))}")
+            theta[lo:hi] = block
     return ModelCheckpoint(theta, dim=int(dim), hidden=int(hidden),
                            gamma=float(gamma), seed=int(seed), epoch=int(epoch))

@@ -6,7 +6,14 @@ import numpy as np
 
 
 def sigmoid(x):
-    """Overflow-safe logistic function, elementwise."""
+    """Overflow-safe logistic function, elementwise.  A float (``np.float64``
+    is one) gives a float through the same ``np.exp`` branches, bit for bit
+    (``math.exp`` differs from ``np.exp`` in the last bit on some inputs)."""
+    if isinstance(x, float):
+        if x >= 0:
+            return float(1.0 / (1.0 + np.exp(-x)))
+        ex = np.exp(x)
+        return float(ex / (1.0 + ex))
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
@@ -16,15 +23,6 @@ def sigmoid(x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def scalar_sigmoid(x: float) -> float:
-    """``sigmoid`` of one float, bit for bit: the same branches through
-    ``np.exp`` (``math.exp`` differs from it in the last bit on some inputs)."""
-    if x >= 0:
-        return float(1.0 / (1.0 + np.exp(-x)))
-    ex = np.exp(x)
-    return float(ex / (1.0 + ex))
 
 
 def softplus(x):

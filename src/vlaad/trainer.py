@@ -24,15 +24,14 @@ from .errors import (NonFiniteLossError, ValidationError, json_bool, json_int,
 from .evalkit import ScoredSet, roc_auc
 from .mil import (DEFAULT_GAMMA, DEFAULT_SNIPPET_LEN, DEFAULT_SNIPPET_STRIDE,
                   MIN_GAMMA, Bag, encode_clip, segment_lse_pool)
-from .model import (DEFAULT_HIDDEN, ModelCheckpoint, Workspace, forward_rows,
-                    heads_backward, init_checkpoint, param_layout, param_views,
-                    row_blocks)
+from .model import (DEFAULT_HIDDEN, THETA_BLOCK, ModelCheckpoint, Workspace,
+                    forward_rows, heads_backward, init_checkpoint, param_blocks,
+                    param_layout, param_views, row_blocks)
 from .numerics import sigmoid, softplus
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_BLOCK = 1 << 14  # θ entries per block of an Adam step
 DEFAULT_EVAL_BATCH = 64  # clips per forward when scoring or tracing
 
 
@@ -358,8 +357,8 @@ class AdamState:
     """Adam moments over θ with decoupled weight decay on weight tensors only.
 
     Holds the moments ``m`` and ``v`` and one scratch pair of at most
-    ``ADAM_BLOCK`` entries, all allocated here: a step walks θ slot by slot
-    in blocks of the scratch's size, so it allocates nothing θ-sized and
+    ``THETA_BLOCK`` entries, all allocated here: a step walks θ a
+    ``param_blocks`` run at a time, so it allocates nothing θ-sized and
     writes only these arrays and the ``theta`` it is given.
     """
 
@@ -367,7 +366,7 @@ class AdamState:
         self.m = np.zeros_like(ckpt.theta)
         self.v = np.zeros_like(ckpt.theta)
         self._layout = param_layout(ckpt.dim, ckpt.hidden)
-        self._a = np.empty(min(ADAM_BLOCK, ckpt.theta.size))
+        self._a = np.empty(min(THETA_BLOCK, ckpt.theta.size))
         self._b = np.empty_like(self._a)
         self.t = 0
 
@@ -383,29 +382,25 @@ class AdamState:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        size = self._a.size
-        for slot in self._layout:
-            decay = slot.decayed * weight_decay  # the 0/1 mask times wd
-            for lo in range(slot.start, slot.stop, size):
-                hi = min(lo + size, slot.stop)
-                m, v, g, th = self.m[lo:hi], self.v[lo:hi], grad[lo:hi], theta[lo:hi]
-                a, b = self._a[:hi - lo], self._b[:hi - lo]
-                m *= ADAM_BETA1
-                np.multiply(g, 1 - ADAM_BETA1, out=a)
-                m += a
-                v *= ADAM_BETA2
-                np.multiply(g, 1 - ADAM_BETA2, out=a)
-                a *= g
-                v += a
-                np.divide(v, bc2, out=a)  # a: the denominator
-                np.sqrt(a, out=a)
-                a += ADAM_EPS
-                np.divide(m, bc1, out=b)  # b: the update
-                b /= a
-                np.multiply(th, decay, out=a)
-                b += a
-                b *= lr
-                th -= b
+        for slot, lo, hi in param_blocks(self._layout):
+            m, v, g, th = self.m[lo:hi], self.v[lo:hi], grad[lo:hi], theta[lo:hi]
+            a, b = self._a[:hi - lo], self._b[:hi - lo]
+            m *= ADAM_BETA1
+            np.multiply(g, 1 - ADAM_BETA1, out=a)
+            m += a
+            v *= ADAM_BETA2
+            np.multiply(g, 1 - ADAM_BETA2, out=a)
+            a *= g
+            v += a
+            np.divide(v, bc2, out=a)  # a: the denominator
+            np.sqrt(a, out=a)
+            a += ADAM_EPS
+            np.divide(m, bc1, out=b)  # b: the update
+            b /= a
+            np.multiply(th, slot.decayed * weight_decay, out=a)  # 0/1 mask times wd
+            b += a
+            b *= lr
+            th -= b
 
 
 @dataclass

@@ -809,8 +809,7 @@ def read_embedding_cache_whole(path):
                                   f"byte {len(header)} of {_CACHE_HEADER.size}")
         magic, version, dim, count = _CACHE_HEADER.unpack(header)
         if magic != b"VLEC":
-            raise ValidationError(
-                f"{path}: not an embedding cache file: bad magic {magic!r} at byte 0")
+            raise ValidationError(f"{path}: bad embedding cache magic {magic!r} at byte 0")
         if version != 1:
             raise ValidationError(
                 f"{path}: unsupported embedding cache version {version} at byte 4")

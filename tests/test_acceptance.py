@@ -350,7 +350,7 @@ def test_criterion_10_external_ingestion_contract(mil_run, tmp_path):
                                                  counts))
         base_ds.append(summary["DS"])
         improved.append(summary["DS"] + float(rng2.uniform(-0.5, 2.0)))
-    runs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    runs.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     from vlaad.evalkit import read_run_records
 
     records = read_run_records(runs)

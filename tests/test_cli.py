@@ -109,7 +109,7 @@ class TestSynthIngest:
                                  "-o", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
-        assert len(a.read_text().splitlines()) == 20
+        assert len(a.read_text(encoding="utf-8").splitlines()) == 20
 
     def test_synth_dim_at_least_1(self, tmp_path, capsys):
         out = tmp_path / "m.jsonl"
@@ -133,7 +133,7 @@ class TestSynthIngest:
 
     def test_ingest_bad_manifest_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("{\"clip_id\": \"x\"}\n")
+        bad.write_text("{\"clip_id\": \"x\"}\n", encoding="utf-8")
         code, _, _ = run_cli(capsys, "ingest", "--manifest", str(bad))
         assert code == 2
 
@@ -145,7 +145,7 @@ class TestSynthIngest:
         jobs, out = tmp_path / "jobs.jsonl", tmp_path / "captions.jsonl"
         jobs.write_text("".join(json.dumps(
             {"type": "normal", "id": i, "annotations": [f"frame {i}. more."]})
-            + "\n" for i in range(5)))
+            + "\n" for i in range(5)), encoding="utf-8")
         out.write_bytes(b"old\n")
         dumps, calls = json.dumps, []
 
@@ -208,7 +208,7 @@ class TestTrainEval:
         code, _, _ = run_cli(capsys, *self.train_args(manifest, ckpt),
                              "--history", str(hist))
         assert code == 0
-        lines = hist.read_text().splitlines()
+        lines = hist.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "epoch,L_sim,L_cls,s_sim,s_cls,L_total,val_auc"
         assert len(lines) == 3
 
@@ -231,7 +231,7 @@ class TestTrainEval:
                                "--history", hist])
         assert code == 0, err
         assert [size for size, _ in steps] == [7, 7, 6] * 3
-        with open(hist, newline="") as fh:
+        with open(hist, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
         for row, (l_sim, l_cls) in zip(rows, epoch_loss_means(steps, 3)):
@@ -244,10 +244,11 @@ class TestTrainEval:
     def test_blank_caption_names_manifest_line(self, manifest, tmp_path):
         """A training clip with a blank caption exits 2 naming the manifest
         line it came from."""
-        lines = manifest.read_text().splitlines()
+        lines = manifest.read_text(encoding="utf-8").splitlines()
         obj = {**json.loads(lines[2]), "caption": " "}
         blank = tmp_path / "blank.jsonl"
-        blank.write_text("\n".join([*lines[:2], json.dumps(obj), *lines[3:]]) + "\n")
+        blank.write_text("\n".join([*lines[:2], json.dumps(obj), *lines[3:]]) + "\n",
+                         encoding="utf-8")
         code, err = run_quiet([*self.train_args(blank, tmp_path / "c.bin"),
                                "--val-manifest", manifest])
         assert code == 2, err
@@ -323,7 +324,7 @@ class TestTrainEval:
     def test_config_file_with_flag_precedence(self, manifest, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"embed_dim": 24, "hidden_dim": 8,
-                                   "epochs": 5, "seed": 9}))
+                                   "epochs": 5, "seed": 9}), encoding="utf-8")
         ckpt = tmp_path / "c.bin"
         code, _, _ = run_cli(capsys, "train", "--manifest", str(manifest),
                              "--config", str(cfg), "-o", str(ckpt),
@@ -602,9 +603,22 @@ class TestCheckpointReader:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20  # w1 alone would be 64 MB
 
+    # the header cases of TestEmbeddingCacheReader, through the same grammar
+    def test_header_cut_short(self, eval_inputs):
+        self.assert_rejected(eval_inputs, eval_inputs[2][:10],
+                             r": truncated checkpoint header at byte 10 of 36$")
+
     def test_zero_dim(self, eval_inputs):
         header = self.HEADER.pack(b"VLAD", 1, 0, 4, 7.5, 42, 13)
-        self.assert_rejected(eval_inputs, header + bytes(4 * 7), r"D=0 at byte 8")
+        self.assert_rejected(eval_inputs, header + bytes(4 * 7),
+                             r": checkpoint dim D=0 at byte 8 must be >= 1$")
+
+    def test_bad_magic_and_version(self, eval_inputs):
+        good = eval_inputs[2]
+        self.assert_rejected(eval_inputs, b"VLEC" + good[4:],
+                             r": bad checkpoint magic b'VLEC' at byte 0$")
+        self.assert_rejected(eval_inputs, good[:4] + struct.pack("<I", 2) + good[8:],
+                             r": unsupported checkpoint version 2 at byte 4$")
 
     @pytest.mark.parametrize("gamma", [9.9e-7, 1e-300])
     def test_gamma_below_bound(self, eval_inputs, gamma):
@@ -721,12 +735,12 @@ class TestEmbeddingCacheReader:
     def test_zero_dim(self, cache_inputs):
         good = cache_inputs[2]
         self.assert_rejected(cache_inputs, good[:8] + bytes(4) + good[12:],
-                             r"D=0 at byte 8")
+                             r"embedding cache dim D=0 at byte 8 must be >= 1$")
 
     def test_bad_magic_and_version(self, cache_inputs):
         good = cache_inputs[2]
         self.assert_rejected(cache_inputs, b"VLAD" + good[4:],
-                             r"not an embedding cache file: bad magic b'VLAD' at byte 0$")
+                             r"bad embedding cache magic b'VLAD' at byte 0$")
         self.assert_rejected(cache_inputs, good[:4] + struct.pack("<I", 2) + good[8:],
                              r"unsupported embedding cache version 2 at byte 4$")
 
@@ -806,7 +820,8 @@ def scan_outcome(path):
     data = Path(path).read_bytes()
     outcomes = []
     try:
-        offsets, dim = embeddings.read_embedding_cache(path)
+        with open(path, "rb") as fh:
+            offsets, dim = embeddings.read_embedding_cache(path, fh)
         outcomes.append({k: data[at:at + 4 * dim] for k, at in offsets.items()})
     except ValidationError as exc:
         outcomes.append(str(exc))
@@ -880,7 +895,8 @@ class TestCacheIndex:
         """Blocks at their smallest: the scan names the record and the byte
         the oracle names, in the first block, a middle one or the last."""
         root, _, good = padded_inputs
-        offsets, _ = embeddings.read_embedding_cache(root / "padded.vlec")
+        with open(root / "padded.vlec", "rb") as fh:
+            offsets, _ = embeddings.read_embedding_cache(fh.name, fh)
         at = list(offsets.values())[record] + 4
         blob = bytearray(good)
         blob[at:at + 4] = np.float32(np.nan).tobytes()
@@ -934,7 +950,8 @@ class TestCacheIndex:
         root, manifest, good = cache_inputs
         path = tmp_path / "c.vlec"
         path.write_bytes(good)
-        offsets, dim = embeddings.read_embedding_cache(path)
+        with open(path, "rb") as fh:
+            offsets, dim = embeddings.read_embedding_cache(path, fh)
         key = f"{read_manifest(manifest)[2].clip_id}:1"
         at = offsets[key] + 4 * 3  # the fourth value of that window
         scan = embeddings.read_embedding_cache
@@ -1142,7 +1159,7 @@ class TestFramesPathReader:
     def test_valid_frames_trace(self, eval_inputs, tmp_path):
         code, err, _ = self.run_on(eval_inputs, tmp_path, "valid", "trace")
         assert code == 0, err
-        assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 5
+        assert len((tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()) == 1 + 5
 
     def test_header_claiming_more_than_the_file_holds(self, eval_inputs, tmp_path):
         """A header that claims 512 GiB of frames: the frames file is mapped,
@@ -1162,7 +1179,7 @@ class TestFramesPathReader:
         proc = subprocess.run(
             [sys.executable, "-m", "vlaad.cli", "eval", "--checkpoint",
              str(eval_inputs[0] / "good.bin"), "--manifest", str(manifest)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert proc.returncode == 2, proc.stderr
         assert_one_error_line(proc.stderr, re.escape(f"clip ext0: frames file {frames}: "),
@@ -1184,12 +1201,12 @@ def inline_manifest(path, n, edits=()):
     write_manifest([make_clip(f"c{i}", feat_dim=3, label=i % 2,
                               collision_frame=4 if i % 2 else None, seed=i)
                     for i in range(n)], path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     for lineno, edit in dict(edits).items():
         obj = json.loads(lines[lineno - 1])
         edit(obj)
         lines[lineno - 1] = json.dumps(obj)
-    path.write_text("".join(line + "\n" for line in lines))
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
 
 
@@ -1321,7 +1338,7 @@ class TestInlineFrames:
                 "-o", tmp_path / "t.csv"]
         code, err = run_quiet([*argv, "--clip-id", "c0"])
         assert code == 0, err
-        assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 5
+        assert len((tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()) == 1 + 5
         code, err = run_quiet([*argv, "--clip-id", "c2"])
         assert code == 2, err
         assert_one_error_line(err, re.escape(f"{manifest}: manifest line 3: clip c2: "))
@@ -1389,7 +1406,8 @@ class TestLineReaderTypes:
 
     def test_manifest_line_not_an_object(self, manifest, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(manifest.read_text().splitlines()[0] + "\n[1,2]\n")
+        bad.write_text(manifest.read_text(encoding="utf-8").splitlines()[0] + "\n[1,2]\n",
+                       encoding="utf-8")
         code, err = run_quiet(["ingest", "--manifest", bad])
         assert code == 2, err
         assert_one_error_line(err, re.escape(f"{bad}: manifest line 2:"))
@@ -1397,7 +1415,7 @@ class TestLineReaderTypes:
     def test_run_record_km_not_a_number(self, tmp_path):
         bad = tmp_path / "runs.jsonl"
         bad.write_text(json.dumps({"route_id": "r0", "km": "x",
-                                   "route_completion": 50.0}) + "\n")
+                                   "route_completion": 50.0}) + "\n", encoding="utf-8")
         code, err = run_quiet(["score", "--runs", bad])
         assert code == 2, err
         assert_one_error_line(err, re.escape(f"{bad}: run record line 1:"))
@@ -1500,20 +1518,20 @@ class TestTraceAndPlot:
                              "--clip-id", "synth-train-n00000",
                              "-o", str(csv_path), "--plot", str(svg_path))
         assert code == 0
-        rows = csv_path.read_text().splitlines()
+        rows = csv_path.read_text(encoding="utf-8").splitlines()
         assert rows[0] == "clip_id,snippet_index,t_start_s,logit,prob,attention"
         assert len(rows) == 6  # header + 5 snippets
-        svg = svg_path.read_text()
+        svg = svg_path.read_text(encoding="utf-8")
         assert svg.count('class="marker"') == 5
         assert svg.count("<polyline") == 1
 
     def test_wide_csv_two_variants(self, tmp_path):
         csv_path = tmp_path / "wide.csv"
         csv_path.write_text(
-            "t_start_s,mil,no_mil\n0,0.1,0.3\n2,0.2,0.5\n4,0.9,0.6\n")
+            "t_start_s,mil,no_mil\n0,0.1,0.3\n2,0.2,0.5\n4,0.9,0.6\n", encoding="utf-8")
         out = tmp_path / "wide.svg"
         assert emit_trace_plot(csv_path, out) == 2
-        svg = out.read_text()
+        svg = out.read_text(encoding="utf-8")
         assert svg.count("<polyline") == 2
         assert svg.count('class="marker"') == 6
         assert ">mil</text>" in svg and ">no_mil</text>" in svg
@@ -1535,7 +1553,8 @@ class TestTraceAndPlot:
                 argv = ["--checkpoint", ckpt, "--manifest", manifest, "-o", root / "t.csv"]
             else:
                 wide = root / "wide.csv"
-                wide.write_text(f"time,{name},plain\n0,0.1,0.2\n1,0.3,0.4\n")
+                wide.write_text(f"time,{name},plain\n0,0.1,0.2\n1,0.3,0.4\n",
+                                encoding="utf-8")
                 argv = ["--from-csv", wide]
             code, _, err = run_cli(capsys, "trace", *map(str, argv),
                                    "--plot", str(root / "t.svg"))
@@ -1547,7 +1566,7 @@ class TestTraceAndPlot:
     def test_failed_write_leaves_previous_plot(self, tmp_path):
         """The plot writer replaces its own output only once it is whole."""
         csv_path, out = tmp_path / "wide.csv", tmp_path / "wide.svg"
-        csv_path.write_text("t_start_s,mil\n0,0.1\n2,0.2\n")
+        csv_path.write_text("t_start_s,mil\n0,0.1\n2,0.2\n", encoding="utf-8")
         out.write_bytes(b"previous plot\n")
         with mock.patch("vlaad.plotting.render_series_svg", return_value=None):
             with pytest.raises(TypeError):  # writing None fails mid-file
@@ -1569,7 +1588,8 @@ class TestTraceAndPlot:
 
     def test_empty_trace_no_file_written(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
-        empty.write_text("clip_id,snippet_index,t_start_s,logit,prob,attention\n")
+        empty.write_text("clip_id,snippet_index,t_start_s,logit,prob,attention\n",
+                         encoding="utf-8")
         out = tmp_path / "out.svg"
         code, _, err = run_cli(capsys, "trace", "--from-csv", str(empty),
                                "--plot", str(out))
@@ -1602,7 +1622,7 @@ class TestTraceAndPlot:
 
     def test_malformed_row_names_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("t,mil\n0,0.1\n1,not_a_number\n")
+        bad.write_text("t,mil\n0,0.1\n1,not_a_number\n", encoding="utf-8")
         with pytest.raises(Exception, match="line 3"):
             parse_trace_csv(bad)
 
@@ -1682,11 +1702,11 @@ class TestTraceAndPlot:
         """A lone point spans no range on either axis: each axis is widened
         by 1 either side, so the point sits mid-plot."""
         one, out = tmp_path / "one.csv", tmp_path / "one.svg"
-        one.write_text(self.TRACE_LINE + "c,0,2.0,0.1,0.5,1.0\r\n")
+        one.write_text(self.TRACE_LINE + "c,0,2.0,0.1,0.5,1.0\r\n", encoding="utf-8")
         code, stdout, err = run_cli(capsys, "trace", "--from-csv", str(one),
                                     "--plot", str(out))
         assert (code, stdout, err) == (0, f"plotted 1 series to {out}\n", "")
-        svg = out.read_text()
+        svg = out.read_text(encoding="utf-8")
         assert svg.count('class="marker"') == 1
         assert '<circle class="marker" cx="338.00" cy="192.00"' in svg
         assert ">1</text>" in svg and ">3</text>" in svg  # the x axis: 2 ± 1
@@ -1758,7 +1778,7 @@ class TestScoreWilcoxon:
                  "infractions": {"pedestrian": 1}},
                 {"route_id": "r1", "km": 5.0, "route_completion": 100.0,
                  "infractions": {}}]
-        runs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        runs.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
         code, out, _ = run_cli(capsys, "score", "--runs", str(runs))
         assert code == 0
         lines = [json.loads(l) for l in out.splitlines()]
@@ -1779,7 +1799,7 @@ class TestScoreWilcoxon:
         good = {"route_id": "r0", "km": 1.0, "route_completion": 50.0,
                 "infractions": {}}
         runs.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value})
-                        + "\n")
+                        + "\n", encoding="utf-8")
         code, err = run_quiet(["score", "--runs", runs])
         assert code == 2, err
         assert_one_error_line(err, "^" + re.escape(
@@ -1794,7 +1814,7 @@ class TestScoreWilcoxon:
         types."""
         rows = data.draw(st.lists(run_record_objects(version), min_size=1, max_size=6))
         path = tmp_path_factory.mktemp("score") / "runs.jsonl"
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert run(["score", "--runs", str(path), "--version", version]) == 0
@@ -1819,7 +1839,7 @@ class TestScoreWilcoxon:
         for i in (10, 18, 20):
             deltas[i - 1] *= -1
         path = tmp_path / "deltas.json"
-        path.write_text(json.dumps(list(deltas)))
+        path.write_text(json.dumps(list(deltas)), encoding="utf-8")
         code, out, _ = run_cli(capsys, "wilcoxon", "--deltas", str(path))
         assert code == 0
         report = json.loads(out)
@@ -1830,14 +1850,14 @@ class TestScoreWilcoxon:
 
     def test_wilcoxon_object_payload(self, tmp_path, capsys):
         path = tmp_path / "d.json"
-        path.write_text(json.dumps({"deltas": [1.0, 2.0, 3.0]}))
+        path.write_text(json.dumps({"deltas": [1.0, 2.0, 3.0]}), encoding="utf-8")
         code, out, _ = run_cli(capsys, "wilcoxon", "--deltas", str(path))
         assert code == 0
         assert json.loads(out)["p"] == pytest.approx(0.125)
 
     def test_all_zero_deltas_exit_2(self, tmp_path, capsys):
         path = tmp_path / "z.json"
-        path.write_text("[0.0, 0.0]")
+        path.write_text("[0.0, 0.0]", encoding="utf-8")
         assert run_cli(capsys, "wilcoxon", "--deltas", str(path))[0] == 2
 
     @pytest.mark.parametrize("text, message", [
@@ -1846,7 +1866,7 @@ class TestScoreWilcoxon:
     ], ids=["nan", "empty"])
     def test_deltas_refused_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "d.json"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "wilcoxon", "--deltas", str(path))
         assert code == 2 and out == ""
         assert_one_error_line(err, "^" + re.escape(

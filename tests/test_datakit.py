@@ -280,21 +280,21 @@ class TestCaptioning:
         assert abs(n_llama - 500) <= 50
         assert n_llama + models.count("gemma2:2b") == 1000
 
-    def test_unreachable_errors_after_three_attempts(self):
+    def test_unreachable_errors_after_three_attempts(self, rng):
         client = CountingClient(fail_times=99)
         with pytest.raises(SummarizerError):
-            caption_collision_clip(log_at(50), client)
+            caption_collision_clip(log_at(50), client, rng)
         assert len(client.calls) == 3
 
-    def test_empty_response_no_retry(self):
+    def test_empty_response_no_retry(self, rng):
         client = CountingClient(replies=["   "])
         with pytest.raises(SummarizerError):
-            caption_collision_clip(log_at(50), client)
+            caption_collision_clip(log_at(50), client, rng)
         assert len(client.calls) == 1
 
-    def test_two_stage_single_annotation(self):
+    def test_two_stage_single_annotation(self, rng):
         result = caption_normal_clip(["the road is clear. nothing ahead."],
-                                     StubSummarizerClient())
+                                     StubSummarizerClient(), rng)
         assert isinstance(result, CaptionResult)
         assert result.text
         assert not result.warning
@@ -316,26 +316,26 @@ class TestCaptioning:
             f"Only output the summarized message with nothing before it.", "m")
         assert got.text == expected
 
-    def test_paraphrase_constraint_single_requery_then_warning(self):
+    def test_paraphrase_constraint_single_requery_then_warning(self, rng):
         replies = ["frame one.", "final summary.",
                    "no keyword here.", "still missing it."]
         client = CountingClient(replies=replies)
-        result = caption_normal_clip(["ann one."], client, paraphrase=True)
+        result = caption_normal_clip(["ann one."], client, rng, paraphrase=True)
         assert result.warning
         assert result.text == "still missing it."
         paraphrase_calls = [p for p, _ in client.calls if p.startswith("Paraphrase")]
         assert len(paraphrase_calls) == 2  # original + exactly one re-query
 
-    def test_paraphrase_keeps_compliant_output(self):
+    def test_paraphrase_keeps_compliant_output(self, rng):
         replies = ["frame one.", "final summary.", "a calm drive onward."]
         client = CountingClient(replies=replies)
-        result = caption_normal_clip(["ann one."], client, paraphrase=True)
+        result = caption_normal_clip(["ann one."], client, rng, paraphrase=True)
         assert not result.warning
         assert "drive" in result.text
 
-    def test_no_annotations_rejected(self):
+    def test_no_annotations_rejected(self, rng):
         with pytest.raises(EmptyInputError):
-            caption_normal_clip([], StubSummarizerClient())
+            caption_normal_clip([], StubSummarizerClient(), rng)
 
 
 class TestHttpClient:
@@ -348,7 +348,7 @@ class TestHttpClient:
         secrets and hashlib, eagerly."""
         runs = tmp_path / "runs.jsonl"
         runs.write_text(json.dumps({"route_id": "r0", "km": 1.0,
-                                    "route_completion": 50.0}) + "\n")
+                                    "route_completion": 50.0}) + "\n", encoding="utf-8")
         modules = ("urllib.request", "http.client", "ssl", "email",
                    "concurrent.futures", "logging", "html", "secrets",
                    "hashlib", "_hashlib")
@@ -360,7 +360,7 @@ class TestHttpClient:
                     f"print(sorted(m for m in {modules!r} "
                     f"if m in sys.modules and m not in before))")
             out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                 capture_output=True, text=True).stdout
+                                 capture_output=True, text=True, encoding="utf-8").stdout
             assert out.splitlines()[-1] == "[]", step
 
     def test_unreachable_url_exit_1(self, tmp_path, monkeypatch, capsys):
@@ -372,7 +372,8 @@ class TestHttpClient:
         monkeypatch.setenv(SUMMARIZER_URL_ENV, f"http://127.0.0.1:{port}/api")
         jobs = tmp_path / "jobs.jsonl"
         jobs.write_text(json.dumps({"type": "normal",
-                                    "annotations": ["a car drives on"]}) + "\n")
+                                    "annotations": ["a car drives on"]}) + "\n",
+                        encoding="utf-8")
         code = run(["caption", "--jobs", str(jobs), "-o",
                     str(tmp_path / "out.jsonl"), "--client", "http"])
         err = capsys.readouterr().err
@@ -414,7 +415,8 @@ class TestHttpReply:
                                f"http://127.0.0.1:{server.server_address[1]}/api")
             jobs, out = tmp_path / "jobs.jsonl", tmp_path / "out.jsonl"
             jobs.write_text(json.dumps({"type": "normal", "id": "j0",
-                                        "annotations": ["a car drives on"]}) + "\n")
+                                        "annotations": ["a car drives on"]}) + "\n",
+                            encoding="utf-8")
             code = run(["caption", "--jobs", str(jobs), "-o", str(out),
                         "--client", "http"])
         finally:
@@ -429,7 +431,7 @@ class TestHttpReply:
         code, io, out = self.caption(tmp_path, monkeypatch, capsys,
                                      {"response": " The car drives on. "})
         assert (code, io.err, io.out) == (0, "", "captioned 1 jobs\n")
-        assert json.loads(out.read_text()) == {
+        assert json.loads(out.read_text(encoding="utf-8")) == {
             "id": "j0", "caption": "The car drives on.", "warning": False}
 
     def test_reply_without_response_exit_1(self, tmp_path, monkeypatch, capsys):
@@ -459,7 +461,8 @@ class TestHttpReply:
     def test_url_unset_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv(SUMMARIZER_URL_ENV, raising=False)
         jobs = tmp_path / "jobs.jsonl"
-        jobs.write_text(json.dumps({"type": "normal", "annotations": ["a"]}) + "\n")
+        jobs.write_text(json.dumps({"type": "normal", "annotations": ["a"]}) + "\n",
+                        encoding="utf-8")
         code = run(["caption", "--jobs", str(jobs), "-o", str(tmp_path / "out.jsonl"),
                     "--client", "http"])
         assert code == 2
@@ -520,7 +523,7 @@ class TestManifestIO:
         path = tmp_path / "bad.jsonl"
         good = json.dumps(record_to_json(
             generate_synthetic_dataset(SynthConfig(1, 0, feature_dim=4, seed=0))[0]))
-        path.write_text(good + "\n{not json}\n")
+        path.write_text(good + "\n{not json}\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="line 2"):
             read_manifest(path)
 

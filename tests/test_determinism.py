@@ -84,11 +84,13 @@ def write_inputs(cwd: Path) -> None:
              "route_completion": float(rng.uniform(20, 100)),
              "infractions": {"vehicle": int(rng.integers(0, 3)),
                              "static": int(rng.integers(0, 2))}} for i in range(5)]
-    (cwd / "runs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in runs))
-    (cwd / "deltas.json").write_text(json.dumps(rng.normal(0.2, 1.0, 12).tolist()))
+    (cwd / "runs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in runs),
+                                    encoding="utf-8")
+    (cwd / "deltas.json").write_text(json.dumps(rng.normal(0.2, 1.0, 12).tolist()),
+                                     encoding="utf-8")
     (cwd / "stream.jsonl").write_text("".join(
         json.dumps({"tick": t, "features": rng.standard_normal(8).tolist()}) + "\n"
-        for t in range(20)))
+        for t in range(20)), encoding="utf-8")
 
 
 def tree(root: Path) -> dict:

@@ -210,7 +210,8 @@ class TestEmbeddingCache:
         keys = [f"bb:{i}" for i in range(windows)]
         if layout == "reversed":
             keys.reverse()
-        offsets, _ = read_embedding_cache(path)
+        with open(path, "rb") as fh:
+            offsets, _ = read_embedding_cache(path, fh)
         at = sorted(offsets[k] for k in keys)
         with CachedEncoder(path) as enc, mock.patch.object(
                 embeddings.os, "pread", wraps=os.pread) as pread:
@@ -236,8 +237,9 @@ class TestEmbeddingCache:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValidationError):
-            read_embedding_cache(path)
+        with open(path, "rb") as fh, pytest.raises(
+                ValidationError, match=r"bad embedding cache magic b'NOPE' at byte 0$"):
+            read_embedding_cache(path, fh)
 
     def test_wrong_dim_entry_rejected(self, tmp_path):
         with pytest.raises(DimensionMismatchError):
@@ -265,7 +267,8 @@ class TestEmbeddingCache:
         entries = [("a", rng.standard_normal(4)), ("bb", rng.standard_normal(4)),
                    ("a", rng.standard_normal(4))]
         write_embedding_cache(path, entries, dim=4)
-        offsets, dim = read_embedding_cache(path)
+        with open(path, "rb") as fh:
+            offsets, dim = read_embedding_cache(path, fh)
         data = path.read_bytes()
         assert dim == 4 and list(offsets) == ["a", "bb"]
         for key, vec in dict(entries).items():

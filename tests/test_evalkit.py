@@ -263,7 +263,7 @@ class TestSummarizeRun:
                  "infractions": {"vehicle": 2, "pedestrian": 1}},
                 {"route_id": "t13_01", "km": 8.0, "route_completion": 90.0,
                  "infractions": {}}]
-        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
         records = read_run_records(path)
         assert [r.route_id for r in records] == ["t13_00", "t13_01"]
         assert summarize_run(records[1])["DS"] == 90.0

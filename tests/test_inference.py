@@ -15,7 +15,7 @@ from vlaad.errors import ValidationError
 from vlaad.inference import CausalBuffer, push_tick, stream_tokens
 from vlaad.mil import lse_pool, segment_clip
 from vlaad.model import Workspace, forward_rows, init_checkpoint
-from vlaad.numerics import scalar_sigmoid, sigmoid
+from vlaad.numerics import sigmoid
 
 
 @pytest.fixture
@@ -229,16 +229,24 @@ class TestRingAgainstListRing:
 
 class TestScalarSigmoid:
     def test_bits_equal_array_sigmoid(self):
+        """A float, an ``np.float64``, a 0-d array and an ``np.float32`` each
+        give the bits of the array path over the same values."""
         rng = np.random.default_rng(11)
         tiny = np.finfo(np.float64).smallest_subnormal
         logits = np.concatenate([
             rng.standard_normal(20000) * 10.0, rng.uniform(-800, 800, 20000),
             [0.0, -0.0, 745.0, -745.0, 745.2, -745.2, 800.0, -800.0,
              tiny, -tiny, 1e-310, -1e-310, np.finfo(np.float64).tiny]])
-        got = np.array([scalar_sigmoid(x) for x in logits.tolist()])
-        assert got.tobytes() == sigmoid(logits).tobytes()
-        zero_d = np.array([sigmoid(x) for x in logits])  # one 0-d array each
-        assert got.tobytes() == zero_d.tobytes()
+        floats = [sigmoid(x) for x in logits.tolist()]
+        assert {type(p) for p in floats} == {float}
+        want = sigmoid(logits).tobytes()
+        assert np.array(floats).tobytes() == want
+        assert np.array([sigmoid(x) for x in logits]).tobytes() == want  # np.float64
+        zero_d = np.array([sigmoid(np.array(x)) for x in logits])
+        assert zero_d.tobytes() == want
+        narrow = logits.astype(np.float32)
+        assert (np.array([sigmoid(x) for x in narrow]).tobytes()
+                == sigmoid(narrow).tobytes())
 
 
 class TestScoreClipTrace:

@@ -26,6 +26,7 @@ from vlaad.model import init_checkpoint, save_checkpoint
 
 
 BEYOND_FLOAT = 10 ** 400  # a JSON integer that no float holds
+BEYOND_INT = "1" + "0" * 5000  # a JSON integer too long for int() to read
 
 
 def run_cli(argv, stdin=b""):
@@ -382,7 +383,7 @@ class TestMalformedRegressions:
 
     def test_deltas_object_without_deltas(self, tmp_path):
         path = tmp_path / "d.json"
-        path.write_text('{"x":1}')
+        path.write_text('{"x":1}', encoding="utf-8")
         assert_exit_2(run_cli(["wilcoxon", "--deltas", path]),
                       re.escape(f"{path}: deltas: missing key 'deltas'"))
 
@@ -391,21 +392,21 @@ class TestMalformedRegressions:
     def test_deltas_not_numbers(self, tmp_path, deltas):
         """numpy turned these into floats, and ``W 7.0`` was printed."""
         path = tmp_path / "d.json"
-        path.write_text(deltas)
+        path.write_text(deltas, encoding="utf-8")
         assert_exit_2(run_cli(["wilcoxon", "--deltas", path]), "^" + re.escape(
             f"error: {path}: deltas: deltas must be a list of numbers, not bools "
             f"or strings") + "$")
 
     def test_deltas_not_a_list(self, tmp_path):
         path = tmp_path / "d.json"
-        path.write_text('{"deltas": {"a": 1}}')
+        path.write_text('{"deltas": {"a": 1}}', encoding="utf-8")
         assert_exit_2(run_cli(["wilcoxon", "--deltas", path]), "^" + re.escape(
             f"error: {path}: deltas: deltas must be a list of numbers, not bools or "
             f"strings") + "$")
 
     def train_config(self, tmp_path, text, *flags):
         path = tmp_path / "cfg.json"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return path, run_cli(["train", "--config", path, "--manifest",
                               tmp_path / "none.jsonl", "-o", tmp_path / "x.bin",
                               *flags])
@@ -445,6 +446,23 @@ class TestMalformedRegressions:
         assert_exit_2(result, "^" + re.escape(
             f"error: {path}: train config: learning_rate must be a finite number, "
             f"got {BEYOND_FLOAT}") + "$")
+
+    def test_set_int_beyond_digit_limit(self, tmp_path):
+        """json.loads raised Python's bare digit-limit ValueError, naming
+        neither --set nor the field."""
+        _, result = self.train_config(tmp_path, "{}", "--set",
+                                      f"learning_rate={BEYOND_INT}")
+        assert_exit_2(result, "^" + re.escape(
+            f"error: --set learning_rate={BEYOND_INT}: learning_rate must be a "
+            f"finite number, got an integer of 5001 digits, beyond the "
+            f"{sys.get_int_max_str_digits()}-digit limit") + "$")
+
+    def test_config_int_beyond_digit_limit(self, tmp_path):
+        path, result = self.train_config(tmp_path, f'{{"epochs": {BEYOND_INT}}}')
+        assert_exit_2(result, "^" + re.escape(
+            f"error: {path}: train config: epochs must be an integer, got an "
+            f"integer of 5001 digits, beyond the {sys.get_int_max_str_digits()}"
+            f"-digit limit") + "$")
 
     def test_config_syntax_error_names_line(self, tmp_path):
         path, result = self.train_config(tmp_path, '{\n "epochs": 2,\n}')
@@ -507,7 +525,8 @@ class TestMalformedRegressions:
     def caption(self, tmp_path, *lines):
         path = tmp_path / "jobs.jsonl"
         good = {"type": "normal", "annotations": ["The car drives."]}
-        path.write_text(json.dumps(good) + "\n\n" + "".join(l + "\n" for l in lines))
+        path.write_text(json.dumps(good) + "\n\n" + "".join(l + "\n" for l in lines),
+                        encoding="utf-8")
         result = run_cli(["caption", "--jobs", path, "-o", tmp_path / "out.jsonl"])
         assert not (tmp_path / "out.jsonl").exists()
         return path, result
@@ -703,6 +722,24 @@ class TestMalformedRegressions:
             + "$")
         assert sorted(os.listdir(tmp_path)) == ["good.jsonl", "m.jsonl"]
 
+    @pytest.mark.parametrize("command", ["ingest", "trace"])
+    def test_lone_surrogate_clip_id_refused(self, root, tmp_path, command):
+        """``"\\ud800"`` is valid JSON but no UTF-8: ingest passed it, and
+        trace failed at its CSV's encode, naming neither file nor line."""
+        path = tmp_path / "m.jsonl"
+        write_manifest(generate_synthetic_dataset(SynthConfig(2, 2, feature_dim=3)),
+                       path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = jsonl({**json.loads(lines[2]), "clip_id": "\ud800"})
+        path.write_bytes(b"".join(lines))
+        argv = {"ingest": ["ingest", "--manifest", path],
+                "trace": ["trace", "--checkpoint", root / "ckpt.bin", "--manifest",
+                          path, "-o", tmp_path / "t.csv"]}[command]
+        assert_exit_2(run_cli(argv), "^" + re.escape(
+            f"error: {path}: manifest line 3: clip_id must be a string UTF-8 can "
+            f"encode, got '\\ud800'") + "$")
+        assert sorted(os.listdir(tmp_path)) == ["m.jsonl"]
+
     @pytest.mark.parametrize("value, why", [
         pytest.param('"x"', "must be an integer, got 'x'$", id='"x"-not_an_integer'),
         ("-1", "out of range$")])
@@ -711,8 +748,8 @@ class TestMalformedRegressions:
         path = tmp_path / "m.jsonl"
         write_manifest([ClipRecord("c0", frames_path="c0.npy", label=1,
                                    collision_frame=3)], path)
-        path.write_text(path.read_text().replace(
-            '"collision_frame":3', f'"collision_frame":{value}'))
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            '"collision_frame":3', f'"collision_frame":{value}'), encoding="utf-8")
         assert_exit_2(run_cli(["ingest", "--manifest", path]),
                       re.escape(f"{path}: manifest line 1: "), why)
 
@@ -741,9 +778,9 @@ class TestMalformedRegressions:
             "c0", frames_path="c0.npy", label=1, collision_frame=20,
             source="external", event_window=(2, 3),
             infraction=InfractionLog(20, "vehicle", "hit", "ControlLoss"))], path)
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         assert text.count(field) == 1
-        path.write_text(text.replace(field, value))
+        path.write_text(text.replace(field, value), encoding="utf-8")
         assert_exit_2(run_cli(["ingest", "--manifest", path, "-o", out]), re.escape(
             f"{path}: manifest line 1: {name} must be an integer, got "))
         assert not out.exists()
@@ -807,6 +844,8 @@ class TestRunRecordChecks:
         ({"route_completion": True}, "route_completion must be a finite number, got True"),
         ({"route_completion": "50"}, "route_completion must be a finite number, got '50'"),
         ({"route_id": 7}, "route_id must be a string, got 7"),
+        ({"route_id": "\ud800"}, "route_id must be a string UTF-8 can encode, "
+                                  "got '\\ud800'"),
         ({"km": float("inf")}, "km must be a finite number, got inf"),
         ({"km": float("nan")}, "km must be a finite number, got nan"),
         ({"km": False}, "km must be a finite number, got False"),
@@ -819,7 +858,8 @@ class TestRunRecordChecks:
          "penalty_weights['vehicle'] must be a finite number, got -inf"),
         ({"coefficients": [0.7]}, "coefficients must map infraction types to numbers"),
     ], ids=["count_float", "count_string", "count_bool", "no_infractions",
-            "infractions_list", "rc_bool", "rc_string", "route_id_int", "km_inf",
+            "infractions_list", "rc_bool", "rc_string", "route_id_int",
+            "route_id_lone_surrogate", "km_inf",
             "km_nan", "km_bool", "km_beyond_float", "coefficient_nan", "coefficient_bool",
             "weight_inf", "coefficients_list"])
     def test_wrong_type_refused(self, tmp_path, edits, message):

@@ -10,6 +10,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import forward_bag, init_checkpoint_out_of_place, pooled_logit_with_grad
 from vlaad import model
@@ -17,7 +19,7 @@ from vlaad.errors import DimensionMismatchError, ValidationError
 from vlaad.mil import Bag, lse_pool
 from vlaad.model import (ModelCheckpoint, Workspace, adapter_forward, bag_logits,
                          forward_rows, init_checkpoint, load_checkpoint,
-                         param_layout, param_views, save_checkpoint)
+                         param_blocks, param_layout, param_views, save_checkpoint)
 
 
 def tiny_adapter(rng, dim=6, hidden=4, scale=0.1):
@@ -251,6 +253,19 @@ class TestCheckpointIO:
             param_views(np.zeros(11), 2, 1)
         assert param_views(np.zeros(12), 2, 1)["w"].shape == (2,)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 400), st.integers(0, 400))
+    def test_param_blocks_walk_theta_once(self, dim, hidden):
+        """The runs cover θ in order, each index once; none is longer than
+        ``THETA_BLOCK`` or spans two slots."""
+        layout = param_layout(dim, hidden)
+        at = 0
+        for slot, lo, hi in param_blocks(layout):
+            assert slot in layout and slot.start <= lo == at < hi <= slot.stop
+            assert hi - lo <= model.THETA_BLOCK
+            at = hi
+        assert at == layout[-1].stop
+
     @pytest.mark.parametrize("zero_first_layer", [True, False])
     @pytest.mark.parametrize("dim, hidden", [(768, 256), (32, 8), (5, 0)])
     def test_init_equals_its_out_of_place_oracle(self, dim, hidden, zero_first_layer):
@@ -260,19 +275,20 @@ class TestCheckpointIO:
             want = init_checkpoint_out_of_place(dim, hidden, 7.5, seed, zero_first_layer)
             assert got.theta.tobytes() == want.theta.tobytes()
 
-    # D = H = 256: θ holds 131,843 values, three blocks of up to 65,536.  w1
-    # fills the first block; w2 (65,792 to 131,328) spans the second and
-    # third; the third ends with b2, w, b, s_sim and s_cls.
+    # D = H = 256: θ holds 131,843 values in runs of up to 16,384 that never
+    # span two tensors.  w2 (65,792 to 131,328) fills four runs: 82,175 and
+    # 82,176 sit either side of its first edge, 131,071 and 131,072 inside
+    # its last run.  s_cls is the last run.
     @pytest.mark.parametrize("index, name", [
-        (65_792, "w2"), (131_071, "w2"), (131_072, "w2"), (131_327, "w2"),
-        (131_328, "b2"), (131_842, "s_cls")])
+        (65_792, "w2"), (82_175, "w2"), (82_176, "w2"), (131_071, "w2"),
+        (131_072, "w2"), (131_327, "w2"), (131_328, "b2"), (131_842, "s_cls")])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_named_across_blocks(self, tmp_path, index, name, value):
-        """A non-finite value in any block is named with its tensor and byte,
-        also in a tensor that spans two blocks and in the last block."""
+        """A non-finite value in any run is named with its tensor and byte,
+        also in a tensor that spans several runs and in the last run."""
         path = tmp_path / "model.bin"
         ckpt = init_checkpoint(dim=256, hidden=256, seed=0)
-        assert ckpt.theta.size == 131_843 and model.CKPT_BLOCK == 65_536
+        assert ckpt.theta.size == 131_843 and model.THETA_BLOCK == 16_384
         save_checkpoint(path, ckpt)
         data = bytearray(path.read_bytes())
         at = 36 + 4 * index

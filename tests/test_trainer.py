@@ -181,9 +181,9 @@ class TestBatchObjective:
                 TrainConfig(pos_weight=bad)
         path = tmp_path / "m.jsonl"
         write_manifest(synth_records(4), path)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         lines[2] = json.dumps({**json.loads(lines[2]), "label": 2})
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="line 3: label must be 0 or 1, got 2"):
             read_manifest(path)
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from oracles import (AdamOutOfPlace, adapter_forward_out_of_place,
                      batch_objective_out_of_place, forward_stack_out_of_place,
                      heads_backward_out_of_place)
-from vlaad import model, trainer
+from vlaad import model
 from vlaad.datakit import SynthConfig, generate_synthetic_dataset
 from vlaad.embeddings import StubEncoder
 from vlaad.model import (Workspace, adapter_forward, heads_backward, init_checkpoint,
@@ -271,26 +271,26 @@ class TestAdamBitForBit:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(5, 8),
            st.floats(1e-5, 0.5), st.floats(1e-6, 0.5),
-           st.sampled_from([7, trainer.ADAM_BLOCK]))
+           st.sampled_from([7, model.THETA_BLOCK]))
     def test_consecutive_steps(self, seed, steps, lr, weight_decay, block):
         """θ has 46 entries: a 7-entry block splits the w1, w2 and w slots
         and ends short at each slot's end; the default block holds a slot
         whole."""
         ckpt = random_ckpt(seed % 1000, 5, 3)
         theta_ref = ckpt.theta.copy()
-        with mock.patch.object(trainer, "ADAM_BLOCK", block):
-            adam = AdamState(ckpt)
+        adam = AdamState(ckpt)
         ref = AdamOutOfPlace(ckpt)
         rng = np.random.default_rng(seed)
-        for _ in range(steps):
-            grad = rng.standard_normal(ckpt.theta.size)
-            before = grad.copy()
-            adam.step(ckpt.theta, grad, lr, weight_decay)
-            ref.step(theta_ref, grad, lr, weight_decay)
-            assert_same_bits(grad, before)
-            assert_same_bits(ckpt.theta, theta_ref)
-            assert_same_bits(adam.m, ref.m)
-            assert_same_bits(adam.v, ref.v)
+        with mock.patch.object(model, "THETA_BLOCK", block):
+            for _ in range(steps):
+                grad = rng.standard_normal(ckpt.theta.size)
+                before = grad.copy()
+                adam.step(ckpt.theta, grad, lr, weight_decay)
+                ref.step(theta_ref, grad, lr, weight_decay)
+                assert_same_bits(grad, before)
+                assert_same_bits(ckpt.theta, theta_ref)
+                assert_same_bits(adam.m, ref.m)
+                assert_same_bits(adam.v, ref.v)
 
 
 def traced_peak(fn):
@@ -378,9 +378,9 @@ class TestAllocations:
 
     def test_checkpoint_init_save_load_hold_theta_once(self, tmp_path):
         """At D=H=1024 (θ = 16 MB) init and load allocate θ and at most one
-        block of ``CKPT_BLOCK`` float64 values beside it, and save at most
+        block of ``THETA_BLOCK`` float64 values beside it, and save at most
         that block: no tensor-sized temporary."""
-        block = 8 * model.CKPT_BLOCK
+        block = 8 * model.THETA_BLOCK
         path = tmp_path / "model.bin"
 
         def init():
